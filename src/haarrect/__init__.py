@@ -8,6 +8,7 @@ contracts the defect quadratically under certified constants.
 
 from .errors import (
     ActionError,
+    ConfigError,
     CoreAxiomError,
     DefectOverflow,
     DefectTooLarge,

@@ -26,6 +26,7 @@ from .harness import (
     EXIT_PASS,
     EXIT_PRECONDITION,
     ExperimentConfig,
+    exit_code_for,
     run_experiment,
     validate_config,
     _atomic_write,
@@ -181,7 +182,7 @@ def main(argv=None):
         return args.func(args)
     except HaarrectError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_DOMAIN
+        return exit_code_for(exc)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ class HaarrectError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(HaarrectError, ValueError):
+    """A run config is malformed: unknown key, wrong shape or bad value."""
+
+
 class InvalidAlgebraVector(HaarrectError):
     """Algebra coordinates are non-finite or have the wrong shape."""
 

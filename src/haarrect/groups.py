@@ -10,8 +10,8 @@ contraction certificate of the averaging iteration.
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases listed in
     ``algebra_basis``; exp is computed by Hermitian eigendecomposition of
-    -iX and log by a complex Schur decomposition, with eigen-angles on the
-    principal branch (-pi, pi];
+    -iX and log in batched closed form: the atan2 rotation angle on the
+    principal branch (-pi, pi] times the unit axis of the skew part;
   * the norm on the algebra is ``scale * raw_norm`` and the group distance
     is ``|log(g^-1 h)|`` in that norm (left translation of the norm);
   * exp of the exact zero vector returns the exact identity matrix.
@@ -20,7 +20,6 @@ Conventions fixed here and relied on everywhere else:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     GroupMembershipError,
@@ -275,29 +274,6 @@ def _exp_matrices(alg, coords):
     return G
 
 
-def _log_coords_single(alg, matrix):
-    """Principal log of one group matrix, as algebra coordinates.
-
-    Eigendecomposition route: complex Schur form (diagonal for these normal
-    matrices), eigen-angles folded to (-pi, pi] by np.angle.
-    """
-    aid = alg.algebra_id
-    m = np.asarray(matrix, dtype=complex)
-    if aid == "u1":
-        return np.array([np.angle(m[0, 0])])
-    if aid == "so2":
-        return np.array([np.arctan2(m[1, 0].real, m[0, 0].real)])
-    T, Q = schur(m, output="complex")
-    ang = np.angle(np.diag(T))
-    X = (Q * (1j * ang)) @ Q.conj().T
-    if aid == "so3":
-        X = 0.5 * (X - X.swapaxes(-1, -2)).real.astype(complex)
-    else:  # su2: skew-hermitian, traceless projection
-        X = 0.5 * (X - X.conj().swapaxes(-1, -2))
-        X = X - (np.trace(X) / 2.0) * np.eye(2)
-    return matrix_to_coords(aid, X)
-
-
 def exp_map(u, alg):
     """Matrix exponential of an algebra vector.
 
@@ -317,13 +293,35 @@ def log_map(g, alg):
     principal preimage can no longer be trusted by callers.
     """
     m = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
-    coords = _log_coords_single(alg, m)
+    coords = _log_coords(alg, m[None])[0]
     if alg.norm(coords) > alg.injectivity_margin:
         raise LogDomainError(
             f"|log g| = {alg.norm(coords):.6g} exceeds injectivity margin "
             f"{alg.injectivity_margin:.6g}"
         )
     return AlgebraVector(coords=coords, algebra_id=alg.algebra_id)
+
+
+def _sine_cosine(alg, mats):
+    """Batched sine vector sin(a) n and cosine of the rotation angle a.
+
+    An element is cos(a) I + sin(a) X(n), n a unit algebra direction; a is
+    |log| (u1, so2, so3) or |log| / 2 (su2).
+    """
+    m = np.asarray(mats, dtype=complex)
+    if alg.algebra_id == "u1":
+        return m[..., 0, :1].imag, m[..., 0, 0].real
+    if alg.algebra_id == "so2":
+        return m[..., 1, :1].real, m[..., 0, 0].real
+    if alg.algebra_id == "so3":
+        r = m.real
+        skew = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                r[..., 1, 0] - r[..., 0, 1])
+        cosine = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+        return 0.5 * np.stack(skew, axis=-1), cosine
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return (0.5 * np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1),
+            0.5 * (a + d).real)
 
 
 def _angles_from_matrices(alg, mats):
@@ -333,23 +331,37 @@ def _angles_from_matrices(alg, mats):
     absolute accuracy at both ends of [0, pi]; this realizes |log(g)| without
     the branch-sensitive axis extraction.
     """
-    aid = alg.algebra_id
-    m = np.asarray(mats, dtype=complex)
-    if aid == "u1":
-        return np.abs(np.angle(m[..., 0, 0]))
-    if aid == "so2":
-        return np.abs(np.arctan2(m[..., 1, 0].real, m[..., 0, 0].real))
-    if aid == "so3":
-        skew = 0.5 * (m - m.swapaxes(-1, -2))
-        s = np.linalg.norm(skew.real, axis=(-2, -1)) / np.sqrt(2.0)
-        c = 0.5 * (np.trace(m, axis1=-2, axis2=-1).real - 1.0)
-        return np.arctan2(s, c)
-    # su2: m = cos(a) I + sin(a) i(n.sigma), |coords| = 2a
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    c = 0.5 * tr.real
-    dev = m - 0.5 * tr[..., None, None] * np.eye(2)
-    s = np.linalg.norm(dev, axis=(-2, -1)) / np.sqrt(2.0)
-    return 2.0 * np.arctan2(s, c)
+    sine, cosine = _sine_cosine(alg, mats)
+    angle = np.arctan2(np.linalg.norm(sine, axis=-1), cosine)
+    return 2.0 * angle if alg.algebra_id == "su2" else angle
+
+
+def _log_coords(alg, mats):
+    """Principal log of a stack of group matrices: (n, m, m) -> (n, dim).
+
+    The atan2 angle, signed (u1, so2) or times the unit sine vector (so3,
+    and su2 as the quaternion log).  Near an SO(3) half turn the axis is the
+    dominant column of the symmetric part cos(a) I + (1 - cos a) n n^T.
+    """
+    sine, cosine = _sine_cosine(alg, mats)
+    if alg.dim == 1:
+        return np.arctan2(sine, cosine[..., None])
+    s = np.linalg.norm(sine, axis=-1, keepdims=True)
+    # zero sine: the identity (any axis) or a half turn (keep its angle)
+    axis = np.divide(sine, s, out=np.zeros_like(sine), where=s > 0)
+    axis[s[..., 0] == 0, -1] = 1.0
+    far = cosine < 0.0
+    if alg.algebra_id == "so3" and np.any(far):
+        c = cosine[far, None, None]
+        r = np.asarray(mats)[far].real
+        nn = (0.5 * (r + r.swapaxes(-1, -2)) - c * np.eye(3)) / (1.0 - c)
+        diag = np.diagonal(nn, axis1=-2, axis2=-1)
+        i = np.argmax(diag, axis=-1)
+        n = nn[np.arange(len(i)), i] / np.sqrt(diag.max(axis=-1))[:, None]
+        flip = np.einsum("ij,ij->i", n, sine[far]) < 0.0
+        axis[far] = np.where(flip[:, None], -n, n)
+    angle = np.arctan2(s, cosine[..., None])
+    return (2.0 * angle if alg.algebra_id == "su2" else angle) * axis
 
 
 def _distances_to_identity(alg, mats):
@@ -362,11 +374,6 @@ def left_distance(g, h, alg):
     gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
     hm = h.matrix if isinstance(h, GroupElement) else np.asarray(h, dtype=complex)
     return float(_distances_to_identity(alg, gm.conj().T @ hm))
-
-
-def identity_element(group_id):
-    n = MATRIX_DIM[ALGEBRA_OF[group_id]]
-    return GroupElement(matrix=np.eye(n, dtype=complex), group_id=group_id)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +425,8 @@ def _verify_normalization(alg, rng, count):
         return False
     # round-trip injectivity witness over the margin ball
     w = alg.sample_ball(rng, alg.injectivity_margin, count)
-    mats = _exp_matrices(alg, w)
-    for wi, mi in zip(w, mats):
-        back = _log_coords_single(alg, mi)
-        if alg.norm(back - wi) > TAU_ALG * max(1.0, alg.norm(wi)):
-            return False
-    return True
+    err = alg.norm(_log_coords(alg, _exp_matrices(alg, w)) - w)
+    return bool(np.all(err <= TAU_ALG * np.maximum(1.0, alg.norm(w))))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +458,7 @@ def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
     euv = np.einsum("nij,njk->nik", eu, ev)
     conj = np.einsum("nij,nkj->nik", euv, eu.conj())  # exp(u) exp(v) exp(-u)
 
-    log_uv = np.array([_log_coords_single(alg, m) for m in euv])
+    log_uv = _log_coords(alg, euv)
     gap = alg.norm(log_uv - (u + v))
     nsum = alg.norm(u + v)
     nlog = alg.norm(log_uv)
@@ -504,16 +507,12 @@ def _adjoint_distortion_max(alg, sets, rng, count):
     w = alg.sample_ball(rng, radius, count)
     hs = _exp_matrices(alg, w)
     basis = algebra_basis(alg.algebra_id)
-    worst = 1.0
-    for h in hs:
-        cols = [
-            matrix_to_coords(alg.algebra_id, h @ b @ h.conj().T) for b in basis
-        ]
-        ad = np.stack(cols, axis=1)
-        # all supported normalized norms are multiples of the Euclidean
-        # coordinate norm, so the operator norm is the spectral norm
-        worst = max(worst, float(np.linalg.norm(ad.real, 2)))
-    return worst
+    # ad[n, :, j] = coords of h_n b_j h_n^-1
+    conj = np.einsum("nik,jkl,nml->njim", hs, basis, hs.conj())
+    ad = matrix_to_coords(alg.algebra_id, conj).swapaxes(-1, -2)
+    # all supported normalized norms are multiples of the Euclidean
+    # coordinate norm, so the operator norm is the spectral norm
+    return max(1.0, float(np.max(np.linalg.norm(ad.real, 2, axis=(-2, -1)))))
 
 
 def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
@@ -531,7 +530,7 @@ def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
     ev = _exp_matrices(alg, v)
     euv = np.einsum("nij,njk->nik", eu, ev)
     conj = np.einsum("nij,nkj->nik", euv, eu.conj())
-    log_uv = np.array([_log_coords_single(alg, m) for m in euv])
+    log_uv = _log_coords(alg, euv)
 
     viol1 = np.max(alg.norm(log_uv - (u + v)) - constants.c * nu * nv)
     viol2 = np.max(alg.norm(log_uv) - constants.c_prime * alg.norm(u + v))
@@ -574,33 +573,19 @@ def _circle_nodes(group_id, n):
 def _euler_nodes(group_id, rule):
     """Euler z-y-z product nodes and weights; weights sum to 1 exactly."""
     aid = ALGEBRA_OF[group_id]
+    # plain unit-scale algebra, used only for exp
+    plain = NormedAlgebra(aid, "euclid", 1.0, _INJ_SAFETY * _BRANCH_RADIUS_EUCLID[aid])
     alpha = 2 * np.pi * np.arange(rule.n_alpha) / rule.n_alpha
     gspan = 4 * np.pi if group_id == "SU2" else 2 * np.pi
     gamma = gspan * np.arange(rule.n_gamma) / rule.n_gamma
     x, wx = np.polynomial.legendre.leggauss(rule.n_beta)
-    beta = np.arccos(x)
-
-    def axis_exp(axis, angles):
-        return _exp_matrices(_PLAIN_ALGS[aid], np.outer(angles, axis))
-
-    ra = axis_exp([0.0, 0.0, 1.0], alpha)
-    rb = axis_exp([0.0, 1.0, 0.0], beta)
-    rg = axis_exp([0.0, 0.0, 1.0], gamma)
-    nodes, weights = [], []
-    for i in range(rule.n_alpha):
-        for j in range(rule.n_beta):
-            for k in range(rule.n_gamma):
-                nodes.append(ra[i] @ rb[j] @ rg[k])
-                weights.append(wx[j] / (2.0 * rule.n_alpha * rule.n_gamma))
-    return np.array(nodes), np.array(weights)
-
-
-# plain unit-scale algebras used only to generate quadrature nodes
-_PLAIN_ALGS = {
-    aid: NormedAlgebra(algebra_id=aid, raw_norm="euclid", scale=1.0,
-                       injectivity_margin=_INJ_SAFETY * _BRANCH_RADIUS_EUCLID[aid])
-    for aid in ALGEBRA_TAGS
-}
+    z_axis, y_axis = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+    ra, rb, rg = (_exp_matrices(plain, np.outer(angles, axis)) for angles, axis
+                  in ((alpha, z_axis), (np.arccos(x), y_axis), (gamma, z_axis)))
+    nodes = ra[:, None, None] @ rb[None, :, None] @ rg[None, None, :]
+    weights = np.broadcast_to((wx / (2.0 * rule.n_alpha * rule.n_gamma))[:, None],
+                              nodes.shape[:3])
+    return nodes.reshape(-1, *ra.shape[1:]), weights.ravel()
 
 
 def haar_integrate(f, group, rule=None):

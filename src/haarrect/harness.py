@@ -9,19 +9,20 @@ digest of the canonical config.
 import hashlib
 import json
 import os
+import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import (
-    DefectOverflow,
+    ActionError,
+    ConfigError,
+    CoreAxiomError,
     DefectTooLarge,
     HaarrectError,
-    InvalidAlgebraVector,
-    LogDomainError,
+    InvarianceError,
     NonContraction,
-    NotComposable,
     RangeEscape,
 )
 from .groupoids import FiniteGroup, build_action_groupoid, build_pair_groupoid
@@ -41,6 +42,23 @@ EXIT_PRECONDITION = 2
 EXIT_NON_CONTRACTION = 3
 EXIT_NUMERIC_DOMAIN = 4
 
+# Exit codes for run_experiment and the CLI; the nearest listed class wins.
+EXIT_CODES = {
+    HaarrectError: EXIT_NUMERIC_DOMAIN,
+    ConfigError: EXIT_PRECONDITION,
+    ActionError: EXIT_PRECONDITION,
+    CoreAxiomError: EXIT_PRECONDITION,
+    InvarianceError: EXIT_PRECONDITION,
+    DefectTooLarge: EXIT_PRECONDITION,
+    RangeEscape: EXIT_PRECONDITION,
+    NonContraction: EXIT_NON_CONTRACTION,
+}
+
+
+def exit_code_for(exc):
+    """Exit code of a package error: its nearest class in EXIT_CODES."""
+    return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+
 DEFAULT_OUT_ENV = "RECTIFY_OUT"
 
 
@@ -56,6 +74,13 @@ class GroupoidSpec:
     size: int = 3                   # pair groupoid point count
     group_order: int = 2            # action groupoid: cyclic group order
     space_size: int = 1             # action groupoid: cyclic space size
+
+    def __post_init__(self):
+        if self.constructor not in ("pair", "action"):
+            raise ConfigError(f"unknown groupoid constructor {self.constructor!r}")
+        if self.constructor == "action" and self.group_order % self.space_size:
+            raise ConfigError(f"cyclic({self.group_order}) does not act on "
+                              f"{self.space_size} points by translation")
 
 
 @dataclass(frozen=True)
@@ -108,19 +133,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.perturbation.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ConfigError("epsilon must be nonnegative")
         # ambient-ball invariants are re-validated by AmbientSets
-        AmbientSets(self.constants.W_radius, self.constants.K_radius)
+        try:
+            AmbientSets(self.constants.W_radius, self.constants.K_radius)
+        except ValueError as exc:
+            raise ConfigError(f"constants: {exc}") from exc
 
     @staticmethod
     def from_dict(data):
+        """Config from parsed JSON; an unknown key at any level is an error."""
+        _check_keys(data, ExperimentConfig, "")
+
         def sub(cls, key):
-            return cls(**data[key]) if key in data else cls()
+            return cls(**_check_keys(data.get(key, {}), cls, key))
+
+        def choice(key, default, inner):
+            value = data.get(key, default)
+            if value != default and inner not in _check_keys(value, (inner,), key):
+                raise ConfigError(f"{key}: missing key {key}.{inner}")
+            return value
+
         return ExperimentConfig(
             group=sub(GroupSpec, "group"),
             groupoid=sub(GroupoidSpec, "groupoid"),
-            core=data.get("core", "full"),
-            density=data.get("density", "uniform"),
+            core=choice("core", "full", "arrows"),
+            density=choice("density", "uniform", "weights"),
             morphism=sub(MorphismSpec, "morphism"),
             perturbation=sub(PerturbationSpec, "perturbation"),
             constants=sub(ConstantsSpec, "constants"),
@@ -130,14 +168,30 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return ExperimentConfig.from_dict(data)
 
     def canonical_json(self):
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def digest(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _check_keys(section, allowed, path):
+    """``section`` if its keys are all ``allowed`` (names or dataclass fields)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'config'}: expected a JSON object")
+    names = [f.name for f in fields(allowed)] if is_dataclass(allowed) else allowed
+    for key in section:
+        if key not in names:
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown config key {name!r}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -181,16 +235,10 @@ class RunReport:
 def build_groupoid(spec):
     if spec.constructor == "pair":
         return build_pair_groupoid(tuple(f"x{i}" for i in range(spec.size)))
-    if spec.constructor == "action":
-        n, m = spec.group_order, spec.space_size
-        if n % m != 0:
-            raise ValueError(
-                f"cyclic({n}) does not act on {m} points by translation"
-            )
-        group = FiniteGroup.cyclic(n)
-        space = tuple(f"x{i}" for i in range(m))
-        return build_action_groupoid(group, space, lambda g, x: (x + g) % m)
-    raise ValueError(f"unknown groupoid constructor {spec.constructor!r}")
+    m = spec.space_size
+    return build_action_groupoid(FiniteGroup.cyclic(spec.group_order),
+                                 tuple(f"x{i}" for i in range(m)),
+                                 lambda g, x: (x + g) % m)
 
 
 def build_core_from_config(g, core_spec):
@@ -213,32 +261,17 @@ def build_density_from_config(core, density_spec):
 def _cyclic_homomorphism_values(alg, order):
     """Group values of a generator for cyclic(order) -> target, or None.
 
-    Values must stay inside the measurable range of the log, which rules
-    out order-2 images in SU(2) (the only candidate is -identity, on the
-    branch boundary).
+    The generator turns by one order-th of a full turn about the last
+    algebra axis.  Values must stay inside the measurable range of the log,
+    which rules out even orders in SU(2): the image of order/2 is -identity,
+    on the branch boundary.
     """
-    tag = alg.group_id
-    two_pi = 2 * np.pi
-    if tag == "U1":
-        return [np.array([[np.exp(2j * np.pi * k / order)]]) for k in range(order)]
-    if tag == "SO2":
-        return [
-            _exp_matrices(alg, np.array([[two_pi * k / order]]))[0]
-            for k in range(order)
-        ]
-    if tag == "SO3":
-        return [
-            _exp_matrices(alg, np.array([[0.0, 0.0, two_pi * k / order]]))[0]
-            for k in range(order)
-        ]
-    if tag == "SU2":
-        if order % 2 == 0:
-            return None  # even-order images hit -I, outside the log margin
-        return [
-            _exp_matrices(alg, np.array([[0.0, 0.0, 2 * two_pi * k / order]]))[0]
-            for k in range(order)
-        ]
-    raise ValueError(f"unknown group tag {tag!r}")
+    if alg.group_id == "SU2" and order % 2 == 0:
+        return None
+    full_turn = 4 * np.pi if alg.group_id == "SU2" else 2 * np.pi
+    coords = np.zeros((order, alg.dim))
+    coords[:, -1] = full_turn * np.arange(order) / order
+    return list(_exp_matrices(alg, coords))
 
 
 def generate_exact_morphism(g, spec, alg, morphism_spec):
@@ -256,9 +289,7 @@ def generate_exact_morphism(g, spec, alg, morphism_spec):
         n_obj = g.n_objects
         coords = alg.sample_ball(rng, morphism_spec.scale, n_obj)
         h = _exp_matrices(alg, coords)
-        values = np.array([
-            h[g.target[a]] @ h[g.source[a]].conj().T for a in range(g.n_arrows)
-        ])
+        values = h[g.target] @ h[g.source].conj().swapaxes(-1, -2)
         return almost_morphism(values, alg.group_id, alg), warns
 
     order = spec.group_order
@@ -363,10 +394,18 @@ def write_trace_csv(path, trace):
 
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write a unique temp file in the target directory, then rename it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)     # mkstemp's file is owner-only: give it the
+        os.umask(umask)         # mode a plain open would
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def recompute_pass_from_trace(path, tol):
@@ -400,7 +439,6 @@ def run_experiment(config, out_dir=None):
 
     error = None
     exit_code = EXIT_PASS
-    trace = None
     warns = []
     initial = final = float("nan")
     residual_core = residual_full = float("nan")
@@ -430,18 +468,11 @@ def run_experiment(config, out_dir=None):
         residual_core = verify_core_morphism(limit, core, alg)
         residual_full = verify_core_morphism(limit, core, alg, full=True)
         write_trace_csv(trace_path, trace)
-    except (DefectTooLarge, RangeEscape) as exc:
+    except HaarrectError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        exit_code = EXIT_PRECONDITION
-    except NonContraction as exc:
-        error = f"NonContraction: {exc}"
-        exit_code = EXIT_NON_CONTRACTION
-        if exc.trace is not None:
+        exit_code = exit_code_for(exc)
+        if isinstance(exc, NonContraction) and exc.trace is not None:
             write_trace_csv(trace_path, exc.trace)
-    except (LogDomainError, DefectOverflow, InvalidAlgebraVector,
-            NotComposable) as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        exit_code = EXIT_NUMERIC_DOMAIN
 
     tol = config.iteration.tol
     residual_contract = (constants.d_prime / constants.d) * tol + 1e-15

@@ -25,9 +25,9 @@ from .groups import (
     GroupElement,
     _distances_to_identity,
     _exp_matrices,
-    _log_coords_single,
+    _log_coords,
 )
-from .sums import weighted_sum
+from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
 CORRECTION_BOUND_SLACK = 1e-9   # slack on |A| <= (d/d') * defect
@@ -95,14 +95,20 @@ class IterationTrace:
 
 
 def core_pairs(core):
-    """Pairs (k, p, kp) with k in the core and s(k) = t(p), in index order."""
+    """Rows (k, p, kp) with k in the core and s(k) = t(p), in index order."""
     g = core.parent
     by_target = g.arrows_by_target()
-    out = []
-    for k in core.arrow_subset:
-        for p in by_target[int(g.source[k])]:
-            out.append((k, p, g.compose_table[(k, p)]))
-    return out
+    rows = [(k, p, g.compose_table[(k, p)])
+            for k in core.arrow_subset for p in by_target[int(g.source[k])]]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def _psi_stack(phi, pairs):
+    """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
+    one psi path of the defect, correction and verification."""
+    k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
+    inv = phi.values.conj().swapaxes(-1, -2)
+    return inv[p] @ inv[k] @ phi.values[kp]
 
 
 def defect_element(phi, core, k, p):
@@ -112,30 +118,13 @@ def defect_element(phi, core, k, p):
         raise NotComposable(f"arrow {k} is not in the core")
     if g.source[k] != g.target[p] or not g.is_multipliable(k, p):
         raise NotComposable(f"pair ({k}, {p}) is not multipliable")
-    kp = g.compose_table[(k, p)]
-    m = phi.values[p].conj().T @ phi.values[k].conj().T @ phi.values[kp]
+    m = _psi_stack(phi, [(k, p, g.compose_table[(k, p)])])[0]
     return GroupElement(matrix=m, group_id=phi.target_group)
 
 
-def _psi_stack(phi, pairs):
-    """Batched psi over a pair list; inverses are conjugate transposes."""
-    ks = np.array([k for k, _, _ in pairs])
-    ps = np.array([p for _, p, _ in pairs])
-    kps = np.array([kp for _, _, kp in pairs])
-    a = phi.values[ps].conj().swapaxes(-1, -2)
-    b = phi.values[ks].conj().swapaxes(-1, -2)
-    return np.einsum("nij,njk,nkl->nil", a, b, phi.values[kps])
-
-
-def defect(phi, core, alg, pairs=None):
-    """Max distance of psi from the identity over the core pairs.
-
-    Distances use the stable trace/skew closed form, so the defect is
-    measurable up to the injectivity margin; beyond it the defect is
-    reported as an overflow, not a number.
-    """
-    pairs = pairs if pairs is not None else core_pairs(core)
-    psi = _psi_stack(phi, pairs)
+def _max_distance(alg, psi):
+    """Defect of a psi stack: its worst distance from the identity, which
+    is measurable up to the injectivity margin; beyond it, an overflow."""
     dists = _distances_to_identity(alg, psi)
     if not np.all(np.isfinite(dists)):
         raise DefectOverflow("non-finite defect distances")
@@ -148,6 +137,12 @@ def defect(phi, core, alg, pairs=None):
     return worst
 
 
+def defect(phi, core, alg, pairs=None):
+    """Max distance of psi from the identity over the core pairs."""
+    pairs = core_pairs(core) if pairs is None else pairs
+    return _max_distance(alg, _psi_stack(phi, pairs))
+
+
 def average_correction(phi, core, density, alg, max_defect=None, pairs=None):
     """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)).
 
@@ -156,38 +151,39 @@ def average_correction(phi, core, density, alg, max_defect=None, pairs=None):
     matrices and their distances to the identity (exact for the radial
     realization: |exp(w)| = |w|).
     """
-    g = core.parent
+    pairs = core_pairs(core) if pairs is None else np.asarray(pairs)
+    psi = _psi_stack(phi, pairs)
     if max_defect is not None:
-        current = defect(phi, core, alg, pairs=pairs)
+        current = _max_distance(alg, psi)
         if current > max_defect:
             raise DefectTooLarge(current, max_defect)
+    return _correction(psi, pairs, density, alg, phi.n_arrows)
 
-    n_arrows = phi.n_arrows
-    log_cache = {}
-    avg_coords = np.empty((n_arrows, alg.dim))
-    for p in range(n_arrows):
-        fiber = core.fiber_at(int(g.target[p]))
-        logs = []
-        weights = []
-        for k in fiber:
-            kp = g.compose_table[(k, p)]
-            key = (k, p)
-            if key not in log_cache:
-                psi = (phi.values[p].conj().T
-                       @ phi.values[k].conj().T
-                       @ phi.values[kp])
-                coords = _log_coords_single(alg, psi)
-                if alg.norm(coords) > alg.injectivity_margin:
-                    raise LogDomainError(
-                        f"log psi({k}, {p}) outside injectivity margin"
-                    )
-                log_cache[key] = coords
-            logs.append(log_cache[key])
-            weights.append(density.weight(k))
-        avg_coords[p] = weighted_sum(np.array(weights), np.array(logs))
-    corrections = _exp_matrices(alg, avg_coords)
-    norms = alg.norm(avg_coords)
-    return corrections, norms
+
+def _correction(psi, pairs, density, alg, n_arrows):
+    """average_correction from the psi stack over the core pairs."""
+    # pair rows in (p, k) order: each arrow's fiber, in fiber order
+    order = np.argsort(pairs[:, 1], kind="stable")
+    logs = _log_coords(alg, psi)[order]
+    bad = np.flatnonzero(alg.norm(logs) > alg.injectivity_margin)
+    if bad.size:
+        k, p, _ = pairs[order[bad[0]]]
+        raise LogDomainError(f"log psi({k}, {p}) outside injectivity margin")
+    weights = np.array([density.weight(k) for k in pairs[order, 0]])
+
+    # Neumaier sums over fiber position, all arrows of one fiber width at
+    # once: per arrow the same additions in the same order as weighted_sum
+    width = np.bincount(pairs[:, 1], minlength=n_arrows)
+    start = np.cumsum(width) - width
+    avg_coords = np.zeros((n_arrows, alg.dim))
+    for w in np.unique(width[width > 0]):
+        arrows = np.flatnonzero(width == w)
+        rows = start[arrows, None] + np.arange(w)
+        acc = NeumaierSum(shape=(len(arrows), alg.dim))
+        for j in range(w):
+            acc.add(weights[rows[:, j], None] * logs[rows[:, j]])
+        avg_coords[arrows] = acc.value
+    return _exp_matrices(alg, avg_coords), alg.norm(avg_coords)
 
 
 def correct_once(phi, core, density, alg, sets=None, max_defect=None):
@@ -198,13 +194,16 @@ def correct_once(phi, core, density, alg, sets=None, max_defect=None):
     """
     corrections, _ = average_correction(phi, core, density, alg,
                                         max_defect=max_defect)
+    return _apply_correction(phi, corrections, alg, sets, "corrected map")
+
+
+def _apply_correction(phi, corrections, alg, sets, what):
+    """phi . A; RangeEscape if ``sets`` is given and it leaves the compact."""
     new_values = np.einsum("nij,njk->nik", phi.values, corrections)
     out = almost_morphism(new_values, phi.target_group, alg)
     if sets is not None and out.range_certificate > sets.K_radius + 1e-9:
-        raise RangeEscape(
-            "corrected map left the ambient compact",
-            radius=out.range_certificate, limit=sets.K_radius,
-        )
+        raise RangeEscape(f"{what} left the ambient compact",
+                          radius=out.range_certificate, limit=sets.K_radius)
     return out
 
 
@@ -246,8 +245,10 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
     (|A| <= (d/d') * defect and step <= 1/c_d), and raises NonContraction
     only if the defect grows past the averaging precondition 1/c_l.
     """
+    # one psi stack per map: its defect and, next step, its correction
     pairs = core_pairs(core)
-    delta = defect(phi0, core, alg, pairs=pairs)
+    psi = _psi_stack(phi0, pairs)
+    delta = _max_distance(alg, psi)
     admissible = admissible_defect_radius(constants)
     if delta > admissible:
         raise DefectTooLarge(delta, admissible)
@@ -260,27 +261,38 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
     deltas = [delta]
     correction_norms, step_moves, q_bounds = [], [], []
     q_flags, corr_ok, step_ok = [], [], []
+
+    def trace(terminated):
+        return IterationTrace(
+            deltas=tuple(deltas),
+            correction_norms=tuple(correction_norms),
+            step_moves=tuple(step_moves),
+            q_bounds=tuple(q_bounds),
+            q_certified=tuple(q_flags),
+            correction_bound_ok=tuple(corr_ok),
+            step_bound_ok=tuple(step_ok),
+            constants_used=constants,
+            terminated=terminated,
+            admissible_radius=admissible,
+        )
+
     phi = phi0
     n = 0
     while delta > tol and n < max_iter:
-        corrections, a_norms = average_correction(
-            phi, core, density, alg, max_defect=1.0 / constants.c_l
-        )
+        # the averaging precondition, checked against the defect in hand
+        if delta > 1.0 / constants.c_l:
+            raise DefectTooLarge(delta, 1.0 / constants.c_l)
+        corrections, a_norms = _correction(psi, pairs, density, alg, phi.n_arrows)
         corr_norm = float(np.max(a_norms))
-        new_values = np.einsum("nij,njk->nik", phi.values, corrections)
-        phi_next = almost_morphism(new_values, phi.target_group, alg)
-        if sets is not None and phi_next.range_certificate > sets.K_radius + 1e-9:
-            raise RangeEscape(
-                f"iterate {n + 1} left the ambient compact",
-                radius=phi_next.range_certificate, limit=sets.K_radius,
-            )
+        phi_next = _apply_correction(phi, corrections, alg, sets, f"iterate {n + 1}")
         # independent step measurement (must agree with corr_norm by left
         # invariance; both are recorded)
         step = float(np.max(_distances_to_identity(
             alg, np.einsum("nij,njk->nik",
                            phi.values.conj().swapaxes(-1, -2), phi_next.values)
         )))
-        delta_next = defect(phi_next, core, alg, pairs=pairs)
+        psi = _psi_stack(phi_next, pairs)
+        delta_next = _max_distance(alg, psi)
         qb = q_bound(delta, constants)
 
         correction_norms.append(corr_norm)
@@ -297,34 +309,10 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
         phi = phi_next
         n += 1
         if delta_next > 1.0 / constants.c_l:
-            trace = IterationTrace(
-                deltas=tuple(deltas),
-                correction_norms=tuple(correction_norms),
-                step_moves=tuple(step_moves),
-                q_bounds=tuple(q_bounds),
-                q_certified=tuple(q_flags),
-                correction_bound_ok=tuple(corr_ok),
-                step_bound_ok=tuple(step_ok),
-                constants_used=constants,
-                terminated="defect_grew",
-                admissible_radius=admissible,
-            )
-            raise NonContraction(n, delta_next, trace=trace)
+            raise NonContraction(n, delta_next, trace=trace("defect_grew"))
         delta = delta_next
 
-    trace = IterationTrace(
-        deltas=tuple(deltas),
-        correction_norms=tuple(correction_norms),
-        step_moves=tuple(step_moves),
-        q_bounds=tuple(q_bounds),
-        q_certified=tuple(q_flags),
-        correction_bound_ok=tuple(corr_ok),
-        step_bound_ok=tuple(step_ok),
-        constants_used=constants,
-        terminated="converged" if delta <= tol else "max_iter",
-        admissible_radius=admissible,
-    )
-    return phi, trace
+    return phi, trace("converged" if delta <= tol else "max_iter")
 
 
 def verify_core_morphism(phi, core, alg, full=False):
@@ -341,10 +329,6 @@ def verify_core_morphism(phi, core, alg, full=False):
                  if g.source[q] == g.target[p]]
     else:
         pairs = core_pairs(core)
-    worst = 0.0
-    for k, p, kp in pairs:
-        lhs = phi.values[kp]
-        rhs = phi.values[k] @ phi.values[p]
-        dist = float(_distances_to_identity(alg, rhs.conj().T @ lhs))
-        worst = max(worst, dist)
-    return worst
+    # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity
+    return float(np.max(_distances_to_identity(alg, _psi_stack(phi, pairs)),
+                        initial=0.0))

@@ -40,9 +40,3 @@ def weighted_sum(weights, vectors):
         acc.add(w * v)
     return acc.value
 
-
-def ordered_mean(values):
-    """Compensated mean over the leading axis, in index order."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    return weighted_sum(np.full(n, 1.0 / n), values)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 from haarrect.groups import AmbientSets, normalize_algebra_norm
 from haarrect.harness import ConstantsSpec, constants_for
@@ -90,6 +91,28 @@ def rodrigues(w):
     return np.eye(3) + np.sin(th) / th * K + (1 - np.cos(th)) / th ** 2 * (K @ K)
 
 
+def schur_log(algebra_id, matrix):
+    """Principal log coordinates by complex Schur decomposition.
+
+    The Schur form of these normal matrices is diagonal; its eigen-angles
+    are folded to (-pi, pi] and the log is projected back onto the algebra
+    (real skew for so3, traceless skew-hermitian for su2).
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if algebra_id == "u1":
+        return np.array([np.angle(m[0, 0])])
+    if algebra_id == "so2":
+        return np.array([np.arctan2(m[1, 0].real, m[0, 0].real)])
+    T, Q = schur(m, output="complex")
+    X = (Q * (1j * np.angle(np.diag(T)))) @ Q.conj().T
+    if algebra_id == "so3":
+        X = 0.5 * (X - X.T).real
+        return np.array([X[2, 1], X[0, 2], X[1, 0]])
+    X = 0.5 * (X - X.conj().T)
+    X = X - 0.5 * np.trace(X) * np.eye(2)
+    return np.array([2 * X[0, 1].imag, 2 * X[0, 1].real, 2 * X[0, 0].imag])
+
+
 @pytest.fixture(scope="session")
 def oracles():
     return {
@@ -99,4 +122,5 @@ def oracles():
         "quat_to_su2": quat_to_su2,
         "quat_to_so3": quat_to_so3,
         "rodrigues": rodrigues,
+        "schur_log": schur_log,
     }

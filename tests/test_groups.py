@@ -14,6 +14,7 @@ from haarrect.groups import (
     GroupElement,
     QuadratureRule,
     _exp_matrices,
+    _log_coords,
     bracket_coords,
     estimate_bch_constants,
     exp_map,
@@ -119,11 +120,56 @@ def test_log_exp_round_trip_margin_ball(algebras):
             assert alg.norm(back.coords - ui) <= 1e-12 * max(1.0, alg.norm(ui))
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+       tag=st.sampled_from(["U1", "SO2", "SO3", "SU2"]))
+def test_closed_form_log_matches_schur_oracle(algebras, oracles, seed, tag):
+    # the whole ball up to the injectivity margin (eigen-angles up to
+    # 0.99 pi), plus a shell just inside it: for SO3 that shell is the
+    # near-half-turn branch whose axis comes from the symmetric part
+    alg = algebras[tag]
+    rng = np.random.default_rng(seed)
+    ball = alg.sample_ball(rng, alg.injectivity_margin, 150)
+    shell = alg.sample_ball(rng, 1.0, 50)
+    shell *= (alg.injectivity_margin / alg.norm(shell)
+              * rng.uniform(0.9, 1.0, 50))[:, None]
+    u = np.vstack([ball, shell])
+    mats = _exp_matrices(alg, u)
+    closed = _log_coords(alg, mats)
+    oracle = np.array([oracles["schur_log"](alg.algebra_id, m) for m in mats])
+    assert np.abs(closed - oracle).max() <= 1e-12
+    assert np.abs(closed - u).max() <= 1e-12
+
+
+def test_so3_log_near_half_turn(algebras, oracles):
+    # angles from just past pi/2, where the axis starts to come from the
+    # symmetric part, to within 1e-8 pi of a half turn (past the margin,
+    # where the skew part alone would lose ~7 digits), about random axes
+    # and the coordinate axes
+    alg = algebras["SO3"]
+    rng = np.random.default_rng(5)
+    axes = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(194, 3))])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([
+        np.linspace(0.5001 * np.pi, alg.injectivity_margin, 100),
+        np.pi * (1.0 - np.logspace(-2, -8, 100)),
+    ])
+    u = axes * angles[:, None]
+    closed = _log_coords(alg, _exp_matrices(alg, u))
+    oracle = np.array([oracles["schur_log"]("so3", m)
+                       for m in _exp_matrices(alg, u)])
+    assert np.abs(closed - oracle).max() <= 1e-12
+    assert np.abs(closed - u).max() <= 1e-12
+
+
 def test_log_outside_margin_raises(algebras):
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
     g = GroupElement(np.array([[np.exp(1j * np.pi)]]), "U1")
     with pytest.raises(LogDomainError):
         log_map(g, alg)
+    # -I in SU(2): zero sine vector, yet the full half-turn angle
+    with pytest.raises(LogDomainError):
+        log_map(GroupElement(-np.eye(2, dtype=complex), "SU2"), algebras["SU2"])
 
 
 def test_group_membership_enforced():

@@ -1,15 +1,26 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 from haarrect.cli import main
-from haarrect.errors import RangeEscape
+from haarrect.errors import (
+    ActionError,
+    CoreAxiomError,
+    DefectOverflow,
+    InvarianceError,
+    LogDomainError,
+    NonContraction,
+    RangeEscape,
+)
 from haarrect.groupoids import build_core
 from haarrect.groups import BchConstants
 from haarrect.harness import (
+    EXIT_NON_CONTRACTION,
     EXIT_NUMERIC_DOMAIN,
     EXIT_PASS,
     EXIT_PRECONDITION,
@@ -17,7 +28,9 @@ from haarrect.harness import (
     GroupoidSpec,
     MorphismSpec,
     PerturbationSpec,
+    _atomic_write,
     build_groupoid,
+    exit_code_for,
     generate_exact_morphism,
     perturb_morphism,
     recompute_pass_from_trace,
@@ -61,6 +74,73 @@ def test_config_rejects_bad_radii():
         ExperimentConfig.from_dict(
             {"constants": {"W_radius": 2.5, "K_radius": 1.5}}
         )
+
+
+@pytest.mark.parametrize("config, message", [
+    # a misspelled section used to pass silently with its defaults
+    ({"perturbaton": {"epsilon": 0.01}}, "unknown config key 'perturbaton'"),
+    ({"group": {"tag": "SO3", "norm": "euclid"}},
+     "unknown config key 'group.norm'"),
+    ({"groupoid": {"constructor": "action", "group_order": 3,
+                   "space_size": 2}},
+     "cyclic(3) does not act on 2 points"),
+])
+def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
+                                                    message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for argv in (["run", "--config", str(path), "--out", str(tmp_path)],
+                 ["validate", "--config", str(path)]):
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and message in err
+        assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_cli_run_core_axiom_violation_is_precondition(tmp_path, capsys):
+    path = tmp_path / "core.json"
+    path.write_text(json.dumps({
+        "groupoid": {"constructor": "action", "group_order": 3, "space_size": 3},
+        "core": {"arrows": [0, 1, 3, 4, 6, 7]},   # no fiber over object 2
+    }))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) \
+        == EXIT_PRECONDITION
+    assert "CoreAxiomError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (CoreAxiomError("Lie type", 0), EXIT_PRECONDITION),
+    (InvarianceError("w"), EXIT_PRECONDITION),
+    (ActionError("a"), EXIT_PRECONDITION),
+    (RangeEscape("r"), EXIT_PRECONDITION),
+    (NonContraction(1, 0.5), EXIT_NON_CONTRACTION),
+    (LogDomainError("l"), EXIT_NUMERIC_DOMAIN),
+    (DefectOverflow("d"), EXIT_NUMERIC_DOMAIN),
+])
+def test_exit_code_table(exc, code):
+    assert exit_code_for(exc) == code
+
+
+def test_atomic_write_uses_a_unique_temp_file(tmp_path):
+    # a fixed "<path>.tmp" name is shared by every writer of the same path;
+    # occupying that name must not matter
+    target = tmp_path / "report.json"
+    (tmp_path / "report.json.tmp").mkdir()
+    _atomic_write(str(target), "one\n")
+    _atomic_write(str(target), "two\n")
+    assert target.read_text() == "two\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, haarrect.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,16 @@ from haarrect.groupoids import (
     build_core,
     build_pair_groupoid,
 )
-from haarrect.groups import AmbientSets, BchConstants, _exp_matrices, left_distance
+from haarrect.groups import (
+    AmbientSets,
+    BchConstants,
+    _exp_matrices,
+    _log_coords,
+    left_distance,
+)
+from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
+    _psi_stack,
     admissible_defect_radius,
     almost_morphism,
     average_correction,
@@ -260,6 +268,39 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     moves = [left_distance(phi.values[p], out.values[p], alg)
              for p in range(g.n_arrows)]
     assert abs(max(moves) - norms.max()) < 1e-13
+
+
+def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
+    # Z4 acting on a 4-cycle plus a fixed point; the core takes the whole
+    # free orbit (fibers of 4) but only the subgroup {0, 2} at the fixed
+    # point (fibers of 2), so fiber widths differ between components
+    alg = algebras["SO3"]
+    g = build_action_groupoid(FiniteGroup.cyclic(4), tuple(range(5)),
+                              lambda a, x: x if x == 4 else (x + a) % 4)
+    core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
+                      + [4, 14])
+    assert {len(core.fiber_at(z)) for z in range(5)} == {2, 4}
+    # a function of the target is right invariant; non-uniform per fiber
+    weights = {a: 1.0 + int(g.target[a]) for a in core.arrow_subset}
+    mu = attach_haar_density(core, weights)
+    rng = np.random.default_rng(41)
+    phi = almost_morphism(
+        _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows)), "SO3", alg)
+
+    # reference: the per-arrow compensated sum over the fiber, in fiber
+    # order, of the same batched logs
+    pairs = core_pairs(core)
+    logs = _log_coords(alg, _psi_stack(phi, pairs))
+    log_of = {(int(k), int(p)): v for (k, p, _), v in zip(pairs, logs)}
+    ref = np.array([
+        weighted_sum(np.array([mu.weight(k) for k in fiber]),
+                     np.array([log_of[(k, p)] for k in fiber]))
+        for p in range(g.n_arrows)
+        for fiber in [core.fiber_at(int(g.target[p]))]
+    ])
+    corrections, norms = average_correction(phi, core, mu, alg)
+    assert np.array_equal(norms, alg.norm(ref))
+    assert np.array_equal(corrections, _exp_matrices(alg, ref))
 
 
 def test_average_precondition_enforced(algebras):
