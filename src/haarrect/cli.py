@@ -27,9 +27,11 @@ from .harness import (
     EXIT_PRECONDITION,
     ExperimentConfig,
     exit_code_for,
+    read_json_config,
     run_experiment,
     validate_config,
     _atomic_write,
+    _check_keys,
 )
 from .holo import (
     build_complexified_model,
@@ -64,9 +66,13 @@ def _cmd_constants(args):
     return EXIT_PASS
 
 
+# the keys of a bench-holo config, all optional
+HOLO_KEYS = ("space_radius", "eta_max", "n_theta", "n_space", "n_eta",
+             "n_shells", "probe_center", "slope_hs", "seed", "report")
+
+
 def _cmd_bench_holo(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _check_keys(read_json_config(args.config), HOLO_KEYS, "")
     model = build_complexified_model(
         space_radius=cfg.get("space_radius", 1.0),
         eta_max=cfg.get("eta_max", 0.2),

@@ -67,6 +67,13 @@ class GroupSpec:
     tag: str = "SO3"
     raw_norm: str = "euclid"
 
+    def __post_init__(self):
+        if self.tag not in ALGEBRA_OF:
+            raise ConfigError(f"group.tag: unknown group {self.tag!r} "
+                              f"(one of {', '.join(ALGEBRA_OF)})")
+        if self.raw_norm not in ("euclid", "frobenius"):
+            raise ConfigError(f"group.raw_norm: unknown norm {self.raw_norm!r}")
+
 
 @dataclass(frozen=True)
 class GroupoidSpec:
@@ -78,6 +85,11 @@ class GroupoidSpec:
     def __post_init__(self):
         if self.constructor not in ("pair", "action"):
             raise ConfigError(f"unknown groupoid constructor {self.constructor!r}")
+        for name in ("size", "group_order", "space_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"groupoid.{name} must be a positive integer, "
+                                  f"not {value!r}")
         if self.constructor == "action" and self.group_order % self.space_size:
             raise ConfigError(f"cyclic({self.group_order}) does not act on "
                               f"{self.space_size} points by translation")
@@ -168,18 +180,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict(read_json_config(path))
 
     def canonical_json(self):
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def digest(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def read_json_config(path):
+    """Parsed JSON of a config file; ConfigError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def _check_keys(section, allowed, path):
@@ -244,14 +260,30 @@ def build_groupoid(spec):
 def build_core_from_config(g, core_spec):
     if core_spec == "full":
         return build_core(g, tuple(range(g.n_arrows)))
-    return build_core(g, tuple(core_spec["arrows"]))
+    arrows = core_spec["arrows"]
+    if not (isinstance(arrows, list) and arrows
+            and all(type(a) is int and 0 <= a < g.n_arrows for a in arrows)):
+        raise ConfigError(f"core.arrows: expected a nonempty list of arrow "
+                          f"indices below {g.n_arrows}")
+    return build_core(g, tuple(arrows))
 
 
 def build_density_from_config(core, density_spec):
+    """Density of a config; a bad weight table is a ConfigError, a weight
+    table that is not right invariant an InvarianceError."""
     if density_spec == "uniform":
         return attach_haar_density(core, "uniform")
-    weights = {int(k): float(v) for k, v in density_spec["weights"].items()}
-    return attach_haar_density(core, weights)
+    table = density_spec["weights"]
+    if not isinstance(table, dict):
+        raise ConfigError("density.weights: expected a JSON object")
+    try:
+        weights = {int(k): float(v) for k, v in table.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"density.weights: {exc}") from exc
+    try:
+        return attach_haar_density(core, weights)
+    except ValueError as exc:       # an InvarianceError is not one
+        raise ConfigError(f"density.weights: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +549,8 @@ def validate_config(config):
         core = build_core_from_config(g, config.core)
         try:
             build_density_from_config(core, config.density)
-        except (HaarrectError, ValueError) as exc:
+        except InvarianceError as exc:
             issues.append(f"density: {exc}")
-    except (HaarrectError, ValueError) as exc:
+    except CoreAxiomError as exc:
         issues.append(f"core: {exc}")
     return issues

@@ -138,24 +138,18 @@ def real_slice_consistency(model):
     must produce exactly the same sources, targets and composition.
     """
     g = real_slice_groupoid(model)
-    n, shells = model.n_theta, len(model.lattice_radii)
-    if g.n_arrows != n * shells * n:
+    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
+    if g.n_arrows != n * n_x or len(g.products) != n * n * n_x:
         return False
-    for gi in range(n):
-        for x in range(shells * n):
-            arrow = gi * (shells * n) + x
-            m, j = divmod(x, n)
-            if g.source[arrow] != x:
-                return False
-            if g.target[arrow] != m * n + (j + gi) % n:
-                return False
-    # spot the composition law on the full table: (h, g.x) . (g, x) = (hg, x)
-    for (q, p), r in g.compose_table.items():
-        gq, xq = divmod(q, shells * n)
-        gp, xp = divmod(p, shells * n)
-        if r != ((gq + gp) % n) * (shells * n) + xp:
-            return False
-    return True
+    gi, x = np.divmod(np.arange(g.n_arrows), n_x)
+    m, j = np.divmod(x, n)
+    if not (np.array_equal(g.source, x)
+            and np.array_equal(g.target, m * n + (j + gi) % n)):
+        return False
+    # the composition law on the full table: (h, g.x) . (g, x) = (hg, x)
+    q, p, r = g.products.T
+    gp, xp = np.divmod(p, n_x)
+    return bool(np.array_equal(r, ((q // n_x + gp) % n) * n_x + xp))
 
 
 def multipliable(model, zeta_q, zeta_p, z_p):
@@ -289,22 +283,18 @@ def real_restriction_check(f, model, real_rule=None):
 
     Route (i) averages over the core with the model's trapezoid nodes and
     restricts to the real lattice; route (ii) restricts first and averages
-    with the independent group quadrature.  Returns the max difference over
-    real lattice points.
+    with the independent group quadrature.  Both routes run on all lattice
+    points at once, each point reduced in the same node order as alone.
+    Returns the max difference over real lattice points.
     """
     rule = real_rule or QuadratureRule(n_theta=model.n_theta)
-    averaged = average_callable(f, model)
-    worst = 0.0
-    for m in range(len(model.lattice_radii)):
-        for j in range(model.n_theta):
-            x, y = model.lattice_points[m, j]
-            via_complex = averaged(complex(x), complex(y))
+    x, y = model.lattice_points.reshape(-1, 2).T
+    via_complex = average_callable(f, model)(x.astype(complex), y.astype(complex))
 
-            def on_rotation(mat):
-                xr = mat[0, 0].real * x + mat[0, 1].real * y
-                yr = mat[1, 0].real * x + mat[1, 1].real * y
-                return f(complex(xr), complex(yr))
+    def on_rotation(mat):
+        xr = mat[0, 0].real * x + mat[0, 1].real * y
+        yr = mat[1, 0].real * x + mat[1, 1].real * y
+        return f(xr.astype(complex), yr.astype(complex))
 
-            via_real = haar_integrate(on_rotation, "SO2", rule)
-            worst = max(worst, abs(complex(via_complex) - complex(via_real)))
-    return float(worst)
+    via_real = haar_integrate(on_rotation, "SO2", rule)
+    return float(np.max(np.abs(via_complex - via_real)))

@@ -95,12 +95,9 @@ class IterationTrace:
 
 
 def core_pairs(core):
-    """Rows (k, p, kp) with k in the core and s(k) = t(p), in index order."""
-    g = core.parent
-    by_target = g.arrows_by_target()
-    rows = [(k, p, g.compose_table[(k, p)])
-            for k in core.arrow_subset for p in by_target[int(g.source[k])]]
-    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+    """Rows (k, p, kp) with k in the core and s(k) = t(p), in index order;
+    build_core enumerates them once and keeps them on the core."""
+    return core.pairs
 
 
 def _psi_stack(phi, pairs):
@@ -118,7 +115,7 @@ def defect_element(phi, core, k, p):
         raise NotComposable(f"arrow {k} is not in the core")
     if g.source[k] != g.target[p] or not g.is_multipliable(k, p):
         raise NotComposable(f"pair ({k}, {p}) is not multipliable")
-    m = _psi_stack(phi, [(k, p, g.compose_table[(k, p)])])[0]
+    m = _psi_stack(phi, [(k, p, g.compose(k, p))])[0]
     return GroupElement(matrix=m, group_id=phi.target_group)
 
 
@@ -322,11 +319,10 @@ def verify_core_morphism(phi, core, alg, full=False):
     the parent groupoid (full morphism verification); otherwise only over
     the core pairs, which is what the averaging limit guarantees.
     """
-    g = core.parent
     if full:
-        pairs = [(q, p, g.compose_table[(q, p)])
-                 for (q, p) in sorted(g.domain_mask)
-                 if g.source[q] == g.target[p]]
+        g = core.parent
+        q, p = g.products[:, 0], g.products[:, 1]
+        pairs = g.products[g.source[q] == g.target[p]]
     else:
         pairs = core_pairs(core)
     # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity

@@ -215,7 +215,7 @@ def test_criterion_5_abelian_one_step(contraction_runs):
         for p in range(g.n_arrows):
             acc = 0.0
             for kk in core.fiber_at(int(g.target[p])):
-                kp = g.compose_table[(kk, p)]
+                kp = g.compose(kk, p)
                 delta = np.angle(np.exp(1j * (theta[kp] - theta[kk] - theta[p])))
                 acc += mu.weight(kk) * delta
             theta_hat[p] = theta[p] + acc
@@ -289,9 +289,10 @@ def test_criterion_8_axiom_validators():
     # corrupted compose entry: the witness names the corrupted pair
     small = build_pair_groupoid(tuple(range(5)))
     q, p = 2 * 5 + 1, 1 * 5 + 0
-    bad_table = dict(small.compose_table)
-    bad_table[(q, p)] = 3 * 5 + 0
-    corrupted = dataclasses.replace(small, compose_table=bad_table)
+    bad_products = small.products.copy()
+    row = np.flatnonzero((bad_products[:, 0] == q) & (bad_products[:, 1] == p))
+    bad_products[row, 2] = 3 * 5 + 0
+    corrupted = dataclasses.replace(small, products=bad_products)
     report = validate_groupoid(corrupted)
     ok = ok and not report.passed
     ok = ok and any(q in w and p in w for _, w in report.violations
@@ -317,7 +318,7 @@ def test_criterion_8_axiom_validators():
         ok = False
     except InvarianceError as err:
         kp, kk = err.witness
-        moved = g3.compose_table[(kp, kk)]
+        moved = g3.compose(kp, kk)
         norm = {z: sum(weights[a] for a in f) for z, f in core.s_fibers.items()}
         wn = {a: weights[a] / norm[int(g3.source[a])] for a in range(9)}
         ok = ok and abs(wn[moved] - wn[kp]) > 1e-14

@@ -84,6 +84,21 @@ def test_config_rejects_bad_radii():
     ({"groupoid": {"constructor": "action", "group_order": 3,
                    "space_size": 2}},
      "cyclic(3) does not act on 2 points"),
+    # bad values, as opposed to keys
+    ({"group": {"tag": "SO4"}}, "group.tag: unknown group 'SO4'"),
+    ({"group": {"raw_norm": "l1"}}, "group.raw_norm: unknown norm 'l1'"),
+    ({"groupoid": {"size": 0}}, "groupoid.size must be a positive integer"),
+    ({"groupoid": {"constructor": "action", "group_order": 0,
+                   "space_size": 1}},
+     "groupoid.group_order must be a positive integer"),
+    ({"groupoid": {"constructor": "action", "group_order": 2,
+                   "space_size": 0}},
+     "groupoid.space_size must be a positive integer"),
+    ({"density": {"weights": {"0": -1}}},
+     "density.weights: no weight for core arrow 1"),
+    ({"density": {"weights": {str(a): -1 if a == 0 else 1
+                              for a in range(9)}}},
+     "density.weights: negative or non-finite weight"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -96,6 +111,22 @@ def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
         assert err.startswith("error: ConfigError: ") and message in err
         assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_cli_bench_holo_rejects_unknown_key(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "holo_bench.json")) as fh:
+        config = json.load(fh)
+    config["n_thetaa"] = config.pop("n_theta")
+    path = tmp_path / "holo.json"
+    for text, message in ((json.dumps(config), "unknown config key 'n_thetaa'"),
+                          ("[]", "config: expected a JSON object")):
+        path.write_text(text)
+        assert main(["bench-holo", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and message in err
+        assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["holo.json"]
 
 
 def test_cli_run_core_axiom_violation_is_precondition(tmp_path, capsys):
@@ -228,7 +259,7 @@ def test_perturb_defect_bound_and_bruteforce(algebras, constants):
     brute = max(
         float(np.linalg.norm(_log_oracle(alg,
               np.linalg.inv(out.values[p]) @ np.linalg.inv(out.values[kk])
-              @ out.values[g.compose_table[(kk, p)]])))
+              @ out.values[g.compose(kk, p)])))
         for kk in range(g.n_arrows) for p in range(g.n_arrows)
         if g.source[kk] == g.target[p]
     )

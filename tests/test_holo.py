@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import haarrect.holo as holo
 from haarrect.errors import GridError
+from haarrect.groups import QuadratureRule, haar_integrate
 from haarrect.holo import (
     average_callable,
     build_complexified_model,
@@ -40,6 +44,21 @@ def test_real_slice_consistency_64_nodes():
     assert real_slice_consistency(m)
 
 
+def test_real_slice_consistency_detects_a_wrong_product(small_model,
+                                                       monkeypatch):
+    build = holo.real_slice_groupoid
+
+    def corrupted(model):
+        g = build(model)
+        products = g.products.copy()
+        products[5, 2] = (products[5, 2] + 1) % g.n_arrows
+        return dataclasses.replace(g, products=products)
+
+    assert real_slice_consistency(small_model)
+    monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
+    assert not real_slice_consistency(small_model)
+
+
 def test_rotation_action_diagonalizes(model):
     z1, z2 = 0.3 + 0.1j, -0.2 + 0.05j
     zeta = 0.7 + 0.1j
@@ -69,6 +88,31 @@ def test_core_pairs_never_excluded_exhaustive(small_model):
 def test_grid_contains_real_slice(model):
     x1, y1, x2, y2 = model.grid_axes
     assert 0.0 in y1 and 0.0 in y2
+
+
+def test_real_restriction_check_matches_pointwise_loop(model):
+    # one point at a time, as the check is defined; a coarser real rule
+    # makes the two routes differ.  Array and scalar evaluation of f may
+    # round differently in the last bit, so the match is to 1e-15.
+    rng = np.random.default_rng(3)
+    co = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    def f(z1, z2):
+        wp, wm = z1 + 1j * z2, z1 - 1j * z2
+        return co[0] + co[1] * wp ** 5 + co[2] * wp * wm ** 2
+
+    rule = QuadratureRule(n_theta=5)
+    averaged = average_callable(f, model)
+    worst = 0.0
+    for x, y in model.lattice_points.reshape(-1, 2):
+        via_complex = averaged(complex(x), complex(y))
+        via_real = haar_integrate(
+            lambda mat: f(complex(mat[0, 0].real * x + mat[0, 1].real * y),
+                          complex(mat[1, 0].real * x + mat[1, 1].real * y)),
+            "SO2", rule)
+        worst = max(worst, abs(complex(via_complex) - complex(via_real)))
+    assert worst > 0.1
+    assert abs(real_restriction_check(f, model, rule) - worst) <= 1e-15 * worst
 
 
 def test_invalid_model_parameters():

@@ -99,7 +99,7 @@ def test_psi_single_perturbation_brute_force(algebras):
             if g.source[k] != g.target[p]:
                 continue
             count += 1
-            kp = g.compose_table[(k, p)]
+            kp = g.compose(k, p)
             expected = (np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
                         @ values[kp])
             got = defect_element(phi_p, core, k, p).matrix
@@ -109,7 +109,7 @@ def test_psi_single_perturbation_brute_force(algebras):
     brute = max(
         left_distance(np.eye(3, dtype=complex),
                       np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
-                      @ values[g.compose_table[(k, p)]], alg)
+                      @ values[g.compose(k, p)], alg)
         for k in range(9) for p in range(9) if g.source[k] == g.target[p]
     )
     assert abs(defect(phi_p, core, alg) - brute) < 1e-14
@@ -226,7 +226,7 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
         fiber = core.fiber_at(int(g.target[p]))
         acc = 0.0
         for k in fiber:
-            kp = g.compose_table[(k, p)]
+            kp = g.compose(k, p)
             acc += (1.0 / len(fiber)) * principal(theta[kp] - theta[k] - theta[p])
         theta_hat[p] = theta[p] + acc
     assert np.abs(out.values[:, 0, 0] - np.exp(1j * theta_hat)).max() < 1e-13
