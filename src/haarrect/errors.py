@@ -4,6 +4,10 @@
 class HaarrectError(Exception):
     """Base class for all package errors."""
 
+    # defect of the initial map, set by `rectifier.iterate` on the errors it
+    # raises after measuring that defect
+    initial_defect = None
+
 
 class ConfigError(HaarrectError, ValueError):
     """A run config is malformed: unknown key, wrong shape or bad value."""

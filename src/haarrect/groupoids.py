@@ -132,6 +132,13 @@ class HaarDensity:
 
     core: Core
     weights: dict                # core arrow -> weight
+    arrow_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (n_arrows,) weights, 0 off the core
+        dense = np.zeros(self.core.parent.n_arrows)
+        dense[list(self.weights)] = list(self.weights.values())
+        object.__setattr__(self, "arrow_weights", dense)
 
     def weight(self, arrow):
         return self.weights[arrow]
@@ -442,8 +449,8 @@ def attach_haar_density(core, weights="uniform"):
         if abs(total - 1.0) > FIBER_SUM_TOL:
             raise InvarianceError(f"fiber sum at object {z} is {total!r}")
 
-    w_of = np.zeros(g.n_arrows)
-    w_of[list(w)] = list(w.values())
+    density = HaarDensity(core=core, weights=w)
+    w_of = density.arrow_weights
     in_core = np.zeros(g.n_arrows, dtype=bool)
     in_core[list(core.arrow_subset)] = True
     kp, k, moved = _right_translations(core.pairs, in_core)
@@ -456,4 +463,4 @@ def attach_haar_density(core, weights="uniform"):
             witness=(b, int(k[row])),
         )
 
-    return HaarDensity(core=core, weights=w)
+    return density

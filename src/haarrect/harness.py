@@ -32,7 +32,6 @@ from .groups import ALGEBRA_OF, _exp_matrices
 from .rectifier import (
     admissible_defect_radius,
     almost_morphism,
-    defect,
     iterate,
     verify_core_morphism,
 )
@@ -485,12 +484,11 @@ def run_experiment(config, out_dir=None):
         )
         phi0 = perturb_morphism(phi_exact, alg, config.perturbation,
                                 g=g, W_radius=sets.W_radius)
-        initial = defect(phi0, core, alg)
         limit, trace = iterate(
             phi0, core, density, alg, constants, sets=sets,
             tol=config.iteration.tol, max_iter=config.iteration.max_iter,
         )
-        final = trace.deltas[-1]
+        initial, final = trace.deltas[0], trace.deltas[-1]
         iterations = trace.iterations
         terminated = trace.terminated
         all_q = all(trace.q_certified)
@@ -503,6 +501,8 @@ def run_experiment(config, out_dir=None):
     except HaarrectError as exc:
         error = f"{type(exc).__name__}: {exc}"
         exit_code = exit_code_for(exc)
+        if exc.initial_defect is not None:
+            initial = exc.initial_defect
         if isinstance(exc, NonContraction) and exc.trace is not None:
             write_trace_csv(trace_path, exc.trace)
 

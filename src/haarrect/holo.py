@@ -20,8 +20,15 @@ checks, all index-exact), while the rectangular grid in the four real
 coordinates carries the sampled functions for the difference stencils.
 Input functions are callables evaluated on demand; grid-bound inputs would
 force interpolation and destroy the spectral exactness contracts.
+
+sample_function evaluates its callable on slabs of grid rows spread over the
+available CPUs.  Callables given to it or to core_average_function must
+therefore be pointwise and thread-safe; every grid point is still evaluated
+alone, in the same node order, so the values do not depend on the CPU count.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,11 @@ from .errors import GridError
 from .groupoids import FiniteGroup, build_action_groupoid
 from .groups import QuadratureRule, haar_integrate
 from .sums import NeumaierSum
+
+# Grid points per slab of sample_function: 3 rows of 17^3 at n_space = 17.
+# Slabs this small keep each thread's temporaries in cache and its malloc
+# arena small, so peak memory does not grow with the thread count.
+SLAB_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -146,10 +158,16 @@ def real_slice_consistency(model):
     if not (np.array_equal(g.source, x)
             and np.array_equal(g.target, m * n + (j + gi) % n)):
         return False
-    # the composition law on the full table: (h, g.x) . (g, x) = (hg, x)
-    q, p, r = g.products.T
-    gp, xp = np.divmod(p, n_x)
-    return bool(np.array_equal(r, ((q // n_x + gp) % n) * n_x + xp))
+    # the composition law on the full table: (h, g.x) . (g, x) = (hg, x),
+    # one block of n_x * n rows (the products of one h) at a time to keep
+    # the temporaries small
+    block = n_x * n
+    for start in range(0, len(g.products), block):
+        q, p, r = g.products[start:start + block].T
+        gp, xp = np.divmod(p, n_x)
+        if not np.array_equal(r, ((q // n_x + gp) % n) * n_x + xp):
+            return False
+    return True
 
 
 def multipliable(model, zeta_q, zeta_p, z_p):
@@ -215,11 +233,61 @@ def average_callable(f, model):
 
 
 def sample_function(f, model):
-    """Sample a callable on the model's rectangular grid."""
+    """Sample a callable on the model's rectangular grid.
+
+    ``f`` runs on slabs of whole rows along the first grid axis, spread over
+    the available CPUs, so it must be pointwise and thread-safe; each grid
+    point is evaluated alone, so the values do not depend on the CPU count.
+    """
     Z1, Z2 = grid_points(model)
-    values = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex)
+    rows = max(1, SLAB_POINTS // (Z1.shape[1] * Z2.size))
+    values = _sample_slabs(f, Z1, Z2, rows, _available_cpus())
     return SampledFunction(values=values, grid_axes=model.grid_axes,
                            grid_spacing=model.grid_spacing)
+
+
+def _available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sample_slabs(f, Z1, Z2, rows, n_workers):
+    """f on the grid of Z1 (first two axes) and Z2 (last two), ``rows``
+    first-axis rows per slab, slabs dealt round-robin to ``n_workers``
+    threads of which the calling thread is the first."""
+    n = Z1.shape[0]
+    slabs = [slice(a, a + rows) for a in range(0, n, rows)]
+    values = np.empty((n,) + Z1.shape[1:2] + Z2.shape[2:], dtype=complex)
+
+    def work(share):
+        for slab in share:
+            z1 = Z1[slab]
+            values[slab] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+
+    n_workers = max(1, min(n_workers, len(slabs)))
+    errors = [None] * n_workers
+
+    def worker(slot):
+        try:
+            work(slabs[slot::n_workers])
+        except BaseException as exc:    # re-raised in the calling thread
+            errors[slot] = exc
+
+    threads = [threading.Thread(target=worker, args=(slot,))
+               for slot in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(slabs[0::n_workers])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return values
 
 
 def core_average_function(f, model):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DefectOverflow,
     DefectTooLarge,
+    HaarrectError,
     LogDomainError,
     NonContraction,
     NotComposable,
@@ -166,7 +167,7 @@ def _correction(psi, pairs, density, alg, n_arrows):
     if bad.size:
         k, p, _ = pairs[order[bad[0]]]
         raise LogDomainError(f"log psi({k}, {p}) outside injectivity margin")
-    weights = np.array([density.weight(k) for k in pairs[order, 0]])
+    weights = density.arrow_weights[pairs[order, 0]]
 
     # Neumaier sums over fiber position, all arrows of one fiber width at
     # once: per arrow the same additions in the same order as weighted_sum
@@ -240,76 +241,85 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
 
     Certifies every step against q and the two in-proof bounds
     (|A| <= (d/d') * defect and step <= 1/c_d), and raises NonContraction
-    only if the defect grows past the averaging precondition 1/c_l.
+    only if the defect grows past the averaging precondition 1/c_l.  A
+    package error raised after the initial defect is measured carries that
+    defect as ``initial_defect``.
     """
     # one psi stack per map: its defect and, next step, its correction
     pairs = core_pairs(core)
     psi = _psi_stack(phi0, pairs)
-    delta = _max_distance(alg, psi)
-    admissible = admissible_defect_radius(constants)
-    if delta > admissible:
-        raise DefectTooLarge(delta, admissible)
-    if sets is not None and phi0.range_certificate > sets.W_radius + 1e-9:
-        raise RangeEscape(
-            "initial map does not take values in W",
-            radius=phi0.range_certificate, limit=sets.W_radius,
-        )
+    delta = initial = _max_distance(alg, psi)
+    try:
+        admissible = admissible_defect_radius(constants)
+        if delta > admissible:
+            raise DefectTooLarge(delta, admissible)
+        if sets is not None and phi0.range_certificate > sets.W_radius + 1e-9:
+            raise RangeEscape(
+                "initial map does not take values in W",
+                radius=phi0.range_certificate, limit=sets.W_radius,
+            )
 
-    deltas = [delta]
-    correction_norms, step_moves, q_bounds = [], [], []
-    q_flags, corr_ok, step_ok = [], [], []
+        deltas = [delta]
+        correction_norms, step_moves, q_bounds = [], [], []
+        q_flags, corr_ok, step_ok = [], [], []
 
-    def trace(terminated):
-        return IterationTrace(
-            deltas=tuple(deltas),
-            correction_norms=tuple(correction_norms),
-            step_moves=tuple(step_moves),
-            q_bounds=tuple(q_bounds),
-            q_certified=tuple(q_flags),
-            correction_bound_ok=tuple(corr_ok),
-            step_bound_ok=tuple(step_ok),
-            constants_used=constants,
-            terminated=terminated,
-            admissible_radius=admissible,
-        )
+        def trace(terminated):
+            return IterationTrace(
+                deltas=tuple(deltas),
+                correction_norms=tuple(correction_norms),
+                step_moves=tuple(step_moves),
+                q_bounds=tuple(q_bounds),
+                q_certified=tuple(q_flags),
+                correction_bound_ok=tuple(corr_ok),
+                step_bound_ok=tuple(step_ok),
+                constants_used=constants,
+                terminated=terminated,
+                admissible_radius=admissible,
+            )
 
-    phi = phi0
-    n = 0
-    while delta > tol and n < max_iter:
-        # the averaging precondition, checked against the defect in hand
-        if delta > 1.0 / constants.c_l:
-            raise DefectTooLarge(delta, 1.0 / constants.c_l)
-        corrections, a_norms = _correction(psi, pairs, density, alg, phi.n_arrows)
-        corr_norm = float(np.max(a_norms))
-        phi_next = _apply_correction(phi, corrections, alg, sets, f"iterate {n + 1}")
-        # independent step measurement (must agree with corr_norm by left
-        # invariance; both are recorded)
-        step = float(np.max(_distances_to_identity(
-            alg, np.einsum("nij,njk->nik",
-                           phi.values.conj().swapaxes(-1, -2), phi_next.values)
-        )))
-        psi = _psi_stack(phi_next, pairs)
-        delta_next = _max_distance(alg, psi)
-        qb = q_bound(delta, constants)
+        phi = phi0
+        n = 0
+        while delta > tol and n < max_iter:
+            # the averaging precondition, checked against the defect in hand
+            if delta > 1.0 / constants.c_l:
+                raise DefectTooLarge(delta, 1.0 / constants.c_l)
+            corrections, a_norms = _correction(psi, pairs, density, alg,
+                                               phi.n_arrows)
+            corr_norm = float(np.max(a_norms))
+            phi_next = _apply_correction(phi, corrections, alg, sets,
+                                         f"iterate {n + 1}")
+            # independent step measurement (must agree with corr_norm by left
+            # invariance; both are recorded)
+            step = float(np.max(_distances_to_identity(
+                alg, np.einsum("nij,njk->nik",
+                               phi.values.conj().swapaxes(-1, -2),
+                               phi_next.values)
+            )))
+            psi = _psi_stack(phi_next, pairs)
+            delta_next = _max_distance(alg, psi)
+            qb = q_bound(delta, constants)
 
-        correction_norms.append(corr_norm)
-        step_moves.append(step)
-        q_bounds.append(qb)
-        q_flags.append(delta_next <= qb + Q_CERT_SLACK)
-        corr_ok.append(
-            corr_norm <= (constants.d / constants.d_prime) * delta
-            + CORRECTION_BOUND_SLACK
-        )
-        step_ok.append(step <= 1.0 / constants.c_d + Q_CERT_SLACK)
+            correction_norms.append(corr_norm)
+            step_moves.append(step)
+            q_bounds.append(qb)
+            q_flags.append(delta_next <= qb + Q_CERT_SLACK)
+            corr_ok.append(
+                corr_norm <= (constants.d / constants.d_prime) * delta
+                + CORRECTION_BOUND_SLACK
+            )
+            step_ok.append(step <= 1.0 / constants.c_d + Q_CERT_SLACK)
 
-        deltas.append(delta_next)
-        phi = phi_next
-        n += 1
-        if delta_next > 1.0 / constants.c_l:
-            raise NonContraction(n, delta_next, trace=trace("defect_grew"))
-        delta = delta_next
+            deltas.append(delta_next)
+            phi = phi_next
+            n += 1
+            if delta_next > 1.0 / constants.c_l:
+                raise NonContraction(n, delta_next, trace=trace("defect_grew"))
+            delta = delta_next
 
-    return phi, trace("converged" if delta <= tol else "max_iter")
+        return phi, trace("converged" if delta <= tol else "max_iter")
+    except HaarrectError as exc:
+        exc.initial_defect = initial
+        raise
 
 
 def verify_core_morphism(phi, core, alg, full=False):

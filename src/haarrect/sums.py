@@ -16,11 +16,15 @@ class NeumaierSum:
         self._c = np.zeros(shape, dtype=dtype)
 
     def add(self, x):
-        x = np.asarray(x, dtype=self._s.dtype)
-        t = self._s + x
-        big = np.abs(self._s) >= np.abs(x)
-        # lost low-order bits of the smaller addend
-        corr = np.where(big, (self._s - t) + x, (x - t) + self._s)
+        s = self._s
+        x = np.asarray(x, dtype=s.dtype)
+        t = s + x
+        big = np.abs(s) >= np.abs(x)
+        # lost low-order bits of the smaller addend: (hi - t) + lo, with the
+        # operands picked before the arithmetic so it runs once per element
+        corr = np.where(big, s, x)
+        corr -= t
+        corr += np.where(big, x, s)
         self._c = self._c + corr
         self._s = t
 

@@ -256,6 +256,19 @@ def test_explicit_weights_renormalized():
         assert abs(sum(mu.weight(a) for a in fiber) - 1.0) <= 1e-14
 
 
+def test_dense_weights_match_the_mapping_and_vanish_off_the_core():
+    g = translation_groupoid(4, 2)
+    core = build_core(g, (0, 1, 4, 5))      # kernel subgroup {0, 2}
+    shifted = {a: (1.0, 3.0)[(a % 2 + a // 2) % 2] for a in core.arrow_subset}
+    for weights in ("uniform", shifted):
+        mu = attach_haar_density(core, weights)
+        dense = mu.arrow_weights
+        assert dense.shape == (g.n_arrows,)
+        for a in range(g.n_arrows):
+            expected = mu.weight(a) if a in core.arrow_subset else 0.0
+            assert dense[a] == expected
+
+
 def test_negative_weights_rejected():
     g = build_pair_groupoid(tuple(range(3)))
     core = build_core(g, tuple(range(g.n_arrows)))

@@ -174,6 +174,20 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+
+def test_cli_import_loads_no_executor_or_process_modules():
+    # the holo grid sampler uses bare threads; an executor or process pool
+    # module would add to the start-up of every CLI call
+    code = ("import sys, haarrect.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
 # ---------------------------------------------------------------------------
 # exact morphisms
 # ---------------------------------------------------------------------------
@@ -353,6 +367,14 @@ def test_run_defect_too_large_rejected(tmp_path):
     assert code == EXIT_PRECONDITION
     assert not report.passed
     assert "DefectTooLarge" in report.error
+
+
+def test_run_defect_too_large_reports_the_initial_defect(tmp_path):
+    report, code = run_experiment(bundled("defect_too_large.json"),
+                                  out_dir=tmp_path)
+    assert code == EXIT_PRECONDITION
+    assert report.initial_defect > report.admissible_radius
+    assert f"defect {report.initial_defect:.6g} exceeds" in report.error
 
 
 def test_run_numeric_domain_error(tmp_path):

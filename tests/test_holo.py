@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +56,26 @@ def test_real_slice_consistency_detects_a_wrong_product(small_model,
         return dataclasses.replace(g, products=products)
 
     assert real_slice_consistency(small_model)
+    monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
+    assert not real_slice_consistency(small_model)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_real_slice_consistency_checks_every_block(small_model, monkeypatch,
+                                                   where):
+    # the check runs one block of product rows (one rotation h) at a time;
+    # a wrong product in the first, a middle or the last block is caught
+    build = holo.real_slice_groupoid
+    n = small_model.n_theta
+    block = len(build(small_model).products) // n
+    row = {"first": 0, "middle": (n // 2) * block + 7, "last": n * block - 1}
+
+    def corrupted(model):
+        g = build(model)
+        products = g.products.copy()
+        products[row[where], 2] = (products[row[where], 2] + 1) % g.n_arrows
+        return dataclasses.replace(g, products=products)
+
     monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
     assert not real_slice_consistency(small_model)
 
@@ -165,6 +186,56 @@ def test_average_invariant_at_node_rotations(model):
     base = avg(*z)
     for th in model.theta_nodes[:8]:
         assert abs(avg(*rotate(th, *z)) - base) < 1e-13
+
+
+@pytest.fixture(scope="module", params=[9, 17])
+def slab_model(request):
+    return build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=12,
+                                    n_space=request.param, n_eta=3, n_shells=2)
+
+
+def test_sampling_does_not_depend_on_worker_count(slab_model, monkeypatch):
+    f = lambda z1, z2: np.exp(z1) * np.cos(z2) + (z1 + 1j * z2) ** 3
+    Z1, Z2 = holo.grid_points(slab_model)
+    whole = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex).tobytes()
+    averaged = core_average_function(f, slab_model).values.tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(holo, "_available_cpus", lambda: workers)
+        assert sample_function(f, slab_model).values.tobytes() == whole
+        assert core_average_function(f, slab_model).values.tobytes() == averaged
+
+
+def test_uneven_slabs_give_the_same_values(slab_model):
+    f = average_callable(lambda z1, z2: np.sin(z1 * z2) + z1 ** 2 * z2,
+                         slab_model)
+    Z1, Z2 = holo.grid_points(slab_model)
+    whole = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex).tobytes()
+    for rows in (2, 5):     # 9 and 17 rows both leave a short last slab
+        for workers in (1, 2, 3):
+            values = holo._sample_slabs(f, Z1, Z2, rows, workers)
+            assert values.tobytes() == whole
+
+
+class SlabFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_slab", [0, 1, 2])
+def test_worker_exception_reaches_the_caller(small_model, failing_slab):
+    # with 3 workers and 1-row slabs, slab j runs in thread j: the calling
+    # thread for j = 0, a worker thread otherwise
+    Z1, Z2 = holo.grid_points(small_model)
+    bad_row = Z1[failing_slab, 0, 0, 0]
+
+    def f(z1, z2):
+        if np.any(z1[:, :1, :1, :1] == bad_row):
+            raise SlabFailure(failing_slab)
+        return z1 * z2
+
+    before = threading.active_count()
+    with pytest.raises(SlabFailure):
+        holo._sample_slabs(f, Z1, Z2, 1, 3)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,25 @@ def test_iterate_rejects_range_escape(algebras, constants):
         iterate(phi, core, mu, alg, constants["SO3"], sets=AmbientSets(1.5, 2.5))
 
 
+def test_iterate_errors_carry_the_initial_defect(algebras, constants):
+    alg = algebras["SO3"]
+    g, core, mu, phi = make_perturbed(algebras, "SO3", seed=18, eps=0.3)
+    with pytest.raises(DefectTooLarge) as err:
+        iterate(phi, core, mu, alg, constants["SO3"])
+    assert err.value.initial_defect == defect(phi, core, alg)
+
+    # the initial-W check runs after the defect is measured
+    g = build_pair_groupoid(tuple(range(3)))
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    phi = coboundary(g, alg, seed=19, scale=1.0)
+    sets = AmbientSets(1.5, 2.5)
+    assert phi.range_certificate > sets.W_radius
+    with pytest.raises(RangeEscape) as err:
+        iterate(phi, core, mu, alg, constants["SO3"], sets=sets)
+    assert err.value.initial_defect == defect(phi, core, alg)
+
+
 def test_iterate_non_contraction_on_broken_density(algebras, constants):
     # a deliberately invalid density (bypassing the validator) blows the
     # correction up; the defect grows past 1/c_l and the run aborts with a
