@@ -25,6 +25,7 @@ from .harness import (
     EXIT_NUMERIC_DOMAIN,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    ConstantsSpec,
     ExperimentConfig,
     exit_code_for,
     read_json_config,
@@ -56,11 +57,15 @@ def _cmd_run(args):
 
 
 def _cmd_constants(args):
+    # the flags obey the checks of a config's constants section
+    spec = ConstantsSpec(sample_count=args.samples, safety_factor=args.safety,
+                         W_radius=args.w_radius, K_radius=args.k_radius,
+                         seed=args.seed)
     alg = normalize_algebra_norm(ALGEBRA_OF[args.group], args.raw_norm)
-    sets = AmbientSets(args.w_radius, args.k_radius)
     constants = estimate_bch_constants(
-        alg, sets, sample_count=args.samples,
-        safety_factor=args.safety, seed=args.seed,
+        alg, AmbientSets(spec.W_radius, spec.K_radius),
+        sample_count=spec.sample_count, safety_factor=spec.safety_factor,
+        seed=spec.seed,
     )
     print(json.dumps(asdict(constants), sort_keys=True, indent=2))
     return EXIT_PASS

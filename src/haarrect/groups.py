@@ -9,9 +9,11 @@ contraction certificate of the averaging iteration.
 
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases listed in
-    ``algebra_basis``; exp is computed by Hermitian eigendecomposition of
-    -iX and log in batched closed form: the atan2 rotation angle on the
-    principal branch (-pi, pi] times the unit axis of the skew part;
+    ``algebra_basis``; exp and log are batched closed forms.  exp is
+    exp(i theta) (u1), the rotation by theta (so2), Rodrigues on the unit
+    axis (so3) and the unit quaternion (su2), valid at any angle; log is
+    the atan2 rotation angle on the principal branch (-pi, pi] times the
+    unit axis of the skew part;
   * the norm on the algebra is ``scale * raw_norm`` and the group distance
     is ``|log(g^-1 h)|`` in that norm (left translation of the norm);
   * exp of the exact zero vector returns the exact identity matrix.
@@ -259,14 +261,40 @@ class AmbientSets:
 # ---------------------------------------------------------------------------
 
 def _exp_matrices(alg, coords):
-    """Batched exp: (n_batch, dim) coords -> (n_batch, n, n) group matrices."""
+    """Batched exp: (n_batch, dim) coords -> (n_batch, n, n) group matrices.
+
+    With theta = |coords| and n the unit axis: exp(i theta) (u1), the
+    rotation by theta (so2), Rodrigues I + sin(theta) K + 2 sin^2(theta/2) K^2
+    with K = X(n) (so3; the half-angle form keeps 1 - cos(theta) from
+    cancelling) and cos(theta/2) I + 2 sin(theta/2) X(n) (su2).  Non-finite
+    coordinates raise InvalidAlgebraVector.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    X = coords_to_matrix(alg.algebra_id, coords)
-    H = -1j * X
-    lam, V = np.linalg.eigh(H)
-    G = np.einsum("...ij,...j,...kj->...ik", V, np.exp(1j * lam), V.conj())
-    if alg.group_id in REAL_GROUPS:
-        G = G.real.astype(complex)
+    if not np.all(np.isfinite(coords)):
+        raise InvalidAlgebraVector(f"non-finite {alg.algebra_id} coords")
+    aid = alg.algebra_id
+    if aid == "u1":
+        G = np.exp(1j * coords)[..., None]
+    elif aid == "so2":
+        c, s = np.cos(coords[:, 0]), np.sin(coords[:, 0])
+        G = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    else:
+        # hypot keeps theta, and so the axis, exact for subnormal coords
+        theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
+        axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
+                         where=theta[:, None] > 0.0)
+        basis = algebra_basis(aid)
+        if aid == "so3":
+            # K^2 = n n^T - I for a unit axis n
+            K = np.tensordot(axis, basis.real, axes=(-1, 0))
+            v = 2.0 * np.sin(0.5 * theta) ** 2
+            G = (np.eye(3) + np.sin(theta)[:, None, None] * K
+                 + v[:, None, None] * (axis[:, :, None] * axis[:, None, :]
+                                       - np.eye(3))).astype(complex)
+        else:
+            K = np.tensordot(axis, basis, axes=(-1, 0))
+            G = (np.cos(0.5 * theta)[:, None, None] * np.eye(2)
+                 + (2.0 * np.sin(0.5 * theta))[:, None, None] * K)
     # exact-zero fast path: zero vectors must exponentiate to the exact identity
     zero = ~np.any(coords != 0.0, axis=-1)
     if np.any(zero):
@@ -280,7 +308,7 @@ def exp_map(u, alg):
     Accepts an AlgebraVector or a raw coordinate array.
     """
     coords = u.coords if isinstance(u, AlgebraVector) else np.asarray(u, dtype=float)
-    if coords.shape != (alg.dim,) or not np.all(np.isfinite(coords)):
+    if coords.shape != (alg.dim,):
         raise InvalidAlgebraVector(f"bad coords {coords!r} for {alg.algebra_id}")
     g = _exp_matrices(alg, coords[None, :])[0]
     return GroupElement(matrix=g, group_id=alg.group_id)
@@ -308,7 +336,7 @@ def _sine_cosine(alg, mats):
     An element is cos(a) I + sin(a) X(n), n a unit algebra direction; a is
     |log| (u1, so2, so3) or |log| / 2 (su2).
     """
-    m = np.asarray(mats, dtype=complex)
+    m = np.asarray(mats)
     if alg.algebra_id == "u1":
         return m[..., 0, :1].imag, m[..., 0, 0].real
     if alg.algebra_id == "so2":
@@ -317,7 +345,7 @@ def _sine_cosine(alg, mats):
         r = m.real
         skew = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
                 r[..., 1, 0] - r[..., 0, 1])
-        cosine = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+        cosine = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
         return 0.5 * np.stack(skew, axis=-1), cosine
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     return (0.5 * np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1),

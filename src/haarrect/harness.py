@@ -61,6 +61,36 @@ def exit_code_for(exc):
 DEFAULT_OUT_ENV = "RECTIFY_OUT"
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """A real number with a finite float value (bools excluded)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX)
+
+
+def _require(ok, path, what, value):
+    """ConfigError naming the key path unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{path} must be {what}, not {value!r}")
+
+
+def _require_seed(path, value):
+    _require(_is_int(value) and value >= 0, path, "a non-negative integer",
+             value)
+
+
+def _require_choice(path, value, choices):
+    _require(value in choices, path, f"one of {', '.join(choices)}", value)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     tag: str = "SO3"
@@ -86,19 +116,27 @@ class GroupoidSpec:
             raise ConfigError(f"unknown groupoid constructor {self.constructor!r}")
         for name in ("size", "group_order", "space_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"groupoid.{name} must be a positive integer, "
-                                  f"not {value!r}")
+            _require(_is_int(value) and value >= 1, f"groupoid.{name}",
+                     "a positive integer", value)
         if self.constructor == "action" and self.group_order % self.space_size:
             raise ConfigError(f"cyclic({self.group_order}) does not act on "
                               f"{self.space_size} points by translation")
 
 
+MORPHISM_KINDS = ("auto", "coboundary", "homomorphism", "trivial")
+
+
 @dataclass(frozen=True)
 class MorphismSpec:
-    kind: str = "auto"              # "auto" | "coboundary" | "homomorphism" | "trivial"
+    kind: str = "auto"              # one of MORPHISM_KINDS
     seed: int = 0
     scale: float = 0.25             # coboundary generator radius
+
+    def __post_init__(self):
+        _require_choice("morphism.kind", self.kind, MORPHISM_KINDS)
+        _require_seed("morphism.seed", self.seed)
+        _require(_is_number(self.scale), "morphism.scale", "a finite number",
+                 self.scale)
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,16 @@ class PerturbationSpec:
     seed: int = 0
     side: str = "right"             # "right" | "left"
     perturb_units: bool = True
+
+    def __post_init__(self):
+        _require(_is_number(self.epsilon) and self.epsilon >= 0,
+                 "perturbation.epsilon", "a finite non-negative number",
+                 self.epsilon)
+        _require_seed("perturbation.seed", self.seed)
+        _require_choice("perturbation.side", self.side, ("right", "left"))
+        _require(isinstance(self.perturb_units, bool),
+                 "perturbation.perturb_units", "true or false",
+                 self.perturb_units)
 
 
 @dataclass(frozen=True)
@@ -117,17 +165,47 @@ class ConstantsSpec:
     K_radius: float = 2.5
     seed: int = 0
 
+    def __post_init__(self):
+        _require(_is_int(self.sample_count) and self.sample_count >= 1000,
+                 "constants.sample_count", "an integer >= 1000",
+                 self.sample_count)
+        _require(_is_number(self.safety_factor) and self.safety_factor >= 1,
+                 "constants.safety_factor", "a finite number >= 1",
+                 self.safety_factor)
+        for name in ("W_radius", "K_radius"):
+            value = getattr(self, name)
+            _require(_is_number(value), f"constants.{name}", "a finite number",
+                     value)
+        _require_seed("constants.seed", self.seed)
+        # ambient-ball invariants are re-validated by AmbientSets
+        try:
+            AmbientSets(self.W_radius, self.K_radius)
+        except ValueError as exc:
+            raise ConfigError(f"constants: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class IterationSpec:
     tol: float = 1e-12
     max_iter: int = 50
 
+    def __post_init__(self):
+        _require(_is_number(self.tol) and self.tol >= 0, "iteration.tol",
+                 "a finite non-negative number", self.tol)
+        _require(_is_int(self.max_iter) and self.max_iter >= 0,
+                 "iteration.max_iter", "a non-negative integer", self.max_iter)
+
 
 @dataclass(frozen=True)
 class OutputSpec:
     trace: str = "trace.csv"
     report: str = "report.json"
+
+    def __post_init__(self):
+        for name in ("trace", "report"):
+            value = getattr(self, name)
+            _require(isinstance(value, str) and value != "", f"output.{name}",
+                     "a file name", value)
 
 
 @dataclass(frozen=True)
@@ -141,15 +219,6 @@ class ExperimentConfig:
     constants: ConstantsSpec = field(default_factory=ConstantsSpec)
     iteration: IterationSpec = field(default_factory=IterationSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
-
-    def __post_init__(self):
-        if self.perturbation.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
-        # ambient-ball invariants are re-validated by AmbientSets
-        try:
-            AmbientSets(self.constants.W_radius, self.constants.K_radius)
-        except ValueError as exc:
-            raise ConfigError(f"constants: {exc}") from exc
 
     @staticmethod
     def from_dict(data):
@@ -359,10 +428,8 @@ def perturb_morphism(phi, alg, pert, g=None, W_radius=None):
     noise = _exp_matrices(alg, w)
     if pert.side == "right":
         values = np.einsum("nij,njk->nik", phi.values, noise)
-    elif pert.side == "left":
-        values = np.einsum("nij,njk->nik", noise, phi.values)
     else:
-        raise ValueError(f"unknown perturbation side {pert.side!r}")
+        values = np.einsum("nij,njk->nik", noise, phi.values)
     out = almost_morphism(values, phi.target_group, alg)
     if W_radius is not None and out.range_certificate > W_radius + 1e-9:
         raise RangeEscape("perturbed map does not take values in W",

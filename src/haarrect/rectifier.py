@@ -23,6 +23,7 @@ from .errors import (
     RangeEscape,
 )
 from .groups import (
+    REAL_GROUPS,
     GroupElement,
     _distances_to_identity,
     _exp_matrices,
@@ -103,10 +104,12 @@ def core_pairs(core):
 
 def _psi_stack(phi, pairs):
     """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
-    one psi path of the defect, correction and verification."""
+    one psi path of the defect, correction and verification.  Real targets
+    (SO2, SO3) multiply the real parts and give a float64 stack."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    inv = phi.values.conj().swapaxes(-1, -2)
-    return inv[p] @ inv[k] @ phi.values[kp]
+    values = phi.values.real if phi.target_group in REAL_GROUPS else phi.values
+    inv = values.conj().swapaxes(-1, -2)
+    return inv[p] @ inv[k] @ values[kp]
 
 
 def defect_element(phi, core, k, p):
@@ -117,7 +120,7 @@ def defect_element(phi, core, k, p):
     if g.source[k] != g.target[p] or not g.is_multipliable(k, p):
         raise NotComposable(f"pair ({k}, {p}) is not multipliable")
     m = _psi_stack(phi, [(k, p, g.compose(k, p))])[0]
-    return GroupElement(matrix=m, group_id=phi.target_group)
+    return GroupElement(matrix=m.astype(complex), group_id=phi.target_group)
 
 
 def _max_distance(alg, psi):

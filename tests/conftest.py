@@ -91,6 +91,28 @@ def rodrigues(w):
     return np.eye(3) + np.sin(th) / th * K + (1 - np.cos(th)) / th ** 2 * (K @ K)
 
 
+# algebra bases, as documented in the README, for the eigh oracle
+_BASES = {
+    "u1": np.array([[[1j]]]),
+    "so2": np.array([[[0.0, -1.0], [1.0, 0.0]]], dtype=complex),
+    "so3": np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                     [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                     [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=complex),
+    "su2": 0.5j * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                            [[1, 0], [0, -1]]]),
+}
+
+
+def eigh_exp(algebra_id, coords):
+    """Batched exp by Hermitian eigendecomposition of -iX: (n, dim) coords
+    -> (n, m, m) complex matrices, real parts only for so2 and so3."""
+    c = np.atleast_2d(np.asarray(coords, dtype=float))
+    X = np.tensordot(c, _BASES[algebra_id], axes=(-1, 0))
+    lam, V = np.linalg.eigh(-1j * X)
+    G = np.einsum("...ij,...j,...kj->...ik", V, np.exp(1j * lam), V.conj())
+    return G.real.astype(complex) if algebra_id in ("so2", "so3") else G
+
+
 def schur_log(algebra_id, matrix):
     """Principal log coordinates by complex Schur decomposition.
 
@@ -122,5 +144,6 @@ def oracles():
         "quat_to_su2": quat_to_su2,
         "quat_to_so3": quat_to_so3,
         "rodrigues": rodrigues,
+        "eigh_exp": eigh_exp,
         "schur_log": schur_log,
     }

@@ -16,6 +16,7 @@ from haarrect.groups import (
     _exp_matrices,
     _log_coords,
     bracket_coords,
+    group_membership_residual,
     estimate_bch_constants,
     exp_map,
     haar_integrate,
@@ -75,6 +76,49 @@ def test_exp_rejects_nonfinite(algebras):
         exp_map(np.array([np.nan, 0.0, 0.0]), algebras["SO3"])
     with pytest.raises(InvalidAlgebraVector):
         AlgebraVector(coords=np.array([np.inf]), algebra_id="u1")
+
+
+# 1e-300, the smallest normal double and two subnormals
+TINY_ANGLES = (1e-300, 2.2250738585072014e-308, 1e-320, 5e-324)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+       tag=st.sampled_from(["U1", "SO2", "SO3", "SU2"]),
+       span=st.sampled_from(["tiny", "margin", "4pi"]))
+def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
+                                             span):
+    # tiny angles down to subnormals, the ball up to the injectivity margin
+    # and whole angles up to 4 pi (the SU(2) Euler nodes); ten exact zeros
+    alg = algebras[tag]
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(200, alg.dim))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    if span == "tiny":
+        u = axes * rng.choice(TINY_ANGLES, 200)[:, None]
+    elif span == "margin":
+        u = alg.sample_ball(rng, alg.injectivity_margin, 200)
+    else:
+        u = axes * rng.uniform(0.0, 4 * np.pi, 200)[:, None]
+    u[:10] = 0.0
+    mats = _exp_matrices(alg, u)
+    oracle = oracles["eigh_exp"](alg.algebra_id, u)
+    assert mats.dtype == complex and mats.shape == oracle.shape
+    assert np.abs(mats - oracle).max() <= 1e-13
+    if tag == "U1":
+        assert np.array_equal(mats, oracle)
+    assert np.array_equal(mats[:10], np.broadcast_to(
+        np.eye(alg.matrix_dim, dtype=complex), mats[:10].shape))
+    assert max(group_membership_residual(m, tag) for m in mats) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exp_matrices_reject_nonfinite_coords(algebras, bad):
+    for alg in algebras.values():
+        u = np.zeros((3, alg.dim))
+        u[1, -1] = bad
+        with pytest.raises(InvalidAlgebraVector):
+            _exp_matrices(alg, u)
 
 
 # ---------------------------------------------------------------------------

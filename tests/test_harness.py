@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
+from haarrect import harness
 from haarrect.cli import main
 from haarrect.errors import (
     ActionError,
@@ -99,6 +100,34 @@ def test_config_rejects_bad_radii():
     ({"density": {"weights": {str(a): -1 if a == 0 else 1
                               for a in range(9)}}},
      "density.weights: negative or non-finite weight"),
+    ({"constants": {"sample_count": 999}},
+     "constants.sample_count must be an integer >= 1000, not 999"),
+    ({"constants": {"sample_count": 2000.5}},
+     "constants.sample_count must be an integer >= 1000"),
+    ({"constants": {"safety_factor": 0.5}},
+     "constants.safety_factor must be a finite number >= 1, not 0.5"),
+    ({"constants": {"seed": -1}},
+     "constants.seed must be a non-negative integer, not -1"),
+    ({"morphism": {"seed": 1.5}},
+     "morphism.seed must be a non-negative integer, not 1.5"),
+    ({"perturbation": {"seed": "7"}},
+     "perturbation.seed must be a non-negative integer, not '7'"),
+    ({"iteration": {"tol": "nan"}},
+     "iteration.tol must be a finite non-negative number, not 'nan'"),
+    ({"iteration": {"tol": -1}},
+     "iteration.tol must be a finite non-negative number, not -1"),
+    ({"iteration": {"max_iter": -1}},
+     "iteration.max_iter must be a non-negative integer, not -1"),
+    ({"iteration": {"max_iter": True}},
+     "iteration.max_iter must be a non-negative integer, not True"),
+    ({"morphism": {"scale": "big"}},
+     "morphism.scale must be a finite number, not 'big'"),
+    ({"perturbation": {"side": "up"}},
+     "perturbation.side must be one of right, left, not 'up'"),
+    # an unknown kind used to run with the defaults and pass
+    ({"morphism": {"kind": "weird"}},
+     "morphism.kind must be one of auto, coboundary, homomorphism, trivial, "
+     "not 'weird'"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -162,6 +191,25 @@ def test_atomic_write_uses_a_unique_temp_file(tmp_path):
     _atomic_write(str(target), "two\n")
     assert target.read_text() == "two\n"
     assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]
+
+
+def test_cli_runs_without_eigh(tmp_path, monkeypatch, capsys):
+    # exp is closed form: no eigendecomposition on any CLI path, cold
+    # normalization and constants estimation included
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(harness, "_ALG_CACHE", {})
+    monkeypatch.setattr(harness, "_CONSTANTS_CACHE", {})
+    names = ("so3_pair5", "su2_z3z3", "u1_onestep", "defect_too_large")
+    paths = [os.path.join(CONFIG_DIR, f"{name}.json") for name in names]
+    codes = [main(["run", "--config", path, "--out", str(tmp_path)])
+             for path in paths]
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_PRECONDITION]
+    assert [main(["validate", "--config", path]) for path in paths] \
+        == [EXIT_PASS] * 4
+    capsys.readouterr()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -463,6 +511,20 @@ def test_cli_constants(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["c"] <= 1e-6
     assert out["sample_count"] == 1000
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "999"], "constants.sample_count must be an integer >= 1000"),
+    (["--safety", "0.5"], "constants.safety_factor must be a finite number >= 1"),
+    (["--seed", "-1"], "constants.seed must be a non-negative integer"),
+    (["--w-radius", "nan"], "constants.W_radius must be a finite number"),
+])
+def test_cli_constants_rejects_bad_flags_with_one_line_error(capsys, flags,
+                                                              message):
+    assert main(["constants", "--group", "SO3", *flags]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_cli_bench_holo(tmp_path, capsys):

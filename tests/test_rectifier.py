@@ -19,12 +19,23 @@ from haarrect.groupoids import (
 from haarrect.groups import (
     AmbientSets,
     BchConstants,
+    _distances_to_identity,
     _exp_matrices,
     _log_coords,
     left_distance,
 )
+from haarrect.harness import (
+    GroupoidSpec,
+    MorphismSpec,
+    PerturbationSpec,
+    build_groupoid,
+    generate_exact_morphism,
+    perturb_morphism,
+)
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
+    _correction,
+    _max_distance,
     _psi_stack,
     admissible_defect_radius,
     almost_morphism,
@@ -492,6 +503,69 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
         iterate(phi, core, bad, alg, k, sets=None)
     assert err.value.trace is not None
     assert err.value.trace.terminated == "defect_grew"
+
+
+# ---------------------------------------------------------------------------
+# real psi stacks for SO(2) and SO(3)
+# ---------------------------------------------------------------------------
+
+def complex_psi(phi, pairs):
+    """psi over (k, p, kp) rows as a product of the complex values."""
+    k, p, kp = np.asarray(pairs).T
+    inv = phi.values.conj().swapaxes(-1, -2)
+    return inv[p] @ inv[k] @ phi.values[kp]
+
+
+def harness_cases(algebras):
+    """Perturbed harness maps into SO2 and SO3 over pair(5) and cyclic
+    actions, the last with a kernel-subgroup core (fewer core pairs than
+    multipliable pairs)."""
+    specs = [
+        (GroupoidSpec(constructor="pair", size=5), None),
+        (GroupoidSpec(constructor="action", group_order=6, space_size=3), None),
+        (GroupoidSpec(constructor="action", group_order=4, space_size=2),
+         (0, 1, 4, 5)),
+    ]
+    for tag in ("SO2", "SO3"):
+        alg = algebras[tag]
+        for i, (spec, arrows) in enumerate(specs):
+            g = build_groupoid(spec)
+            core = build_core(g, arrows or tuple(range(g.n_arrows)))
+            phi, _ = generate_exact_morphism(g, spec, alg, MorphismSpec(seed=i))
+            phi = perturb_morphism(phi, alg,
+                                   PerturbationSpec(epsilon=0.05, seed=i + 7))
+            yield alg, g, core, phi
+
+
+def test_real_psi_stack_matches_complex_product(algebras):
+    for alg, g, core, phi in harness_cases(algebras):
+        pairs = core_pairs(core)
+        psi = _psi_stack(phi, pairs)
+        assert psi.dtype == np.float64
+        assert np.abs(psi - complex_psi(phi, pairs)).max() <= 1e-15
+        k, p, kp = pairs[-1]
+        element = defect_element(phi, core, int(k), int(p)).matrix
+        assert element.dtype == complex
+        assert np.abs(element - complex_psi(phi, pairs[-1:])[0]).max() <= 1e-15
+
+
+def test_real_psi_defect_correction_and_verification_match_complex(algebras):
+    for alg, g, core, phi in harness_cases(algebras):
+        pairs = core_pairs(core)
+        psi_c = complex_psi(phi, pairs)
+        assert abs(defect(phi, core, alg) - _max_distance(alg, psi_c)) <= 1e-15
+        mu = attach_haar_density(core, "uniform")
+        corr, norms = _correction(_psi_stack(phi, pairs), pairs, mu, alg,
+                                  phi.n_arrows)
+        corr_c, norms_c = _correction(psi_c, pairs, mu, alg, phi.n_arrows)
+        assert np.abs(corr - corr_c).max() <= 1e-15
+        assert np.abs(norms - norms_c).max() <= 1e-15
+        q, p = g.products[:, 0], g.products[:, 1]
+        full = g.products[g.source[q] == g.target[p]]
+        for rows, flag in ((pairs, False), (full, True)):
+            expected = np.max(_distances_to_identity(alg, complex_psi(phi, rows)))
+            got = verify_core_morphism(phi, core, alg, full=flag)
+            assert abs(got - expected) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
