@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .errors import HaarrectError
 from .groups import ALGEBRA_OF, AmbientSets, estimate_bch_constants, \
@@ -27,6 +27,7 @@ from .harness import (
     EXIT_PRECONDITION,
     ConstantsSpec,
     ExperimentConfig,
+    HoloSpec,
     exit_code_for,
     read_json_config,
     run_experiment,
@@ -72,19 +73,18 @@ def _cmd_constants(args):
 
 
 # the keys of a bench-holo config, all optional
-HOLO_KEYS = ("space_radius", "eta_max", "n_theta", "n_space", "n_eta",
-             "n_shells", "probe_center", "slope_hs", "seed", "report")
+HOLO_KEYS = tuple(f.name for f in fields(HoloSpec))
 
 
 def _cmd_bench_holo(args):
-    cfg = _check_keys(read_json_config(args.config), HOLO_KEYS, "")
+    spec = HoloSpec(**_check_keys(read_json_config(args.config), HoloSpec, ""))
     model = build_complexified_model(
-        space_radius=cfg.get("space_radius", 1.0),
-        eta_max=cfg.get("eta_max", 0.2),
-        n_theta=cfg.get("n_theta", 32),
-        n_space=cfg.get("n_space", 9),
-        n_eta=cfg.get("n_eta", 5),
-        n_shells=cfg.get("n_shells", 3),
+        space_radius=spec.space_radius,
+        eta_max=spec.eta_max,
+        n_theta=spec.n_theta,
+        n_space=spec.n_space,
+        n_eta=spec.n_eta,
+        n_shells=spec.n_shells,
     )
 
     invariant = lambda z1, z2: z1 * z1 + z2 * z2
@@ -99,10 +99,10 @@ def _cmd_bench_holo(args):
     )
     slope, residuals = cr_convergence_order(
         lambda z1, z2: quartic(z1, z2),
-        center=cfg.get("probe_center", (0.3, 0.05, 0.2, -0.05)),
-        hs=tuple(cfg.get("slope_hs", (1e-2, 5e-3, 2.5e-3))),
+        center=spec.probe_center,
+        hs=tuple(spec.slope_hs),
     )
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    rng = np.random.default_rng(spec.seed)
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
 
     def trig_poly(z1, z2):
@@ -131,7 +131,7 @@ def _cmd_bench_holo(args):
     }
     out_dir = _default_out(args)
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, cfg.get("report", "holo_report.json")),
+    _atomic_write(os.path.join(out_dir, spec.report),
                   json.dumps(results, sort_keys=True, indent=2) + "\n")
     print(json.dumps(results, sort_keys=True, indent=2))
     return EXIT_PASS if results["pass"] else EXIT_NUMERIC_DOMAIN

@@ -2,17 +2,24 @@
 
 Arrows are indexed 0..n-1 in lexicographic order of their constructor
 labels, so every downstream trace is reproducible.  Multiplication is one
-product table: an ``(n_pairs, 3)`` int array of ``(q, p, qp)`` rows, one
-row per declared-multipliable pair, sorted by ``(q, p)``.  A pair missing
-from the table is not multipliable, which is what makes local (partially
-defined) groupoids representable; a declared pair without a product cannot
-be written down.  ``FiniteGroupoid.multiply`` looks products up for whole
-arrays of pairs at once (a binary search on the key ``q * n_arrows + p``),
-and the constructors, validators and cores are array code over it.  Cores
-and per-fiber normalized right-invariant weights follow, each with
-exhaustive axiom validators that return concrete witnesses on failure.
+fiber-indexed table ``P``, stored as ``FiniteGroupoid.table``: row q lists
+the products of q with the arrows whose target is s(q), in index order, so
+``P[q, j] = q . (the j-th arrow with target s(q))``.  An entry is -1 where
+the pair is not declared and in the padding after a fiber narrower than the
+widest one.  A pair missing from the table is not multipliable, which is
+what makes local (partially defined) groupoids representable; a declared
+pair without a product, or one with s(q) != t(p), cannot be written down.
+``FiniteGroupoid.multiply`` is one gather through each arrow's position in
+its target fiber, guarded by s(q) = t(p).  ``products`` is a derived,
+read-only ``(n_pairs, 3)`` array of the declared ``(q, p, qp)`` rows in
+``(q, p)`` order, and ``FiniteGroupoid.from_products`` builds a groupoid
+from such rows.  The constructors, validators and cores are array code
+over the table.  Cores and per-fiber normalized right-invariant weights
+follow, each with exhaustive axiom validators that return concrete
+witnesses on failure.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,25 +60,61 @@ class FiniteGroupoid:
     source: np.ndarray            # (n_arrows,) object index
     target: np.ndarray
     unit_arrows: np.ndarray       # (n_objects,) unit arrow at each object
-    products: np.ndarray          # (n_pairs, 3) rows (q, p, qp), sorted by (q, p)
+    table: np.ndarray             # (n_arrows, width) P[q, j], -1 if undeclared
     inverse: np.ndarray           # (n_arrows,) inverse arrow
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    # arrows by target (order, start, width) and each arrow's fiber position
+    by_target: tuple = field(init=False, repr=False, compare=False)
+    position: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.products, dtype=np.intp)
+        for name in ("source", "target", "table", "inverse"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=np.intp))
+        n, table = self.n_arrows, self.table
+        by_target = _fiber_index(self.target, self.n_objects)
+        width = by_target[2]
+        if table.ndim != 2 or len(table) != n \
+                or table.shape[1] < width.max(initial=0):
+            raise ValueError("table needs one row per arrow and one column "
+                             "per slot of the widest target fiber")
+        if table.size and not (-1 <= table.min() and table.max() < n):
+            raise ValueError("product table names an arrow out of range")
+        short = np.flatnonzero(width[self.source] < table.shape[1])
+        padding = np.arange(table.shape[1]) >= width[self.source[short], None]
+        if np.any(table[short][padding] != -1):
+            raise ValueError("product table has an entry in a padding slot")
+        if self.inverse.shape != (n,):
+            raise ValueError("inverse must have one entry per arrow")
+        object.__setattr__(self, "by_target", by_target)
+        object.__setattr__(self, "position", _fiber_positions(*by_target))
+
+    @classmethod
+    def from_products(cls, object_labels, arrow_labels, source, target,
+                      unit_arrows, products, inverse):
+        """Groupoid from ``(q, p, qp)`` rows strictly sorted by ``(q, p)``,
+        one per declared pair; ValueError for unsorted or out-of-range rows
+        and for a row with s(q) != t(p), which has no slot in the table."""
+        n = len(arrow_labels)
+        rows = np.asarray(products, dtype=np.intp)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError("products must be an (n_pairs, 3) array")
-        if rows.size and not (0 <= rows[:, :2].min()
-                              and rows[:, :2].max() < self.n_arrows):
+        if rows.size and not (0 <= rows.min() and rows.max() < n):
             raise ValueError("product table names an arrow out of range")
-        keys = rows[:, 0] * self.n_arrows + rows[:, 1]
-        if np.any(keys[1:] <= keys[:-1]):
+        q, p, qp = rows.T
+        key = q * n + p
+        if np.any(key[1:] <= key[:-1]):
             raise ValueError("product rows must be strictly sorted by (q, p)")
-        if np.shape(self.inverse) != (self.n_arrows,):
-            raise ValueError("inverse must have one entry per arrow")
-        object.__setattr__(self, "products", rows)
-        object.__setattr__(self, "inverse", np.asarray(self.inverse, dtype=np.intp))
-        object.__setattr__(self, "_keys", keys)
+        source, target = np.asarray(source), np.asarray(target)
+        bad = _first(source[q] != target[p])
+        if bad is not None:
+            raise ValueError(f"declared pair ({q[bad]}, {p[bad]}) has "
+                             f"s(q) != t(p)")
+        by_target = _fiber_index(target, len(object_labels))
+        table = np.full((n, by_target[2].max(initial=0)), -1, dtype=np.intp)
+        table[q, _fiber_positions(*by_target)[p]] = qp
+        return cls(object_labels=object_labels, arrow_labels=arrow_labels,
+                   source=source, target=target, unit_arrows=unit_arrows,
+                   table=table, inverse=inverse)
 
     @property
     def n_objects(self):
@@ -81,14 +124,25 @@ class FiniteGroupoid:
     def n_arrows(self):
         return len(self.arrow_labels)
 
+    @property
+    def products(self):
+        """Read-only ``(n_pairs, 3)`` rows ``(q, p, qp)`` of the declared
+        pairs, in ``(q, p)`` order."""
+        q, j = np.nonzero(self.table >= 0)
+        rows = np.stack([q, self.partner(q, j), self.table[q, j]], axis=1)
+        rows.flags.writeable = False
+        return rows
+
+    def partner(self, q, j):
+        """The j-th arrow with target s(q): the p of the slot P[q, j]."""
+        order, start, _ = self.by_target
+        return order[start[self.source[q]] + j]
+
     def multiply(self, q, p):
         """Products q.p over arrays of pairs; -1 where not declared."""
-        key = (np.asarray(q, dtype=np.intp) * self.n_arrows
-               + np.asarray(p, dtype=np.intp))
-        if not len(self._keys):
-            return np.full(key.shape, -1, dtype=np.intp)
-        row = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
-        return np.where(self._keys[row] == key, self.products[row, 2], -1)
+        q, p = np.asarray(q, dtype=np.intp), np.asarray(p, dtype=np.intp)
+        return np.where(self.source[q] == self.target[p],
+                        self.table[q, self.position[p]], -1)
 
     def is_multipliable(self, q, p):
         return bool(self.multiply(q, p) >= 0)
@@ -102,7 +156,7 @@ class FiniteGroupoid:
     def composable_pairs(self):
         """Structurally composable pairs (s(q) = t(p)) in index order."""
         q, p = _fiber_pairs(np.arange(self.n_arrows), self.source,
-                            *_fiber_index(self.target, self.n_objects))
+                            *self.by_target)
         return zip(q.tolist(), p.tolist())
 
     def arrows_by_source(self):
@@ -166,6 +220,13 @@ def _fiber_index(obj_of, n_objects):
     return np.argsort(obj_of, kind="stable"), np.cumsum(width) - width, width
 
 
+def _fiber_positions(order, start, width):
+    """Position of each arrow in its fiber, from ``_fiber_index``."""
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order)) - np.repeat(start, width)
+    return position
+
+
 def _fiber_pairs(rows, obj_of_row, order, start, width):
     """(row, member) for each member of the fiber at each row's object,
     row-major and in fiber order."""
@@ -206,7 +267,9 @@ def build_action_groupoid(group, space, action):
     pairs (g, x) with s = x and t = g.x, ordered g-major; every structurally
     composable pair is declared.  The action is tabulated once and its axioms
     are checked on the whole table; a failure names the first witness in
-    lexicographic order.
+    lexicographic order.  The compatibility check and the product table run
+    one group element at a time, so no temporary is larger than
+    ``len(space) x group order``.
     """
     space = tuple(space)
     n_g, n_x = group.order, len(space)
@@ -218,31 +281,27 @@ def build_action_groupoid(group, space, action):
     escaped = _first(((act < 0) | (act >= n_x)).ravel())
     if escaped is not None:
         raise ActionError("action leaves the space", witness=divmod(escaped, n_x))
-    # [a, b, x]: a.(b.x) against (ab).x
-    bad = _first((act[:, act] != act[group.table]).ravel())
-    if bad is not None:
-        raise ActionError("action is not compatible with the group law",
-                          witness=tuple(int(i) for i in
-                                        np.unravel_index(bad, (n_g, n_g, n_x))))
+    # a.(b.x) against (ab).x, for all (b, x) at once
+    for a in range(n_g):
+        bad = _first((np.take(act[a], act) != act[group.table[a]]).ravel())
+        if bad is not None:
+            raise ActionError("action is not compatible with the group law",
+                              witness=(a,) + divmod(bad, n_x))
 
     n = n_g * n_x
-    arrow_labels = tuple((group.element_labels[g], space[x])
-                         for g in range(n_g) for x in range(n_x))
+    arrow_labels = tuple(itertools.product(group.element_labels, space))
     arrow_g, source = np.divmod(np.arange(n), n_x)
     target = act.ravel()
     unit_arrows = group.identity * n_x + np.arange(n_x)
     inverse_g = np.argmax(group.table == group.identity, axis=1)
     inverse = inverse_g[arrow_g] * n_x + target
 
-    # (h, g.x) . (g, x) = (hg, x): for each h, the partners p = (g, x) run
-    # over the arrows by target, so the rows come out sorted by (q, p)
-    by_target = np.argsort(target, kind="stable")
-    h = np.arange(n_g)[:, None]
-    products = np.empty((n_g, n, 3), dtype=np.intp)
-    products[:, :, 0] = h * n_x + target[by_target]
-    products[:, :, 1] = by_target
-    products[:, :, 2] = (group.table[h, arrow_g[by_target]] * n_x
-                         + source[by_target])
+    # every element permutes the space, so the j-th arrow into y is (j, x)
+    # with j.x = y, and (h, y) . (j, x) = (hj, x); one h is one block of rows
+    x_of = np.argsort(act, axis=1).T            # [y, j]: the x with j.x = y
+    table = np.empty((n, n_g), dtype=np.intp)
+    for h in range(n_g):
+        table[h * n_x:(h + 1) * n_x] = group.table[h] * n_x + x_of
 
     return FiniteGroupoid(
         object_labels=space,
@@ -250,7 +309,7 @@ def build_action_groupoid(group, space, action):
         source=source,
         target=target,
         unit_arrows=unit_arrows,
-        products=products.reshape(-1, 3),
+        table=table,
         inverse=inverse,
     )
 
@@ -263,16 +322,14 @@ def build_pair_groupoid(space):
         raise ValueError("space must be nonempty")
     arrow_labels = tuple((space[j], space[i]) for j in range(n) for i in range(n))
     target, source = np.divmod(np.arange(n * n), n)
-    # (k, j) . (j, i) = (k, i), rows in (k, j, i) order, i.e. by (q, p)
-    k, j, i = np.indices((n, n, n)).reshape(3, -1)
-    products = np.stack([k * n + j, j * n + i, k * n + i], axis=1)
+    # the i-th arrow into j is (j, i), and (k, j) . (j, i) = (k, i)
     return FiniteGroupoid(
         object_labels=space,
         arrow_labels=arrow_labels,
         source=source,
         target=target,
         unit_arrows=np.arange(n) * (n + 1),
-        products=products,
+        table=(target * n)[:, None] + np.arange(n),
         inverse=source * n + target,
     )
 
@@ -286,23 +343,17 @@ def validate_groupoid(g):
 
     All checks are gated on definedness (pair in the product table),
     matching the conditional form of the local-groupoid axioms, so dropping
-    rows never makes the validator reference an undefined product.
+    pairs never makes the validator reference an undefined product.
     """
     violations = []
     n = g.n_arrows
-    s, t = np.asarray(g.source), np.asarray(g.target)
-    q, p, qp = g.products.T
-
-    structural = s[q] == t[p]
-    in_range = (qp >= 0) & (qp < n)
-    safe_qp = np.where(in_range, qp, 0)
-    shape_ok = in_range & (s[safe_qp] == s[p]) & (t[safe_qp] == t[q])
-    for row in np.flatnonzero(~structural | ~shape_ok):
-        if not structural[row]:
-            violations.append(("source-target", (int(q[row]), int(p[row]))))
-        else:
-            violations.append(("source-target",
-                               (int(q[row]), int(p[row]), int(qp[row]))))
+    s, t, table = g.source, g.target, g.table
+    declared = table >= 0
+    q, j = np.nonzero(declared)                 # the pairs in (q, p) order
+    p, qp = g.partner(q, j), table[q, j]
+    for row in np.flatnonzero((s[qp] != s[p]) | (t[qp] != t[q])):
+        violations.append(("source-target",
+                           (int(q[row]), int(p[row]), int(qp[row]))))
 
     units = np.asarray(g.unit_arrows)
     for z in np.flatnonzero((s[units] != np.arange(g.n_objects))
@@ -337,24 +388,34 @@ def validate_groupoid(g):
 
     # local associativity: if (r,q), (q,p) and (rq, p) are all declared,
     # then (r, qp) must be declared and the two triple products must agree.
-    # r runs over the source fiber at t(q), one fiber position j at a time;
-    # r.q depends on q alone, so it is looked up once per arrow.
-    rows = np.flatnonzero(structural & in_range)
-    order, start, width = _fiber_index(s, g.n_objects)
-    found = []                       # (row, position) of each violation
-    for j in range(int(width.max(initial=0))):
-        has_r = width[t] > j
-        r_of = order[np.where(has_r, start[t] + j, 0)]
-        rq_of = np.where(has_r, g.multiply(r_of, arrows), -1)
-        live = rows[has_r[q[rows]]]
-        r, rq = r_of[q[live]], rq_of[q[live]]
-        rq_p = g.multiply(np.where(rq >= 0, rq, 0), p[live])
-        r_qp = g.multiply(r, qp[live])
-        bad = (rq >= 0) & (rq_p >= 0) & ((r_qp < 0) | (rq_p != r_qp))
-        found.extend((int(row), j) for row in live[bad])
-    for row, j in sorted(found):
-        r = order[start[t[q[row]]] + j]
-        violations.append(("associativity", (int(r), int(q[row]), int(p[row]))))
+    # For the slot P[q, j], p is the j-th arrow into s(q); rq . p is then
+    # P[rq, j] when s(rq) = s(q), and r . qp is P[r, position of qp] when
+    # t(qp) = t(q) = s(r).  r runs over the source fiber at t(q), one fiber
+    # position i at a time, so the temporaries stay the size of the table.
+    width, flat = table.shape[1], table.ravel()
+    qp_of = np.where(declared, table, 0)
+    r_qp_ok = declared & (t[qp_of] == t[:, None])
+    r_qp_bad = declared & ~r_qp_ok
+    r_qp_slot = g.position[qp_of]
+    order, start, count = _fiber_index(s, g.n_objects)
+    found = []                       # (q, j, i) of each violation
+    for i in range(int(count.max(initial=0))):
+        has_r = count[t] > i
+        r = order[np.where(has_r, start[t] + i, 0)]
+        rq = np.where(has_r, table[r, g.position], -1)
+        # rq = -1 reads the last entry of s and of table; ``ok`` masks it
+        ok = (rq >= 0) & (s[rq] == s)
+        rq_p = table[rq]
+        bad = rq_p != flat[r[:, None] * width + r_qp_slot]
+        bad &= r_qp_ok
+        bad |= r_qp_bad
+        bad &= rq_p >= 0
+        bad &= ok[:, None]
+        if bad.any():
+            found.extend((int(q), int(j), i) for q, j in zip(*np.nonzero(bad)))
+    for q, j, i in sorted(found):
+        r, p = order[start[t[q]] + i], g.partner(q, j)
+        violations.append(("associativity", (int(r), q, int(p))))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
@@ -389,8 +450,8 @@ def build_core(g, arrow_subset):
     fibers = {z: tuple(subset[fiber_order[a:a + w]].tolist())
               for z, (a, w) in enumerate(zip(fiber_start, fiber_width))}
 
-    k, p = _fiber_pairs(subset, s, *_fiber_index(t, g.n_objects))
-    kp = g.multiply(k, p)
+    k, p = _fiber_pairs(subset, s, *g.by_target)
+    kp = g.table[k, g.position[p]]          # s(k) = t(p) on every pair
     row = _first(kp < 0)
     if row is not None:
         raise CoreAxiomError("no escape", (int(k[row]), int(p[row])))

@@ -91,6 +91,19 @@ def _require_choice(path, value, choices):
     _require(value in choices, path, f"one of {', '.join(choices)}", value)
 
 
+# Largest product table (and full core) a config may ask for: pair(215), or
+# 10^7 pairs; pair(200) has 8 * 10^6.
+MAX_TABLE_ENTRIES = 10 ** 7
+
+
+def _require_table_size(keys, entries):
+    """ConfigError naming ``keys`` if a table of ``entries`` exceeds the cap;
+    checked from the config, before anything is allocated."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"{keys}: {entries} product-table entries are "
+                          f"above the cap of {MAX_TABLE_ENTRIES}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     tag: str = "SO3"
@@ -121,6 +134,13 @@ class GroupoidSpec:
         if self.constructor == "action" and self.group_order % self.space_size:
             raise ConfigError(f"cyclic({self.group_order}) does not act on "
                               f"{self.space_size} points by translation")
+        # n objects give n^3 entries; each of the group_order * space_size
+        # arrows of an action has a row of group_order entries
+        if self.constructor == "pair":
+            _require_table_size("groupoid.size", self.size ** 3)
+        else:
+            _require_table_size("groupoid.group_order, groupoid.space_size",
+                                self.group_order ** 2 * self.space_size)
 
 
 MORPHISM_KINDS = ("auto", "coboundary", "homomorphism", "trivial")
@@ -206,6 +226,49 @@ class OutputSpec:
             value = getattr(self, name)
             _require(isinstance(value, str) and value != "", f"output.{name}",
                      "a file name", value)
+
+
+@dataclass(frozen=True)
+class HoloSpec:
+    """A bench-holo config; every key is optional."""
+
+    space_radius: float = 1.0
+    eta_max: float = 0.2
+    n_theta: int = 32
+    n_space: int = 9                # 3 at least: the centered differences
+    n_eta: int = 5
+    n_shells: int = 3
+    probe_center: tuple = (0.3, 0.05, 0.2, -0.05)
+    slope_hs: tuple = (1e-2, 5e-3, 2.5e-3)
+    seed: int = 0
+    report: str = "holo_report.json"
+
+    def __post_init__(self):
+        for name in ("space_radius", "eta_max"):
+            value = getattr(self, name)
+            _require(_is_number(value) and value > 0, name,
+                     "a finite positive number", value)
+        for name, least in (("n_theta", 1), ("n_space", 3), ("n_eta", 1),
+                            ("n_shells", 1)):
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= least, name,
+                     f"an integer >= {least}", value)
+        center = self.probe_center
+        _require(isinstance(center, (list, tuple)) and len(center) == 4
+                 and all(map(_is_number, center)), "probe_center",
+                 "four finite numbers", center)
+        hs = self.slope_hs
+        _require(isinstance(hs, (list, tuple))
+                 and all(_is_number(h) and h > 0 for h in hs)
+                 and len(set(hs)) >= 2, "slope_hs",
+                 "at least two distinct positive numbers", hs)
+        _require_seed("seed", self.seed)
+        _require(isinstance(self.report, str) and self.report != "", "report",
+                 "a file name", self.report)
+        # the real slice: n_theta rotations of n_shells * n_theta lattice
+        # points, each with a row of n_theta entries
+        _require_table_size("n_theta, n_shells",
+                            self.n_theta ** 3 * self.n_shells)
 
 
 @dataclass(frozen=True)

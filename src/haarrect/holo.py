@@ -151,21 +151,22 @@ def real_slice_consistency(model):
     """
     g = real_slice_groupoid(model)
     n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
-    if g.n_arrows != n * n_x or len(g.products) != n * n * n_x:
+    if g.n_arrows != n * n_x or g.table.shape != (n * n_x, n):
         return False
     gi, x = np.divmod(np.arange(g.n_arrows), n_x)
     m, j = np.divmod(x, n)
     if not (np.array_equal(g.source, x)
             and np.array_equal(g.target, m * n + (j + gi) % n)):
         return False
-    # the composition law on the full table: (h, g.x) . (g, x) = (hg, x),
-    # one block of n_x * n rows (the products of one h) at a time to keep
-    # the temporaries small
-    block = n_x * n
-    for start in range(0, len(g.products), block):
-        q, p, r = g.products[start:start + block].T
-        gp, xp = np.divmod(p, n_x)
-        if not np.array_equal(r, ((q // n_x + gp) % n) * n_x + xp):
+    # the composition law on the full table: the k-th arrow into the point
+    # y = (m, j) is (k, (m, j - k)), and (h, y) . (k, (m, j - k)) =
+    # (h + k, (m, j - k)); one block of rows (one h) at a time keeps the
+    # temporaries small
+    y, k = np.arange(n_x)[:, None], np.arange(n)
+    source_k = (y // n) * n + (y - k) % n
+    for h in range(n):
+        if not np.array_equal(g.table[h * n_x:(h + 1) * n_x],
+                              ((h + k) % n) * n_x + source_k):
             return False
     return True
 
@@ -175,16 +176,18 @@ def multipliable(model, zeta_q, zeta_p, z_p):
 
     The product is (zeta_q + zeta_p, z_p); it is excluded when the combined
     imaginary angle leaves the tube or when source or target of the product
-    leaves the ball.
+    leaves the ball.  Arguments broadcast; the result is a boolean array.
     """
-    zeta = zeta_q + zeta_p
-    if abs(np.imag(zeta)) >= model.eta_max:
-        return False
+    zeta = np.add(zeta_q, zeta_p)
     z1, z2 = z_p
-    if np.sqrt(abs(z1) ** 2 + abs(z2) ** 2) >= model.space_radius:
-        return False
     w1, w2 = rotate(zeta, z1, z2)
-    return bool(np.sqrt(abs(w1) ** 2 + abs(w2) ** 2) < model.space_radius)
+    return ((np.abs(np.imag(zeta)) < model.eta_max)
+            & (_norm(z1, z2) < model.space_radius)
+            & (_norm(w1, w2) < model.space_radius))
+
+
+def _norm(z1, z2):
+    return np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
 
 
 def core_pairs_never_excluded(model):
@@ -192,22 +195,14 @@ def core_pairs_never_excluded(model):
 
     Core arrows are (real angle node, target of the partner); partners run
     over all angle x eta nodes based at every lattice point that stays in
-    the ball.
+    the ball.  Axes: (shell, angle, partner angle, partner eta, core angle).
     """
-    for m in range(len(model.lattice_radii)):
-        for j in range(model.n_theta):
-            z = model.lattice_points[m, j]
-            z = (complex(z[0]), complex(z[1]))
-            for th in model.theta_nodes:
-                for eta in model.eta_nodes:
-                    zeta_p = th + 1j * eta
-                    w = rotate(zeta_p, *z)
-                    if np.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2) >= model.space_radius:
-                        continue  # partner itself not an arrow of the model
-                    for th_k in model.theta_nodes:
-                        if not multipliable(model, th_k, zeta_p, z):
-                            return False
-    return True
+    points = model.lattice_points.astype(complex)
+    z1, z2 = (points[:, :, i, None, None, None] for i in (0, 1))
+    theta = model.theta_nodes
+    zeta_p = (theta[:, None] + 1j * model.eta_nodes)[..., None]
+    partner = _norm(*rotate(zeta_p, z1, z2)) < model.space_radius
+    return bool(np.all(~partner | multipliable(model, theta, zeta_p, (z1, z2))))
 
 
 def grid_points(model):

@@ -333,9 +333,7 @@ def verify_core_morphism(phi, core, alg, full=False):
     the core pairs, which is what the averaging limit guarantees.
     """
     if full:
-        g = core.parent
-        q, p = g.products[:, 0], g.products[:, 1]
-        pairs = g.products[g.source[q] == g.target[p]]
+        pairs = core.parent.products
     else:
         pairs = core_pairs(core)
     # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity

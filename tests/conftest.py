@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from scipy.linalg import schur
 
+from haarrect.groupoids import FiniteGroupoid
 from haarrect.groups import AmbientSets, normalize_algebra_norm
 from haarrect.harness import ConstantsSpec, constants_for
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
+
+
+def with_products(g, products, inverse=None):
+    """``g`` with its product table rebuilt from ``(q, p, qp)`` rows (and
+    its inverse replaced, if given)."""
+    return FiniteGroupoid.from_products(
+        g.object_labels, g.arrow_labels, g.source, g.target, g.unit_arrows,
+        products, g.inverse if inverse is None else inverse)
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,13 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines."""
 
 import contextlib
-import dataclasses
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import with_products
 from haarrect.errors import CoreAxiomError, InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
@@ -292,7 +292,7 @@ def test_criterion_8_axiom_validators():
     bad_products = small.products.copy()
     row = np.flatnonzero((bad_products[:, 0] == q) & (bad_products[:, 1] == p))
     bad_products[row, 2] = 3 * 5 + 0
-    corrupted = dataclasses.replace(small, products=bad_products)
+    corrupted = with_products(small, bad_products)
     report = validate_groupoid(corrupted)
     ok = ok and not report.passed
     ok = ok and any(q in w and p in w for _, w in report.violations

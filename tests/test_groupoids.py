@@ -1,12 +1,15 @@
+
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import with_products
 from haarrect.errors import ActionError, CoreAxiomError, InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
+    FiniteGroupoid,
     ValidationReport,
     attach_haar_density,
     build_action_groupoid,
@@ -84,7 +87,7 @@ def test_pair_groupoid_counts():
 def test_multiply_looks_up_declared_pairs_only():
     g = build_pair_groupoid(tuple(range(4)))
     rng = np.random.default_rng(2)
-    shrunk = dataclasses.replace(g, products=g.products[rng.random(64) > 0.5])
+    shrunk = with_products(g, g.products[rng.random(64) > 0.5])
     table = {(q, p): qp for q, p, qp in shrunk.products.tolist()}
     q, p = np.divmod(np.arange(16 * 16), 16)
     expected = [table.get((a, b), -1) for a, b in zip(q.tolist(), p.tolist())]
@@ -100,7 +103,7 @@ def test_multiply_looks_up_declared_pairs_only():
 def test_unsorted_product_rows_rejected():
     g = build_pair_groupoid(tuple(range(2)))
     with pytest.raises(ValueError):
-        dataclasses.replace(g, products=g.products[::-1])
+        with_products(g, g.products[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_corrupted_compose_entry_detected():
     q, p = 2 * 3 + 1, 1 * 3 + 0
     bad_products = g.products.copy()
     bad_products[product_row(g, q, p), 2] = 2 * 3 + 2   # wrong source
-    bad = dataclasses.replace(g, products=bad_products)
+    bad = with_products(g, bad_products)
     report = validate_groupoid(bad)
     assert not report.passed
     kinds = {axiom for axiom, _ in report.violations}
@@ -136,7 +139,7 @@ def test_corrupted_entry_same_fiber_found_by_associativity():
     bad_products = g.products.copy()
     # right source/target shape is (2, 0); use (1, 0)
     bad_products[product_row(g, q, p), 2] = 1 * 3 + 0
-    bad = dataclasses.replace(g, products=bad_products)
+    bad = with_products(g, bad_products)
     report = validate_groupoid(bad)
     assert not report.passed
 
@@ -153,7 +156,7 @@ def test_mask_monotonicity():
     g = build_pair_groupoid(tuple(range(4)))
     rng = np.random.default_rng(5)
     keep = [rng.random() > 0.4 for _ in g.products]
-    shrunk = dataclasses.replace(g, products=g.products[keep])
+    shrunk = with_products(g, g.products[keep])
     report = validate_groupoid(shrunk)     # must not raise
     kinds = {axiom for axiom, _ in report.violations}
     assert "mask-composability" not in kinds
@@ -361,6 +364,86 @@ def test_action_products_match_definition(order, n_x, core):
     assert validate_groupoid(g).passed
 
 
+def two_components():
+    """pair({0, 1}) beside pair({2}): target fibers of widths 2, 2 and 1, so
+    the row of the arrow (2, 2) has one padding slot."""
+    source, target = np.array([0, 1, 0, 1, 2]), np.array([0, 0, 1, 1, 2])
+    arrow = lambda j, i: 4 if j == 2 else 2 * j + i
+    products = sorted((arrow(k, j), arrow(j, i), arrow(k, i))
+                      for k in range(2) for j in range(2) for i in range(2))
+    return FiniteGroupoid.from_products(
+        (0, 1, 2), ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)), source, target,
+        np.array([0, 3, 4]), products + [(4, 4, 4)], np.array([0, 2, 1, 3, 4]))
+
+
+def oracle_cases():
+    """(groupoid, (q, p, qp) rows by definition) for small pair and action
+    groupoids, the ragged cyclic(4)-on-5-points action and two_components."""
+    for n in range(1, 7):
+        g = build_pair_groupoid(tuple(range(n)))
+        yield g, pair_tables(n)[0]
+    for order, n_x in ((1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (4, 5)):
+        act = [[x if x == 4 else (x + a) % min(n_x, 4) for x in range(n_x)]
+               for a in range(order)]
+        g = build_action_groupoid(FiniteGroup.cyclic(order), tuple(range(n_x)),
+                                  lambda a, x: act[a][x])
+        yield g, action_tables(order, act, set())[0]
+    g = two_components()
+    yield g, g.products.tolist()
+
+
+@pytest.mark.parametrize("case", range(13))
+def test_multiply_matches_a_dict_oracle(case):
+    g, rows = list(oracle_cases())[case]
+    assert g.products.tolist() == [list(r) for r in rows]
+    rng = np.random.default_rng(case)
+    kept = [r for r in rows if rng.random() > 0.3]     # undeclared pairs
+    shrunk = with_products(g, kept)
+    table = {(q, p): qp for q, p, qp in kept}
+    n = g.n_arrows
+    # every pair, composable or not, in a random order, then random draws
+    q, p = np.divmod(rng.permutation(n * n), n)
+    q = np.concatenate([q, rng.integers(n, size=200)])
+    p = np.concatenate([p, rng.integers(n, size=200)])
+    expected = [table.get((a, b), -1) for a, b in zip(q.tolist(), p.tolist())]
+    assert shrunk.multiply(q, p).tolist() == expected
+    assert shrunk.products.tolist() == [list(r) for r in kept]
+
+
+def test_padding_slots_are_undeclared():
+    g = two_components()
+    assert g.table.shape == (5, 2)
+    assert g.table[4].tolist() == [4, -1]
+    assert validate_groupoid(g).passed
+    assert g.multiply([4, 4, 3], [4, 3, 4]).tolist() == [4, -1, -1]
+    table = g.table.copy()
+    table[4, 1] = 0
+    with pytest.raises(ValueError, match="padding"):
+        dataclasses.replace(g, table=table)
+
+
+def test_from_products_rejects_rows_without_a_slot():
+    g = build_pair_groupoid(tuple(range(2)))
+    rows = g.products.tolist()
+    with pytest.raises(ValueError, match="sorted"):
+        with_products(g, g.products[::-1])
+    with pytest.raises(ValueError, match="out of range"):
+        with_products(g, rows + [[4, 0, 0]])
+    # arrow 0 = (0, 0) starts at 0 and arrow 3 = (1, 1) ends at 1
+    with pytest.raises(ValueError, match=r"s\(q\) != t\(p\)"):
+        with_products(g, sorted(rows + [[0, 3, 0]]))
+    with pytest.raises(ValueError, match="out of range"):
+        dataclasses.replace(g, table=np.full_like(g.table, 4))
+    with pytest.raises(ValueError, match="widest target fiber"):
+        dataclasses.replace(g, table=g.table[:, :1])
+
+
+def test_products_is_a_read_only_view_of_the_table():
+    g = translation_groupoid(4, 2)
+    assert not g.products.flags.writeable
+    assert np.array_equal(with_products(g, g.products).table, g.table)
+
+
 def first_action_witness(group, n_x, action):
     """The first (a, b, x) with a.(b.x) != (ab).x, in loop order."""
     for a in range(group.order):
@@ -465,7 +548,7 @@ def corrupted(g, rng):
     for a in rng.integers(g.n_arrows, size=rng.integers(0, 2)):
         inverse[a] = rng.integers(g.n_arrows)
     keep = rng.random(len(products)) > rng.choice([0.0, 0.05, 0.3])
-    return dataclasses.replace(g, products=products[keep], inverse=inverse)
+    return with_products(g, products[keep], inverse)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -528,7 +611,7 @@ def test_core_with_repeated_image_names_the_arrow():
     products = g.products.copy()
     rows = [product_row(g, kp, k) for kp in fiber[:2]]
     products[rows[1], 2] = products[rows[0], 2]
-    bad = dataclasses.replace(g, products=products)
+    bad = with_products(g, products)
     assert loop_core_error(bad, range(9)) == ("fiber invertibility", k)
     with pytest.raises(CoreAxiomError) as err:
         build_core(bad, range(9))

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
 from haarrect import harness
-from haarrect.cli import main
+from haarrect.cli import HOLO_KEYS, main
 from haarrect.errors import (
     ActionError,
+    ConfigError,
     CoreAxiomError,
     DefectOverflow,
     InvarianceError,
@@ -27,6 +28,7 @@ from haarrect.harness import (
     EXIT_PRECONDITION,
     ExperimentConfig,
     GroupoidSpec,
+    HoloSpec,
     MorphismSpec,
     PerturbationSpec,
     _atomic_write,
@@ -128,6 +130,14 @@ def test_config_rejects_bad_radii():
     ({"morphism": {"kind": "weird"}},
      "morphism.kind must be one of auto, coboundary, homomorphism, trivial, "
      "not 'weird'"),
+    # sized before allocation: pair(3000) used to ask numpy for 603 GiB
+    ({"groupoid": {"size": 3000}},
+     "groupoid.size: 27000000000 product-table entries are above the cap of "
+     "10000000"),
+    ({"groupoid": {"size": 216}}, "groupoid.size: 10077696 product-table"),
+    ({"groupoid": {"constructor": "action", "group_order": 4000,
+                   "space_size": 1}},
+     "groupoid.group_order, groupoid.space_size: 16000000 product-table"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -156,6 +166,53 @@ def test_cli_bench_holo_rejects_unknown_key(tmp_path, capsys):
         assert err.startswith("error: ConfigError: ") and message in err
         assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["holo.json"]
+
+
+def test_size_cap_allows_pair_200_and_the_largest_action():
+    GroupoidSpec(size=200)              # 8 * 10^6 entries
+    GroupoidSpec(size=215)
+    GroupoidSpec(constructor="action", group_order=3162, space_size=1)
+    with pytest.raises(ConfigError):
+        GroupoidSpec(constructor="action", group_order=3162, space_size=2)
+
+
+@pytest.mark.parametrize("config, message", [
+    # these ended in a traceback with exit 1
+    ({"n_theta": 0}, "n_theta must be an integer >= 1, not 0"),
+    ({"n_space": 1}, "n_space must be an integer >= 3, not 1"),
+    ({"n_shells": 0}, "n_shells must be an integer >= 1, not 0"),
+    ({"n_theta": "x"}, "n_theta must be an integer >= 1, not 'x'"),
+    ({"eta_max": -1}, "eta_max must be a finite positive number, not -1"),
+    ({"probe_center": [1]}, "probe_center must be four finite numbers"),
+    # one step fitted a NaN slope and exited 4
+    ({"slope_hs": [0.01]},
+     "slope_hs must be at least two distinct positive numbers, not [0.01]"),
+    ({"slope_hs": [0.01, 0.01]}, "slope_hs must be at least two distinct"),
+    ({"n_eta": 2.5}, "n_eta must be an integer >= 1, not 2.5"),
+    ({"space_radius": "inf"}, "space_radius must be a finite positive number"),
+    ({"seed": -3}, "seed must be a non-negative integer, not -3"),
+    ({"report": ""}, "report must be a file name, not ''"),
+    ({"n_theta": 400}, "n_theta, n_shells: 192000000 product-table entries"),
+])
+def test_cli_bench_holo_rejects_bad_value_with_one_line_error(tmp_path, capsys,
+                                                               config, message):
+    path = tmp_path / "holo.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench-holo", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and message in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["holo.json"]
+
+
+def test_holo_spec_defaults_are_the_bundled_config():
+    with open(os.path.join(CONFIG_DIR, "holo_bench.json")) as fh:
+        config = json.load(fh)
+    assert tuple(config) == HOLO_KEYS
+    defaults = HoloSpec()
+    assert {key: getattr(defaults, key) for key in HOLO_KEYS} == {
+        key: tuple(v) if isinstance(v, list) else v for key, v in config.items()}
 
 
 def test_cli_run_core_axiom_violation_is_precondition(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import haarrect.holo as holo
+from conftest import with_products
 from haarrect.errors import GridError
 from haarrect.groups import QuadratureRule, haar_integrate
 from haarrect.holo import (
@@ -53,7 +55,7 @@ def test_real_slice_consistency_detects_a_wrong_product(small_model,
         g = build(model)
         products = g.products.copy()
         products[5, 2] = (products[5, 2] + 1) % g.n_arrows
-        return dataclasses.replace(g, products=products)
+        return with_products(g, products)
 
     assert real_slice_consistency(small_model)
     monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
@@ -74,10 +76,22 @@ def test_real_slice_consistency_checks_every_block(small_model, monkeypatch,
         g = build(model)
         products = g.products.copy()
         products[row[where], 2] = (products[row[where], 2] + 1) % g.n_arrows
-        return dataclasses.replace(g, products=products)
+        return with_products(g, products)
 
     monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
     assert not real_slice_consistency(small_model)
+
+
+def test_real_slice_check_memory_stays_below_12_mb():
+    # the fiber-indexed table of the 64-node slice is 12 288 x 64 entries
+    # (6.3 MB); a sorted (q, p, qp) row table with its keys peaked at 31 MB
+    tracemalloc.start()
+    try:
+        build_complexified_model(n_theta=64, n_space=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_rotation_action_diagonalizes(model):
@@ -104,6 +118,57 @@ def test_mask_excludes_escaping_radius(model):
 
 def test_core_pairs_never_excluded_exhaustive(small_model):
     assert core_pairs_never_excluded(small_model)
+
+
+def loop_multipliable(model, zeta_q, zeta_p, z_p):
+    """The domain mask of one pair, with scalar early exits."""
+    zeta = zeta_q + zeta_p
+    if abs(np.imag(zeta)) >= model.eta_max:
+        return False
+    z1, z2 = z_p
+    if np.sqrt(abs(z1) ** 2 + abs(z2) ** 2) >= model.space_radius:
+        return False
+    w1, w2 = rotate(zeta, z1, z2)
+    return bool(np.sqrt(abs(w1) ** 2 + abs(w2) ** 2) < model.space_radius)
+
+
+def loop_core_pairs_never_excluded(model):
+    """core_pairs_never_excluded as five nested loops over (shell, angle,
+    partner angle, partner eta, core angle)."""
+    for m in range(len(model.lattice_radii)):
+        for j in range(model.n_theta):
+            z = tuple(complex(c) for c in model.lattice_points[m, j])
+            for th in model.theta_nodes:
+                for eta in model.eta_nodes:
+                    zeta_p = th + 1j * eta
+                    w = rotate(zeta_p, *z)
+                    if np.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2) \
+                            >= model.space_radius:
+                        continue
+                    for th_k in model.theta_nodes:
+                        if not loop_multipliable(model, th_k, zeta_p, z):
+                            return False
+    return True
+
+
+@pytest.mark.parametrize("changes", [{}, {"eta_max": 0.1}, {"eta_max": 0.17},
+                                     {"space_radius": 0.6}])
+def test_domain_mask_matches_its_loop_form(small_model, changes):
+    # eta_max 0.1 lies inside the eta nodes (0.8 * 0.2), so core pairs
+    # leave the tube; a radius of 0.6 cuts through the lattice shells
+    model = dataclasses.replace(small_model, **changes)
+    assert core_pairs_never_excluded(model) == \
+        loop_core_pairs_never_excluded(model)
+    points = model.lattice_points.reshape(-1, 2).astype(complex)
+    zeta = model.theta_nodes[:, None] + 1j * model.eta_nodes
+    mask = multipliable(model, zeta[:, :, None, None],
+                        zeta[None, None, :, :],
+                        (points[:, 0, None, None, None, None],
+                         points[:, 1, None, None, None, None]))
+    expected = [[[[[loop_multipliable(model, a, b, tuple(z)) for b in row_b]
+                   for row_b in zeta] for a in row_a] for row_a in zeta]
+                for z in points]
+    assert mask.tolist() == expected
 
 
 def test_grid_contains_real_slice(model):
