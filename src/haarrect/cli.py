@@ -18,8 +18,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .errors import HaarrectError
-from .groups import ALGEBRA_OF, AmbientSets, estimate_bch_constants, \
-    normalize_algebra_norm
+from .groups import ALGEBRA_OF
 from .harness import (
     DEFAULT_OUT_ENV,
     EXIT_NUMERIC_DOMAIN,
@@ -27,7 +26,10 @@ from .harness import (
     EXIT_PRECONDITION,
     ConstantsSpec,
     ExperimentConfig,
+    GroupSpec,
     HoloSpec,
+    algebra_for,
+    constants_for,
     exit_code_for,
     read_json_config,
     run_experiment,
@@ -62,13 +64,9 @@ def _cmd_constants(args):
     spec = ConstantsSpec(sample_count=args.samples, safety_factor=args.safety,
                          W_radius=args.w_radius, K_radius=args.k_radius,
                          seed=args.seed)
-    alg = normalize_algebra_norm(ALGEBRA_OF[args.group], args.raw_norm)
-    constants = estimate_bch_constants(
-        alg, AmbientSets(spec.W_radius, spec.K_radius),
-        sample_count=spec.sample_count, safety_factor=spec.safety_factor,
-        seed=spec.seed,
-    )
-    print(json.dumps(asdict(constants), sort_keys=True, indent=2))
+    alg = algebra_for(GroupSpec(tag=args.group, raw_norm=args.raw_norm))
+    print(json.dumps(asdict(constants_for(alg, spec)), sort_keys=True,
+                     indent=2))
     return EXIT_PASS
 
 
@@ -76,6 +74,9 @@ def _cmd_constants(args):
 HOLO_KEYS = tuple(f.name for f in fields(HoloSpec))
 
 
+# a value that overflows shows as a failed threshold or a GridError (exit
+# 4), not also as a RuntimeWarning
+@np.errstate(all="ignore")
 def _cmd_bench_holo(args):
     spec = HoloSpec(**_check_keys(read_json_config(args.config), HoloSpec, ""))
     model = build_complexified_model(

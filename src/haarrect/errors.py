@@ -91,4 +91,5 @@ class NonContraction(HaarrectError):
 
 
 class GridError(HaarrectError):
-    """Grid is too small for the requested finite-difference stencil."""
+    """Grid cannot carry the samples: too few nodes for the stencil, a zero
+    spacing, or a non-finite sampled value."""

@@ -13,10 +13,11 @@ pair without a product, or one with s(q) != t(p), cannot be written down.
 its target fiber, guarded by s(q) = t(p).  ``products`` is a derived,
 read-only ``(n_pairs, 3)`` array of the declared ``(q, p, qp)`` rows in
 ``(q, p)`` order, and ``FiniteGroupoid.from_products`` builds a groupoid
-from such rows.  The constructors, validators and cores are array code
-over the table.  Cores and per-fiber normalized right-invariant weights
-follow, each with exhaustive axiom validators that return concrete
-witnesses on failure.
+from such rows.  A core keeps its arrows by source and its ``(k, p, kp)``
+pairs in one fiber order: arrow p, then the core fiber at t(p).  Weights
+are one array over the arrows, 0 off the core.  The constructors, cores
+and densities validate their axioms exhaustively, as array code, and name
+concrete witnesses on failure.
 """
 
 import itertools
@@ -172,12 +173,14 @@ class Core:
 
     parent: FiniteGroupoid
     arrow_subset: tuple
-    s_fibers: dict               # object -> tuple of core arrows with that source
-    pairs: np.ndarray            # (k, p, kp) rows, k in the core, s(k) = t(p)
-    s_proper: bool = True        # finite fibers, always proper in this model
+    by_source: tuple             # core arrows by source (order, start, width)
+    # (k, p, kp) rows, k in the core and s(k) = t(p), in (p, k) order: each
+    # arrow p, then the core fiber at t(p) in fiber order
+    pairs: np.ndarray
 
     def fiber_at(self, obj):
-        return self.s_fibers[obj]
+        order, start, width = self.by_source
+        return tuple(order[start[obj]:start[obj] + width[obj]].tolist())
 
 
 @dataclass(frozen=True)
@@ -185,17 +188,10 @@ class HaarDensity:
     """Per-fiber normalized right-invariant weights on a core."""
 
     core: Core
-    weights: dict                # core arrow -> weight
-    arrow_weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # (n_arrows,) weights, 0 off the core
-        dense = np.zeros(self.core.parent.n_arrows)
-        dense[list(self.weights)] = list(self.weights.values())
-        object.__setattr__(self, "arrow_weights", dense)
+    weights: np.ndarray          # (n_arrows,) weights, 0 off the core
 
     def weight(self, arrow):
-        return self.weights[arrow]
+        return float(self.weights[arrow])
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,14 @@ def _fiber_lists(obj_of, n_objects):
     return [order[s:s + w].tolist() for s, w in zip(start, width)]
 
 
-def _right_translations(pairs, in_core):
-    """Right multiplication by each core arrow c, from a core's (k, p, kp)
-    rows: the rows (k', c, k'c) with k' in the fiber at t(c), in (c, k')
-    order, as three columns."""
-    right = pairs[in_core[pairs[:, 1]]]
-    return right[np.argsort(right[:, 1], kind="stable")].T
+def _fiber_sums(values, order, start, width):
+    """np.sum over each fiber, bit for bit: fibers of one width are summed
+    as the rows of one block (add.reduceat would sum in sequence)."""
+    sums = np.empty(len(width))
+    for w in np.unique(width):
+        fibers = np.flatnonzero(width == w)
+        sums[fibers] = values[order[start[fibers, None] + np.arange(w)]].sum(1)
+    return sums
 
 
 def _first(mask):
@@ -429,8 +427,8 @@ def build_core(g, arrow_subset):
         is declared multipliable;
       * "fiber invertibility": right multiplication by each core arrow is a
         bijection between the source fibers at its target and at its source.
-    The (k, p, kp) rows of the no-escape check, in (k, p) order, are kept
-    as the core's pairs.
+    The (k, p, kp) rows of the no-escape check, in (p, k) order, are kept
+    as the core's pairs; a witness is the first failure in (k, p) order.
     """
     subset = np.array(sorted(set(arrow_subset)), dtype=np.intp)
     if not subset.size:
@@ -447,17 +445,20 @@ def build_core(g, arrow_subset):
     z = _first(fiber_width == 0)
     if z is not None:
         raise CoreAxiomError("Lie type", z)
-    fibers = {z: tuple(subset[fiber_order[a:a + w]].tolist())
-              for z, (a, w) in enumerate(zip(fiber_start, fiber_width))}
+    by_source = (subset[fiber_order], fiber_start, fiber_width)
 
-    k, p = _fiber_pairs(subset, s, *g.by_target)
+    p, k = _fiber_pairs(np.arange(n), t, *by_source)
     kp = g.table[k, g.position[p]]          # s(k) = t(p) on every pair
-    row = _first(kp < 0)
-    if row is not None:
+    escaped = np.flatnonzero(kp < 0)
+    if escaped.size:
+        row = escaped[np.lexsort((p[escaped], k[escaped]))[0]]
         raise CoreAxiomError("no escape", (int(k[row]), int(p[row])))
     pairs = np.stack([k, p, kp], axis=1)
 
-    kk, c, prod = _right_translations(pairs, in_core)
+    # right multiplication by each core arrow c: the rows (k', c, k'c) with
+    # k' in the fiber at t(c), in (c, k') order
+    right = in_core[p]
+    kk, c, prod = k[right], p[right], kp[right]
     escaped = _first(~in_core[prod])
     # c is a bijection of fibers iff its images are distinct and the two
     # fibers are equally wide
@@ -472,8 +473,8 @@ def build_core(g, arrow_subset):
     if first_c < n:
         raise CoreAxiomError("fiber invertibility", first_c)
 
-    return Core(parent=g, arrow_subset=tuple(subset.tolist()), s_fibers=fibers,
-                pairs=pairs)
+    return Core(parent=g, arrow_subset=tuple(subset.tolist()),
+                by_source=by_source, pairs=pairs)
 
 
 def attach_haar_density(core, weights="uniform"):
@@ -483,45 +484,40 @@ def attach_haar_density(core, weights="uniform"):
     Right invariance: for every core arrow k and every k' in the fiber at
     t(k), the weight of k'.k equals the weight of k' to 1e-14.
     """
-    g = core.parent
+    order, start, width = core.by_source
+    w = np.zeros(core.parent.n_arrows)
     if weights == "uniform":
-        w = {}
-        for z, fiber in core.s_fibers.items():
-            for a in fiber:
-                w[a] = 1.0 / len(fiber)
+        w[order] = np.repeat(1.0 / width, width)
     else:
         missing = [a for a in core.arrow_subset if a not in weights]
         if missing:
             raise ValueError(f"no weight for core arrow {missing[0]}")
-        w = {}
-        for z, fiber in core.s_fibers.items():
-            vals = np.array([float(weights[a]) for a in fiber])
-            if not np.all(np.isfinite(vals) & (vals >= 0)):
-                raise ValueError(f"negative or non-finite weight in fiber "
-                                 f"at object {z}")
-            total = vals.sum()
-            if total <= 0:
-                raise ValueError(f"fiber at object {z} has zero total weight")
-            for a, v in zip(fiber, vals / total):
-                w[a] = v
+        vals = np.array([float(weights[a]) for a in order.tolist()])
+        ok = np.isfinite(vals) & (vals >= 0)
+        w[order] = np.where(ok, vals, 0.0)
+        total = _fiber_sums(w, order, start, width)
+        bad = np.logical_or.reduceat(~ok, start)
+        z = _first(bad | (total <= 0))
+        if z is not None:
+            raise ValueError(f"negative or non-finite weight in fiber at "
+                             f"object {z}" if bad[z] else
+                             f"fiber at object {z} has zero total weight")
+        w[order] = vals / np.repeat(total, width)
 
-    for z, fiber in core.s_fibers.items():
-        total = float(np.sum([w[a] for a in fiber]))
-        if abs(total - 1.0) > FIBER_SUM_TOL:
-            raise InvarianceError(f"fiber sum at object {z} is {total!r}")
+    total = _fiber_sums(w, order, start, width)
+    z = _first(np.abs(total - 1.0) > FIBER_SUM_TOL)
+    if z is not None:
+        raise InvarianceError(f"fiber sum at object {z} is {float(total[z])!r}")
 
-    density = HaarDensity(core=core, weights=w)
-    w_of = density.arrow_weights
-    in_core = np.zeros(g.n_arrows, dtype=bool)
-    in_core[list(core.arrow_subset)] = True
-    kp, k, moved = _right_translations(core.pairs, in_core)
-    row = _first(np.abs(w_of[moved] - w_of[kp]) > FIBER_SUM_TOL)
+    in_core = np.bincount(order, minlength=len(w)) > 0
+    kp, k, moved = core.pairs[in_core[core.pairs[:, 1]]].T
+    row = _first(np.abs(w[moved] - w[kp]) > FIBER_SUM_TOL)
     if row is not None:
         a, b = int(moved[row]), int(kp[row])
         raise InvarianceError(
             f"weight not preserved by right translation: "
-            f"w({a}) = {w[a]!r} vs w({b}) = {w[b]!r}",
+            f"w({a}) = {float(w[a])!r} vs w({b}) = {float(w[b])!r}",
             witness=(b, int(k[row])),
         )
 
-    return density
+    return HaarDensity(core=core, weights=w)

@@ -465,6 +465,17 @@ _EPS_FLOOR_CPRIME = 1e-6   # |u+v| floor for the 0/0 c' ratio
 _EPS_FLOOR_PROD = 1e-8     # |u||v| and |v| floors for the c and c'' ratios
 
 
+def _bch_sample(alg, rng, count):
+    """u and v drawn in the unit ball, exp(u), log(exp(u) exp(v)) and
+    exp(u) exp(v) exp(-u): the sample both BCH routines measure."""
+    u = alg.sample_ball(rng, 1.0, count)
+    v = alg.sample_ball(rng, 1.0, count)
+    eu = _exp_matrices(alg, u)
+    euv = np.einsum("nij,njk->nik", eu, _exp_matrices(alg, v))
+    conj = np.einsum("nij,nkj->nik", euv, eu.conj())
+    return u, v, eu, _log_coords(alg, euv), conj
+
+
 def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
                            seed=0):
     """Estimate the seven contraction constants from seeded samples.
@@ -477,16 +488,9 @@ def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
     if sample_count < 1000:
         raise ValueError("sample_count must be >= 1000")
     rng = np.random.default_rng(seed)
-    u = alg.sample_ball(rng, 1.0, sample_count)
-    v = alg.sample_ball(rng, 1.0, sample_count)
+    u, v, eu, log_uv, conj = _bch_sample(alg, rng, sample_count)
     nu, nv = alg.norm(u), alg.norm(v)
 
-    eu = _exp_matrices(alg, u)
-    ev = _exp_matrices(alg, v)
-    euv = np.einsum("nij,njk->nik", eu, ev)
-    conj = np.einsum("nij,nkj->nik", euv, eu.conj())  # exp(u) exp(v) exp(-u)
-
-    log_uv = _log_coords(alg, euv)
     gap = alg.norm(log_uv - (u + v))
     nsum = alg.norm(u + v)
     nlog = alg.norm(log_uv)
@@ -550,15 +554,8 @@ def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
     inequality holds with room to spare).
     """
     n = sample_count or constants.sample_count
-    rng = np.random.default_rng(seed)
-    u = alg.sample_ball(rng, 1.0, n)
-    v = alg.sample_ball(rng, 1.0, n)
+    u, v, _, log_uv, conj = _bch_sample(alg, np.random.default_rng(seed), n)
     nu, nv = alg.norm(u), alg.norm(v)
-    eu = _exp_matrices(alg, u)
-    ev = _exp_matrices(alg, v)
-    euv = np.einsum("nij,njk->nik", eu, ev)
-    conj = np.einsum("nij,nkj->nik", euv, eu.conj())
-    log_uv = _log_coords(alg, euv)
 
     viol1 = np.max(alg.norm(log_uv - (u + v)) - constants.c * nu * nv)
     viol2 = np.max(alg.norm(log_uv) - constants.c_prime * alg.norm(u + v))

@@ -76,6 +76,12 @@ def _is_number(value):
             and abs(value) <= _FLOAT_MAX)
 
 
+def _is_file_name(value):
+    """A name for a file in the output directory: no directory part."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and "\0" not in value and os.path.basename(value) == value)
+
+
 def _require(ok, path, what, value):
     """ConfigError naming the key path unless ``ok``."""
     if not ok:
@@ -91,17 +97,18 @@ def _require_choice(path, value, choices):
     _require(value in choices, path, f"one of {', '.join(choices)}", value)
 
 
-# Largest product table (and full core) a config may ask for: pair(215), or
-# 10^7 pairs; pair(200) has 8 * 10^6.
+# Largest product table (and full core), bench-holo grid or eta node count
+# a config may ask for: pair(215) at most; pair(200) has 8 * 10^6 entries.
 MAX_TABLE_ENTRIES = 10 ** 7
+MAX_SAMPLE_COUNT = 10 ** 6      # constants samples; SO3 peaks near 840 MB
 
 
-def _require_table_size(keys, entries):
+def _require_table_size(keys, entries, what="product-table entries"):
     """ConfigError naming ``keys`` if a table of ``entries`` exceeds the cap;
     checked from the config, before anything is allocated."""
     if entries > MAX_TABLE_ENTRIES:
-        raise ConfigError(f"{keys}: {entries} product-table entries are "
-                          f"above the cap of {MAX_TABLE_ENTRIES}")
+        raise ConfigError(f"{keys}: {entries} {what} are above the cap of "
+                          f"{MAX_TABLE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,7 @@ class GroupSpec:
     raw_norm: str = "euclid"
 
     def __post_init__(self):
-        if self.tag not in ALGEBRA_OF:
+        if not (isinstance(self.tag, str) and self.tag in ALGEBRA_OF):
             raise ConfigError(f"group.tag: unknown group {self.tag!r} "
                               f"(one of {', '.join(ALGEBRA_OF)})")
         if self.raw_norm not in ("euclid", "frobenius"):
@@ -189,6 +196,9 @@ class ConstantsSpec:
         _require(_is_int(self.sample_count) and self.sample_count >= 1000,
                  "constants.sample_count", "an integer >= 1000",
                  self.sample_count)
+        _require(self.sample_count <= MAX_SAMPLE_COUNT,
+                 "constants.sample_count", f"at most {MAX_SAMPLE_COUNT}",
+                 self.sample_count)
         _require(_is_number(self.safety_factor) and self.safety_factor >= 1,
                  "constants.safety_factor", "a finite number >= 1",
                  self.safety_factor)
@@ -224,8 +234,8 @@ class OutputSpec:
     def __post_init__(self):
         for name in ("trace", "report"):
             value = getattr(self, name)
-            _require(isinstance(value, str) and value != "", f"output.{name}",
-                     "a file name", value)
+            _require(_is_file_name(value), f"output.{name}", "a file name",
+                     value)
 
 
 @dataclass(frozen=True)
@@ -263,12 +273,15 @@ class HoloSpec:
                  and len(set(hs)) >= 2, "slope_hs",
                  "at least two distinct positive numbers", hs)
         _require_seed("seed", self.seed)
-        _require(isinstance(self.report, str) and self.report != "", "report",
-                 "a file name", self.report)
+        _require(_is_file_name(self.report), "report", "a file name",
+                 self.report)
         # the real slice: n_theta rotations of n_shells * n_theta lattice
         # points, each with a row of n_theta entries
         _require_table_size("n_theta, n_shells",
                             self.n_theta ** 3 * self.n_shells)
+        # the rectangular grid has n_space^4 points, n_space made odd
+        _require_table_size("n_space", (self.n_space | 1) ** 4, "grid points")
+        _require_table_size("n_eta", self.n_eta, "eta nodes")
 
 
 @dataclass(frozen=True)
@@ -409,7 +422,7 @@ def build_density_from_config(core, density_spec):
         raise ConfigError("density.weights: expected a JSON object")
     try:
         weights = {int(k): float(v) for k, v in table.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"density.weights: {exc}") from exc
     try:
         return attach_haar_density(core, weights)

@@ -76,9 +76,9 @@ class SampledFunction:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("sampled values must be finite")
+            raise GridError("sampled values must be finite")
         if self.grid_spacing <= 0:
-            raise ValueError("grid spacing must be positive")
+            raise GridError("grid spacing must be positive")
 
 
 def rotate(zeta, z1, z2):
@@ -257,9 +257,11 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers):
     values = np.empty((n,) + Z1.shape[1:2] + Z2.shape[2:], dtype=complex)
 
     def work(share):
-        for slab in share:
-            z1 = Z1[slab]
-            values[slab] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+        # an overflow is reported once, as the GridError it leads to
+        with np.errstate(over="ignore", invalid="ignore"):
+            for slab in share:
+                z1 = Z1[slab]
+                values[slab] = f(z1 + 0 * Z2, Z2 + 0 * z1)
 
     n_workers = max(1, min(n_workers, len(slabs)))
     errors = [None] * n_workers
@@ -335,7 +337,7 @@ def sample_on_box(f, center, h, n=5):
 def cr_convergence_order(f, center, hs=(1e-2, 5e-3, 2.5e-3), n=5):
     """Least-squares log-log slope of the CR residual against h."""
     residuals = [cr_residual(sample_on_box(f, center, h, n=n), h=h) for h in hs]
-    logs_h = np.log(np.asarray(hs))
+    logs_h = np.log(np.asarray(hs, dtype=float))
     logs_r = np.log(np.asarray(residuals))
     slope = np.polyfit(logs_h, logs_r, 1)[0]
     return float(slope), residuals

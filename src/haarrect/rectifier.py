@@ -96,12 +96,6 @@ class IterationTrace:
         return float(np.sum(self.step_moves)) if self.step_moves else 0.0
 
 
-def core_pairs(core):
-    """Rows (k, p, kp) with k in the core and s(k) = t(p), in index order;
-    build_core enumerates them once and keeps them on the core."""
-    return core.pairs
-
-
 def _psi_stack(phi, pairs):
     """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
     one psi path of the defect, correction and verification.  Real targets
@@ -138,13 +132,12 @@ def _max_distance(alg, psi):
     return worst
 
 
-def defect(phi, core, alg, pairs=None):
+def defect(phi, core, alg):
     """Max distance of psi from the identity over the core pairs."""
-    pairs = core_pairs(core) if pairs is None else pairs
-    return _max_distance(alg, _psi_stack(phi, pairs))
+    return _max_distance(alg, _psi_stack(phi, core.pairs))
 
 
-def average_correction(phi, core, density, alg, max_defect=None, pairs=None):
+def average_correction(phi, core, density, alg, max_defect=None):
     """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)).
 
     The integration fiber for an arrow p is the core source fiber over
@@ -152,38 +145,34 @@ def average_correction(phi, core, density, alg, max_defect=None, pairs=None):
     matrices and their distances to the identity (exact for the radial
     realization: |exp(w)| = |w|).
     """
-    pairs = core_pairs(core) if pairs is None else np.asarray(pairs)
-    psi = _psi_stack(phi, pairs)
+    psi = _psi_stack(phi, core.pairs)
     if max_defect is not None:
         current = _max_distance(alg, psi)
         if current > max_defect:
             raise DefectTooLarge(current, max_defect)
-    return _correction(psi, pairs, density, alg, phi.n_arrows)
+    return _correction(psi, core, density, alg)
 
 
-def _correction(psi, pairs, density, alg, n_arrows):
+def _correction(psi, core, density, alg):
     """average_correction from the psi stack over the core pairs."""
-    # pair rows in (p, k) order: each arrow's fiber, in fiber order
-    order = np.argsort(pairs[:, 1], kind="stable")
-    logs = _log_coords(alg, psi)[order]
+    pairs = core.pairs
+    logs = _log_coords(alg, psi)
     bad = np.flatnonzero(alg.norm(logs) > alg.injectivity_margin)
     if bad.size:
-        k, p, _ = pairs[order[bad[0]]]
+        k, p, _ = pairs[bad[0]]
         raise LogDomainError(f"log psi({k}, {p}) outside injectivity margin")
-    weights = density.arrow_weights[pairs[order, 0]]
 
-    # Neumaier sums over fiber position, all arrows of one fiber width at
-    # once: per arrow the same additions in the same order as weighted_sum
-    width = np.bincount(pairs[:, 1], minlength=n_arrows)
-    start = np.cumsum(width) - width
-    avg_coords = np.zeros((n_arrows, alg.dim))
-    for w in np.unique(width[width > 0]):
-        arrows = np.flatnonzero(width == w)
-        rows = start[arrows, None] + np.arange(w)
-        acc = NeumaierSum(shape=(len(arrows), alg.dim))
-        for j in range(w):
-            acc.add(weights[rows[:, j], None] * logs[rows[:, j]])
-        avg_coords[arrows] = acc.value
+    # the pairs fill each arrow's row of an (n_arrows, widest fiber) table
+    # from the left; per arrow, the same additions in the same order as
+    # weighted_sum, then +0.0s, which leave a Neumaier sum's bits alone
+    width = core.by_source[2][core.parent.target]
+    terms = np.zeros((len(width), width.max(), alg.dim))
+    terms[np.arange(width.max()) < width[:, None]] = \
+        density.weights[pairs[:, 0], None] * logs
+    acc = NeumaierSum(shape=(len(width), alg.dim))
+    for j in range(terms.shape[1]):
+        acc.add(terms[:, j])
+    avg_coords = acc.value
     return _exp_matrices(alg, avg_coords), alg.norm(avg_coords)
 
 
@@ -230,9 +219,12 @@ def admissible_defect_radius(k):
         guards.append(1.0 / k.c_d)
     a2 = 2.0 * k.c * k.c_l * (k.d_prime * k.c_l + 2.0 * k.d_prime) / k.d_prime ** 2
     a3 = 2.0 * (k.c * k.c_l) ** 2 / k.d_prime ** 2
-    # q(C) <= C/2  <=>  a2*C + a3*C^2 <= 1/2
+    # q(C) <= C/2  <=>  a2*C + a3*C^2 <= 1/2; the root tends to 0 as the
+    # constants grow, and 0 stands for it where they overflow
+    disc = a2 * a2 + 2.0 * a3
     if a3 > 0:
-        guards.append((-a2 + np.sqrt(a2 * a2 + 2.0 * a3)) / (2.0 * a3))
+        guards.append((-a2 + np.sqrt(disc)) / (2.0 * a3) if disc < np.inf
+                      else 0.0)
     elif a2 > 0:
         guards.append(0.5 / a2)
     return float(min(guards))
@@ -249,8 +241,7 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
     defect as ``initial_defect``.
     """
     # one psi stack per map: its defect and, next step, its correction
-    pairs = core_pairs(core)
-    psi = _psi_stack(phi0, pairs)
+    psi = _psi_stack(phi0, core.pairs)
     delta = initial = _max_distance(alg, psi)
     try:
         admissible = admissible_defect_radius(constants)
@@ -286,8 +277,7 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
             # the averaging precondition, checked against the defect in hand
             if delta > 1.0 / constants.c_l:
                 raise DefectTooLarge(delta, 1.0 / constants.c_l)
-            corrections, a_norms = _correction(psi, pairs, density, alg,
-                                               phi.n_arrows)
+            corrections, a_norms = _correction(psi, core, density, alg)
             corr_norm = float(np.max(a_norms))
             phi_next = _apply_correction(phi, corrections, alg, sets,
                                          f"iterate {n + 1}")
@@ -298,7 +288,7 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
                                phi.values.conj().swapaxes(-1, -2),
                                phi_next.values)
             )))
-            psi = _psi_stack(phi_next, pairs)
+            psi = _psi_stack(phi_next, core.pairs)
             delta_next = _max_distance(alg, psi)
             qb = q_bound(delta, constants)
 
@@ -332,10 +322,7 @@ def verify_core_morphism(phi, core, alg, full=False):
     the parent groupoid (full morphism verification); otherwise only over
     the core pairs, which is what the averaging limit guarantees.
     """
-    if full:
-        pairs = core.parent.products
-    else:
-        pairs = core_pairs(core)
+    pairs = core.parent.products if full else core.pairs
     # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity
     return float(np.max(_distances_to_identity(alg, _psi_stack(phi, pairs)),
                         initial=0.0))

@@ -310,8 +310,8 @@ def test_criterion_8_axiom_validators():
     # non-invariant weights: witness pair actually violates invariance
     core = build_core(g3, tuple(range(9)))
     weights = {}
-    for z, fiber in core.s_fibers.items():
-        for w, a in zip((0.5, 0.3, 0.2), fiber):
+    for z in range(g3.n_objects):
+        for w, a in zip((0.5, 0.3, 0.2), core.fiber_at(z)):
             weights[a] = w
     try:
         attach_haar_density(core, weights)
@@ -319,7 +319,8 @@ def test_criterion_8_axiom_validators():
     except InvarianceError as err:
         kp, kk = err.witness
         moved = g3.compose(kp, kk)
-        norm = {z: sum(weights[a] for a in f) for z, f in core.s_fibers.items()}
+        norm = {z: sum(weights[a] for a in core.fiber_at(z))
+                for z in range(g3.n_objects)}
         wn = {a: weights[a] / norm[int(g3.source[a])] for a in range(9)}
         ok = ok and abs(wn[moved] - wn[kp]) > 1e-14
     _report(8, ok, "fault injections produce correct witnesses; "

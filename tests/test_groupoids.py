@@ -17,7 +17,6 @@ from haarrect.groupoids import (
     build_pair_groupoid,
     validate_groupoid,
 )
-from haarrect.rectifier import core_pairs
 
 
 def product_row(g, q, p):
@@ -170,7 +169,6 @@ def test_full_arrow_set_is_core_for_action_groupoid():
     g = translation_groupoid(3, 3)
     core = build_core(g, tuple(range(g.n_arrows)))
     assert all(len(core.fiber_at(z)) == 3 for z in range(3))
-    assert core.s_proper
 
 
 def test_missing_fiber_is_lie_type_violation():
@@ -219,7 +217,8 @@ def test_uniform_density_valid_and_normalized():
     for g in (translation_groupoid(3, 3), build_pair_groupoid(tuple(range(4)))):
         core = build_core(g, tuple(range(g.n_arrows)))
         mu = attach_haar_density(core, "uniform")
-        for z, fiber in core.s_fibers.items():
+        for z in range(g.n_objects):
+            fiber = core.fiber_at(z)
             assert abs(sum(mu.weight(a) for a in fiber) - 1.0) <= 1e-14
 
 
@@ -228,8 +227,8 @@ def test_incompatible_weights_rejected_with_witness():
     core = build_core(g, tuple(range(g.n_arrows)))
     # same (0.5, 0.3, 0.2) in raw arrow order in every fiber: not invariant
     weights = {}
-    for z, fiber in core.s_fibers.items():
-        for w, a in zip((0.5, 0.3, 0.2), fiber):
+    for z in range(g.n_objects):
+        for w, a in zip((0.5, 0.3, 0.2), core.fiber_at(z)):
             weights[a] = w
     with pytest.raises(InvarianceError) as err:
         attach_haar_density(core, weights)
@@ -255,7 +254,8 @@ def test_explicit_weights_renormalized():
     g = build_pair_groupoid(tuple(range(3)))
     core = build_core(g, tuple(range(g.n_arrows)))
     mu = attach_haar_density(core, {a: 2.0 for a in range(g.n_arrows)})
-    for z, fiber in core.s_fibers.items():
+    for z in range(g.n_objects):
+        fiber = core.fiber_at(z)
         assert abs(sum(mu.weight(a) for a in fiber) - 1.0) <= 1e-14
 
 
@@ -265,7 +265,7 @@ def test_dense_weights_match_the_mapping_and_vanish_off_the_core():
     shifted = {a: (1.0, 3.0)[(a % 2 + a // 2) % 2] for a in core.arrow_subset}
     for weights in ("uniform", shifted):
         mu = attach_haar_density(core, weights)
-        dense = mu.arrow_weights
+        dense = mu.weights
         assert dense.shape == (g.n_arrows,)
         for a in range(g.n_arrows):
             expected = mu.weight(a) if a in core.arrow_subset else 0.0
@@ -305,6 +305,11 @@ def test_pair_groupoid_always_validates(n):
 # the product table against enumerations written from the definitions
 # ---------------------------------------------------------------------------
 
+def by_p(pairs):
+    """Core pair rows in the core's (p, k) order."""
+    return sorted(pairs, key=lambda row: (row[1], row[0]))
+
+
 def pair_tables(n):
     """Products, inverses and full-core pairs of pair(n) by definition:
     arrows (j, i) at j*n + i, (k, j).(j, i) = (k, i), (j, i)^-1 = (i, j)."""
@@ -339,7 +344,7 @@ def test_pair_products_match_definition(n):
     assert g.products.tolist() == [list(r) for r in products]
     assert g.inverse.tolist() == inverse
     core = build_core(g, tuple(range(g.n_arrows)))
-    assert core_pairs(core).tolist() == [list(r) for r in pairs]
+    assert core.pairs.tolist() == [list(r) for r in by_p(pairs)]
 
 
 @pytest.mark.parametrize("order, n_x, core", [
@@ -360,7 +365,7 @@ def test_action_products_match_definition(order, n_x, core):
     products, inverse, pairs = action_tables(order, act, set(core))
     assert g.products.tolist() == [list(r) for r in products]
     assert g.inverse.tolist() == inverse
-    assert core_pairs(build_core(g, core)).tolist() == [list(r) for r in pairs]
+    assert build_core(g, core).pairs.tolist() == [list(r) for r in by_p(pairs)]
     assert validate_groupoid(g).passed
 
 
@@ -481,7 +486,7 @@ def test_pair_100_core_pairs_fit_in_memory():
     g = build_pair_groupoid(tuple(range(100)))
     assert g.n_arrows == 10 ** 4
     core = build_core(g, tuple(range(g.n_arrows)))
-    pairs = core_pairs(core)
+    pairs = core.pairs
     assert pairs.shape == (10 ** 6, 3)
     # (k, j).(j, i) = (k, i) on every row
     k, j = np.divmod(pairs[:, 0], 100)
@@ -626,7 +631,8 @@ def test_invariance_witness_matches_loop_form(seed):
     weights = {a: float(rng.integers(1, 3)) for a in range(g.n_arrows)}
     with pytest.raises(InvarianceError) as err:
         attach_haar_density(core, weights)
-    total = {z: sum(weights[a] for a in f) for z, f in core.s_fibers.items()}
+    total = {z: sum(weights[a] for a in core.fiber_at(z))
+             for z in range(g.n_objects)}
     w = {a: weights[a] / total[int(g.source[a])] for a in weights}
     expected = next((kp, k) for k in core.arrow_subset
                     for kp in core.fiber_at(int(g.target[k]))

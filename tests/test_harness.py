@@ -138,6 +138,17 @@ def test_config_rejects_bad_radii():
     ({"groupoid": {"constructor": "action", "group_order": 4000,
                    "space_size": 1}},
      "groupoid.group_order, groupoid.space_size: 16000000 product-table"),
+    # an unhashable tag ended in a TypeError traceback with exit 1
+    ({"group": {"tag": [0]}}, "group.tag: unknown group [0]"),
+    ({"group": {"tag": {}}}, "group.tag: unknown group {}"),
+    # 10^9 samples ended in numpy's _ArrayMemoryError under a 3 GB limit
+    ({"constants": {"sample_count": 10 ** 9}},
+     "constants.sample_count must be at most 1000000, not 1000000000"),
+    # these ended in a FileNotFoundError and an OverflowError traceback
+    ({"output": {"trace": "a/b.csv"}},
+     "output.trace must be a file name, not 'a/b.csv'"),
+    ({"density": {"weights": {"0": 10 ** 400}}},
+     "density.weights: int too large to convert to float"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -193,17 +204,38 @@ def test_size_cap_allows_pair_200_and_the_largest_action():
     ({"seed": -3}, "seed must be a non-negative integer, not -3"),
     ({"report": ""}, "report must be a file name, not ''"),
     ({"n_theta": 400}, "n_theta, n_shells: 192000000 product-table entries"),
+    # these ended in numpy's _ArrayMemoryError under a 3 GB limit
+    ({"n_space": 201}, "n_space: 1632240801 grid points are above the cap"),
+    ({"n_eta": 2 ** 40}, "n_eta: 1099511627776 eta nodes are above the cap"),
+    # a valid radius whose grid values overflow: a numeric domain error,
+    # where a ValueError traceback ended the run
+    ({"space_radius": 1e308}, "sampled values must be finite"),
 ])
 def test_cli_bench_holo_rejects_bad_value_with_one_line_error(tmp_path, capsys,
                                                                config, message):
     path = tmp_path / "holo.json"
     path.write_text(json.dumps(config))
+    code, kind = EXIT_PRECONDITION, "ConfigError"
+    if config == {"space_radius": 1e308}:
+        code, kind = EXIT_NUMERIC_DOMAIN, "GridError"
     assert main(["bench-holo", "--config", str(path),
-                 "--out", str(tmp_path)]) == EXIT_PRECONDITION
+                 "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError: ") and message in err
+    assert err.startswith(f"error: {kind}: ") and message in err
     assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["holo.json"]
+
+
+def test_sample_and_grid_caps_allow_their_boundary():
+    harness.ConstantsSpec(sample_count=harness.MAX_SAMPLE_COUNT)
+    HoloSpec(n_space=55)                # 55^4 grid points
+    HoloSpec(n_eta=harness.MAX_TABLE_ENTRIES)
+    with pytest.raises(ConfigError):
+        harness.ConstantsSpec(sample_count=harness.MAX_SAMPLE_COUNT + 1)
+    # an even n_space is made odd: 56 gives 57^4 points
+    for spec in ({"n_space": 56}, {"n_eta": harness.MAX_TABLE_ENTRIES + 1}):
+        with pytest.raises(ConfigError):
+            HoloSpec(**spec)
 
 
 def test_holo_spec_defaults_are_the_bundled_config():
@@ -575,6 +607,7 @@ def test_cli_constants(capsys):
     (["--safety", "0.5"], "constants.safety_factor must be a finite number >= 1"),
     (["--seed", "-1"], "constants.seed must be a non-negative integer"),
     (["--w-radius", "nan"], "constants.W_radius must be a finite number"),
+    (["--samples", str(10 ** 9)], "constants.sample_count must be at most"),
 ])
 def test_cli_constants_rejects_bad_flags_with_one_line_error(capsys, flags,
                                                               message):

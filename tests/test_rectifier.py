@@ -32,6 +32,7 @@ from haarrect.harness import (
     generate_exact_morphism,
     perturb_morphism,
 )
+from haarrect import rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
     _correction,
@@ -40,7 +41,6 @@ from haarrect.rectifier import (
     admissible_defect_radius,
     almost_morphism,
     average_correction,
-    core_pairs,
     correct_once,
     defect,
     defect_element,
@@ -76,7 +76,7 @@ def test_psi_identity_for_exact_morphism(algebras):
     g = build_pair_groupoid(tuple(range(3)))
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
-    for k, p, kp in core_pairs(core):
+    for k, p, kp in core.pairs:
         psi = defect_element(phi, core, k, p)
         assert np.abs(psi.matrix - np.eye(3)).max() < 1e-14
 
@@ -86,7 +86,7 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     g = build_pair_groupoid(tuple(range(3)))
     core = full_core(g)
     phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), "SU2", alg)
-    for k, p, kp in core_pairs(core)[:5]:
+    for k, p, kp in core.pairs[:5]:
         psi = defect_element(phi, core, k, p)
         assert np.array_equal(psi.matrix, np.eye(2, dtype=complex))
 
@@ -145,7 +145,7 @@ def test_central_right_translation_law(algebras):
     phi = coboundary(g, alg, seed=3)
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
     phi_z = almost_morphism(phi.values @ z, "SU2", alg)
-    for k, p, kp in core_pairs(core)[:6]:
+    for k, p, kp in core.pairs[:6]:
         psi = defect_element(phi, core, k, p).matrix
         psi_z = defect_element(phi_z, core, k, p).matrix
         assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
@@ -300,7 +300,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
 
     # reference: the per-arrow compensated sum over the fiber, in fiber
     # order, of the same batched logs
-    pairs = core_pairs(core)
+    pairs = core.pairs
     logs = _log_coords(alg, _psi_stack(phi, pairs))
     log_of = {(int(k), int(p)): v for (k, p, _), v in zip(pairs, logs)}
     ref = np.array([
@@ -312,6 +312,54 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     corrections, norms = average_correction(phi, core, mu, alg)
     assert np.array_equal(norms, alg.norm(ref))
     assert np.array_equal(corrections, _exp_matrices(alg, ref))
+
+
+def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
+                                                           monkeypatch):
+    # the core of the ragged test above, in SU2; on the narrow fibers (the
+    # fixed point) every psi is a turn about the third axis whose first two
+    # log coordinates are -0.0, so their plain fiber sum is -0.0, while the
+    # compensated sum is +0.0; the padding after those fibers must keep it
+    alg = algebras["SU2"]
+    g = build_action_groupoid(FiniteGroup.cyclic(4), tuple(range(5)),
+                              lambda a, x: x if x == 4 else (x + a) % 4)
+    core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
+                      + [4, 14])
+    mu = attach_haar_density(
+        core, {a: 1.0 + int(g.target[a]) for a in core.arrow_subset})
+    pairs = core.pairs
+    rng = np.random.default_rng(43)
+    psi = _exp_matrices(alg, alg.sample_ball(rng, 0.02, len(pairs)))
+    narrow = g.target[pairs[:, 1]] == 4
+    half = 0.01 * rng.random(narrow.sum())
+    psi[narrow] = 0.0
+    psi[narrow, 0, 0] = np.exp(0.5j * half)
+    psi[narrow, 1, 1] = np.exp(-0.5j * half)
+    psi[narrow, 0, 1] = complex(-0.0, -0.0)
+    psi[narrow, 1, 0] = complex(0.0, -0.0)
+    logs = _log_coords(alg, psi)
+    assert np.all(np.signbit(logs[narrow, :2]))
+    terms = mu.weights[pairs[:, 0], None] * logs
+    first, second = terms[pairs[:, 1] == 4]     # arrow 4's fiber of two
+    assert np.all(np.signbit((first + second)[:2]))
+
+    ref = np.array([weighted_sum(mu.weights[pairs[rows, 0]], logs[rows])
+                    for p in range(g.n_arrows)
+                    for rows in [pairs[:, 1] == p]])
+    assert not np.any(np.signbit(ref[g.target == 4, :2]))
+    # exp and the norm do not show the sign of a zero coordinate, so the
+    # averaged coordinates are also caught on their way into exp
+    seen = []
+
+    def exp_spy(alg, coords):
+        seen.append(coords.copy())
+        return _exp_matrices(alg, coords)
+
+    monkeypatch.setattr(rectifier, "_exp_matrices", exp_spy)
+    corrections, norms = _correction(psi, core, mu, alg)
+    assert seen[0].tobytes() == ref.tobytes()
+    assert norms.tobytes() == alg.norm(ref).tobytes()
+    assert corrections.tobytes() == _exp_matrices(alg, ref).tobytes()
 
 
 def test_average_precondition_enforced(algebras):
@@ -426,7 +474,7 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
                 np.eye(3, dtype=complex),
                 np.linalg.inv(current.values[p]) @ np.linalg.inv(current.values[kk])
                 @ current.values[kp], alg)
-            for kk, p, kp in core_pairs(core)
+            for kk, p, kp in core.pairs
         )
         assert abs(brute - trace.deltas[n]) < 1e-13
         current = correct_once(current, core, mu, alg)
@@ -498,7 +546,7 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
     # partial trace attached
     alg, k = algebras["SO3"], constants["SO3"]
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=20, eps=0.012)
-    bad = HaarDensity(core=core, weights={a: 60.0 for a in core.arrow_subset})
+    bad = HaarDensity(core=core, weights=np.full(g.n_arrows, 60.0))
     with pytest.raises(NonContraction) as err:
         iterate(phi, core, bad, alg, k, sets=None)
     assert err.value.trace is not None
@@ -539,7 +587,7 @@ def harness_cases(algebras):
 
 def test_real_psi_stack_matches_complex_product(algebras):
     for alg, g, core, phi in harness_cases(algebras):
-        pairs = core_pairs(core)
+        pairs = core.pairs
         psi = _psi_stack(phi, pairs)
         assert psi.dtype == np.float64
         assert np.abs(psi - complex_psi(phi, pairs)).max() <= 1e-15
@@ -551,13 +599,12 @@ def test_real_psi_stack_matches_complex_product(algebras):
 
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
     for alg, g, core, phi in harness_cases(algebras):
-        pairs = core_pairs(core)
+        pairs = core.pairs
         psi_c = complex_psi(phi, pairs)
         assert abs(defect(phi, core, alg) - _max_distance(alg, psi_c)) <= 1e-15
         mu = attach_haar_density(core, "uniform")
-        corr, norms = _correction(_psi_stack(phi, pairs), pairs, mu, alg,
-                                  phi.n_arrows)
-        corr_c, norms_c = _correction(psi_c, pairs, mu, alg, phi.n_arrows)
+        corr, norms = _correction(_psi_stack(phi, pairs), core, mu, alg)
+        corr_c, norms_c = _correction(psi_c, core, mu, alg)
         assert np.abs(corr - corr_c).max() <= 1e-15
         assert np.abs(norms - norms_c).max() <= 1e-15
         q, p = g.products[:, 0], g.products[:, 1]
