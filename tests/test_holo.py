@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import signal
 import threading
 import tracemalloc
 
@@ -297,10 +299,45 @@ def test_worker_exception_reaches_the_caller(small_model, failing_slab):
             raise SlabFailure(failing_slab)
         return z1 * z2
 
+    product = lambda z1, z2: z1 * z2
+    expected = holo._sample_slabs(product, Z1, Z2, 1, 1).tobytes()
+    holo._sample_slabs(product, Z1, Z2, 1, 3)       # starts the workers
     before = threading.active_count()
     with pytest.raises(SlabFailure):
         holo._sample_slabs(f, Z1, Z2, 1, 3)
     assert threading.active_count() == before
+    # the workers are free for the next call
+    assert holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes() == expected
+    assert threading.active_count() == before
+
+
+def test_sampling_inside_a_worker_runs_there(small_model):
+    # a worker that handed slabs to the workers would wait on itself
+    Z1, Z2 = holo.grid_points(small_model)
+    product = lambda z1, z2: z1 * z2
+
+    def f(z1, z2):
+        holo._sample_slabs(product, Z1, Z2, 1, 3)
+        return product(z1, z2)
+
+    expected = holo._sample_slabs(product, Z1, Z2, 1, 1).tobytes()
+    assert holo._sample_slabs(f, Z1, Z2, 1, 3).tobytes() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_workers(small_model):
+    Z1, Z2 = holo.grid_points(small_model)
+    product = lambda z1, z2: z1 * z2
+    expected = holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        # the parent's workers do not exist here; waiting on them would
+        # hang, so the alarm ends the child
+        signal.alarm(30)
+        same = holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes() == expected
+        os._exit(0 if same else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ---------------------------------------------------------------------------
