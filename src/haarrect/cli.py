@@ -31,6 +31,7 @@ from .harness import (
     algebra_for,
     constants_for,
     exit_code_for,
+    output_dir,
     read_json_config,
     run_experiment,
     validate_config,
@@ -48,13 +49,9 @@ from .holo import (
 import numpy as np
 
 
-def _default_out(args):
-    return args.out or os.environ.get(DEFAULT_OUT_ENV, ".")
-
-
 def _cmd_run(args):
     config = ExperimentConfig.from_json(args.config)
-    report, code = run_experiment(config, out_dir=_default_out(args))
+    report, code = run_experiment(config, out_dir=args.out)
     print(report.to_json())
     return code
 
@@ -79,6 +76,7 @@ HOLO_KEYS = tuple(f.name for f in fields(HoloSpec))
 @np.errstate(all="ignore")
 def _cmd_bench_holo(args):
     spec = HoloSpec(**_check_keys(read_json_config(args.config), HoloSpec, ""))
+    out_dir = output_dir(args.out)
     model = build_complexified_model(
         space_radius=spec.space_radius,
         eta_max=spec.eta_max,
@@ -130,8 +128,6 @@ def _cmd_bench_holo(args):
         "pass": bool(invariant_err <= 1e-13 and mode_residual <= 1e-13
                      and slope >= 1.9 and restriction <= 1e-13),
     }
-    out_dir = _default_out(args)
-    os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, spec.report),
                   json.dumps(results, sort_keys=True, indent=2) + "\n")
     print(json.dumps(results, sort_keys=True, indent=2))

@@ -3,9 +3,9 @@
 Supported groups are U(1), SO(2), SO(3) and SU(2) in their defining
 representations, plus uniform averaging over finite element lists.  The
 module provides exp/log between a normed Lie algebra and the group, the
-left-invariant distance, Haar quadrature, and empirical estimation of the
-constants (c, c', c'', d, d', c_l, c_d) that drive the quadratic
-contraction certificate of the averaging iteration.
+left-invariant distance, Haar quadrature, and the constants
+(c, c', c'', d, d', c_l, c_d) of the quadratic contraction certificate of
+the averaging iteration: sampled, except the closed-form c_l and c_d.
 
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases listed in
@@ -16,7 +16,8 @@ Conventions fixed here and relied on everywhere else:
     unit axis of the skew part;
   * the norm on the algebra is ``scale * raw_norm`` and the group distance
     is ``|log(g^-1 h)|`` in that norm (left translation of the norm);
-  * exp of the exact zero vector returns the exact identity matrix.
+  * exp of the exact zero vector returns the exact identity matrix;
+  * SO(2) and SO(3) matrices are float64, U(1) and SU(2) matrices complex.
 """
 
 from dataclasses import dataclass
@@ -64,16 +65,16 @@ _INJ_SAFETY = 0.99
 
 
 def algebra_basis(algebra_id):
-    """Ordered basis matrices of the algebra, shape (dim, n, n) complex."""
+    """Ordered basis matrices of the algebra, shape (dim, n, n)."""
     if algebra_id == "u1":
         return np.array([[[1j]]])
     if algebra_id == "so2":
-        return np.array([[[0.0, -1.0], [1.0, 0.0]]], dtype=complex)
+        return np.array([[[0.0, -1.0], [1.0, 0.0]]])
     if algebra_id == "so3":
         lx = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
         ly = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
         lz = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-        return np.array([lx, ly, lz], dtype=complex)
+        return np.array([lx, ly, lz], dtype=float)
     if algebra_id == "su2":
         s1 = np.array([[0, 1], [1, 0]], dtype=complex)
         s2 = np.array([[0, -1j], [1j, 0]])
@@ -85,24 +86,6 @@ def algebra_basis(algebra_id):
 def coords_to_matrix(algebra_id, coords):
     coords = np.asarray(coords, dtype=float)
     return np.tensordot(coords, algebra_basis(algebra_id), axes=(-1, 0))
-
-
-def matrix_to_coords(algebra_id, X):
-    """Exact linear extraction of coordinates from an algebra matrix."""
-    if algebra_id == "u1":
-        return np.asarray(X)[..., 0, 0].imag[..., None]
-    if algebra_id == "so2":
-        return np.asarray(X)[..., 1, 0].real[..., None]
-    if algebra_id == "so3":
-        return np.stack(
-            [X[..., 2, 1].real, X[..., 0, 2].real, X[..., 1, 0].real], axis=-1
-        )
-    if algebra_id == "su2":
-        return np.stack(
-            [2 * X[..., 0, 1].imag, 2 * X[..., 0, 1].real, 2 * X[..., 0, 0].imag],
-            axis=-1,
-        )
-    raise ValueError(f"unknown algebra_id {algebra_id!r}")
 
 
 def bracket_coords(algebra_id, u, v):
@@ -194,31 +177,35 @@ class NormedAlgebra:
     def matrix_dim(self):
         return MATRIX_DIM[self.algebra_id]
 
+    @property
+    def factor(self):
+        """The normalized norm over the Euclidean coordinate norm."""
+        return self.scale * _RAW_FACTOR[(self.algebra_id, self.raw_norm)]
+
     def norm(self, coords):
         """Normalized norm of coordinate vector(s); last axis is coords."""
         c = np.asarray(coords, dtype=float)
-        factor = self.scale * _RAW_FACTOR[(self.algebra_id, self.raw_norm)]
-        return factor * np.linalg.norm(c, axis=-1)
+        return self.factor * np.linalg.norm(c, axis=-1)
 
     def sample_ball(self, rng, radius, count):
         """Uniform sample in the normalized-norm ball of the given radius."""
         dim = self.dim
-        factor = self.scale * _RAW_FACTOR[(self.algebra_id, self.raw_norm)]
         x = rng.normal(size=(count, dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         r = radius * rng.random(count) ** (1.0 / dim)
-        return (r / factor)[:, None] * x
+        return (r / self.factor)[:, None] * x
 
 
 @dataclass(frozen=True)
 class BchConstants:
     """Sampled upper bounds for the contraction-certificate constants.
 
-    c, c', c'' and c_l are safety_factor times the empirical maximum of
-    their ratio over the sample.  d and d' are the empirical extremes of the
-    radial expansion ratio of exp and are deliberately not inflated: d is a
-    lower bound, and inflating the pair would invalidate the d/d' check.
-    c_d is K_radius - W_radius exactly (both sets are metric balls).
+    c, c' and c'' are safety_factor times the empirical maximum of their
+    ratio over the sample, and c_l is safety_factor times sup |Ad_h| = 1.
+    d and d' are the empirical extremes of the radial expansion ratio of exp
+    and are deliberately not inflated: d is a lower bound, and inflating the
+    pair would invalidate the d/d' check.  c_d is K_radius - W_radius
+    exactly (both sets are metric balls).
     """
 
     c: float
@@ -261,7 +248,8 @@ class AmbientSets:
 # ---------------------------------------------------------------------------
 
 def _exp_matrices(alg, coords):
-    """Batched exp: (n_batch, dim) coords -> (n_batch, n, n) group matrices.
+    """Batched exp: (n_batch, dim) coords -> (n_batch, n, n) group matrices,
+    float64 for so2/so3 and complex for u1/su2.
 
     With theta = |coords| and n the unit axis: exp(i theta) (u1), the
     rotation by theta (so2), Rodrigues I + sin(theta) K + 2 sin^2(theta/2) K^2
@@ -277,22 +265,20 @@ def _exp_matrices(alg, coords):
         G = np.exp(1j * coords)[..., None]
     elif aid == "so2":
         c, s = np.cos(coords[:, 0]), np.sin(coords[:, 0])
-        G = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+        G = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
     else:
         # hypot keeps theta, and so the axis, exact for subnormal coords
         theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
         axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
                          where=theta[:, None] > 0.0)
-        basis = algebra_basis(aid)
+        K = coords_to_matrix(aid, axis)
         if aid == "so3":
             # K^2 = n n^T - I for a unit axis n
-            K = np.tensordot(axis, basis.real, axes=(-1, 0))
             v = 2.0 * np.sin(0.5 * theta) ** 2
             G = (np.eye(3) + np.sin(theta)[:, None, None] * K
                  + v[:, None, None] * (axis[:, :, None] * axis[:, None, :]
-                                       - np.eye(3))).astype(complex)
+                                       - np.eye(3)))
         else:
-            K = np.tensordot(axis, basis, axes=(-1, 0))
             G = (np.cos(0.5 * theta)[:, None, None] * np.eye(2)
                  + (2.0 * np.sin(0.5 * theta))[:, None, None] * K)
     # exact-zero fast path: zero vectors must exponentiate to the exact identity
@@ -393,8 +379,7 @@ def _log_coords(alg, mats):
 
 
 def _distances_to_identity(alg, mats):
-    factor = alg.scale * _RAW_FACTOR[(alg.algebra_id, alg.raw_norm)]
-    return factor * _angles_from_matrices(alg, mats)
+    return alg.factor * _angles_from_matrices(alg, mats)
 
 
 def left_distance(g, h, alg):
@@ -480,9 +465,9 @@ def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
                            seed=0):
     """Estimate the seven contraction constants from seeded samples.
 
-    The three BCH ratios and the adjoint distortion are reported as
-    safety_factor times their empirical maximum over the sample; d and d'
-    are the raw empirical extremes of |exp(u)| / |u|; c_d is the closed-form
+    The three BCH ratios are reported as safety_factor times their
+    empirical maximum over the sample; d and d' are the raw empirical
+    extremes of |exp(u)| / |u|; c_l is safety_factor and c_d the closed-form
     gap between the two ambient balls.  Deterministic for a given seed.
     """
     if sample_count < 1000:
@@ -511,40 +496,21 @@ def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
     ratios = nexp[keep_r] / nu[keep_r]
     d_emp, dp_emp = float(ratios.min()), float(ratios.max())
 
-    c_l_emp = _adjoint_distortion_max(alg, sets, rng, min(sample_count, 512))
-    c_d = sets.K_radius - sets.W_radius
-
     return BchConstants(
         c=safety_factor * c_emp,
         c_prime=safety_factor * cp_emp,
         c_dprime=safety_factor * cdd_emp,
         d=d_emp,
         d_prime=dp_emp,
-        c_l=safety_factor * c_l_emp,
-        c_d=c_d,
+        # Ad_h is a rotation (so3, su2) or the identity (u1, so2) in
+        # Euclidean coordinates, and every supported norm is a multiple of
+        # those, so sup |Ad_h| is exactly 1
+        c_l=safety_factor,
+        c_d=sets.K_radius - sets.W_radius,
         sample_count=sample_count,
         safety_factor=safety_factor,
         excluded_fraction=float(excluded),
     )
-
-
-def _adjoint_distortion_max(alg, sets, rng, count):
-    """Max operator norm of Ad_h over h sampled in the ambient compact.
-
-    The derivative of g -> h g h^-1 in the left trivialization is Ad_h, so
-    its norm bounds the distortion of conjugation uniformly over B_1(e).
-    Samples are capped at the branch-safe radius.
-    """
-    radius = min(sets.K_radius, 0.995 * alg.injectivity_margin)
-    w = alg.sample_ball(rng, radius, count)
-    hs = _exp_matrices(alg, w)
-    basis = algebra_basis(alg.algebra_id)
-    # ad[n, :, j] = coords of h_n b_j h_n^-1
-    conj = np.einsum("nik,jkl,nml->njim", hs, basis, hs.conj())
-    ad = matrix_to_coords(alg.algebra_id, conj).swapaxes(-1, -2)
-    # all supported normalized norms are multiples of the Euclidean
-    # coordinate norm, so the operator norm is the spectral norm
-    return max(1.0, float(np.max(np.linalg.norm(ad.real, 2, axis=(-2, -1)))))
 
 
 def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
@@ -585,21 +551,16 @@ class QuadratureRule:
     n_gamma: int = 12
 
 
-def _circle_nodes(group_id, n):
-    theta = 2 * np.pi * np.arange(n) / n
-    if group_id == "U1":
-        return np.exp(1j * theta)[:, None, None]
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack(
-        [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2
-    ).astype(complex)
+def _plain_algebra(group_id):
+    """The unit-scale Euclidean algebra of a group, used only for exp."""
+    aid = ALGEBRA_OF[group_id]
+    return NormedAlgebra(aid, "euclid", 1.0,
+                         _INJ_SAFETY * _BRANCH_RADIUS_EUCLID[aid])
 
 
 def _euler_nodes(group_id, rule):
     """Euler z-y-z product nodes and weights; weights sum to 1 exactly."""
-    aid = ALGEBRA_OF[group_id]
-    # plain unit-scale algebra, used only for exp
-    plain = NormedAlgebra(aid, "euclid", 1.0, _INJ_SAFETY * _BRANCH_RADIUS_EUCLID[aid])
+    plain = _plain_algebra(group_id)
     alpha = 2 * np.pi * np.arange(rule.n_alpha) / rule.n_alpha
     gspan = 4 * np.pi if group_id == "SU2" else 2 * np.pi
     gamma = gspan * np.arange(rule.n_gamma) / rule.n_gamma
@@ -626,7 +587,8 @@ def haar_integrate(f, group, rule=None):
         values = [np.asarray(f(g), dtype=complex) for g in elements]
         return weighted_sum(np.full(len(values), 1.0 / len(values)), values)
     if group in ("U1", "SO2"):
-        nodes = _circle_nodes(group, rule.n_theta)
+        theta = 2 * np.pi * np.arange(rule.n_theta) / rule.n_theta
+        nodes = _exp_matrices(_plain_algebra(group), theta[:, None])
         weights = np.full(len(nodes), 1.0 / len(nodes))
     elif group in ("SO3", "SU2"):
         nodes, weights = _euler_nodes(group, rule)

@@ -61,6 +61,17 @@ def exit_code_for(exc):
 DEFAULT_OUT_ENV = "RECTIFY_OUT"
 
 
+def output_dir(out=None):
+    """Create and return the output directory: ``out``, else $RECTIFY_OUT,
+    else the current directory; ConfigError if it cannot be made."""
+    out = out or os.environ.get(DEFAULT_OUT_ENV, ".")
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out!r}: {exc.strerror}") from exc
+    return out
+
+
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -479,7 +490,7 @@ def generate_exact_morphism(g, spec, alg, morphism_spec):
             warnings.warn(msg)
             warns.append(msg)
         n = alg.matrix_dim
-        gen_values = [np.eye(n, dtype=complex) for _ in range(order)]
+        gen_values = [np.eye(n) for _ in range(order)]
     else:
         # conjugate by a seeded element: still a homomorphism, same range
         z = _exp_matrices(alg, alg.sample_ball(rng, 0.5, 1))[0]
@@ -597,8 +608,7 @@ def recompute_pass_from_trace(path, tol):
 
 def run_experiment(config, out_dir=None):
     """End-to-end run; returns (report, exit_code) and persists artifacts."""
-    out_dir = out_dir or os.environ.get(DEFAULT_OUT_ENV, ".")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = output_dir(out_dir)
     trace_path = os.path.join(out_dir, config.output.trace)
     report_path = os.path.join(out_dir, config.output.report)
 

@@ -309,8 +309,15 @@ def _serve():
         _JOBS.get()()
 
 
-if hasattr(os, "register_at_fork"):     # a forked child has only one thread
-    os.register_at_fork(after_in_child=_WORKERS.clear)
+def _after_fork_in_child():
+    # one thread, and a queue that may have a wake-up in flight: start over
+    global _JOBS
+    _WORKERS.clear()
+    _JOBS = SimpleQueue()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def core_average_function(f, model):
@@ -383,8 +390,8 @@ def real_restriction_check(f, model, real_rule=None):
     via_complex = average_callable(f, model)(x.astype(complex), y.astype(complex))
 
     def on_rotation(mat):
-        xr = mat[0, 0].real * x + mat[0, 1].real * y
-        yr = mat[1, 0].real * x + mat[1, 1].real * y
+        xr = mat[0, 0] * x + mat[0, 1] * y
+        yr = mat[1, 0] * x + mat[1, 1] * y
         return f(xr.astype(complex), yr.astype(complex))
 
     via_real = haar_integrate(on_rotation, "SO2", rule)

@@ -39,7 +39,7 @@ CORRECTION_BOUND_SLACK = 1e-9   # slack on |A| <= (d/d') * defect
 class AlmostMorphism:
     """Arrow-indexed group values with a recomputed range certificate."""
 
-    values: np.ndarray          # (n_arrows, n, n) complex
+    values: np.ndarray          # (n_arrows, n, n): float64 for SO2/SO3
     target_group: str
     range_certificate: float
 
@@ -52,8 +52,12 @@ class AlmostMorphism:
 
 
 def almost_morphism(values, target_group, alg):
-    """Build an AlmostMorphism, recomputing the range certificate."""
-    values = np.asarray(values, dtype=complex)
+    """Build an AlmostMorphism, recomputing the range certificate; the one
+    coercion of caller values: float64 for SO2/SO3, complex otherwise."""
+    values = np.asarray(values)
+    values = (np.ascontiguousarray(values.real, dtype=float)
+              if target_group in REAL_GROUPS
+              else np.asarray(values, dtype=complex))
     cert = float(np.max(_distances_to_identity(alg, values)))
     return AlmostMorphism(values=values, target_group=target_group,
                           range_certificate=cert)
@@ -98,12 +102,11 @@ class IterationTrace:
 
 def _psi_stack(phi, pairs):
     """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
-    one psi path of the defect, correction and verification.  Real targets
-    (SO2, SO3) multiply the real parts and give a float64 stack."""
+    one psi path of the defect, correction and verification.  The stack has
+    the dtype of phi's values: float64 for SO2/SO3, complex otherwise."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    values = phi.values.real if phi.target_group in REAL_GROUPS else phi.values
-    inv = values.conj().swapaxes(-1, -2)
-    return inv[p] @ inv[k] @ values[kp]
+    inv = phi.values.conj().swapaxes(-1, -2)
+    return inv[p] @ inv[k] @ phi.values[kp]
 
 
 def defect_element(phi, core, k, p):

@@ -15,6 +15,7 @@ from haarrect.groups import (
     QuadratureRule,
     _exp_matrices,
     _log_coords,
+    algebra_basis,
     bracket_coords,
     group_membership_residual,
     estimate_bch_constants,
@@ -29,6 +30,21 @@ from haarrect.groups import (
 
 def vec(alg_id, *coords):
     return AlgebraVector(coords=np.array(coords, dtype=float), algebra_id=alg_id)
+
+
+def matrix_to_coords(algebra_id, X):
+    """Exact linear extraction of coordinates from algebra matrices, the
+    inverse of the basis in ``algebra_basis``."""
+    X = np.asarray(X)
+    if algebra_id == "u1":
+        return X[..., 0, 0].imag[..., None]
+    if algebra_id == "so2":
+        return X[..., 1, 0].real[..., None]
+    if algebra_id == "so3":
+        return np.stack([X[..., 2, 1].real, X[..., 0, 2].real,
+                         X[..., 1, 0].real], axis=-1)
+    return np.stack([2 * X[..., 0, 1].imag, 2 * X[..., 0, 1].real,
+                     2 * X[..., 0, 0].imag], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +119,9 @@ def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
     u[:10] = 0.0
     mats = _exp_matrices(alg, u)
     oracle = oracles["eigh_exp"](alg.algebra_id, u)
-    assert mats.dtype == complex and mats.shape == oracle.shape
+    real = tag in ("SO2", "SO3")
+    assert mats.dtype == (np.float64 if real else complex)
+    assert mats.shape == oracle.shape
     assert np.abs(mats - oracle).max() <= 1e-13
     if tag == "U1":
         assert np.array_equal(mats, oracle)
@@ -255,7 +273,7 @@ def test_normalize_su2_frobenius_sampling_maximization_oracle():
 
 
 def test_bracket_matches_matrix_commutator(algebras):
-    from haarrect.groups import coords_to_matrix, matrix_to_coords
+    from haarrect.groups import coords_to_matrix
     rng = np.random.default_rng(6)
     for alg_id in ("u1", "so2", "so3", "su2"):
         dim = {"u1": 1, "so2": 1, "so3": 3, "su2": 3}[alg_id]
@@ -400,9 +418,47 @@ def test_containment_checks(algebras, default_sets, constants):
             assert left_distance(e, b @ w, alg) <= default_sets.K_radius + 1e-9
 
 
+@pytest.mark.parametrize("raw_norm", ["euclid", "frobenius"])
+@pytest.mark.parametrize("tag", ["U1", "SO2", "SO3", "SU2"])
+def test_adjoint_norm_is_one_and_c_l_is_the_safety_factor(default_sets, tag,
+                                                          raw_norm):
+    # reference for the closed-form c_l: Ad_h in coordinates, column j the
+    # coordinates of h b_j h^-1, over h in the ambient compact and whole turns
+    alg = normalize_algebra_norm(tag.lower(), raw_norm)
+    rng = np.random.default_rng(3)
+    radius = min(default_sets.K_radius, 0.995 * alg.injectivity_margin)
+    w = np.concatenate([alg.sample_ball(rng, radius, 256),
+                        rng.uniform(-4 * np.pi, 4 * np.pi, (256, alg.dim))])
+    hs = _exp_matrices(alg, w)
+    conj = np.einsum("nik,jkl,nml->njim", hs, algebra_basis(alg.algebra_id),
+                     hs.conj())
+    ad = matrix_to_coords(alg.algebra_id, conj).swapaxes(-1, -2)
+    # every supported norm is a multiple of the Euclidean coordinate norm,
+    # so the operator norm is the spectral norm
+    spectral = np.linalg.norm(ad, 2, axis=(-2, -1))
+    assert np.abs(spectral - 1.0).max() <= 1e-14
+    for safety in (1.0, 1.25, 3.5):
+        k = estimate_bch_constants(alg, default_sets, sample_count=1000,
+                                   safety_factor=safety)
+        assert k.c_l == safety
+
+
 # ---------------------------------------------------------------------------
 # Haar quadrature
 # ---------------------------------------------------------------------------
+
+def test_circle_nodes_are_the_trapezoid_rotations():
+    theta = 2 * np.pi * np.arange(16) / 16
+    c, s = np.cos(theta), np.sin(theta)
+    expected = {"U1": np.exp(1j * theta)[:, None, None],
+                "SO2": np.stack([np.stack([c, -s], axis=-1),
+                                 np.stack([s, c], axis=-1)], axis=-2)}
+    for tag, want in expected.items():
+        nodes = []
+        haar_integrate(lambda m: nodes.append(m) or 0.0, tag,
+                       QuadratureRule(n_theta=16))
+        assert np.array_equal(np.array(nodes), want)
+
 
 def test_constant_integrates_to_value():
     rule = QuadratureRule(n_theta=16, n_alpha=6, n_beta=4, n_gamma=6)

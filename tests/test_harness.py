@@ -296,6 +296,11 @@ def test_cli_runs_without_eigh(tmp_path, monkeypatch, capsys):
     codes = [main(["run", "--config", path, "--out", str(tmp_path)])
              for path in paths]
     assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_PRECONDITION]
+    # last-bit changes in the constants must leave these alone
+    reports = [json.loads((tmp_path / f"{name}_report.json").read_text())
+               for name in names]
+    assert [r["iterations"] for r in reports] == [3, 2, 1, 0]
+    assert [r["passed"] for r in reports] == [True, True, True, False]
     assert [main(["validate", "--config", path]) for path in paths] \
         == [EXIT_PASS] * 4
     capsys.readouterr()
@@ -625,6 +630,22 @@ def test_cli_bench_holo(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pass"]
     assert os.path.exists(tmp_path / "holo_report.json")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "u1_onestep.json"), ("bench-holo", "holo_bench.json")])
+def test_cli_out_naming_a_file_is_one_line_error(tmp_path, capsys, command,
+                                                 config):
+    # this ended in a FileExistsError traceback with exit 1
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main([command, "--config", os.path.join(CONFIG_DIR, config),
+                 "--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: output directory ")
+    assert err.count("\n") == 1
+    assert out.read_text() == "keep me\n"
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

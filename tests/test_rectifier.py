@@ -560,8 +560,9 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
 def complex_psi(phi, pairs):
     """psi over (k, p, kp) rows as a product of the complex values."""
     k, p, kp = np.asarray(pairs).T
-    inv = phi.values.conj().swapaxes(-1, -2)
-    return inv[p] @ inv[k] @ phi.values[kp]
+    values = phi.values.astype(complex)
+    inv = values.conj().swapaxes(-1, -2)
+    return inv[p] @ inv[k] @ values[kp]
 
 
 def harness_cases(algebras):
@@ -595,6 +596,22 @@ def test_real_psi_stack_matches_complex_product(algebras):
         element = defect_element(phi, core, int(k), int(p)).matrix
         assert element.dtype == complex
         assert np.abs(element - complex_psi(phi, pairs[-1:])[0]).max() <= 1e-15
+
+
+def test_almost_morphism_stores_real_groups_in_float64(algebras):
+    for alg, g, core, phi in harness_cases(algebras):
+        assert phi.values.dtype == np.float64
+        from_complex = almost_morphism(phi.values.astype(complex),
+                                       phi.target_group, alg)
+        assert from_complex.values.dtype == np.float64
+        assert from_complex.values.tobytes() == phi.values.tobytes()
+        assert from_complex.range_certificate == phi.range_certificate
+        assert _psi_stack(from_complex, core.pairs).tobytes() \
+            == _psi_stack(phi, core.pairs).tobytes()
+    for tag in ("U1", "SU2"):
+        alg = algebras[tag]
+        values = np.eye(alg.matrix_dim)[None].repeat(3, axis=0)
+        assert almost_morphism(values, tag, alg).values.dtype == complex
 
 
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
