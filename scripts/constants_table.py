@@ -27,7 +27,7 @@ def main():
     parser.add_argument("--safety", type=float, default=1.25)
     args = parser.parse_args()
 
-    sets = AmbientSets(1.5, 2.5)
+    sets = AmbientSets()
     cols = ("c", "c_prime", "c_dprime", "d", "d_prime", "c_l", "c_d")
     print(f"{'group':<6}" + "".join(f"{c:<11}" for c in cols) + "admissible")
     for tag in ("U1", "SO2", "SO3", "SU2"):

@@ -34,10 +34,7 @@ from .sums import weighted_sum
 
 TAU_GROUP = 1e-10   # group membership residual
 TAU_ALG = 1e-9      # injectivity verification slack
-TAU_ROUND = 1e-12   # exp/log round trip
 
-GROUP_TAGS = ("U1", "SO2", "SO3", "SU2")
-ALGEBRA_TAGS = ("u1", "so2", "so3", "su2")
 ALGEBRA_OF = {"U1": "u1", "SO2": "so2", "SO3": "so3", "SU2": "su2"}
 GROUP_OF = {v: k for k, v in ALGEBRA_OF.items()}
 MATRIX_DIM = {"u1": 1, "so2": 2, "so3": 3, "su2": 2}
@@ -577,7 +574,7 @@ def _euler_nodes(group_id, rule):
 def haar_integrate(f, group, rule=None):
     """Normalized Haar average of f over the group.
 
-    ``group`` is a tag from GROUP_TAGS (f receives node matrices) or a finite
+    ``group`` is a key of ALGEBRA_OF (f receives node matrices) or a finite
     sequence of elements (f receives each element; exact uniform average).
     Reduction is compensated and in fixed node order.
     """

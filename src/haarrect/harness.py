@@ -29,6 +29,8 @@ from .groupoids import FiniteGroup, build_action_groupoid, build_pair_groupoid
 from .groupoids import attach_haar_density, build_core, validate_groupoid
 from .groups import AmbientSets, estimate_bch_constants, normalize_algebra_norm
 from .groups import ALGEBRA_OF, _exp_matrices
+from .holo import build_complexified_model, core_average_function
+from .holo import cr_convergence_order, real_restriction_check, sample_function
 from .rectifier import (
     admissible_defect_radius,
     almost_morphism,
@@ -293,6 +295,10 @@ class HoloSpec:
         # the rectangular grid has n_space^4 points, n_space made odd
         _require_table_size("n_space", (self.n_space | 1) ** 4, "grid points")
         _require_table_size("n_eta", self.n_eta, "eta nodes")
+
+    @staticmethod
+    def from_json(path):
+        return HoloSpec(**_check_keys(read_json_config(path), HoloSpec, ""))
 
 
 @dataclass(frozen=True)
@@ -642,13 +648,13 @@ def run_experiment(config, out_dir=None):
             tol=config.iteration.tol, max_iter=config.iteration.max_iter,
         )
         initial, final = trace.deltas[0], trace.deltas[-1]
+        residual_core = final       # the limit's core residual, measured once
         iterations = trace.iterations
         terminated = trace.terminated
         all_q = all(trace.q_certified)
         all_corr = all(trace.correction_bound_ok)
         all_step = all(trace.step_bound_ok)
         total_disp = trace.total_displacement
-        residual_core = verify_core_morphism(limit, core, alg)
         residual_full = verify_core_morphism(limit, core, alg, full=True)
         write_trace_csv(trace_path, trace)
     except HaarrectError as exc:
@@ -690,6 +696,68 @@ def run_experiment(config, out_dir=None):
     )
     _atomic_write(report_path, report.to_json() + "\n")
     return report, exit_code
+
+
+# a value that overflows shows as a failed threshold or a GridError (exit
+# 4), not also as a RuntimeWarning
+@np.errstate(all="ignore")
+def run_holo_bench(spec, out_dir=None):
+    """bench-holo run; returns (report, exit_code) and persists the report."""
+    out_dir = output_dir(out_dir)
+    model = build_complexified_model(
+        space_radius=spec.space_radius,
+        eta_max=spec.eta_max,
+        n_theta=spec.n_theta,
+        n_space=spec.n_space,
+        n_eta=spec.n_eta,
+        n_shells=spec.n_shells,
+    )
+
+    invariant = lambda z1, z2: z1 * z1 + z2 * z2
+    weight_one = lambda z1, z2: z1 + 1j * z2
+    quartic = lambda z1, z2: (z1 * z1 + z2 * z2) ** 2
+
+    f_inv = sample_function(invariant, model)
+    avg_inv = core_average_function(invariant, model)
+    invariant_err = float(np.abs(avg_inv.values - f_inv.values).max())
+    mode_residual = float(
+        np.abs(core_average_function(weight_one, model).values).max()
+    )
+    slope, residuals = cr_convergence_order(
+        lambda z1, z2: quartic(z1, z2),
+        center=spec.probe_center,
+        hs=tuple(spec.slope_hs),
+    )
+    rng = np.random.default_rng(spec.seed)
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+
+    def trig_poly(z1, z2):
+        wp, wm = z1 + 1j * z2, z1 - 1j * z2
+        return (coeffs[0] + coeffs[1] * wp + coeffs[2] * wm
+                + coeffs[3] * wp * wp * wm)
+
+    restriction = real_restriction_check(trig_poly, model)
+
+    results = {
+        "grid": {
+            "n_theta": model.n_theta,
+            "eta_max": model.eta_max,
+            "space_radius": model.space_radius,
+            "n_space": len(model.grid_axes[0]),
+            "spacing": model.grid_spacing,
+            "lattice_radii": list(model.lattice_radii),
+        },
+        "invariant_reproduction_error": invariant_err,
+        "weight_one_mode_residual": mode_residual,
+        "cr_slope": slope,
+        "cr_residuals": list(residuals),
+        "real_restriction_difference": restriction,
+        "pass": bool(invariant_err <= 1e-13 and mode_residual <= 1e-13
+                     and slope >= 1.9 and restriction <= 1e-13),
+    }
+    _atomic_write(os.path.join(out_dir, spec.report),
+                  json.dumps(results, sort_keys=True, indent=2) + "\n")
+    return results, EXIT_PASS if results["pass"] else EXIT_NUMERIC_DOMAIN
 
 
 def validate_config(config):

@@ -45,6 +45,8 @@ from .sums import NeumaierSum
 # arena small, so peak memory does not grow with the thread count.
 SLAB_POINTS = 2 ** 14
 
+BOX_FRAC = 0.45         # grid box half-width over space_radius
+
 
 @dataclass(frozen=True)
 class ComplexModel:
@@ -90,22 +92,20 @@ def rotate(zeta, z1, z2):
 
 
 def build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
-                             n_space=9, n_eta=5, n_shells=3, box_frac=0.45):
+                             n_space=9, n_eta=5, n_shells=3):
     """Construct grids and verify the real slice against the action groupoid.
 
     The rectangular grid spans [-a, a] in each of the four real coordinates
-    with a = box_frac * space_radius (box_frac <= 0.5 keeps the grid inside
+    with a = BOX_FRAC * space_radius (BOX_FRAC <= 0.5 keeps the grid inside
     the ball); n_space is made odd so 0 is a node and the real slice
     (y1 = y2 = 0) lies on the grid.
     """
     if space_radius <= 0 or eta_max <= 0:
         raise ValueError("space_radius and eta_max must be positive")
-    if box_frac > 0.5:
-        raise ValueError("box_frac > 0.5 puts grid corners outside the ball")
     n_space = n_space if n_space % 2 == 1 else n_space + 1
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     eta = np.linspace(-0.8 * eta_max, 0.8 * eta_max, n_eta)
-    a = box_frac * space_radius
+    a = BOX_FRAC * space_radius
     axis = np.linspace(-a, a, n_space)
     spacing = float(axis[1] - axis[0])
     radii = space_radius * (0.25 + 0.6 * np.arange(n_shells) / max(1, n_shells - 1))
@@ -329,7 +329,7 @@ def core_average_function(f, model):
     return sample_function(average_callable(f, model), model)
 
 
-def cr_residual(F, model=None, h=None):
+def cr_residual(F, h=None):
     """Max Cauchy-Riemann residual over interior grid nodes.
 
     Estimates d/d(conj z) in each complex coordinate by centered differences
@@ -367,9 +367,9 @@ def sample_on_box(f, center, h, n=5):
     return SampledFunction(values=values, grid_axes=axes, grid_spacing=float(h))
 
 
-def cr_convergence_order(f, center, hs=(1e-2, 5e-3, 2.5e-3), n=5):
+def cr_convergence_order(f, center, hs=(1e-2, 5e-3, 2.5e-3)):
     """Least-squares log-log slope of the CR residual against h."""
-    residuals = [cr_residual(sample_on_box(f, center, h, n=n), h=h) for h in hs]
+    residuals = [cr_residual(sample_on_box(f, center, h), h=h) for h in hs]
     logs_h = np.log(np.asarray(hs, dtype=float))
     logs_r = np.log(np.asarray(residuals))
     slope = np.polyfit(logs_h, logs_r, 1)[0]
@@ -381,11 +381,13 @@ def real_restriction_check(f, model, real_rule=None):
 
     Route (i) averages over the core with the model's trapezoid nodes and
     restricts to the real lattice; route (ii) restricts first and averages
-    with the independent group quadrature.  Both routes run on all lattice
-    points at once, each point reduced in the same node order as alone.
-    Returns the max difference over real lattice points.
+    with the group quadrature, by default on n_theta + 1 nodes.  The two
+    node sets share only theta = 0, so a mode that one rule aliases shows as
+    a difference instead of being aliased by both alike.  Both routes run
+    on all lattice points at once, each point reduced in the same node order
+    as alone.  Returns the max difference over real lattice points.
     """
-    rule = real_rule or QuadratureRule(n_theta=model.n_theta)
+    rule = real_rule or QuadratureRule(n_theta=model.n_theta + 1)
     x, y = model.lattice_points.reshape(-1, 2).T
     via_complex = average_callable(f, model)(x.astype(complex), y.astype(complex))
 

@@ -43,9 +43,6 @@ class AlmostMorphism:
     target_group: str
     range_certificate: float
 
-    def value(self, arrow):
-        return GroupElement(matrix=self.values[arrow], group_id=self.target_group)
-
     @property
     def n_arrows(self):
         return self.values.shape[0]
@@ -179,15 +176,10 @@ def _correction(psi, core, density, alg):
     return _exp_matrices(alg, avg_coords), alg.norm(avg_coords)
 
 
-def correct_once(phi, core, density, alg, sets=None, max_defect=None):
-    """One correction step: phi_hat(p) = phi(p) . A(p).
-
-    With ``sets`` given, raises RangeEscape when any corrected value leaves
-    the ambient compact.
-    """
-    corrections, _ = average_correction(phi, core, density, alg,
-                                        max_defect=max_defect)
-    return _apply_correction(phi, corrections, alg, sets, "corrected map")
+def correct_once(phi, core, density, alg):
+    """One correction step: phi_hat(p) = phi(p) . A(p)."""
+    corrections, _ = average_correction(phi, core, density, alg)
+    return _apply_correction(phi, corrections, alg, None, "corrected map")
 
 
 def _apply_correction(phi, corrections, alg, sets, what):

@@ -38,6 +38,7 @@ from haarrect.harness import (
     perturb_morphism,
     recompute_pass_from_trace,
     run_experiment,
+    run_holo_bench,
     validate_config,
 )
 from haarrect.rectifier import defect, q_bound
@@ -301,6 +302,8 @@ def test_cli_runs_without_eigh(tmp_path, monkeypatch, capsys):
                for name in names]
     assert [r["iterations"] for r in reports] == [3, 2, 1, 0]
     assert [r["passed"] for r in reports] == [True, True, True, False]
+    # the limit's core residual is its last defect, not a second measurement
+    assert all(r["residual_core"] == r["final_defect"] for r in reports)
     assert [main(["validate", "--config", path]) for path in paths] \
         == [EXIT_PASS] * 4
     capsys.readouterr()
@@ -613,6 +616,8 @@ def test_cli_constants(capsys):
     (["--seed", "-1"], "constants.seed must be a non-negative integer"),
     (["--w-radius", "nan"], "constants.W_radius must be a finite number"),
     (["--samples", str(10 ** 9)], "constants.sample_count must be at most"),
+    (["--group", "SO4"], "group.tag: unknown group 'SO4'"),
+    (["--raw-norm", "l1"], "group.raw_norm: unknown norm 'l1'"),
 ])
 def test_cli_constants_rejects_bad_flags_with_one_line_error(capsys, flags,
                                                               message):
@@ -630,6 +635,17 @@ def test_cli_bench_holo(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pass"]
     assert os.path.exists(tmp_path / "holo_report.json")
+
+
+@pytest.mark.parametrize("n_theta, passed", [(8, True), (1, False)])
+def test_run_holo_bench_returns_the_report_it_writes(tmp_path, n_theta,
+                                                      passed):
+    # one node cannot average the weight-one mode away
+    spec = HoloSpec(n_theta=n_theta, n_space=5)
+    report, code = run_holo_bench(spec, out_dir=str(tmp_path))
+    assert report == json.loads((tmp_path / spec.report).read_text())
+    assert report["pass"] is passed
+    assert code == (EXIT_PASS if passed else EXIT_NUMERIC_DOMAIN)
 
 
 @pytest.mark.parametrize("command, config", [

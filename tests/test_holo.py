@@ -206,8 +206,6 @@ def test_real_restriction_check_matches_pointwise_loop(model):
 def test_invalid_model_parameters():
     with pytest.raises(ValueError):
         build_complexified_model(space_radius=-1.0)
-    with pytest.raises(ValueError):
-        build_complexified_model(box_frac=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +394,18 @@ def test_restriction_weight_one_both_zero(model):
     averaged = average_callable(f, model)
     pt = model.lattice_points[1, 3]
     assert abs(averaged(complex(pt[0]), complex(pt[1]))) <= 1e-14
+
+
+def test_restriction_shows_a_mode_the_model_rule_aliases(model):
+    # the model's n_theta nodes alias w+^n_theta to a constant, and a real
+    # rule on the same nodes would alias it alike and read 0; n_theta + 1
+    # nodes average it to 0, so the difference is |w+|^n_theta on the
+    # outermost shell
+    n = model.n_theta
+    f = lambda z1, z2: (z1 + 1j * z2) ** n
+    expected = model.lattice_radii.max() ** n
+    assert expected > 1e-3
+    assert abs(real_restriction_check(f, model) - expected) <= 1e-12
 
 
 def test_restriction_random_trig_polynomial(model):
