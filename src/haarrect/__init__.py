@@ -13,28 +13,21 @@ from .errors import (
     DefectOverflow,
     DefectTooLarge,
     GridError,
-    GroupMembershipError,
     HaarrectError,
     InvalidAlgebraVector,
     InvarianceError,
     LogDomainError,
     NonContraction,
     NormalizationFailure,
-    NotComposable,
     RangeEscape,
 )
 from .groups import (
-    AlgebraVector,
     AmbientSets,
     BchConstants,
-    GroupElement,
     NormedAlgebra,
     QuadratureRule,
     estimate_bch_constants,
-    exp_map,
     haar_integrate,
-    left_distance,
-    log_map,
     normalize_algebra_norm,
     revalidate_bch_constants,
 )
@@ -55,10 +48,7 @@ from .rectifier import (
     IterationTrace,
     admissible_defect_radius,
     almost_morphism,
-    average_correction,
-    correct_once,
     defect,
-    defect_element,
     iterate,
     q_bound,
     verify_core_morphism,

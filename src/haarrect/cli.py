@@ -14,7 +14,7 @@ directory.  Exit codes: 0 pass, 2 precondition rejection, 3 non-contraction,
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from .errors import HaarrectError
 from .harness import (
@@ -50,10 +50,6 @@ def _cmd_constants(args):
     print(json.dumps(asdict(constants_for(alg, spec)), sort_keys=True,
                      indent=2))
     return EXIT_PASS
-
-
-# the keys of a bench-holo config, all optional
-HOLO_KEYS = tuple(f.name for f in fields(HoloSpec))
 
 
 def _cmd_bench_holo(args):

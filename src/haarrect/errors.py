@@ -14,11 +14,7 @@ class ConfigError(HaarrectError, ValueError):
 
 
 class InvalidAlgebraVector(HaarrectError):
-    """Algebra coordinates are non-finite or have the wrong shape."""
-
-
-class GroupMembershipError(HaarrectError):
-    """A matrix fails the membership residuals of its declared group."""
+    """Algebra coordinates are non-finite."""
 
 
 class LogDomainError(HaarrectError):
@@ -52,10 +48,6 @@ class InvarianceError(HaarrectError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class NotComposable(HaarrectError):
-    """Arrow pair is not composable or not declared multipliable."""
 
 
 class DefectOverflow(HaarrectError):

@@ -48,9 +48,6 @@ class FiniteGroup:
     def order(self):
         return len(self.element_labels)
 
-    def inverse(self, a):
-        return int(np.nonzero(self.table[a] == self.identity)[0][0])
-
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
@@ -148,23 +145,11 @@ class FiniteGroupoid:
     def is_multipliable(self, q, p):
         return bool(self.multiply(q, p) >= 0)
 
-    def compose(self, q, p):
-        qp = int(self.multiply(q, p))
-        if qp < 0:
-            raise KeyError(f"pair ({q}, {p}) is not declared multipliable")
-        return qp
-
     def composable_pairs(self):
         """Structurally composable pairs (s(q) = t(p)) in index order."""
         q, p = _fiber_pairs(np.arange(self.n_arrows), self.source,
                             *self.by_target)
         return zip(q.tolist(), p.tolist())
-
-    def arrows_by_source(self):
-        return _fiber_lists(self.source, self.n_objects)
-
-    def arrows_by_target(self):
-        return _fiber_lists(self.target, self.n_objects)
 
 
 @dataclass(frozen=True)
@@ -189,9 +174,6 @@ class HaarDensity:
 
     core: Core
     weights: np.ndarray          # (n_arrows,) weights, 0 off the core
-
-    def weight(self, arrow):
-        return float(self.weights[arrow])
 
 
 @dataclass(frozen=True)
@@ -230,11 +212,6 @@ def _fiber_pairs(rows, obj_of_row, order, start, width):
     left = np.repeat(rows, counts)
     offset = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
     return left, order[start[obj_of_row[left]] + offset]
-
-
-def _fiber_lists(obj_of, n_objects):
-    order, start, width = _fiber_index(obj_of, n_objects)
-    return [order[s:s + w].tolist() for s, w in zip(start, width)]
 
 
 def _fiber_sums(values, order, start, width):

@@ -1,11 +1,11 @@
 """Compact matrix group numerics.
 
 Supported groups are U(1), SO(2), SO(3) and SU(2) in their defining
-representations, plus uniform averaging over finite element lists.  The
-module provides exp/log between a normed Lie algebra and the group, the
-left-invariant distance, Haar quadrature, and the constants
-(c, c', c'', d, d', c_l, c_d) of the quadratic contraction certificate of
-the averaging iteration: sampled, except the closed-form c_l and c_d.
+representations.  The module provides batched exp/log between a normed Lie
+algebra and the group, the distance to the identity, Haar quadrature, and
+the constants (c, c', c'', d, d', c_l, c_d) of the quadratic contraction
+certificate of the averaging iteration: sampled, except the closed-form c_l
+and c_d.
 
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases listed in
@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GroupMembershipError,
-    InvalidAlgebraVector,
-    LogDomainError,
-    NormalizationFailure,
-)
+from .errors import InvalidAlgebraVector, NormalizationFailure
 from .sums import weighted_sum
 
-TAU_GROUP = 1e-10   # group membership residual
 TAU_ALG = 1e-9      # injectivity verification slack
 
 ALGEBRA_OF = {"U1": "u1", "SO2": "so2", "SO3": "so3", "SU2": "su2"}
@@ -97,55 +91,6 @@ def bracket_coords(algebra_id, u, v):
         # [i sigma_j / 2, i sigma_k / 2] = -eps_jkl i sigma_l / 2
         return -np.cross(u, v)
     raise ValueError(f"unknown algebra_id {algebra_id!r}")
-
-
-def group_membership_residual(matrix, group_id):
-    """Max of the unitarity/orthogonality, determinant and realness residuals.
-
-    The determinant condition is det = 1 for the special groups and
-    |det| = 1 (already implied by unitarity) for U(1).
-    """
-    m = np.asarray(matrix)
-    n = MATRIX_DIM[ALGEBRA_OF[group_id]]
-    if m.shape != (n, n):
-        return np.inf
-    res = np.abs(m.conj().T @ m - np.eye(n)).max()
-    det = np.linalg.det(m)
-    res = max(res, abs(abs(det) - 1.0) if group_id == "U1" else abs(det - 1.0))
-    if group_id in REAL_GROUPS:
-        res = max(res, np.abs(m.imag).max() if np.iscomplexobj(m) else 0.0)
-    return float(res)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Matrix known to lie in the tagged group to tolerance TAU_GROUP."""
-
-    matrix: np.ndarray
-    group_id: str
-
-    def __post_init__(self):
-        res = group_membership_residual(self.matrix, self.group_id)
-        if not res <= TAU_GROUP:
-            raise GroupMembershipError(
-                f"matrix is not in {self.group_id} (residual {res:.3e})"
-            )
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """Real coordinate vector in the fixed ordered basis of its algebra."""
-
-    coords: np.ndarray
-    algebra_id: str
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (ALGEBRA_DIM[self.algebra_id],) or not np.all(np.isfinite(c)):
-            raise InvalidAlgebraVector(
-                f"bad coords for {self.algebra_id}: {self.coords!r}"
-            )
-        object.__setattr__(self, "coords", c)
 
 
 @dataclass(frozen=True)
@@ -285,34 +230,6 @@ def _exp_matrices(alg, coords):
     return G
 
 
-def exp_map(u, alg):
-    """Matrix exponential of an algebra vector.
-
-    Accepts an AlgebraVector or a raw coordinate array.
-    """
-    coords = u.coords if isinstance(u, AlgebraVector) else np.asarray(u, dtype=float)
-    if coords.shape != (alg.dim,):
-        raise InvalidAlgebraVector(f"bad coords {coords!r} for {alg.algebra_id}")
-    g = _exp_matrices(alg, coords[None, :])[0]
-    return GroupElement(matrix=g, group_id=alg.group_id)
-
-
-def log_map(g, alg):
-    """Principal-branch log of a group element.
-
-    Raises LogDomainError outside the verified injectivity region, where the
-    principal preimage can no longer be trusted by callers.
-    """
-    m = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
-    coords = _log_coords(alg, m[None])[0]
-    if alg.norm(coords) > alg.injectivity_margin:
-        raise LogDomainError(
-            f"|log g| = {alg.norm(coords):.6g} exceeds injectivity margin "
-            f"{alg.injectivity_margin:.6g}"
-        )
-    return AlgebraVector(coords=coords, algebra_id=alg.algebra_id)
-
-
 def _sine_cosine(alg, mats):
     """Batched sine vector sin(a) n and cosine of the rotation angle a.
 
@@ -376,14 +293,9 @@ def _log_coords(alg, mats):
 
 
 def _distances_to_identity(alg, mats):
+    """Batched |log g| in the normalized norm; the distance of g from h is
+    that of g^-1 h (left invariance)."""
     return alg.factor * _angles_from_matrices(alg, mats)
-
-
-def left_distance(g, h, alg):
-    """Left-invariant distance |log(g^-1 h)| in the normalized norm."""
-    gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
-    hm = h.matrix if isinstance(h, GroupElement) else np.asarray(h, dtype=complex)
-    return float(_distances_to_identity(alg, gm.conj().T @ hm))
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +484,11 @@ def _euler_nodes(group_id, rule):
 
 
 def haar_integrate(f, group, rule=None):
-    """Normalized Haar average of f over the group.
-
-    ``group`` is a key of ALGEBRA_OF (f receives node matrices) or a finite
-    sequence of elements (f receives each element; exact uniform average).
-    Reduction is compensated and in fixed node order.
+    """Normalized Haar average of f over the group, a key of ALGEBRA_OF;
+    f receives the node matrices.  Reduction is compensated and in fixed
+    node order.
     """
     rule = rule or QuadratureRule()
-    if not isinstance(group, str):
-        elements = list(group)
-        values = [np.asarray(f(g), dtype=complex) for g in elements]
-        return weighted_sum(np.full(len(values), 1.0 / len(values)), values)
     if group in ("U1", "SO2"):
         theta = 2 * np.pi * np.arange(rule.n_theta) / rule.n_theta
         nodes = _exp_matrices(_plain_algebra(group), theta[:, None])

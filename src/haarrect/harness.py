@@ -351,12 +351,35 @@ class ExperimentConfig:
 
 
 def read_json_config(path):
-    """Parsed JSON of a config file; ConfigError if it cannot be read."""
+    """Parsed JSON of a config file; ConfigError if it cannot be read or
+    repeats a key in one object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unless_repeated)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if isinstance(data, _Repeated):
+        raise ConfigError(f"config repeats the key {data!r}")
+    return data
+
+
+class _Repeated(str):
+    """The key path of a repeated key, standing in for the JSON object that
+    holds it, where json alone would keep the last value silently."""
+
+
+def _unless_repeated(pairs):
+    """object_pairs_hook: the object as a dict, or a _Repeated for the first
+    repeated key in it or in an object below it.  (A _Repeated inside a list
+    is left to the list's own check: no config list holds objects.)"""
+    out = {}
+    for key, value in pairs:
+        if isinstance(value, _Repeated):
+            return _Repeated(f"{key}.{value}")
+        if key in out:
+            return _Repeated(key)
+        out[key] = value
+    return out
 
 
 def _check_keys(section, allowed, path):
@@ -437,8 +460,15 @@ def build_density_from_config(core, density_spec):
     table = density_spec["weights"]
     if not isinstance(table, dict):
         raise ConfigError("density.weights: expected a JSON object")
+    # a key is a core arrow's index in canonical decimal: "01" would
+    # silently stand for arrow 1
+    arrow_of = {str(a): a for a in core.arrow_subset}
+    bad = next((k for k in table if k not in arrow_of), None)
+    if bad is not None:
+        raise ConfigError(f"density.weights: key {bad!r} is not the index "
+                          f"of a core arrow")
     try:
-        weights = {int(k): float(v) for k, v in table.items()}
+        weights = {arrow_of[k]: float(v) for k, v in table.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"density.weights: {exc}") from exc
     try:

@@ -354,12 +354,10 @@ def cr_residual(F, h=None):
     return float(max(np.abs(res1).max(), np.abs(res2).max()))
 
 
-def sample_on_box(f, center, h, n=5):
-    """Sample a callable on a small rectangular probe box (for slope fits)."""
-    if n < 3:
-        raise GridError("probe box needs at least 3 nodes per axis")
+def sample_on_box(f, center, h):
+    """Sample a callable on a 5-node rectangular probe box (for slope fits)."""
     c = np.asarray(center, dtype=float)
-    axes = tuple(c[i] + h * (np.arange(n) - (n - 1) / 2.0) for i in range(4))
+    axes = tuple(c[i] + h * (np.arange(5) - 2.0) for i in range(4))
     x1, y1, x2, y2 = axes
     Z1 = (x1[:, None, None, None] + 1j * y1[None, :, None, None])
     Z2 = (x2[None, None, :, None] + 1j * y2[None, None, None, :])
@@ -376,18 +374,17 @@ def cr_convergence_order(f, center, hs=(1e-2, 5e-3, 2.5e-3)):
     return float(slope), residuals
 
 
-def real_restriction_check(f, model, real_rule=None):
+def real_restriction_check(f, model):
     """Consistency of complex core-averaging with real Haar averaging.
 
     Route (i) averages over the core with the model's trapezoid nodes and
     restricts to the real lattice; route (ii) restricts first and averages
-    with the group quadrature, by default on n_theta + 1 nodes.  The two
-    node sets share only theta = 0, so a mode that one rule aliases shows as
-    a difference instead of being aliased by both alike.  Both routes run
-    on all lattice points at once, each point reduced in the same node order
+    with the group quadrature on n_theta + 1 nodes.  The two node sets
+    share only theta = 0, so a mode that one rule aliases shows as a
+    difference instead of being aliased by both alike.  Both routes run on
+    all lattice points at once, each point reduced in the same node order
     as alone.  Returns the max difference over real lattice points.
     """
-    rule = real_rule or QuadratureRule(n_theta=model.n_theta + 1)
     x, y = model.lattice_points.reshape(-1, 2).T
     via_complex = average_callable(f, model)(x.astype(complex), y.astype(complex))
 
@@ -396,5 +393,6 @@ def real_restriction_check(f, model, real_rule=None):
         yr = mat[1, 0] * x + mat[1, 1] * y
         return f(xr.astype(complex), yr.astype(complex))
 
-    via_real = haar_integrate(on_rotation, "SO2", rule)
+    via_real = haar_integrate(on_rotation, "SO2",
+                              QuadratureRule(n_theta=model.n_theta + 1))
     return float(np.max(np.abs(via_complex - via_real)))

@@ -19,16 +19,10 @@ from .errors import (
     HaarrectError,
     LogDomainError,
     NonContraction,
-    NotComposable,
     RangeEscape,
 )
-from .groups import (
-    REAL_GROUPS,
-    GroupElement,
-    _distances_to_identity,
-    _exp_matrices,
-    _log_coords,
-)
+from .groups import REAL_GROUPS, _distances_to_identity
+from .groups import _exp_matrices, _log_coords
 from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
@@ -106,17 +100,6 @@ def _psi_stack(phi, pairs):
     return inv[p] @ inv[k] @ phi.values[kp]
 
 
-def defect_element(phi, core, k, p):
-    """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) as a GroupElement."""
-    g = core.parent
-    if k not in set(core.arrow_subset):
-        raise NotComposable(f"arrow {k} is not in the core")
-    if g.source[k] != g.target[p] or not g.is_multipliable(k, p):
-        raise NotComposable(f"pair ({k}, {p}) is not multipliable")
-    m = _psi_stack(phi, [(k, p, g.compose(k, p))])[0]
-    return GroupElement(matrix=m.astype(complex), group_id=phi.target_group)
-
-
 def _max_distance(alg, psi):
     """Defect of a psi stack: its worst distance from the identity, which
     is measurable up to the injectivity margin; beyond it, an overflow."""
@@ -137,24 +120,15 @@ def defect(phi, core, alg):
     return _max_distance(alg, _psi_stack(phi, core.pairs))
 
 
-def average_correction(phi, core, density, alg, max_defect=None):
-    """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)).
+def _correction(psi, core, density, alg):
+    """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)) from
+    the psi stack over the core pairs.
 
     The integration fiber for an arrow p is the core source fiber over
     t(p); composability forces that choice.  Returns the stacked correction
     matrices and their distances to the identity (exact for the radial
     realization: |exp(w)| = |w|).
     """
-    psi = _psi_stack(phi, core.pairs)
-    if max_defect is not None:
-        current = _max_distance(alg, psi)
-        if current > max_defect:
-            raise DefectTooLarge(current, max_defect)
-    return _correction(psi, core, density, alg)
-
-
-def _correction(psi, core, density, alg):
-    """average_correction from the psi stack over the core pairs."""
     pairs = core.pairs
     logs = _log_coords(alg, psi)
     bad = np.flatnonzero(alg.norm(logs) > alg.injectivity_margin)
@@ -174,12 +148,6 @@ def _correction(psi, core, density, alg):
         acc.add(terms[:, j])
     avg_coords = acc.value
     return _exp_matrices(alg, avg_coords), alg.norm(avg_coords)
-
-
-def correct_once(phi, core, density, alg):
-    """One correction step: phi_hat(p) = phi(p) . A(p)."""
-    corrections, _ = average_correction(phi, core, density, alg)
-    return _apply_correction(phi, corrections, alg, None, "corrected map")
 
 
 def _apply_correction(phi, corrections, alg, sets, what):

@@ -48,6 +48,29 @@ def constants(algebras):
 # independent oracles (deliberately not using package code paths)
 # ---------------------------------------------------------------------------
 
+TAU_GROUP = 1e-10   # group membership tolerance
+
+
+def group_membership_residual(matrix, group_id):
+    """Max of the unitarity/orthogonality, determinant and realness
+    residuals of a matrix or a stack of matrices.
+
+    The determinant condition is det = 1 for the special groups and
+    |det| = 1 (already implied by unitarity) for U(1).
+    """
+    m = np.asarray(matrix)
+    n = {"U1": 1, "SO2": 2, "SO3": 3, "SU2": 2}[group_id]
+    if m.shape[-2:] != (n, n):
+        return np.inf
+    res = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n)).max()
+    det = np.linalg.det(m)
+    res = max(res, np.abs(np.abs(det) - 1.0 if group_id == "U1"
+                          else det - 1.0).max())
+    if group_id in ("SO2", "SO3") and np.iscomplexobj(m):
+        res = max(res, np.abs(m.imag).max())
+    return float(res)
+
+
 def quat_mul(a, b):
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b

@@ -2,34 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarrect.errors import (
-    GroupMembershipError,
-    InvalidAlgebraVector,
-    LogDomainError,
-)
+from conftest import TAU_GROUP, group_membership_residual
+from haarrect.errors import InvalidAlgebraVector, LogDomainError
+from haarrect.groupoids import attach_haar_density, build_core
+from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
-    AlgebraVector,
     AmbientSets,
     BchConstants,
-    GroupElement,
     QuadratureRule,
+    _distances_to_identity,
     _exp_matrices,
     _log_coords,
     algebra_basis,
     bracket_coords,
-    group_membership_residual,
     estimate_bch_constants,
-    exp_map,
     haar_integrate,
-    left_distance,
-    log_map,
     normalize_algebra_norm,
     revalidate_bch_constants,
 )
-
-
-def vec(alg_id, *coords):
-    return AlgebraVector(coords=np.array(coords, dtype=float), algebra_id=alg_id)
+from haarrect.rectifier import _correction
 
 
 def matrix_to_coords(algebra_id, X):
@@ -53,26 +44,28 @@ def matrix_to_coords(algebra_id, X):
 
 def test_exp_so3_quarter_turn_matches_rodrigues(algebras, oracles):
     alg = algebras["SO3"]
-    u = vec("so3", 0.0, 0.0, np.pi / 2)
-    g = exp_map(u, alg)
+    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi / 2]]))[0]
+    assert group_membership_residual(g, "SO3") <= TAU_GROUP
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.abs(g.matrix.real - expected).max() < 1e-14
-    assert np.abs(g.matrix.real - oracles["rodrigues"]([0, 0, np.pi / 2])).max() < 1e-14
+    assert np.abs(g.real - expected).max() < 1e-14
+    assert np.abs(g.real - oracles["rodrigues"]([0, 0, np.pi / 2])).max() < 1e-14
 
 
 def test_exp_zero_is_exact_identity(algebras):
     for tag, alg in algebras.items():
-        g = exp_map(np.zeros(alg.dim), alg)
-        assert np.array_equal(g.matrix, np.eye(alg.matrix_dim, dtype=complex))
+        g = _exp_matrices(alg, np.zeros((1, alg.dim)))[0]
+        assert group_membership_residual(g, tag) <= TAU_GROUP
+        assert np.array_equal(g, np.eye(alg.matrix_dim, dtype=complex))
 
 
 def test_exp_su2_half_turn_quaternion_oracle(algebras, oracles):
     # coords (0, 0, pi) are (theta/2) i sigma_z with theta = pi
     alg = algebras["SU2"]
-    g = exp_map(vec("su2", 0.0, 0.0, np.pi), alg)
-    assert np.abs(g.matrix - np.diag([1j, -1j])).max() < 1e-14
+    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi]]))[0]
+    assert group_membership_residual(g, "SU2") <= TAU_GROUP
+    assert np.abs(g - np.diag([1j, -1j])).max() < 1e-14
     q = oracles["quat_exp"]([0.0, 0.0, np.pi])
-    assert np.abs(g.matrix - oracles["quat_to_su2"](q)).max() < 1e-14
+    assert np.abs(g - oracles["quat_to_su2"](q)).max() < 1e-14
 
 
 def test_exp_matches_quaternion_oracle_on_random_vectors(algebras, oracles):
@@ -80,18 +73,18 @@ def test_exp_matches_quaternion_oracle_on_random_vectors(algebras, oracles):
     for _ in range(200):
         w = rng.normal(size=3)
         w *= rng.random() * 2.5 / np.linalg.norm(w)
-        g3 = exp_map(w, algebras["SO3"])
+        g3 = _exp_matrices(algebras["SO3"], w[None])[0]
+        g2 = _exp_matrices(algebras["SU2"], w[None])[0]
+        assert group_membership_residual(g3, "SO3") <= TAU_GROUP
+        assert group_membership_residual(g2, "SU2") <= TAU_GROUP
         q = oracles["quat_exp"](w)
-        assert np.abs(g3.matrix.real - oracles["quat_to_so3"](q)).max() < 1e-13
-        g2 = exp_map(w, algebras["SU2"])
-        assert np.abs(g2.matrix - oracles["quat_to_su2"](q)).max() < 1e-13
+        assert np.abs(g3.real - oracles["quat_to_so3"](q)).max() < 1e-13
+        assert np.abs(g2 - oracles["quat_to_su2"](q)).max() < 1e-13
 
 
 def test_exp_rejects_nonfinite(algebras):
     with pytest.raises(InvalidAlgebraVector):
-        exp_map(np.array([np.nan, 0.0, 0.0]), algebras["SO3"])
-    with pytest.raises(InvalidAlgebraVector):
-        AlgebraVector(coords=np.array([np.inf]), algebra_id="u1")
+        _exp_matrices(algebras["SO3"], np.array([[np.nan, 0.0, 0.0]]))
 
 
 # 1e-300, the smallest normal double and two subnormals
@@ -127,7 +120,7 @@ def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
         assert np.array_equal(mats, oracle)
     assert np.array_equal(mats[:10], np.broadcast_to(
         np.eye(alg.matrix_dim, dtype=complex), mats[:10].shape))
-    assert max(group_membership_residual(m, tag) for m in mats) <= 1e-14
+    assert group_membership_residual(mats, tag) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -145,15 +138,16 @@ def test_exp_matrices_reject_nonfinite_coords(algebras, bad):
 
 def test_log_identity_is_zero(algebras):
     for tag, alg in algebras.items():
-        z = log_map(GroupElement(np.eye(alg.matrix_dim, dtype=complex), tag), alg)
-        assert np.abs(z.coords).max() == 0.0
+        z = _log_coords(alg, np.eye(alg.matrix_dim, dtype=complex)[None])[0]
+        assert np.abs(z).max() == 0.0
 
 
 def test_log_so3_quarter_turn(algebras):
     alg = algebras["SO3"]
-    g = exp_map(vec("so3", 0.0, 0.0, np.pi / 2), alg)
-    back = log_map(g, alg)
-    assert np.abs(back.coords - [0, 0, np.pi / 2]).max() < 1e-14
+    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi / 2]]))
+    assert group_membership_residual(g, "SO3") <= TAU_GROUP
+    back = _log_coords(alg, g)[0]
+    assert np.abs(back - [0, 0, np.pi / 2]).max() < 1e-14
 
 
 def test_log_exp_round_trip_bulk(algebras):
@@ -163,11 +157,9 @@ def test_log_exp_round_trip_bulk(algebras):
         rng = np.random.default_rng(7)
         u = alg.sample_ball(rng, 1.0, counts[tag])
         mats = _exp_matrices(alg, u)
-        worst = 0.0
-        for ui, m in zip(u, mats):
-            back = log_map(GroupElement(m, tag), alg)
-            worst = max(worst, alg.norm(back.coords - ui)
-                        / max(1.0, alg.norm(ui)))
+        assert group_membership_residual(mats, tag) <= TAU_GROUP
+        back = _log_coords(alg, mats)
+        worst = np.max(alg.norm(back - u) / np.maximum(1.0, alg.norm(u)))
         assert worst <= 1e-12
 
 
@@ -177,9 +169,9 @@ def test_log_exp_round_trip_margin_ball(algebras):
         rng = np.random.default_rng(8)
         u = alg.sample_ball(rng, alg.injectivity_margin, 500)
         mats = _exp_matrices(alg, u)
-        for ui, m in zip(u, mats):
-            back = log_map(GroupElement(m, tag), alg)
-            assert alg.norm(back.coords - ui) <= 1e-12 * max(1.0, alg.norm(ui))
+        assert group_membership_residual(mats, tag) <= TAU_GROUP
+        back = _log_coords(alg, mats)
+        assert np.all(alg.norm(back - u) <= 1e-12 * np.maximum(1.0, alg.norm(u)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -225,18 +217,22 @@ def test_so3_log_near_half_turn(algebras, oracles):
 
 
 def test_log_outside_margin_raises(algebras):
+    # the one log that must stay inside the margin is the correction's log
+    # of psi; a single-pair core hands it one psi
+    core = build_core(build_pair_groupoid((0,)), (0,))
+    mu = attach_haar_density(core, "uniform")
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
-    g = GroupElement(np.array([[np.exp(1j * np.pi)]]), "U1")
     with pytest.raises(LogDomainError):
-        log_map(g, alg)
+        _correction(np.array([[[np.exp(1j * np.pi)]]]), core, mu, alg)
     # -I in SU(2): zero sine vector, yet the full half-turn angle
     with pytest.raises(LogDomainError):
-        log_map(GroupElement(-np.eye(2, dtype=complex), "SU2"), algebras["SU2"])
+        _correction(-np.eye(2, dtype=complex)[None], core, mu, algebras["SU2"])
 
 
 def test_group_membership_enforced():
-    with pytest.raises(GroupMembershipError):
-        GroupElement(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex), "SU2")
+    # the membership oracle of the tests rejects a non-member
+    shear = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
+    assert group_membership_residual(shear, "SU2") > TAU_GROUP
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +299,18 @@ def test_commutator_inequality_property(seed):
 def test_distance_at_identity(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(1)
-        g = GroupElement(_exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))[0], tag)
-        assert left_distance(g, g, alg) < 1e-14
+        g = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))
+        assert group_membership_residual(g, tag) <= TAU_GROUP
+        assert _distances_to_identity(alg, g.conj().swapaxes(-1, -2) @ g) < 1e-14
 
 
 def test_distance_to_exp_is_norm(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(2)
-        e = GroupElement(np.eye(alg.matrix_dim, dtype=complex), tag)
-        for u in alg.sample_ball(rng, 1.0, 100):
-            g = GroupElement(_exp_matrices(alg, u[None])[0], tag)
-            assert abs(left_distance(e, g, alg) - alg.norm(u)) < 1e-12
+        u = alg.sample_ball(rng, 1.0, 100)
+        g = _exp_matrices(alg, u)
+        assert group_membership_residual(g, tag) <= TAU_GROUP
+        assert np.abs(_distances_to_identity(alg, g) - alg.norm(u)).max() < 1e-12
 
 
 def test_left_invariance_of_distance(algebras):
@@ -323,21 +320,22 @@ def test_left_invariance_of_distance(algebras):
         trips = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 3 * 2000)).reshape(
             2000, 3, alg.matrix_dim, alg.matrix_dim
         )
-        for h, g1, g2 in trips[:500]:
-            d0 = left_distance(g1, g2, alg)
-            d1 = left_distance(h @ g1, h @ g2, alg)
-            assert abs(d0 - d1) <= 1e-12
+        h, g1, g2 = trips[:500].swapaxes(0, 1)
+        inv = lambda g: g.conj().swapaxes(-1, -2)
+        d0 = _distances_to_identity(alg, inv(g1) @ g2)
+        d1 = _distances_to_identity(alg, inv(h @ g1) @ (h @ g2))
+        assert np.abs(d0 - d1).max() <= 1e-12
 
 
 def test_distance_agrees_with_log_norm(algebras):
     # the stable trace form must match |log| where log is defined
     for tag, alg in algebras.items():
         rng = np.random.default_rng(4)
-        e = GroupElement(np.eye(alg.matrix_dim, dtype=complex), tag)
-        for u in alg.sample_ball(rng, 0.9 * alg.injectivity_margin, 50):
-            g = GroupElement(_exp_matrices(alg, u[None])[0], tag)
-            via_log = alg.norm(log_map(g, alg).coords)
-            assert abs(left_distance(e, g, alg) - via_log) < 1e-11
+        g = _exp_matrices(alg, alg.sample_ball(
+            rng, 0.9 * alg.injectivity_margin, 50))
+        assert group_membership_residual(g, tag) <= TAU_GROUP
+        via_log = alg.norm(_log_coords(alg, g))
+        assert np.abs(_distances_to_identity(alg, g) - via_log).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +344,12 @@ def test_distance_agrees_with_log_norm(algebras):
 
 def test_commuting_pair_has_zero_gap(algebras):
     alg = algebras["SO3"]
-    u, v = vec("so3", 0, 0, 0.4), vec("so3", 0, 0, 0.7)
-    g = exp_map(u, alg).matrix @ exp_map(v, alg).matrix
-    w = log_map(GroupElement(g, "SO3"), alg).coords
-    assert np.abs(w - (u.coords + v.coords)).max() < 1e-13
+    u, v = np.array([0, 0, 0.4]), np.array([0, 0, 0.7])
+    eu, ev = _exp_matrices(alg, np.array([u, v]))
+    g = eu @ ev
+    assert group_membership_residual(g, "SO3") <= TAU_GROUP
+    w = _log_coords(alg, g[None])[0]
+    assert np.abs(w - (u + v)).max() < 1e-13
 
 
 def test_abelian_bch_estimates(algebras, default_sets):
@@ -365,8 +365,10 @@ def test_so3_witness_pair_quaternion_oracle(algebras, oracles, constants):
     alg = algebras["SO3"]
     u = np.array([0.2, 0.0, 0.0])
     v = np.array([0.0, 0.2, 0.0])
-    g = exp_map(u, alg).matrix @ exp_map(v, alg).matrix
-    gap_impl = alg.norm(log_map(GroupElement(g, "SO3"), alg).coords - (u + v))
+    eu, ev = _exp_matrices(alg, np.array([u, v]))
+    g = eu @ ev
+    assert group_membership_residual(g, "SO3") <= TAU_GROUP
+    gap_impl = alg.norm(_log_coords(alg, g[None])[0] - (u + v))
     w_oracle = oracles["quat_log"](
         oracles["quat_mul"](oracles["quat_exp"](u), oracles["quat_exp"](v))
     )
@@ -403,19 +405,18 @@ def test_containment_checks(algebras, default_sets, constants):
     for tag in ("U1", "SO3", "SU2"):
         alg, k = algebras[tag], constants[tag]
         rng = np.random.default_rng(17)
-        e = np.eye(alg.matrix_dim, dtype=complex)
         radius = min(default_sets.K_radius, 0.99 * alg.injectivity_margin)
         hs = _exp_matrices(alg, alg.sample_ball(rng, radius, 100))
         gs = _exp_matrices(alg, alg.sample_ball(rng, 1.0 / k.c_l, 100))
-        for h, g in zip(hs, gs):
-            assert left_distance(e, h @ g @ h.conj().T, alg) <= 1.0 + 1e-9
+        conj = hs @ gs @ hs.conj().swapaxes(-1, -2)
+        assert np.all(_distances_to_identity(alg, conj) <= 1.0 + 1e-9)
         ws = _exp_matrices(
             alg, alg.sample_ball(
                 rng, min(default_sets.W_radius, 0.99 * alg.injectivity_margin), 100)
         )
         bs = _exp_matrices(alg, alg.sample_ball(rng, 1.0 / k.c_d, 100))
-        for w, b in zip(ws, bs):
-            assert left_distance(e, b @ w, alg) <= default_sets.K_radius + 1e-9
+        assert np.all(_distances_to_identity(alg, bs @ ws)
+                      <= default_sets.K_radius + 1e-9)
 
 
 @pytest.mark.parametrize("raw_norm", ["euclid", "frobenius"])
@@ -472,13 +473,6 @@ def test_u1_fourier_mode_vanishes():
     assert abs(out) < 1e-15
     out = haar_integrate(lambda m: m[0, 0] ** 3, "U1", QuadratureRule(n_theta=8))
     assert abs(out) < 1e-15
-
-
-def test_finite_group_average_z2_action():
-    # Z_2 = {+1, -1} acting on the real line: average of (x, -x) is 0
-    x = 0.73
-    out = haar_integrate(lambda s: s * x, [1.0, -1.0])
-    assert abs(out) < 1e-16
 
 
 def test_so3_character_orthogonality():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
 from haarrect import harness
-from haarrect.cli import HOLO_KEYS, main
+from haarrect.cli import main
 from haarrect.errors import (
     ActionError,
     ConfigError,
@@ -150,6 +152,22 @@ def test_config_rejects_bad_radii():
      "output.trace must be a file name, not 'a/b.csv'"),
     ({"density": {"weights": {"0": 10 ** 400}}},
      "density.weights: int too large to convert to float"),
+    # keys that named no core arrow were ignored, and "01" overwrote the
+    # weight of arrow 1
+    ({"groupoid": {"size": 2}, "density": {"weights": {
+        "0": 1, "1": 1, "2": 1, "3": 1, "999": -3, "-1": 1e400}}},
+     "density.weights: key '999' is not the index of a core arrow"),
+    ({"groupoid": {"size": 2},
+      "density": {"weights": {"0": 1, "1": 1, "2": 1, "3": 1, "-1": 1}}},
+     "density.weights: key '-1' is not the index of a core arrow"),
+    ({"groupoid": {"size": 2},
+      "density": {"weights": {"0": 1, "1": 1, "01": 5, "2": 1, "3": 1}}},
+     "density.weights: key '01' is not the index of a core arrow"),
+    ({"groupoid": {"constructor": "action", "group_order": 4,
+                   "space_size": 2},
+      "core": {"arrows": [0, 1, 4, 5]},
+      "density": {"weights": {"0": 1, "1": 1, "2": 1, "4": 1, "5": 1}}},
+     "density.weights: key '2' is not the index of a core arrow"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -162,6 +180,23 @@ def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
         assert err.startswith("error: ConfigError: ") and message in err
         assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_cli_rejects_a_repeated_config_key(tmp_path, capsys):
+    # json alone keeps the last value of a repeated key, at any level
+    path = tmp_path / "repeated.json"
+    for text, key in (
+            ('{"groupoid": {"size": 3}, "groupoid": {"size": 4}}', "groupoid"),
+            ('{"groupoid": {"size": 3, "size": 4}}', "groupoid.size")):
+        path.write_text(text)
+        for argv in (["run", "--config", str(path), "--out", str(tmp_path)],
+                     ["validate", "--config", str(path)],
+                     ["bench-holo", "--config", str(path),
+                      "--out", str(tmp_path)]):
+            assert main(argv) == EXIT_PRECONDITION
+            err = capsys.readouterr().err
+            assert err == f"error: ConfigError: config repeats the key {key!r}\n"
+    assert os.listdir(tmp_path) == ["repeated.json"]
 
 
 def test_cli_bench_holo_rejects_unknown_key(tmp_path, capsys):
@@ -242,9 +277,10 @@ def test_sample_and_grid_caps_allow_their_boundary():
 def test_holo_spec_defaults_are_the_bundled_config():
     with open(os.path.join(CONFIG_DIR, "holo_bench.json")) as fh:
         config = json.load(fh)
-    assert tuple(config) == HOLO_KEYS
+    keys = tuple(f.name for f in dataclasses.fields(HoloSpec))
+    assert tuple(config) == keys
     defaults = HoloSpec()
-    assert {key: getattr(defaults, key) for key in HOLO_KEYS} == {
+    assert {key: getattr(defaults, key) for key in keys} == {
         key: tuple(v) if isinstance(v, list) else v for key, v in config.items()}
 
 
@@ -333,6 +369,34 @@ def test_cli_import_loads_no_executor_or_process_modules():
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
+
+PUBLIC_NAMES = (
+    "ActionError", "AlmostMorphism", "AmbientSets", "BchConstants",
+    "ComplexModel", "ConfigError", "Core", "CoreAxiomError", "DefectOverflow",
+    "DefectTooLarge", "ExperimentConfig", "FiniteGroup", "FiniteGroupoid",
+    "GridError", "HaarDensity", "HaarrectError", "InvalidAlgebraVector",
+    "InvarianceError", "IterationTrace", "LogDomainError", "NonContraction",
+    "NormalizationFailure", "NormedAlgebra", "QuadratureRule", "RangeEscape",
+    "RunReport", "SampledFunction", "ValidationReport",
+    "admissible_defect_radius", "almost_morphism", "attach_haar_density",
+    "build_action_groupoid", "build_complexified_model", "build_core",
+    "build_pair_groupoid", "core_average_function", "cr_residual", "defect",
+    "estimate_bch_constants", "generate_exact_morphism", "haar_integrate",
+    "iterate", "normalize_algebra_norm", "perturb_morphism", "q_bound",
+    "real_restriction_check", "revalidate_bch_constants", "run_experiment",
+    "validate_groupoid", "verify_core_morphism",
+)
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package shows in this list's
+    # diff; submodules are left out, since which of them are loaded
+    # depends on what was imported before
+    import haarrect
+    names = sorted(n for n, v in vars(haarrect).items()
+                   if not n.startswith("_") and not inspect.ismodule(v))
+    assert tuple(names) == PUBLIC_NAMES
+
 # ---------------------------------------------------------------------------
 # exact morphisms
 # ---------------------------------------------------------------------------
@@ -418,7 +482,7 @@ def test_perturb_defect_bound_and_bruteforce(algebras, constants):
     brute = max(
         float(np.linalg.norm(_log_oracle(alg,
               np.linalg.inv(out.values[p]) @ np.linalg.inv(out.values[kk])
-              @ out.values[g.compose(kk, p)])))
+              @ out.values[int(g.multiply(kk, p))])))
         for kk in range(g.n_arrows) for p in range(g.n_arrows)
         if g.source[kk] == g.target[p]
     )

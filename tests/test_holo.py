@@ -12,6 +12,7 @@ from conftest import with_products
 from haarrect.errors import GridError
 from haarrect.groups import QuadratureRule, haar_integrate
 from haarrect.holo import (
+    SampledFunction,
     average_callable,
     build_complexified_model,
     core_average_function,
@@ -178,10 +179,13 @@ def test_grid_contains_real_slice(model):
     assert 0.0 in y1 and 0.0 in y2
 
 
-def test_real_restriction_check_matches_pointwise_loop(model):
-    # one point at a time, as the check is defined; a coarser real rule
-    # makes the two routes differ.  Array and scalar evaluation of f may
-    # round differently in the last bit, so the match is to 1e-15.
+def test_real_restriction_check_matches_pointwise_loop():
+    # one point at a time, as the check is defined; w+^5 survives the real
+    # rule on n_theta + 1 = 5 nodes and not the model's 4, so the two
+    # routes differ.  Array and scalar evaluation of f may round
+    # differently in the last bit, so the match is to 1e-15.
+    model = build_complexified_model(n_theta=4, n_space=5, n_eta=3,
+                                     n_shells=3)
     rng = np.random.default_rng(3)
     co = rng.normal(size=3) + 1j * rng.normal(size=3)
 
@@ -200,7 +204,7 @@ def test_real_restriction_check_matches_pointwise_loop(model):
             "SO2", rule)
         worst = max(worst, abs(complex(via_complex) - complex(via_real)))
     assert worst > 0.1
-    assert abs(real_restriction_check(f, model, rule) - worst) <= 1e-15 * worst
+    assert abs(real_restriction_check(f, model) - worst) <= 1e-15 * worst
 
 
 def test_invalid_model_parameters():
@@ -372,9 +376,11 @@ def test_cr_convergence_order_on_averaged_holomorphic(model):
 
 
 def test_cr_grid_too_small():
-    f = lambda z1, z2: z1
+    axis = np.array([0.0, 1e-2])
+    F = SampledFunction(values=np.zeros((2,) * 4, dtype=complex),
+                        grid_axes=(axis,) * 4, grid_spacing=1e-2)
     with pytest.raises(GridError):
-        sample_on_box(f, (0.0, 0.0, 0.0, 0.0), 1e-2, n=2)
+        cr_residual(F)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import TAU_GROUP, group_membership_residual
 from haarrect.errors import (
     DefectOverflow,
     DefectTooLarge,
     NonContraction,
-    NotComposable,
     RangeEscape,
 )
 from haarrect.groupoids import (
@@ -22,7 +22,6 @@ from haarrect.groups import (
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
-    left_distance,
 )
 from haarrect.harness import (
     GroupoidSpec,
@@ -35,15 +34,13 @@ from haarrect.harness import (
 from haarrect import rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
+    _apply_correction,
     _correction,
     _max_distance,
     _psi_stack,
     admissible_defect_radius,
     almost_morphism,
-    average_correction,
-    correct_once,
     defect,
-    defect_element,
     iterate,
     q_bound,
     verify_core_morphism,
@@ -76,9 +73,9 @@ def test_psi_identity_for_exact_morphism(algebras):
     g = build_pair_groupoid(tuple(range(3)))
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
-    for k, p, kp in core.pairs:
-        psi = defect_element(phi, core, k, p)
-        assert np.abs(psi.matrix - np.eye(3)).max() < 1e-14
+    psi = _psi_stack(phi, core.pairs)
+    assert group_membership_residual(psi, "SO3") <= TAU_GROUP
+    assert np.abs(psi - np.eye(3)).max() < 1e-14
 
 
 def test_psi_trivial_morphism_is_bitwise_identity(algebras):
@@ -86,9 +83,9 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     g = build_pair_groupoid(tuple(range(3)))
     core = full_core(g)
     phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), "SU2", alg)
-    for k, p, kp in core.pairs[:5]:
-        psi = defect_element(phi, core, k, p)
-        assert np.array_equal(psi.matrix, np.eye(2, dtype=complex))
+    psi = _psi_stack(phi, core.pairs[:5])
+    assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
+                                               psi.shape))
 
 
 def test_psi_single_perturbation_brute_force(algebras):
@@ -104,36 +101,23 @@ def test_psi_single_perturbation_brute_force(algebras):
     values[star] = values[star] @ _exp_matrices(alg, w[None])[0]
     phi_p = almost_morphism(values, "SO3", alg)
 
-    count = 0
+    rows, expected = [], []
     for k in range(9):
         for p in range(9):
             if g.source[k] != g.target[p]:
                 continue
-            count += 1
-            kp = g.compose(k, p)
-            expected = (np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
-                        @ values[kp])
-            got = defect_element(phi_p, core, k, p).matrix
-            assert np.abs(got - expected).max() < 1e-13
-    assert count == 27
+            kp = int(g.multiply(k, p))
+            rows.append((k, p, kp))
+            expected.append(np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
+                            @ values[kp])
+    assert len(rows) == 27
+    got = _psi_stack(phi_p, rows)
+    assert group_membership_residual(got, "SO3") <= TAU_GROUP
+    assert np.abs(got - np.array(expected)).max() < 1e-13
 
-    brute = max(
-        left_distance(np.eye(3, dtype=complex),
-                      np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
-                      @ values[g.compose(k, p)], alg)
-        for k in range(9) for p in range(9) if g.source[k] == g.target[p]
-    )
+    brute = _distances_to_identity(alg, np.array(expected)).max()
     assert abs(defect(phi_p, core, alg) - brute) < 1e-14
     assert 0.0 < defect(phi_p, core, alg) <= 3 * 0.01 * 1.01
-
-
-def test_psi_not_composable(algebras):
-    alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
-    core = full_core(g)
-    phi = coboundary(g, alg)
-    with pytest.raises(NotComposable):
-        defect_element(phi, core, 0, 3)   # s(0) = 0 but t(3) = 1
 
 
 def test_central_right_translation_law(algebras):
@@ -145,10 +129,11 @@ def test_central_right_translation_law(algebras):
     phi = coboundary(g, alg, seed=3)
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
     phi_z = almost_morphism(phi.values @ z, "SU2", alg)
-    for k, p, kp in core.pairs[:6]:
-        psi = defect_element(phi, core, k, p).matrix
-        psi_z = defect_element(phi_z, core, k, p).matrix
-        assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
+    psi = _psi_stack(phi, core.pairs[:6])
+    psi_z = _psi_stack(phi_z, core.pairs[:6])
+    assert group_membership_residual(psi, "SU2") <= TAU_GROUP
+    assert group_membership_residual(psi_z, "SU2") <= TAU_GROUP
+    assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
 
 
 def test_defect_invariant_under_conjugation(algebras):
@@ -186,7 +171,7 @@ def test_exact_morphism_average_is_identity(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=5)
-    corrections, norms = average_correction(phi, core, mu, alg)
+    corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     assert norms.max() < 1e-14
     assert np.abs(corrections - np.eye(3)).max() < 1e-13
 
@@ -197,7 +182,8 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 2), "SU2", alg)
-    out = correct_once(phi, core, mu, alg)
+    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert np.array_equal(out.values, phi.values)
 
 
@@ -210,7 +196,8 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     values = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
     phi = almost_morphism(values, "U1", alg)
     assert phi.range_certificate == pytest.approx(alg.scale * np.pi)
-    out = correct_once(phi, core, mu, alg)
+    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert np.array_equal(out.values, values)
 
 
@@ -226,7 +213,8 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     phi = almost_morphism(np.exp(1j * theta)[:, None, None], "U1", alg)
     assert defect(phi, core, alg) > 1e-4
 
-    out = correct_once(phi, core, mu, alg)
+    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert defect(out, core, alg) <= 1e-14
 
     # closed-form abelian cocycle oracle: theta_hat = theta + sum w delta
@@ -237,7 +225,7 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
         fiber = core.fiber_at(int(g.target[p]))
         acc = 0.0
         for k in fiber:
-            kp = g.compose(k, p)
+            kp = int(g.multiply(k, p))
             acc += (1.0 / len(fiber)) * principal(theta[kp] - theta[k] - theta[p])
         theta_hat[p] = theta[p] + acc
     assert np.abs(out.values[:, 0, 0] - np.exp(1j * theta_hat)).max() < 1e-13
@@ -256,7 +244,8 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
     phi = almost_morphism(np.exp(1j * theta)[:, None, None], "U1", alg)
-    out = correct_once(phi, core, mu, alg)
+    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert defect(out, core, alg) <= 1e-14
 
 
@@ -272,12 +261,12 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise),
                           "SO3", alg)
     delta = defect(phi, core, alg)
-    corrections, norms = average_correction(phi, core, mu, alg)
+    corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
 
-    out = correct_once(phi, core, mu, alg)
-    moves = [left_distance(phi.values[p], out.values[p], alg)
-             for p in range(g.n_arrows)]
+    out = _apply_correction(phi, corrections, alg, None, "corrected map")
+    moves = _distances_to_identity(
+        alg, phi.values.conj().swapaxes(-1, -2) @ out.values)
     assert abs(max(moves) - norms.max()) < 1e-13
 
 
@@ -304,12 +293,12 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     logs = _log_coords(alg, _psi_stack(phi, pairs))
     log_of = {(int(k), int(p)): v for (k, p, _), v in zip(pairs, logs)}
     ref = np.array([
-        weighted_sum(np.array([mu.weight(k) for k in fiber]),
+        weighted_sum(mu.weights[list(fiber)],
                      np.array([log_of[(k, p)] for k in fiber]))
         for p in range(g.n_arrows)
         for fiber in [core.fiber_at(int(g.target[p]))]
     ])
-    corrections, norms = average_correction(phi, core, mu, alg)
+    corrections, norms = _correction(_psi_stack(phi, pairs), core, mu, alg)
     assert np.array_equal(norms, alg.norm(ref))
     assert np.array_equal(corrections, _exp_matrices(alg, ref))
 
@@ -360,20 +349,6 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     assert seen[0].tobytes() == ref.tobytes()
     assert norms.tobytes() == alg.norm(ref).tobytes()
     assert corrections.tobytes() == _exp_matrices(alg, ref).tobytes()
-
-
-def test_average_precondition_enforced(algebras):
-    alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
-    core = full_core(g)
-    mu = attach_haar_density(core, "uniform")
-    rng = np.random.default_rng(31)
-    phi = coboundary(g, alg, seed=7)
-    noise = _exp_matrices(alg, alg.sample_ball(rng, 0.3, g.n_arrows))
-    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise),
-                          "SO3", alg)
-    with pytest.raises(DefectTooLarge):
-        average_correction(phi, core, mu, alg, max_defect=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +444,15 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
     # replay the iteration step by step against the brute-force defect
     current = phi
     for n in range(trace.iterations):
-        brute = max(
-            left_distance(
-                np.eye(3, dtype=complex),
-                np.linalg.inv(current.values[p]) @ np.linalg.inv(current.values[kk])
-                @ current.values[kp], alg)
-            for kk, p, kp in core.pairs
-        )
+        v = current.values
+        brute = _distances_to_identity(alg, np.array([
+            np.linalg.inv(v[p]) @ np.linalg.inv(v[kk]) @ v[kp]
+            for kk, p, kp in core.pairs])).max()
         assert abs(brute - trace.deltas[n]) < 1e-13
-        current = correct_once(current, core, mu, alg)
+        corrections, _ = _correction(_psi_stack(current, core.pairs), core,
+                                     mu, alg)
+        current = _apply_correction(current, corrections, alg, None,
+                                    "corrected map")
     assert abs(defect(current, core, alg) - trace.deltas[-1]) < 1e-13
 
 
@@ -592,10 +567,6 @@ def test_real_psi_stack_matches_complex_product(algebras):
         psi = _psi_stack(phi, pairs)
         assert psi.dtype == np.float64
         assert np.abs(psi - complex_psi(phi, pairs)).max() <= 1e-15
-        k, p, kp = pairs[-1]
-        element = defect_element(phi, core, int(k), int(p)).matrix
-        assert element.dtype == complex
-        assert np.abs(element - complex_psi(phi, pairs[-1:])[0]).max() <= 1e-15
 
 
 def test_almost_morphism_stores_real_groups_in_float64(algebras):
