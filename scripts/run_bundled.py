@@ -2,10 +2,15 @@
 """Run every bundled experiment config and print a summary table.
 
 Usage: python scripts/run_bundled.py [--out DIR]
+
+The table ends with the sha256 of each config's trace and report ("-" for
+one the run did not write), so two checkouts' artifacts compare with one
+diff of their tables.
 """
 
 import argparse
 import glob
+import hashlib
 import os
 import sys
 
@@ -14,6 +19,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from haarrect.harness import ExperimentConfig, run_experiment  # noqa: E402
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def sha256_of(path):
+    """Hex sha256 of a file, or "-" if there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        return "-"
 
 
 def main():
@@ -28,15 +42,25 @@ def main():
         if name == "holo_bench.json":
             continue
         config = ExperimentConfig.from_json(path)
+        # a run that fails writes no trace: clear this config's old files so
+        # that the hashes are of this run's artifacts only
+        artifacts = [os.path.join(args.out, f)
+                     for f in (config.output.trace, config.output.report)]
+        for f in artifacts:
+            if os.path.exists(f):
+                os.remove(f)
         report, code = run_experiment(config, out_dir=args.out)
         rows.append((name, code, report.iterations, report.initial_defect,
-                     report.final_defect, report.error or "-"))
+                     report.final_defect, report.error or "-",
+                     *map(sha256_of, artifacts)))
 
-    print(f"{'config':<26}{'exit':<6}{'iters':<7}{'initial':<12}{'final':<12}error")
-    for name, code, iters, d0, dn, err in rows:
+    print(f"{'config':<26}{'exit':<6}{'iters':<7}{'initial':<12}{'final':<12}"
+          f"{'trace_sha256':<66}{'report_sha256':<66}error")
+    for name, code, iters, d0, dn, err, trace_sha, report_sha in rows:
         d0s = f"{d0:.3e}" if d0 == d0 else "-"
         dns = f"{dn:.3e}" if dn == dn else "-"
-        print(f"{name:<26}{code:<6}{iters:<7}{d0s:<12}{dns:<12}{err}")
+        print(f"{name:<26}{code:<6}{iters:<7}{d0s:<12}{dns:<12}"
+              f"{trace_sha:<66}{report_sha:<66}{err}")
     return 0 if all(code in (0, 2) for _, code, *_ in rows) else 1
 
 

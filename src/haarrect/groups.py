@@ -74,11 +74,6 @@ def algebra_basis(algebra_id):
     raise ValueError(f"unknown algebra_id {algebra_id!r}")
 
 
-def coords_to_matrix(algebra_id, coords):
-    coords = np.asarray(coords, dtype=float)
-    return np.tensordot(coords, algebra_basis(algebra_id), axes=(-1, 0))
-
-
 def bracket_coords(algebra_id, u, v):
     """Lie bracket in coordinates."""
     u = np.asarray(u, dtype=float)
@@ -91,6 +86,17 @@ def bracket_coords(algebra_id, u, v):
         # [i sigma_j / 2, i sigma_k / 2] = -eps_jkl i sigma_l / 2
         return -np.cross(u, v)
     raise ValueError(f"unknown algebra_id {algebra_id!r}")
+
+
+def _row_norm(x):
+    """np.linalg.norm(x, axis=-1) to the bit for rows of under 8 entries,
+    which numpy sums in order: here column by column, each step one loop
+    over all the rows."""
+    sq = np.square(np.asarray(x, dtype=float))
+    total = sq[..., 0]
+    for j in range(1, sq.shape[-1]):
+        total = total + sq[..., j]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -126,16 +132,16 @@ class NormedAlgebra:
 
     def norm(self, coords):
         """Normalized norm of coordinate vector(s); last axis is coords."""
-        c = np.asarray(coords, dtype=float)
-        return self.factor * np.linalg.norm(c, axis=-1)
+        return self.factor * _row_norm(coords)
 
     def sample_ball(self, rng, radius, count):
-        """Uniform sample in the normalized-norm ball of the given radius."""
+        """Uniform sample in the normalized-norm ball of the given radius,
+        (count, dim) with each coordinate's column contiguous."""
         dim = self.dim
-        x = rng.normal(size=(count, dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x = np.ascontiguousarray(rng.normal(size=(count, dim)).T)
+        x /= _row_norm(x.T)
         r = radius * rng.random(count) ** (1.0 / dim)
-        return (r / self.factor)[:, None] * x
+        return ((r / self.factor) * x).T
 
 
 @dataclass(frozen=True)
@@ -204,37 +210,45 @@ def _exp_matrices(alg, coords):
         raise InvalidAlgebraVector(f"non-finite {alg.algebra_id} coords")
     aid = alg.algebra_id
     if aid == "u1":
-        G = np.exp(1j * coords)[..., None]
-    elif aid == "so2":
-        c, s = np.cos(coords[:, 0]), np.sin(coords[:, 0])
-        G = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        return np.exp(1j * coords)[..., None]
+    # G's entries in row-major order, each a column over the batch, by the
+    # matrix forms' own operations (identical bits); where those add a zero
+    # entry of I, 0.0 + x turns -0.0 into +0.0 as that addition does
+    c = np.ascontiguousarray(coords.T)
+    if aid == "so2":
+        # sin(x) is +-0.0 only at x = +-0.0, so zero vectors give exactly I
+        cos, sin = np.cos(c[0]), np.sin(c[0])
+        cols = (cos, 0.0 - sin, 0.0 + sin, cos)
     else:
         # hypot keeps theta, and so the axis, exact for subnormal coords
-        theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
-        axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
-                         where=theta[:, None] > 0.0)
-        K = coords_to_matrix(aid, axis)
+        theta = np.hypot(np.hypot(c[0], c[1]), c[2])
+        axis = np.divide(c, theta, out=np.zeros_like(c), where=theta > 0.0)
         if aid == "so3":
-            # K^2 = n n^T - I for a unit axis n
+            # I + sin(theta) K + v (n n^T - I): K = X(n), K^2 = n n^T - I
+            x, y, z = axis
             v = 2.0 * np.sin(0.5 * theta) ** 2
-            G = (np.eye(3) + np.sin(theta)[:, None, None] * K
-                 + v[:, None, None] * (axis[:, :, None] * axis[:, None, :]
-                                       - np.eye(3)))
+            sx, sy, sz = np.sin(theta) * axis
+            d = 1.0 + v * (axis * axis - 1.0)
+            vxy, vxz, vyz = v * (x * y), v * (x * z), v * (y * z)
+            cols = (d[0], (0.0 - sz) + vxy, (0.0 + sy) + vxz,
+                    (0.0 + sz) + vxy, d[1], (0.0 - sx) + vyz,
+                    (0.0 - sy) + vxz, (0.0 + sx) + vyz, d[2])
         else:
-            G = (np.cos(0.5 * theta)[:, None, None] * np.eye(2)
-                 + (2.0 * np.sin(0.5 * theta))[:, None, None] * K)
-    # exact-zero fast path: zero vectors must exponentiate to the exact identity
-    zero = ~np.any(coords != 0.0, axis=-1)
-    if np.any(zero):
-        G[zero] = np.eye(alg.matrix_dim)
-    return G
+            # cos(theta/2) I + 2 sin(theta/2) K as complex products, the
+            # zeros of K = X(n) being +0.0
+            cos, s2 = np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
+            hx, hy, hz = 0.5 * axis + 0.0
+            cols = (cos + s2 * (1j * hz), 0.0 * cos + s2 * (hy + 1j * hx),
+                    0.0 * cos + s2 * (-hy + 1j * hx), cos + s2 * (1j * -hz))
+    return np.stack(cols, axis=-1).reshape(-1, alg.matrix_dim, alg.matrix_dim)
 
 
 def _sine_cosine(alg, mats):
     """Batched sine vector sin(a) n and cosine of the rotation angle a.
 
     An element is cos(a) I + sin(a) X(n), n a unit algebra direction; a is
-    |log| (u1, so2, so3) or |log| / 2 (su2).
+    |log| (u1, so2, so3) or |log| / 2 (su2).  The sine's coordinates are on
+    its last axis, each one's column contiguous.
     """
     m = np.asarray(mats)
     if alg.algebra_id == "u1":
@@ -246,10 +260,11 @@ def _sine_cosine(alg, mats):
         skew = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
                 r[..., 1, 0] - r[..., 0, 1])
         cosine = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
-        return 0.5 * np.stack(skew, axis=-1), cosine
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    return (0.5 * np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1),
-            0.5 * (a + d).real)
+    else:
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        skew = ((b + c).imag, (b - c).real, (a - d).imag)
+        cosine = 0.5 * (a + d).real
+    return np.moveaxis(0.5 * np.stack(skew), 0, -1), cosine
 
 
 def _angles_from_matrices(alg, mats):
@@ -260,7 +275,7 @@ def _angles_from_matrices(alg, mats):
     the branch-sensitive axis extraction.
     """
     sine, cosine = _sine_cosine(alg, mats)
-    angle = np.arctan2(np.linalg.norm(sine, axis=-1), cosine)
+    angle = np.arctan2(_row_norm(sine), cosine)
     return 2.0 * angle if alg.algebra_id == "su2" else angle
 
 
@@ -274,22 +289,25 @@ def _log_coords(alg, mats):
     sine, cosine = _sine_cosine(alg, mats)
     if alg.dim == 1:
         return np.arctan2(sine, cosine[..., None])
-    s = np.linalg.norm(sine, axis=-1, keepdims=True)
+    s = _row_norm(sine)
     # zero sine: the identity (any axis) or a half turn (keep its angle)
-    axis = np.divide(sine, s, out=np.zeros_like(sine), where=s > 0)
-    axis[s[..., 0] == 0, -1] = 1.0
+    axis = np.divide(sine, s[..., None], out=np.zeros_like(sine),
+                     where=s[..., None] > 0)
+    axis[s == 0, -1] = 1.0
     far = cosine < 0.0
     if alg.algebra_id == "so3" and np.any(far):
-        c = cosine[far, None, None]
-        r = np.asarray(mats)[far].real
-        nn = (0.5 * (r + r.swapaxes(-1, -2)) - c * np.eye(3)) / (1.0 - c)
-        diag = np.diagonal(nn, axis1=-2, axis2=-1)
-        i = np.argmax(diag, axis=-1)
-        n = nn[np.arange(len(i)), i] / np.sqrt(diag.max(axis=-1))[:, None]
+        # n n^T on (3, 3, m) columns; the einsum keeps its (m, 3) rows, as
+        # its rounding decides the axis sign next to a half turn
+        c = cosine[far]
+        r = np.ascontiguousarray(np.moveaxis(np.asarray(mats)[far].real, 0, -1))
+        nn = (0.5 * (r + r.swapaxes(0, 1)) - c * np.eye(3)[:, :, None]) / (1.0 - c)
+        diag = nn[[0, 1, 2], [0, 1, 2]]
+        i = np.argmax(diag, axis=0)
+        n = nn[i, :, np.arange(len(i))] / np.sqrt(diag.max(axis=0))[:, None]
         flip = np.einsum("ij,ij->i", n, sine[far]) < 0.0
         axis[far] = np.where(flip[:, None], -n, n)
-    angle = np.arctan2(s, cosine[..., None])
-    return (2.0 * angle if alg.algebra_id == "su2" else angle) * axis
+    angle = np.arctan2(s, cosine)
+    return (2.0 * angle if alg.algebra_id == "su2" else angle)[..., None] * axis
 
 
 def _distances_to_identity(alg, mats):

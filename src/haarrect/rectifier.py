@@ -94,9 +94,11 @@ class IterationTrace:
 def _psi_stack(phi, pairs):
     """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
     one psi path of the defect, correction and verification.  The stack has
-    the dtype of phi's values: float64 for SO2/SO3, complex otherwise."""
+    the dtype of phi's values: float64 for SO2/SO3, complex otherwise.
+    The inverses are made contiguous once, so that the gathers and the two
+    products run on C-ordered stacks."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    inv = phi.values.conj().swapaxes(-1, -2)
+    inv = np.ascontiguousarray(phi.values.conj().swapaxes(-1, -2))
     return inv[p] @ inv[k] @ phi.values[kp]
 
 
@@ -237,9 +239,6 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
         phi = phi0
         n = 0
         while delta > tol and n < max_iter:
-            # the averaging precondition, checked against the defect in hand
-            if delta > 1.0 / constants.c_l:
-                raise DefectTooLarge(delta, 1.0 / constants.c_l)
             corrections, a_norms = _correction(psi, core, density, alg)
             corr_norm = float(np.max(a_norms))
             phi_next = _apply_correction(phi, corrections, alg, sets,
@@ -268,6 +267,8 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
             deltas.append(delta_next)
             phi = phi_next
             n += 1
+            # the averaging precondition of the next step (the entry check
+            # put the first defect within admissible <= 1/c_l)
             if delta_next > 1.0 / constants.c_l:
                 raise NonContraction(n, delta_next, trace=trace("defect_grew"))
             delta = delta_next

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import schur
 
 from haarrect.groupoids import FiniteGroupoid
-from haarrect.groups import AmbientSets, normalize_algebra_norm
+from haarrect.groups import AmbientSets, algebra_basis, normalize_algebra_norm
 from haarrect.harness import ConstantsSpec, constants_for
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +49,12 @@ def constants(algebras):
 # ---------------------------------------------------------------------------
 
 TAU_GROUP = 1e-10   # group membership tolerance
+
+
+def coords_to_matrix(algebra_id, coords):
+    """Algebra matrices X(c) = sum_k c_k basis_k over the last axis."""
+    coords = np.asarray(coords, dtype=float)
+    return np.tensordot(coords, algebra_basis(algebra_id), axes=(-1, 0))
 
 
 def group_membership_residual(matrix, group_id):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TAU_GROUP, group_membership_residual
+from conftest import TAU_GROUP, coords_to_matrix, group_membership_residual
 from haarrect.errors import InvalidAlgebraVector, LogDomainError
 from haarrect.groupoids import attach_haar_density, build_core
 from haarrect.groupoids import build_pair_groupoid
@@ -269,7 +269,6 @@ def test_normalize_su2_frobenius_sampling_maximization_oracle():
 
 
 def test_bracket_matches_matrix_commutator(algebras):
-    from haarrect.groups import coords_to_matrix
     rng = np.random.default_rng(6)
     for alg_id in ("u1", "so2", "so3", "su2"):
         dim = {"u1": 1, "so2": 1, "so3": 3, "su2": 3}[alg_id]

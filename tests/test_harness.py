@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -368,6 +369,28 @@ def test_cli_import_loads_no_executor_or_process_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
+    # a stale trace at the rejected config's path must not be hashed
+    (tmp_path / "defect_too_large_trace.csv").write_text("stale\n")
+    script = os.path.join(REPO_ROOT, "scripts", "run_bundled.py")
+    out = subprocess.run([sys.executable, script, "--out", str(tmp_path)],
+                         check=True, capture_output=True, text=True,
+                         timeout=300).stdout.splitlines()
+    assert out[0].split()[5:7] == ["trace_sha256", "report_sha256"]
+    hashes = {}
+    for line in out[1:]:
+        name, _, _, _, _, trace_sha, report_sha, _ = line.split(maxsplit=7)
+        hashes[name] = (trace_sha, report_sha)
+        output = ExperimentConfig.from_json(
+            os.path.join(CONFIG_DIR, name)).output
+        for fname, sha in ((output.trace, trace_sha),
+                           (output.report, report_sha)):
+            path = tmp_path / fname
+            assert sha == (hashlib.sha256(path.read_bytes()).hexdigest()
+                           if path.exists() else "-")
+    assert len(hashes) == 4 and hashes["defect_too_large.json"][0] == "-"
 
 
 PUBLIC_NAMES = (
