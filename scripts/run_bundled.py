@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and print a summary table.
+"""Run every bundled config and print a summary table.
 
 Usage: python scripts/run_bundled.py [--out DIR]
 
-The table ends with the sha256 of each config's trace and report ("-" for
-one the run did not write), so two checkouts' artifacts compare with one
-diff of their tables.
+Experiment configs go through ``run_experiment``; ``holo_bench.json`` goes
+through ``run_holo_bench`` and has only an exit code and a report.  The
+table ends with the sha256 of each config's trace and report ("-" for one
+the run did not write), so two checkouts' artifacts compare with one diff
+of their tables.
 """
 
 import argparse
@@ -16,7 +18,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from haarrect.harness import ExperimentConfig, run_experiment  # noqa: E402
+from haarrect.harness import (  # noqa: E402
+    ExperimentConfig,
+    HoloSpec,
+    run_experiment,
+    run_holo_bench,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -40,15 +47,14 @@ def main():
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
         name = os.path.basename(path)
         if name == "holo_bench.json":
+            spec = HoloSpec.from_json(path)
+            _, code = run_holo_bench(spec, out_dir=args.out)
+            rows.append((name, code, "-", float("nan"), float("nan"), "-",
+                         "-", sha256_of(os.path.join(args.out, spec.report))))
             continue
         config = ExperimentConfig.from_json(path)
-        # a run that fails writes no trace: clear this config's old files so
-        # that the hashes are of this run's artifacts only
         artifacts = [os.path.join(args.out, f)
                      for f in (config.output.trace, config.output.report)]
-        for f in artifacts:
-            if os.path.exists(f):
-                os.remove(f)
         report, code = run_experiment(config, out_dir=args.out)
         rows.append((name, code, report.iterations, report.initial_defect,
                      report.final_defect, report.error or "-",

@@ -66,8 +66,8 @@ class DefectTooLarge(HaarrectError):
 class RangeEscape(HaarrectError):
     """A morphism value left the prescribed neighbourhood of the identity."""
 
-    def __init__(self, message, radius=None, limit=None):
-        super().__init__(message)
+    def __init__(self, message, radius, limit):
+        super().__init__(f"{message}: range radius {radius:.6g} exceeds {limit:.6g}")
         self.radius = radius
         self.limit = limit
 

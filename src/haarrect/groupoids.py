@@ -1,26 +1,27 @@
 """Finite weighted groupoid data model.
 
-Arrows are indexed 0..n-1 in lexicographic order of their constructor
-labels, so every downstream trace is reproducible.  Multiplication is one
-fiber-indexed table ``P``, stored as ``FiniteGroupoid.table``: row q lists
-the products of q with the arrows whose target is s(q), in index order, so
-``P[q, j] = q . (the j-th arrow with target s(q))``.  An entry is -1 where
-the pair is not declared and in the padding after a fiber narrower than the
-widest one.  A pair missing from the table is not multipliable, which is
-what makes local (partially defined) groupoids representable; a declared
-pair without a product, or one with s(q) != t(p), cannot be written down.
-``FiniteGroupoid.multiply`` is one gather through each arrow's position in
-its target fiber, guarded by s(q) = t(p).  ``products`` is a derived,
-read-only ``(n_pairs, 3)`` array of the declared ``(q, p, qp)`` rows in
-``(q, p)`` order, and ``FiniteGroupoid.from_products`` builds a groupoid
-from such rows.  A core keeps its arrows by source and its ``(k, p, kp)``
-pairs in one fiber order: arrow p, then the core fiber at t(p).  Weights
-are one array over the arrows, 0 off the core.  The constructors, cores
-and densities validate their axioms exhaustively, as array code, and name
-concrete witnesses on failure.
+A groupoid is integer arrays only: objects are 0..n_objects-1 and arrows
+0..n-1.  An action groupoid's arrow (g, x) is g * n_points + x and a pair
+groupoid's arrow (j, i) is j * n + i, so every downstream trace is
+reproducible.  Multiplication is one fiber-indexed table ``P``, stored as
+``FiniteGroupoid.table``: row q lists the products of q with the arrows
+whose target is s(q), in index order, so ``P[q, j] = q . (the j-th arrow
+with target s(q))``.  An entry is -1 where the pair is not declared and in
+the padding after a fiber narrower than the widest one.  A pair missing
+from the table is not multipliable, which is what makes local (partially
+defined) groupoids representable; a declared pair without a product, or one
+with s(q) != t(p), cannot be written down.  ``FiniteGroupoid.multiply`` is
+one gather through each arrow's position in its target fiber, guarded by
+s(q) = t(p).  ``products`` is a derived, read-only ``(n_pairs, 3)`` array
+of the declared ``(q, p, qp)`` rows in ``(q, p)`` order, and
+``FiniteGroupoid.from_products`` builds a groupoid from such rows.  A core
+keeps its arrows by source and its ``(k, p, kp)`` pairs in one fiber order:
+arrow p, then the core fiber at t(p).  Weights are one array over the
+arrows, 0 off the core.  The constructors, cores and densities validate
+their axioms exhaustively, as array code, and name concrete witnesses on
+failure.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,27 +35,24 @@ FIBER_SUM_TOL = 1e-14
 class FiniteGroup:
     """Finite group given by its multiplication table (indices 0..n-1)."""
 
-    element_labels: tuple
     table: np.ndarray       # table[a, b] = index of a*b
     identity: int
 
     @staticmethod
     def cyclic(n):
-        labels = tuple(f"g{k}" for k in range(n))
         table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        return FiniteGroup(element_labels=labels, table=table, identity=0)
+        return FiniteGroup(table=table, identity=0)
 
     @property
     def order(self):
-        return len(self.element_labels)
+        return len(self.table)
 
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
     """Finite local groupoid: arrows, structure maps, product table."""
 
-    object_labels: tuple
-    arrow_labels: tuple
+    n_objects: int
     source: np.ndarray            # (n_arrows,) object index
     target: np.ndarray
     unit_arrows: np.ndarray       # (n_objects,) unit arrow at each object
@@ -87,12 +85,12 @@ class FiniteGroupoid:
         object.__setattr__(self, "position", _fiber_positions(*by_target))
 
     @classmethod
-    def from_products(cls, object_labels, arrow_labels, source, target,
-                      unit_arrows, products, inverse):
+    def from_products(cls, n_objects, source, target, unit_arrows, products,
+                      inverse):
         """Groupoid from ``(q, p, qp)`` rows strictly sorted by ``(q, p)``,
         one per declared pair; ValueError for unsorted or out-of-range rows
         and for a row with s(q) != t(p), which has no slot in the table."""
-        n = len(arrow_labels)
+        n = len(source)
         rows = np.asarray(products, dtype=np.intp)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError("products must be an (n_pairs, 3) array")
@@ -107,20 +105,15 @@ class FiniteGroupoid:
         if bad is not None:
             raise ValueError(f"declared pair ({q[bad]}, {p[bad]}) has "
                              f"s(q) != t(p)")
-        by_target = _fiber_index(target, len(object_labels))
+        by_target = _fiber_index(target, n_objects)
         table = np.full((n, by_target[2].max(initial=0)), -1, dtype=np.intp)
         table[q, _fiber_positions(*by_target)[p]] = qp
-        return cls(object_labels=object_labels, arrow_labels=arrow_labels,
-                   source=source, target=target, unit_arrows=unit_arrows,
-                   table=table, inverse=inverse)
-
-    @property
-    def n_objects(self):
-        return len(self.object_labels)
+        return cls(n_objects=n_objects, source=source, target=target,
+                   unit_arrows=unit_arrows, table=table, inverse=inverse)
 
     @property
     def n_arrows(self):
-        return len(self.arrow_labels)
+        return len(self.source)
 
     @property
     def products(self):
@@ -234,22 +227,25 @@ def _first(mask):
 # constructors
 # ---------------------------------------------------------------------------
 
-def build_action_groupoid(group, space, action):
-    """Action groupoid of a finite group on a finite set.
+def build_action_groupoid(group, act):
+    """Action groupoid of a finite group on the points 0..n_points-1.
 
-    ``space`` is a sequence of object labels and ``action(g, x)`` maps a
-    group element index and a space index to a space index.  Arrows are the
-    pairs (g, x) with s = x and t = g.x, ordered g-major; every structurally
-    composable pair is declared.  The action is tabulated once and its axioms
+    ``act`` is the integer ``(group.order, n_points)`` table with
+    ``act[g, x] = g.x``; any other shape or dtype is a ValueError.  Arrows
+    are the pairs (g, x) with s = x and t = g.x, indexed g * n_points + x;
+    every structurally composable pair is declared.  The action's axioms
     are checked on the whole table; a failure names the first witness in
     lexicographic order.  The compatibility check and the product table run
     one group element at a time, so no temporary is larger than
-    ``len(space) x group order``.
+    ``n_points x group order``.
     """
-    space = tuple(space)
-    n_g, n_x = group.order, len(space)
-    act = np.array([[action(g, x) for x in range(n_x)] for g in range(n_g)],
-                   dtype=np.intp).reshape(n_g, n_x)
+    act = np.asarray(act)
+    if act.ndim != 2 or len(act) != group.order \
+            or not np.issubdtype(act.dtype, np.integer):
+        raise ValueError("act must be an integer (group order, n_points) "
+                         "table")
+    act = act.astype(np.intp)
+    n_g, n_x = act.shape
     x = _first(act[group.identity] != np.arange(n_x))
     if x is not None:
         raise ActionError("identity does not act trivially", witness=x)
@@ -264,7 +260,6 @@ def build_action_groupoid(group, space, action):
                               witness=(a,) + divmod(bad, n_x))
 
     n = n_g * n_x
-    arrow_labels = tuple(itertools.product(group.element_labels, space))
     arrow_g, source = np.divmod(np.arange(n), n_x)
     target = act.ravel()
     unit_arrows = group.identity * n_x + np.arange(n_x)
@@ -278,29 +273,18 @@ def build_action_groupoid(group, space, action):
     for h in range(n_g):
         table[h * n_x:(h + 1) * n_x] = group.table[h] * n_x + x_of
 
-    return FiniteGroupoid(
-        object_labels=space,
-        arrow_labels=arrow_labels,
-        source=source,
-        target=target,
-        unit_arrows=unit_arrows,
-        table=table,
-        inverse=inverse,
-    )
+    return FiniteGroupoid(n_objects=n_x, source=source, target=target,
+                          unit_arrows=unit_arrows, table=table, inverse=inverse)
 
 
-def build_pair_groupoid(space):
-    """Pair groupoid on a finite set: one arrow (j, i) from i to j."""
-    space = tuple(space)
-    n = len(space)
+def build_pair_groupoid(n):
+    """Pair groupoid on n points: one arrow (j, i) from i to j."""
     if n < 1:
-        raise ValueError("space must be nonempty")
-    arrow_labels = tuple((space[j], space[i]) for j in range(n) for i in range(n))
+        raise ValueError("a pair groupoid needs at least one point")
     target, source = np.divmod(np.arange(n * n), n)
     # the i-th arrow into j is (j, i), and (k, j) . (j, i) = (k, i)
     return FiniteGroupoid(
-        object_labels=space,
-        arrow_labels=arrow_labels,
+        n_objects=n,
         source=source,
         target=target,
         unit_arrows=np.arange(n) * (n + 1),

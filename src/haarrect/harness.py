@@ -434,11 +434,10 @@ class RunReport:
 
 def build_groupoid(spec):
     if spec.constructor == "pair":
-        return build_pair_groupoid(tuple(f"x{i}" for i in range(spec.size)))
-    m = spec.space_size
-    return build_action_groupoid(FiniteGroup.cyclic(spec.group_order),
-                                 tuple(f"x{i}" for i in range(m)),
-                                 lambda g, x: (x + g) % m)
+        return build_pair_groupoid(spec.size)
+    order, m = spec.group_order, spec.space_size
+    return build_action_groupoid(FiniteGroup.cyclic(order),
+                                 (np.arange(order)[:, None] + np.arange(m)) % m)
 
 
 def build_core_from_config(g, core_spec):
@@ -694,6 +693,8 @@ def run_experiment(config, out_dir=None):
             initial = exc.initial_defect
         if isinstance(exc, NonContraction) and exc.trace is not None:
             write_trace_csv(trace_path, exc.trace)
+        elif os.path.lexists(trace_path):
+            os.remove(trace_path)   # an older trace must not pass for this run's
 
     tol = config.iteration.tol
     residual_contract = (constants.d_prime / constants.d) * tol + 1e-15

@@ -129,19 +129,14 @@ def build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
 def real_slice_groupoid(model):
     """Finite groupoid of the real slice: rotation nodes acting on the lattice.
 
-    Points are indexed (shell, angle) and node rotations shift the angle
-    index, so the construction is exact integer arithmetic.
+    Points are indexed m * n_theta + j for shell m and angle j, and node g
+    rotates j to (j + g) mod n_theta, so the construction is exact integer
+    arithmetic.
     """
-    n, shells = model.n_theta, len(model.lattice_radii)
-    group = FiniteGroup.cyclic(n)
-    space = tuple((m, j) for m in range(shells) for j in range(n))
-    index = {pt: i for i, pt in enumerate(space)}
-
-    def action(g, x):
-        m, j = space[x]
-        return index[(m, (j + g) % n)]
-
-    return build_action_groupoid(group, space, action)
+    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
+    x = np.arange(n_x)
+    act = x - x % n + (x % n + np.arange(n)[:, None]) % n
+    return build_action_groupoid(FiniteGroup.cyclic(n), act)
 
 
 def real_slice_consistency(model):

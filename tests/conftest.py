@@ -12,12 +12,32 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 
 
+def translations(order, m):
+    """Action table of cyclic(order) turning m points: (x + g) mod m."""
+    return (np.arange(order)[:, None] + np.arange(m)) % m
+
+
+def tabulated_action(n_g, space, action):
+    """act[g, x] = action(g, x) over a label sequence, one callback call per
+    arrow: an oracle for the action tables that holo and harness compute."""
+    n_x = len(space)
+    return np.array([[action(g, x) for x in range(n_x)] for g in range(n_g)],
+                    dtype=np.intp).reshape(n_g, n_x)
+
+
+def assert_same_groupoid(a, b):
+    assert a.n_objects == b.n_objects
+    for name in ("source", "target", "unit_arrows", "table", "inverse"):
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert x.shape == y.shape and np.array_equal(x, y), name
+
+
 def with_products(g, products, inverse=None):
     """``g`` with its product table rebuilt from ``(q, p, qp)`` rows (and
     its inverse replaced, if given)."""
     return FiniteGroupoid.from_products(
-        g.object_labels, g.arrow_labels, g.source, g.target, g.unit_arrows,
-        products, g.inverse if inverse is None else inverse)
+        g.n_objects, g.source, g.target, g.unit_arrows, products,
+        g.inverse if inverse is None else inverse)
 
 
 @pytest.fixture(scope="session")

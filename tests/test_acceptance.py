@@ -9,7 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TAU_GROUP, group_membership_residual, with_products
+from conftest import (
+    TAU_GROUP,
+    group_membership_residual,
+    translations,
+    with_products,
+)
 from haarrect.errors import CoreAxiomError, InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
@@ -284,15 +289,14 @@ def test_criterion_7_holomorphic_bench():
 def test_criterion_8_axiom_validators():
     ok = True
     # clean constructions pass, exhaustively below 200 arrows
-    big_pair = build_pair_groupoid(tuple(range(14)))       # 196 arrows
+    big_pair = build_pair_groupoid(14)       # 196 arrows
     ok = ok and big_pair.n_arrows == 196
     ok = ok and validate_groupoid(big_pair).passed
-    act = build_action_groupoid(FiniteGroup.cyclic(4), (0, 1),
-                                lambda a, x: (x + a) % 2)
+    act = build_action_groupoid(FiniteGroup.cyclic(4), translations(4, 2))
     ok = ok and validate_groupoid(act).passed
 
     # corrupted compose entry: the witness names the corrupted pair
-    small = build_pair_groupoid(tuple(range(5)))
+    small = build_pair_groupoid(5)
     q, p = 2 * 5 + 1, 1 * 5 + 0
     bad_products = small.products.copy()
     row = np.flatnonzero((bad_products[:, 0] == q) & (bad_products[:, 1] == p))
@@ -304,8 +308,7 @@ def test_criterion_8_axiom_validators():
                     if isinstance(w, tuple))
 
     # missing core fiber: Lie-type violation with the object witness
-    g3 = build_action_groupoid(FiniteGroup.cyclic(3), (0, 1, 2),
-                               lambda a, x: (x + a) % 3)
+    g3 = build_action_groupoid(FiniteGroup.cyclic(3), translations(3, 3))
     try:
         build_core(g3, tuple(a for a in range(9) if g3.source[a] != 1))
         ok = False

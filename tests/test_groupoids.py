@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import with_products
+from conftest import translations, with_products
 from haarrect.errors import ActionError, CoreAxiomError, InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
@@ -26,9 +26,7 @@ def product_row(g, q, p):
 
 
 def translation_groupoid(n, m):
-    group = FiniteGroup.cyclic(n)
-    return build_action_groupoid(group, tuple(range(m)),
-                                 lambda g, x: (x + g) % m)
+    return build_action_groupoid(FiniteGroup.cyclic(n), translations(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +70,34 @@ def test_z4_on_z2_quotient():
 def test_invalid_action_rejected():
     group = FiniteGroup.cyclic(2)
     with pytest.raises(ActionError):
-        build_action_groupoid(group, (0, 1), lambda g, x: 0)
+        build_action_groupoid(group, np.zeros((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("act", [
+    np.zeros((3, 2), dtype=int),        # a row per element, one too many
+    np.zeros((1, 2), dtype=int),
+    np.arange(2),                       # not a table
+    np.zeros((2, 2, 1), dtype=int),
+    np.zeros((2, 2)),                   # not integers
+    [[0, 1], [1, 0.0]],
+    np.array([[0, 1], [1, 0]], dtype=bool),
+    lambda g, x: (x + g) % 2,           # a callback is no table
+])
+def test_action_table_of_another_shape_or_dtype_rejected(act):
+    with pytest.raises(ValueError, match="act must be an integer"):
+        build_action_groupoid(FiniteGroup.cyclic(2), act)
 
 
 def test_pair_groupoid_counts():
-    assert build_pair_groupoid(("a",)).n_arrows == 1
-    g = build_pair_groupoid(("a", "b", "c"))
+    assert build_pair_groupoid(1).n_arrows == 1
+    g = build_pair_groupoid(3)
     assert g.n_arrows == 9
     assert len(list(g.composable_pairs())) == 27
     assert len(g.products) == 27
 
 
 def test_multiply_looks_up_declared_pairs_only():
-    g = build_pair_groupoid(tuple(range(4)))
+    g = build_pair_groupoid(4)
     rng = np.random.default_rng(2)
     shrunk = with_products(g, g.products[rng.random(64) > 0.5])
     table = {(q, p): qp for q, p, qp in shrunk.products.tolist()}
@@ -98,7 +111,7 @@ def test_multiply_looks_up_declared_pairs_only():
 
 
 def test_unsorted_product_rows_rejected():
-    g = build_pair_groupoid(tuple(range(2)))
+    g = build_pair_groupoid(2)
     with pytest.raises(ValueError):
         with_products(g, g.products[::-1])
 
@@ -109,13 +122,13 @@ def test_unsorted_product_rows_rejected():
 
 def test_constructors_validate_clean():
     for g in (translation_groupoid(3, 3), translation_groupoid(4, 2),
-              build_pair_groupoid(tuple(range(5)))):
+              build_pair_groupoid(5)):
         report = validate_groupoid(g)
         assert report.passed and not report.violations
 
 
 def test_corrupted_compose_entry_detected():
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     # corrupt one entry: (q, p) with q = (2, 1), p = (1, 0) should be (2, 0)
     q, p = 2 * 3 + 1, 1 * 3 + 0
     bad_products = g.products.copy()
@@ -131,7 +144,7 @@ def test_corrupted_compose_entry_detected():
 
 
 def test_corrupted_entry_same_fiber_found_by_associativity():
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     q, p = 2 * 3 + 1, 1 * 3 + 0
     bad_products = g.products.copy()
     # right source/target shape is (2, 0); use (1, 0)
@@ -150,7 +163,7 @@ def test_report_invariant():
 def test_mask_monotonicity():
     # removing declared pairs never makes validation reference an undefined
     # product; the shrunk structure still validates
-    g = build_pair_groupoid(tuple(range(4)))
+    g = build_pair_groupoid(4)
     rng = np.random.default_rng(5)
     keep = [rng.random() > 0.4 for _ in g.products]
     shrunk = with_products(g, g.products[keep])
@@ -212,7 +225,7 @@ def test_core_not_closed_under_right_multiplication_rejected():
 # ---------------------------------------------------------------------------
 
 def test_uniform_density_valid_and_normalized():
-    for g in (translation_groupoid(3, 3), build_pair_groupoid(tuple(range(4)))):
+    for g in (translation_groupoid(3, 3), build_pair_groupoid(4)):
         core = build_core(g, tuple(range(g.n_arrows)))
         mu = attach_haar_density(core, "uniform")
         for z in range(g.n_objects):
@@ -249,7 +262,7 @@ def test_shifted_weights_are_invariant():
 
 
 def test_explicit_weights_renormalized():
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = build_core(g, tuple(range(g.n_arrows)))
     mu = attach_haar_density(core, {a: 2.0 for a in range(g.n_arrows)})
     for z in range(g.n_objects):
@@ -271,7 +284,7 @@ def test_dense_weights_match_the_mapping_and_vanish_off_the_core():
 
 
 def test_negative_weights_rejected():
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = build_core(g, tuple(range(g.n_arrows)))
     with pytest.raises(ValueError):
         attach_haar_density(core, {a: -1.0 for a in range(g.n_arrows)})
@@ -295,7 +308,7 @@ def test_action_groupoid_always_validates(n, m):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=1, max_value=6))
 def test_pair_groupoid_always_validates(n):
-    g = build_pair_groupoid(tuple(range(n)))
+    g = build_pair_groupoid(n)
     assert validate_groupoid(g).passed
 
 
@@ -337,7 +350,7 @@ def action_tables(order, act, core):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_products_match_definition(n):
-    g = build_pair_groupoid(tuple(range(n)))
+    g = build_pair_groupoid(n)
     products, inverse, pairs = pair_tables(n)
     assert g.products.tolist() == [list(r) for r in products]
     assert g.inverse.tolist() == inverse
@@ -357,8 +370,7 @@ def test_action_products_match_definition(order, n_x, core):
                for a in range(order)]
     else:
         act = [[(x + a) % n_x for x in range(n_x)] for a in range(order)]
-    g = build_action_groupoid(FiniteGroup.cyclic(order), tuple(range(n_x)),
-                              lambda a, x: act[a][x])
+    g = build_action_groupoid(FiniteGroup.cyclic(order), act)
     core = core or tuple(range(g.n_arrows))
     products, inverse, pairs = action_tables(order, act, set(core))
     assert g.products.tolist() == [list(r) for r in products]
@@ -375,21 +387,20 @@ def two_components():
     products = sorted((arrow(k, j), arrow(j, i), arrow(k, i))
                       for k in range(2) for j in range(2) for i in range(2))
     return FiniteGroupoid.from_products(
-        (0, 1, 2), ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)), source, target,
-        np.array([0, 3, 4]), products + [(4, 4, 4)], np.array([0, 2, 1, 3, 4]))
+        3, source, target, np.array([0, 3, 4]), products + [(4, 4, 4)],
+        np.array([0, 2, 1, 3, 4]))
 
 
 def oracle_cases():
     """(groupoid, (q, p, qp) rows by definition) for small pair and action
     groupoids, the ragged cyclic(4)-on-5-points action and two_components."""
     for n in range(1, 7):
-        g = build_pair_groupoid(tuple(range(n)))
+        g = build_pair_groupoid(n)
         yield g, pair_tables(n)[0]
     for order, n_x in ((1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (4, 5)):
         act = [[x if x == 4 else (x + a) % min(n_x, 4) for x in range(n_x)]
                for a in range(order)]
-        g = build_action_groupoid(FiniteGroup.cyclic(order), tuple(range(n_x)),
-                                  lambda a, x: act[a][x])
+        g = build_action_groupoid(FiniteGroup.cyclic(order), act)
         yield g, action_tables(order, act, set())[0]
     g = two_components()
     yield g, g.products.tolist()
@@ -426,7 +437,7 @@ def test_padding_slots_are_undeclared():
 
 
 def test_from_products_rejects_rows_without_a_slot():
-    g = build_pair_groupoid(tuple(range(2)))
+    g = build_pair_groupoid(2)
     rows = g.products.tolist()
     with pytest.raises(ValueError, match="sorted"):
         with_products(g, g.products[::-1])
@@ -469,19 +480,18 @@ def test_action_error_names_first_witness(seed):
     expected = first_action_witness(group, 3, action)
     assert expected is not None
     with pytest.raises(ActionError) as err:
-        build_action_groupoid(group, range(3), action)
+        build_action_groupoid(group, act)
     assert err.value.witness == expected
 
 
 def test_action_error_names_identity_witness():
     with pytest.raises(ActionError) as err:
-        build_action_groupoid(FiniteGroup.cyclic(2), range(3),
-                              lambda g, x: 0 if x == 1 else x)
+        build_action_groupoid(FiniteGroup.cyclic(2), [[0, 0, 2], [0, 0, 2]])
     assert err.value.witness == 1
 
 
 def test_pair_100_core_pairs_fit_in_memory():
-    g = build_pair_groupoid(tuple(range(100)))
+    g = build_pair_groupoid(100)
     assert g.n_arrows == 10 ** 4
     core = build_core(g, tuple(range(g.n_arrows)))
     pairs = core.pairs
@@ -552,7 +562,7 @@ def corrupted(g, rng):
 @pytest.mark.parametrize("seed", range(40))
 def test_validator_matches_loop_form(seed):
     rng = np.random.default_rng(seed)
-    base = [build_pair_groupoid(tuple(range(3))), translation_groupoid(4, 2),
+    base = [build_pair_groupoid(3), translation_groupoid(4, 2),
             translation_groupoid(3, 3)][seed % 3]
     g = corrupted(base, rng)
     assert list(validate_groupoid(g).violations) == loop_violations(g)
@@ -587,7 +597,7 @@ def loop_core_error(g, subset):
 def test_core_witness_matches_loop_form(seed):
     rng = np.random.default_rng(seed)
     g = [translation_groupoid(4, 2), translation_groupoid(6, 3),
-         build_pair_groupoid(tuple(range(3)))][seed % 3]
+         build_pair_groupoid(3)][seed % 3]
     if seed % 2:
         g = corrupted(g, rng)
     subset = [a for a in range(g.n_arrows) if rng.random() < 0.7] or [0]

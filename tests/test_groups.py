@@ -219,7 +219,7 @@ def test_so3_log_near_half_turn(algebras, oracles):
 def test_log_outside_margin_raises(algebras):
     # the one log that must stay inside the margin is the correction's log
     # of psi; a single-pair core hands it one psi
-    core = build_core(build_pair_groupoid((0,)), (0,))
+    core = build_core(build_pair_groupoid(1), (0,))
     mu = attach_haar_density(core, "uniform")
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
     with pytest.raises(LogDomainError):

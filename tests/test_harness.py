@@ -9,7 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import (
+    CONFIG_DIR,
+    REPO_ROOT,
+    assert_same_groupoid,
+    tabulated_action,
+)
 from haarrect import harness
 from haarrect.cli import main
 from haarrect.errors import (
@@ -22,7 +27,7 @@ from haarrect.errors import (
     NonContraction,
     RangeEscape,
 )
-from haarrect.groupoids import build_core
+from haarrect.groupoids import FiniteGroup, build_action_groupoid, build_core
 from haarrect.groups import BchConstants
 from haarrect.harness import (
     EXIT_NON_CONTRACTION,
@@ -300,7 +305,7 @@ def test_cli_run_core_axiom_violation_is_precondition(tmp_path, capsys):
     (CoreAxiomError("Lie type", 0), EXIT_PRECONDITION),
     (InvarianceError("w"), EXIT_PRECONDITION),
     (ActionError("a"), EXIT_PRECONDITION),
-    (RangeEscape("r"), EXIT_PRECONDITION),
+    (RangeEscape("r", 2.0, 1.5), EXIT_PRECONDITION),
     (NonContraction(1, 0.5), EXIT_NON_CONTRACTION),
     (LogDomainError("l"), EXIT_NUMERIC_DOMAIN),
     (DefectOverflow("d"), EXIT_NUMERIC_DOMAIN),
@@ -381,16 +386,33 @@ def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
     assert out[0].split()[5:7] == ["trace_sha256", "report_sha256"]
     hashes = {}
     for line in out[1:]:
-        name, _, _, _, _, trace_sha, report_sha, _ = line.split(maxsplit=7)
+        name, code, _, _, _, trace_sha, report_sha, _ = line.split(maxsplit=7)
         hashes[name] = (trace_sha, report_sha)
-        output = ExperimentConfig.from_json(
-            os.path.join(CONFIG_DIR, name)).output
-        for fname, sha in ((output.trace, trace_sha),
-                           (output.report, report_sha)):
+        config = os.path.join(CONFIG_DIR, name)
+        if name == "holo_bench.json":
+            # bench-holo writes a report and no trace
+            assert code == "0" and trace_sha == "-"
+            files = ((HoloSpec.from_json(config).report, report_sha),)
+        else:
+            output = ExperimentConfig.from_json(config).output
+            files = ((output.trace, trace_sha), (output.report, report_sha))
+        for fname, sha in files:
             path = tmp_path / fname
             assert sha == (hashlib.sha256(path.read_bytes()).hexdigest()
                            if path.exists() else "-")
-    assert len(hashes) == 4 and hashes["defect_too_large.json"][0] == "-"
+    assert len(hashes) == 5 and hashes["defect_too_large.json"][0] == "-"
+    assert hashes["holo_bench.json"][1] != "-"
+
+
+@pytest.mark.parametrize("order, m", [(1, 1), (3, 3), (6, 6), (2, 1),
+                                      (5, 1)])
+def test_build_groupoid_action_matches_the_callback_form(order, m):
+    space = tuple(f"x{i}" for i in range(m))
+    expected = build_action_groupoid(
+        FiniteGroup.cyclic(order),
+        tabulated_action(order, space, lambda g, x: (x + g) % m))
+    spec = GroupoidSpec(constructor="action", group_order=order, space_size=m)
+    assert_same_groupoid(build_groupoid(spec), expected)
 
 
 PUBLIC_NAMES = (
@@ -678,6 +700,46 @@ def test_cli_run_and_exit_codes(tmp_path):
                  os.path.join(CONFIG_DIR, "defect_too_large.json"),
                  "--out", str(tmp_path)])
     assert code == EXIT_PRECONDITION
+
+
+def write_config(path, name, section, key, value):
+    """A bundled config with one value changed, written to ``path``."""
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        data = json.load(fh)
+    data[section][key] = value
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_failed_run_leaves_no_older_trace(tmp_path):
+    good = os.path.join(CONFIG_DIR, "so3_pair5.json")
+    bad = write_config(tmp_path / "bad.json", "so3_pair5.json",
+                       "perturbation", "epsilon", 0.8)
+    out, trace = tmp_path / "out", tmp_path / "out" / "so3_pair5_trace.csv"
+    assert main(["run", "--config", good, "--out", str(out)]) == EXIT_PASS
+    assert trace.exists()
+    # DefectTooLarge writes no trace, so the passing one must go
+    assert main(["run", "--config", bad, "--out", str(out)]) \
+        == EXIT_PRECONDITION
+    assert not trace.exists()
+    report = json.loads((out / "so3_pair5_report.json").read_text())
+    assert not report["passed"] and report["error"].startswith("DefectTooLarge")
+    # with no trace there, the next failed run has nothing to remove
+    assert main(["run", "--config", bad, "--out", str(out)]) \
+        == EXIT_PRECONDITION
+    assert not trace.exists()
+
+
+def test_range_escape_names_the_radius_and_its_limit(tmp_path):
+    path = write_config(tmp_path / "big.json", "so3_pair5.json",
+                        "morphism", "scale", 1.0)
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) \
+        == EXIT_PRECONDITION
+    report = json.loads((tmp_path / "so3_pair5_report.json").read_text())
+    head = "RangeEscape: perturbed map does not take values in W: range radius "
+    assert report["error"].startswith(head)
+    radius, limit = report["error"][len(head):].split(" exceeds ")
+    assert float(radius) > float(limit) == 1.5
 
 
 def test_cli_validate(capsys):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import haarrect.holo as holo
-from conftest import with_products
+from conftest import assert_same_groupoid, tabulated_action, with_products
 from haarrect.errors import GridError
+from haarrect.groupoids import FiniteGroup, build_action_groupoid
 from haarrect.groups import QuadratureRule, haar_integrate
 from haarrect.holo import (
     SampledFunction,
@@ -63,6 +64,29 @@ def test_real_slice_consistency_detects_a_wrong_product(small_model,
     assert real_slice_consistency(small_model)
     monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
     assert not real_slice_consistency(small_model)
+
+
+def callback_real_slice(model):
+    """The real slice through a label tuple, an index dict and a callback."""
+    n, shells = model.n_theta, len(model.lattice_radii)
+    space = tuple((m, j) for m in range(shells) for j in range(n))
+    index = {pt: i for i, pt in enumerate(space)}
+
+    def action(g, x):
+        m, j = space[x]
+        return index[(m, (j + g) % n)]
+
+    return build_action_groupoid(FiniteGroup.cyclic(n),
+                                 tabulated_action(n, space, action))
+
+
+@pytest.mark.parametrize("n_theta", [1, 4, 64])
+@pytest.mark.parametrize("n_shells", [1, 3])
+def test_real_slice_table_matches_the_callback_form(n_theta, n_shells):
+    model = build_complexified_model(n_theta=n_theta, n_space=3, n_eta=3,
+                                     n_shells=n_shells)
+    assert_same_groupoid(holo.real_slice_groupoid(model),
+                         callback_real_slice(model))
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])

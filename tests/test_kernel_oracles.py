@@ -221,7 +221,7 @@ def test_log_and_distance_are_the_broadcast_forms(algs, aid):
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_psi_stack_is_the_gathered_product(algs, aid):
     alg = algs[aid]
-    g = build_pair_groupoid(tuple(range(6)))
+    g = build_pair_groupoid(6)
     values = ref_exp(alg, ref_sample_ball(alg, np.random.default_rng(9), 3.0,
                                           g.n_arrows))
     values[::5] = np.eye(alg.matrix_dim)

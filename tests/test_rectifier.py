@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TAU_GROUP, group_membership_residual
+from conftest import TAU_GROUP, group_membership_residual, translations
 from haarrect.errors import (
     DefectOverflow,
     DefectTooLarge,
@@ -70,7 +70,7 @@ def unit_constants():
 
 def test_psi_identity_for_exact_morphism(algebras):
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
     psi = _psi_stack(phi, core.pairs)
@@ -80,7 +80,7 @@ def test_psi_identity_for_exact_morphism(algebras):
 
 def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), "SU2", alg)
     psi = _psi_stack(phi, core.pairs[:5])
@@ -92,7 +92,7 @@ def test_psi_single_perturbation_brute_force(algebras):
     # one arrow multiplied by exp(w), |w| = 0.01; all 27 pairs enumerated
     # with an independent matrix route (explicit inverses, direct indexing)
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=2)
     w = np.array([0.01, 0.0, 0.0])
@@ -124,7 +124,7 @@ def test_central_right_translation_law(algebras):
     # psi picks up exactly one inverse central factor: psi' = psi . z^-1;
     # the defect is *not* invariant, unlike conjugation (tested below)
     alg = algebras["SU2"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=3)
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
@@ -138,7 +138,7 @@ def test_central_right_translation_law(algebras):
 
 def test_defect_invariant_under_conjugation(algebras):
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(4)))
+    g = build_pair_groupoid(4)
     core = full_core(g)
     rng = np.random.default_rng(8)
     phi = coboundary(g, alg, seed=4)
@@ -152,7 +152,7 @@ def test_defect_invariant_under_conjugation(algebras):
 
 def test_defect_overflow(algebras):
     alg = algebras["U1"]   # margin 2.0, group diameter ~2.02
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     values = np.array([[[np.exp(0j)]]] * 9)
     values[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
@@ -167,7 +167,7 @@ def test_defect_overflow(algebras):
 
 def test_exact_morphism_average_is_identity(algebras):
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=5)
@@ -178,7 +178,7 @@ def test_exact_morphism_average_is_identity(algebras):
 
 def test_trivial_morphism_fixed_point_bitwise(algebras):
     alg = algebras["SU2"]
-    g = build_action_groupoid(FiniteGroup.cyclic(2), ("pt",), lambda a, x: x)
+    g = build_action_groupoid(FiniteGroup.cyclic(2), translations(2, 1))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 2), "SU2", alg)
@@ -190,7 +190,7 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
 def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     # exact +-1 values stay bit-identical through a correction step
     alg = algebras["U1"]
-    g = build_action_groupoid(FiniteGroup.cyclic(2), ("pt",), lambda a, x: x)
+    g = build_action_groupoid(FiniteGroup.cyclic(2), translations(2, 1))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     values = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
@@ -203,8 +203,7 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
 
 def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     alg = algebras["U1"]
-    g = build_action_groupoid(FiniteGroup.cyclic(3), (0, 1, 2),
-                              lambda a, x: (x + a) % 3)
+    g = build_action_groupoid(FiniteGroup.cyclic(3), translations(3, 3))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(12)
@@ -234,8 +233,7 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
 def test_one_step_exact_for_any_invariant_density(algebras):
     # non-uniform right-invariant weights still solve the abelian cocycle
     alg = algebras["U1"]
-    g = build_action_groupoid(FiniteGroup.cyclic(3), (0, 1, 2),
-                              lambda a, x: (x + a) % 3)
+    g = build_action_groupoid(FiniteGroup.cyclic(3), translations(3, 3))
     core = full_core(g)
     phi_w = (0.5, 0.3, 0.2)
     weights = {a: phi_w[((a % 3) + (a // 3)) % 3] for a in range(9)}
@@ -252,7 +250,7 @@ def test_one_step_exact_for_any_invariant_density(algebras):
 def test_correction_norm_bound_and_step_identity(algebras, constants):
     alg = algebras["SO3"]
     k = constants["SO3"]
-    g = build_pair_groupoid(tuple(range(4)))
+    g = build_pair_groupoid(4)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(21)
@@ -275,8 +273,9 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     # free orbit (fibers of 4) but only the subgroup {0, 2} at the fixed
     # point (fibers of 2), so fiber widths differ between components
     alg = algebras["SO3"]
-    g = build_action_groupoid(FiniteGroup.cyclic(4), tuple(range(5)),
-                              lambda a, x: x if x == 4 else (x + a) % 4)
+    g = build_action_groupoid(
+        FiniteGroup.cyclic(4),
+        [[x if x == 4 else (x + a) % 4 for x in range(5)] for a in range(4)])
     core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
                       + [4, 14])
     assert {len(core.fiber_at(z)) for z in range(5)} == {2, 4}
@@ -310,8 +309,9 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     # log coordinates are -0.0, so their plain fiber sum is -0.0, while the
     # compensated sum is +0.0; the padding after those fibers must keep it
     alg = algebras["SU2"]
-    g = build_action_groupoid(FiniteGroup.cyclic(4), tuple(range(5)),
-                              lambda a, x: x if x == 4 else (x + a) % 4)
+    g = build_action_groupoid(
+        FiniteGroup.cyclic(4),
+        [[x if x == 4 else (x + a) % 4 for x in range(5)] for a in range(4)])
     core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
                       + [4, 14])
     mu = attach_haar_density(
@@ -394,7 +394,7 @@ def test_admissible_radius_properties(constants):
 
 def make_perturbed(algebras, tag, seed, eps, n_points=4):
     alg = algebras[tag]
-    g = build_pair_groupoid(tuple(range(n_points)))
+    g = build_pair_groupoid(n_points)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(seed)
@@ -407,7 +407,7 @@ def make_perturbed(algebras, tag, seed, eps, n_points=4):
 
 def test_iterate_exact_terminates_at_zero(algebras, constants):
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=9)
@@ -486,7 +486,7 @@ def test_iterate_rejects_large_defect(algebras, constants):
 
 def test_iterate_rejects_range_escape(algebras, constants):
     alg = algebras["SO3"]
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=19, scale=1.0)   # range up to ~2
@@ -504,7 +504,7 @@ def test_iterate_errors_carry_the_initial_defect(algebras, constants):
     assert err.value.initial_defect == defect(phi, core, alg)
 
     # the initial-W check runs after the defect is measured
-    g = build_pair_groupoid(tuple(range(3)))
+    g = build_pair_groupoid(3)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=19, scale=1.0)
@@ -609,7 +609,7 @@ def test_real_psi_defect_correction_and_verification_match_complex(algebras):
 
 def test_verify_exact_morphism_is_zero(algebras):
     alg = algebras["SU2"]
-    g = build_pair_groupoid(tuple(range(4)))
+    g = build_pair_groupoid(4)
     core = full_core(g)
     phi = coboundary(g, alg, seed=22)
     assert verify_core_morphism(phi, core, alg) < 1e-14
@@ -626,8 +626,7 @@ def test_verify_limit_within_metric_equivalence(algebras, constants):
 
 def test_partial_core_residual_reported_separately(algebras, constants):
     alg, k = algebras["U1"], constants["U1"]
-    g = build_action_groupoid(FiniteGroup.cyclic(4), (0, 1),
-                              lambda a, x: (x + a) % 2)
+    g = build_action_groupoid(FiniteGroup.cyclic(4), translations(4, 2))
     core = build_core(g, (0, 1, 4, 5))      # kernel subgroup {0, 2}
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(25)
