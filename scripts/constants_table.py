@@ -3,6 +3,11 @@
 
 Also reports the admissible entry defect radius each set of constants
 certifies.  Usage: python scripts/constants_table.py [--samples N] [--seed S]
+[--safety F]
+
+The flags obey the checks of a config's constants section, as those of
+``rectify constants`` do: a bad value ends with one ``error:`` line on
+stderr and exit code 2.
 """
 
 import argparse
@@ -11,29 +16,37 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from haarrect.groups import (  # noqa: E402
-    ALGEBRA_OF,
-    AmbientSets,
-    estimate_bch_constants,
-    normalize_algebra_norm,
+from haarrect.errors import HaarrectError  # noqa: E402
+from haarrect.groups import ALGEBRA_OF  # noqa: E402
+from haarrect.harness import (  # noqa: E402
+    ConstantsSpec,
+    GroupSpec,
+    algebra_for,
+    constants_for,
+    exit_code_for,
 )
 from haarrect.rectifier import admissible_defect_radius  # noqa: E402
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--samples", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--safety", type=float, default=1.25)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    sets = AmbientSets()
+    try:
+        spec = ConstantsSpec(sample_count=args.samples,
+                             safety_factor=args.safety, seed=args.seed)
+        rows = [(tag, constants_for(algebra_for(GroupSpec(tag=tag)), spec))
+                for tag in ALGEBRA_OF]
+    except HaarrectError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exit_code_for(exc)
+
     cols = ("c", "c_prime", "c_dprime", "d", "d_prime", "c_l", "c_d")
     print(f"{'group':<6}" + "".join(f"{c:<11}" for c in cols) + "admissible")
-    for tag in ("U1", "SO2", "SO3", "SU2"):
-        alg = normalize_algebra_norm(ALGEBRA_OF[tag])
-        k = estimate_bch_constants(alg, sets, sample_count=args.samples,
-                                   safety_factor=args.safety, seed=args.seed)
+    for tag, k in rows:
         vals = "".join(f"{getattr(k, c):<11.4g}" for c in cols)
         print(f"{tag:<6}{vals}{admissible_defect_radius(k):.5g}")
     return 0

@@ -25,7 +25,6 @@ from .groups import (
     AmbientSets,
     BchConstants,
     NormedAlgebra,
-    QuadratureRule,
     estimate_bch_constants,
     haar_integrate,
     normalize_algebra_norm,

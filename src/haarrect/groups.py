@@ -2,10 +2,10 @@
 
 Supported groups are U(1), SO(2), SO(3) and SU(2) in their defining
 representations.  The module provides batched exp/log between a normed Lie
-algebra and the group, the distance to the identity, Haar quadrature, and
-the constants (c, c', c'', d, d', c_l, c_d) of the quadratic contraction
-certificate of the averaging iteration: sampled, except the closed-form c_l
-and c_d.
+algebra and the group, the distance to the identity, the U(1)/SO(2)
+trapezoid Haar rule, and the constants (c, c', c'', d, d', c_l, c_d) of the
+quadratic contraction certificate of the averaging iteration: sampled,
+except the closed-form c_l and c_d.
 
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases listed in
@@ -462,58 +462,19 @@ def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
 # Haar quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Node counts for the Haar quadratures.
-
-    U(1)/SO(2) use the n_theta-point trapezoid rule on equispaced angles
-    (exact for trigonometric polynomials of degree < n_theta).  SO(3)/SU(2)
-    use a z-y-z Euler product rule: trapezoid in both z-angles and
-    Gauss-Legendre in cos(beta).
+def haar_integrate(f, group, n_theta=64):
+    """Normalized Haar average of f over U(1) or SO(2) by the n_theta-point
+    trapezoid rule on equispaced angles, exact for trigonometric polynomials
+    of degree < n_theta; f receives the node matrices.  Reduction is
+    compensated and in fixed node order.
     """
-
-    n_theta: int = 64
-    n_alpha: int = 12
-    n_beta: int = 8
-    n_gamma: int = 12
-
-
-def _plain_algebra(group_id):
-    """The unit-scale Euclidean algebra of a group, used only for exp."""
-    aid = ALGEBRA_OF[group_id]
-    return NormedAlgebra(aid, "euclid", 1.0,
-                         _INJ_SAFETY * _BRANCH_RADIUS_EUCLID[aid])
-
-
-def _euler_nodes(group_id, rule):
-    """Euler z-y-z product nodes and weights; weights sum to 1 exactly."""
-    plain = _plain_algebra(group_id)
-    alpha = 2 * np.pi * np.arange(rule.n_alpha) / rule.n_alpha
-    gspan = 4 * np.pi if group_id == "SU2" else 2 * np.pi
-    gamma = gspan * np.arange(rule.n_gamma) / rule.n_gamma
-    x, wx = np.polynomial.legendre.leggauss(rule.n_beta)
-    z_axis, y_axis = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
-    ra, rb, rg = (_exp_matrices(plain, np.outer(angles, axis)) for angles, axis
-                  in ((alpha, z_axis), (np.arccos(x), y_axis), (gamma, z_axis)))
-    nodes = ra[:, None, None] @ rb[None, :, None] @ rg[None, None, :]
-    weights = np.broadcast_to((wx / (2.0 * rule.n_alpha * rule.n_gamma))[:, None],
-                              nodes.shape[:3])
-    return nodes.reshape(-1, *ra.shape[1:]), weights.ravel()
-
-
-def haar_integrate(f, group, rule=None):
-    """Normalized Haar average of f over the group, a key of ALGEBRA_OF;
-    f receives the node matrices.  Reduction is compensated and in fixed
-    node order.
-    """
-    rule = rule or QuadratureRule()
-    if group in ("U1", "SO2"):
-        theta = 2 * np.pi * np.arange(rule.n_theta) / rule.n_theta
-        nodes = _exp_matrices(_plain_algebra(group), theta[:, None])
-        weights = np.full(len(nodes), 1.0 / len(nodes))
-    elif group in ("SO3", "SU2"):
-        nodes, weights = _euler_nodes(group, rule)
-    else:
-        raise ValueError(f"unknown group {group!r}")
+    if group not in ("U1", "SO2"):
+        raise ValueError(f"no Haar rule for group {group!r} (U1 or SO2)")
+    aid = ALGEBRA_OF[group]
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    # the unit-scale Euclidean algebra: exp reads only its id
+    nodes = _exp_matrices(NormedAlgebra(aid, "euclid", 1.0, np.pi),
+                          theta[:, None])
+    weights = np.full(len(nodes), 1.0 / len(nodes))
     values = [np.asarray(f(g), dtype=complex) for g in nodes]
     return weighted_sum(weights, values)

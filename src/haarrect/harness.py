@@ -6,6 +6,7 @@ repr, file writes are atomic (write-temp-then-rename), and reports carry a
 digest of the canonical config.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -497,96 +498,81 @@ def _cyclic_homomorphism_values(alg, order):
 
 
 def generate_exact_morphism(g, spec, alg, morphism_spec):
-    """Seeded exact morphism into the target group.
+    """Seeded exact morphism into the target group, and its warnings.
 
-    Pair groupoids get a coboundary phi(j, i) = h_j h_i^-1 from seeded
-    per-object elements; action groupoids get a homomorphism of the acting
-    cyclic group composed with the arrow's group part, conjugated by a
-    seeded element for variety.  When no usable homomorphism exists the
-    trivial one is substituted with a warning.
+    Kind "trivial" maps every arrow to the identity.  Kind "coboundary", and
+    every other kind on a pair groupoid, gives phi(a) = h_t(a) h_s(a)^-1
+    from seeded per-object elements.  On an action groupoid, "auto" and
+    "homomorphism" give a homomorphism of the acting cyclic group composed
+    with the arrow's group part, conjugated by a seeded element for variety;
+    when no usable homomorphism exists the trivial one is substituted with
+    a warning.
     """
+    m = alg.matrix_dim
+    identity = np.broadcast_to(np.eye(m), (g.n_arrows, m, m))
+    if morphism_spec.kind == "trivial":
+        return almost_morphism(identity, alg), []
     rng = np.random.default_rng(morphism_spec.seed)
-    warns = []
     if spec.constructor == "pair" or morphism_spec.kind == "coboundary":
-        n_obj = g.n_objects
-        coords = alg.sample_ball(rng, morphism_spec.scale, n_obj)
-        h = _exp_matrices(alg, coords)
+        h = _exp_matrices(alg, alg.sample_ball(rng, morphism_spec.scale,
+                                               g.n_objects))
         values = h[g.target] @ h[g.source].conj().swapaxes(-1, -2)
-        return almost_morphism(values, alg.group_id, alg), warns
+        return almost_morphism(values, alg), []
 
     order = spec.group_order
-    gen_values = None
-    if morphism_spec.kind != "trivial":
-        gen_values = _cyclic_homomorphism_values(alg, order)
+    gen_values = _cyclic_homomorphism_values(alg, order)
     if gen_values is None:
-        if morphism_spec.kind != "trivial":
-            msg = (f"no usable homomorphism cyclic({order}) -> {alg.group_id}; "
-                   f"substituting the trivial one")
-            warnings.warn(msg)
-            warns.append(msg)
-        n = alg.matrix_dim
-        gen_values = [np.eye(n) for _ in range(order)]
-    else:
-        # conjugate by a seeded element: still a homomorphism, same range
-        z = _exp_matrices(alg, alg.sample_ball(rng, 0.5, 1))[0]
-        gen_values = [z @ v @ z.conj().T for v in gen_values]
-
-    n_x = spec.space_size
-    values = np.array([gen_values[a // n_x] for a in range(g.n_arrows)])
-    return almost_morphism(values, alg.group_id, alg), warns
+        msg = (f"no usable homomorphism cyclic({order}) -> {alg.group_id}; "
+               f"substituting the trivial one")
+        warnings.warn(msg)
+        return almost_morphism(identity, alg), [msg]
+    # conjugate by a seeded element: still a homomorphism, same range
+    z = _exp_matrices(alg, alg.sample_ball(rng, 0.5, 1))[0]
+    gen_values = np.array([z @ v @ z.conj().T for v in gen_values])
+    # arrow a is (group element a // space_size, point a % space_size)
+    return almost_morphism(gen_values[np.arange(g.n_arrows) // spec.space_size],
+                           alg), []
 
 
-def perturb_morphism(phi, alg, pert, g=None, W_radius=None):
+def perturb_morphism(phi, alg, pert, g):
     """phi0(p) = phi(p) . exp(w_p) with w_p uniform in the epsilon ball.
 
-    The left-multiplication variant is available through ``side``; unit
-    arrows are optionally left unperturbed.  Identical seeds give identical
-    outputs byte-for-byte.
+    The left-multiplication variant is available through ``side``; the unit
+    arrows of the groupoid ``g`` are optionally left unperturbed.  Identical
+    seeds give identical outputs byte-for-byte.  Whether phi0 takes values
+    in W is checked by ``iterate``.
     """
     rng = np.random.default_rng(pert.seed)
     w = alg.sample_ball(rng, pert.epsilon, phi.n_arrows)
-    if not pert.perturb_units and g is not None:
+    if not pert.perturb_units:
         w[np.asarray(g.unit_arrows)] = 0.0
     noise = _exp_matrices(alg, w)
     if pert.side == "right":
         values = np.einsum("nij,njk->nik", phi.values, noise)
     else:
         values = np.einsum("nij,njk->nik", noise, phi.values)
-    out = almost_morphism(values, phi.target_group, alg)
-    if W_radius is not None and out.range_certificate > W_radius + 1e-9:
-        raise RangeEscape("perturbed map does not take values in W",
-                          radius=out.range_certificate, limit=W_radius)
-    return out
+    return almost_morphism(values, alg)
 
 
 # ---------------------------------------------------------------------------
 # experiment runs
 # ---------------------------------------------------------------------------
 
-_ALG_CACHE = {}
-_CONSTANTS_CACHE = {}
-
-
+@functools.cache
 def algebra_for(group_spec):
-    key = (group_spec.tag, group_spec.raw_norm)
-    if key not in _ALG_CACHE:
-        _ALG_CACHE[key] = normalize_algebra_norm(
-            ALGEBRA_OF[group_spec.tag], group_spec.raw_norm
-        )
-    return _ALG_CACHE[key]
+    """The normalized algebra of a group spec (memoized)."""
+    return normalize_algebra_norm(ALGEBRA_OF[group_spec.tag],
+                                  group_spec.raw_norm)
 
 
+@functools.cache
 def constants_for(alg, cspec):
     """Estimate (and memoize) the constants for a constants spec."""
-    key = (alg.algebra_id, alg.raw_norm, cspec.sample_count,
-           cspec.safety_factor, cspec.W_radius, cspec.K_radius, cspec.seed)
-    if key not in _CONSTANTS_CACHE:
-        sets = AmbientSets(cspec.W_radius, cspec.K_radius)
-        _CONSTANTS_CACHE[key] = estimate_bch_constants(
-            alg, sets, sample_count=cspec.sample_count,
-            safety_factor=cspec.safety_factor, seed=cspec.seed,
-        )
-    return _CONSTANTS_CACHE[key]
+    return estimate_bch_constants(
+        alg, AmbientSets(cspec.W_radius, cspec.K_radius),
+        sample_count=cspec.sample_count, safety_factor=cspec.safety_factor,
+        seed=cspec.seed,
+    )
 
 
 def _format_float(x):
@@ -670,8 +656,7 @@ def run_experiment(config, out_dir=None):
         phi_exact, warns = generate_exact_morphism(
             g, config.groupoid, alg, config.morphism
         )
-        phi0 = perturb_morphism(phi_exact, alg, config.perturbation,
-                                g=g, W_radius=sets.W_radius)
+        phi0 = perturb_morphism(phi_exact, alg, config.perturbation, g)
         limit, trace = iterate(
             phi0, core, density, alg, constants, sets=sets,
             tol=config.iteration.tol, max_iter=config.iteration.max_iter,

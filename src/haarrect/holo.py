@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GridError
 from .groupoids import FiniteGroup, build_action_groupoid
-from .groups import QuadratureRule, haar_integrate
+from .groups import haar_integrate
 from .sums import NeumaierSum
 
 # Grid points per slab of sample_function: 3 rows of 17^3 at n_space = 17.
@@ -202,9 +202,9 @@ def core_pairs_never_excluded(model):
     return bool(np.all(~partner | multipliable(model, theta, zeta_p, (z1, z2))))
 
 
-def grid_points(model):
-    """Broadcast complex coordinates (Z1, Z2) of the rectangular grid."""
-    x1, y1, x2, y2 = model.grid_axes
+def grid_points(x1, y1, x2, y2):
+    """Broadcast complex coordinates (Z1, Z2) of the rectangular grid on
+    the four real axes."""
     Z1 = (x1[:, None, None, None] + 1j * y1[None, :, None, None])
     Z2 = (x2[None, None, :, None] + 1j * y2[None, None, None, :])
     return Z1, Z2
@@ -231,7 +231,7 @@ def sample_function(f, model):
     the available CPUs, so it must be pointwise and thread-safe; each grid
     point is evaluated alone, so the values do not depend on the CPU count.
     """
-    Z1, Z2 = grid_points(model)
+    Z1, Z2 = grid_points(*model.grid_axes)
     rows = max(1, SLAB_POINTS // (Z1.shape[1] * Z2.size))
     values = _sample_slabs(f, Z1, Z2, rows, _available_cpus())
     return SampledFunction(values=values, grid_axes=model.grid_axes,
@@ -353,9 +353,7 @@ def sample_on_box(f, center, h):
     """Sample a callable on a 5-node rectangular probe box (for slope fits)."""
     c = np.asarray(center, dtype=float)
     axes = tuple(c[i] + h * (np.arange(5) - 2.0) for i in range(4))
-    x1, y1, x2, y2 = axes
-    Z1 = (x1[:, None, None, None] + 1j * y1[None, :, None, None])
-    Z2 = (x2[None, None, :, None] + 1j * y2[None, None, None, :])
+    Z1, Z2 = grid_points(*axes)
     values = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex)
     return SampledFunction(values=values, grid_axes=axes, grid_spacing=float(h))
 
@@ -388,6 +386,5 @@ def real_restriction_check(f, model):
         yr = mat[1, 0] * x + mat[1, 1] * y
         return f(xr.astype(complex), yr.astype(complex))
 
-    via_real = haar_integrate(on_rotation, "SO2",
-                              QuadratureRule(n_theta=model.n_theta + 1))
+    via_real = haar_integrate(on_rotation, "SO2", n_theta=model.n_theta + 1)
     return float(np.max(np.abs(via_complex - via_real)))

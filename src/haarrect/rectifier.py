@@ -34,7 +34,6 @@ class AlmostMorphism:
     """Arrow-indexed group values with a recomputed range certificate."""
 
     values: np.ndarray          # (n_arrows, n, n): float64 for SO2/SO3
-    target_group: str
     range_certificate: float
 
     @property
@@ -42,16 +41,16 @@ class AlmostMorphism:
         return self.values.shape[0]
 
 
-def almost_morphism(values, target_group, alg):
-    """Build an AlmostMorphism, recomputing the range certificate; the one
-    coercion of caller values: float64 for SO2/SO3, complex otherwise."""
+def almost_morphism(values, alg):
+    """Build an AlmostMorphism into the group of ``alg``, recomputing the
+    range certificate; the one coercion of caller values: float64 for
+    SO2/SO3, complex otherwise."""
     values = np.asarray(values)
     values = (np.ascontiguousarray(values.real, dtype=float)
-              if target_group in REAL_GROUPS
+              if alg.group_id in REAL_GROUPS
               else np.asarray(values, dtype=complex))
     cert = float(np.max(_distances_to_identity(alg, values)))
-    return AlmostMorphism(values=values, target_group=target_group,
-                          range_certificate=cert)
+    return AlmostMorphism(values=values, range_certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,7 @@ class IterationTrace:
     q_certified: tuple
     correction_bound_ok: tuple
     step_bound_ok: tuple
-    constants_used: object
     terminated: str
-    admissible_radius: float
 
     def __post_init__(self):
         n = len(self.correction_norms)
@@ -155,7 +152,7 @@ def _correction(psi, core, density, alg):
 def _apply_correction(phi, corrections, alg, sets, what):
     """phi . A; RangeEscape if ``sets`` is given and it leaves the compact."""
     new_values = np.einsum("nij,njk->nik", phi.values, corrections)
-    out = almost_morphism(new_values, phi.target_group, alg)
+    out = almost_morphism(new_values, alg)
     if sets is not None and out.range_certificate > sets.K_radius + 1e-9:
         raise RangeEscape(f"{what} left the ambient compact",
                           radius=out.range_certificate, limit=sets.K_radius)
@@ -201,22 +198,23 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
 
     Certifies every step against q and the two in-proof bounds
     (|A| <= (d/d') * defect and step <= 1/c_d), and raises NonContraction
-    only if the defect grows past the averaging precondition 1/c_l.  A
-    package error raised after the initial defect is measured carries that
-    defect as ``initial_defect``.
+    only if the defect grows past the averaging precondition 1/c_l.  With
+    ``sets``, the initial map must take values in W and every step must stay
+    in K (RangeEscape).  A package error raised after the initial defect is
+    measured carries that defect as ``initial_defect``.
     """
     # one psi stack per map: its defect and, next step, its correction
     psi = _psi_stack(phi0, core.pairs)
     delta = initial = _max_distance(alg, psi)
     try:
-        admissible = admissible_defect_radius(constants)
-        if delta > admissible:
-            raise DefectTooLarge(delta, admissible)
         if sets is not None and phi0.range_certificate > sets.W_radius + 1e-9:
             raise RangeEscape(
                 "initial map does not take values in W",
                 radius=phi0.range_certificate, limit=sets.W_radius,
             )
+        admissible = admissible_defect_radius(constants)
+        if delta > admissible:
+            raise DefectTooLarge(delta, admissible)
 
         deltas = [delta]
         correction_norms, step_moves, q_bounds = [], [], []
@@ -231,9 +229,7 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
                 q_certified=tuple(q_flags),
                 correction_bound_ok=tuple(corr_ok),
                 step_bound_ok=tuple(step_ok),
-                constants_used=constants,
                 terminated=terminated,
-                admissible_radius=admissible,
             )
 
         phi = phi0

@@ -99,7 +99,7 @@ def _instance(spec, radii, tag, seed, epsilon):
     while True:
         phi0 = perturb_morphism(phi_exact, alg,
                                 PerturbationSpec(epsilon=eps, seed=seed + 1),
-                                g=g, W_radius=W)
+                                g)
         if defect(phi0, core, alg) <= adm:
             break
         eps *= 0.5

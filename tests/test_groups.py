@@ -9,7 +9,6 @@ from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
     AmbientSets,
     BchConstants,
-    QuadratureRule,
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
@@ -98,7 +97,8 @@ TINY_ANGLES = (1e-300, 2.2250738585072014e-308, 1e-320, 5e-324)
 def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
                                              span):
     # tiny angles down to subnormals, the ball up to the injectivity margin
-    # and whole angles up to 4 pi (the SU(2) Euler nodes); ten exact zeros
+    # and whole angles up to 4 pi (exact SU(2) homomorphisms turn that far);
+    # ten exact zeros
     alg = algebras[tag]
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(200, alg.dim))
@@ -455,37 +455,27 @@ def test_circle_nodes_are_the_trapezoid_rotations():
                                  np.stack([s, c], axis=-1)], axis=-2)}
     for tag, want in expected.items():
         nodes = []
-        haar_integrate(lambda m: nodes.append(m) or 0.0, tag,
-                       QuadratureRule(n_theta=16))
+        haar_integrate(lambda m: nodes.append(m) or 0.0, tag, n_theta=16)
         assert np.array_equal(np.array(nodes), want)
 
 
 def test_constant_integrates_to_value():
-    rule = QuadratureRule(n_theta=16, n_alpha=6, n_beta=4, n_gamma=6)
-    for tag in ("U1", "SO2", "SO3", "SU2"):
-        out = haar_integrate(lambda m: 3.25, tag, rule)
+    for tag in ("U1", "SO2"):
+        out = haar_integrate(lambda m: 3.25, tag, n_theta=16)
         assert abs(out - 3.25) < 1e-13
 
 
 def test_u1_fourier_mode_vanishes():
-    out = haar_integrate(lambda m: m[0, 0], "U1", QuadratureRule(n_theta=2))
+    out = haar_integrate(lambda m: m[0, 0], "U1", n_theta=2)
     assert abs(out) < 1e-15
-    out = haar_integrate(lambda m: m[0, 0] ** 3, "U1", QuadratureRule(n_theta=8))
+    out = haar_integrate(lambda m: m[0, 0] ** 3, "U1", n_theta=8)
     assert abs(out) < 1e-15
 
 
-def test_so3_character_orthogonality():
-    rule = QuadratureRule(n_alpha=8, n_beta=6, n_gamma=8)
-    out = haar_integrate(lambda m: np.trace(m.real), "SO3", rule)
-    assert abs(out) < 1e-12
-    avg = haar_integrate(lambda m: m.real, "SO3", rule)
-    assert np.abs(avg).max() < 1e-12
-
-
-def test_su2_character_orthogonality():
-    rule = QuadratureRule(n_alpha=8, n_beta=6, n_gamma=8)
-    out = haar_integrate(lambda m: np.trace(m), "SU2", rule)
-    assert abs(out) < 1e-12
+@pytest.mark.parametrize("tag", ["SO3", "SU2", "SO4"])
+def test_haar_rule_is_only_for_the_circle_groups(tag):
+    with pytest.raises(ValueError, match="no Haar rule"):
+        haar_integrate(lambda m: 1.0, tag)
 
 
 # ---------------------------------------------------------------------------

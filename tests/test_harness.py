@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -49,7 +50,7 @@ from haarrect.harness import (
     run_holo_bench,
     validate_config,
 )
-from haarrect.rectifier import defect, q_bound
+from haarrect.rectifier import defect, q_bound, verify_core_morphism
 
 
 def bundled(name):
@@ -332,8 +333,8 @@ def test_cli_runs_without_eigh(tmp_path, monkeypatch, capsys):
         raise AssertionError("np.linalg.eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(harness, "_ALG_CACHE", {})
-    monkeypatch.setattr(harness, "_CONSTANTS_CACHE", {})
+    harness.algebra_for.cache_clear()
+    harness.constants_for.cache_clear()
     names = ("so3_pair5", "su2_z3z3", "u1_onestep", "defect_too_large")
     paths = [os.path.join(CONFIG_DIR, f"{name}.json") for name in names]
     codes = [main(["run", "--config", path, "--out", str(tmp_path)])
@@ -404,6 +405,28 @@ def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
     assert hashes["holo_bench.json"][1] != "-"
 
 
+@pytest.mark.parametrize("samples, message", [
+    ("10", "constants.sample_count must be an integer >= 1000, not 10"),
+    ("1000001", "constants.sample_count must be at most 1000000, not 1000001"),
+])
+def test_constants_table_rejects_bad_flags_with_one_line_error(
+        monkeypatch, capsys, samples, message):
+    path = os.path.join(REPO_ROOT, "scripts", "constants_table.py")
+    spec = importlib.util.spec_from_file_location("constants_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the flags were checked")
+
+    monkeypatch.setattr(script, "algebra_for", no_sampling)
+    monkeypatch.setattr(script, "constants_for", no_sampling)
+    assert script.main(["--samples", samples]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ConfigError: {message}\n"
+
+
 @pytest.mark.parametrize("order, m", [(1, 1), (3, 3), (6, 6), (2, 1),
                                       (5, 1)])
 def test_build_groupoid_action_matches_the_callback_form(order, m):
@@ -421,7 +444,7 @@ PUBLIC_NAMES = (
     "DefectTooLarge", "ExperimentConfig", "FiniteGroup", "FiniteGroupoid",
     "GridError", "HaarDensity", "HaarrectError", "InvalidAlgebraVector",
     "InvarianceError", "IterationTrace", "LogDomainError", "NonContraction",
-    "NormalizationFailure", "NormedAlgebra", "QuadratureRule", "RangeEscape",
+    "NormalizationFailure", "NormedAlgebra", "RangeEscape",
     "RunReport", "SampledFunction", "ValidationReport",
     "admissible_defect_radius", "almost_morphism", "attach_haar_density",
     "build_action_groupoid", "build_complexified_model", "build_core",
@@ -488,6 +511,28 @@ def test_z2_to_su2_substitutes_trivial_with_warning(algebras):
                                              MorphismSpec(seed=0))
     assert warns
     assert np.array_equal(phi.values[1], np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("tag", ["SO3", "SU2"])
+@pytest.mark.parametrize("spec", [
+    GroupoidSpec(constructor="pair", size=3),
+    GroupoidSpec(constructor="action", group_order=3, space_size=3),
+], ids=["pair", "action"])
+def test_every_morphism_kind_on_both_constructors(algebras, spec, tag):
+    alg = algebras[tag]
+    g = build_groupoid(spec)
+    core = build_core(g, tuple(range(g.n_arrows)))
+    phi = {kind: generate_exact_morphism(g, spec, alg,
+                                         MorphismSpec(kind=kind, seed=5))[0]
+           for kind in harness.MORPHISM_KINDS}
+    trivial = phi["trivial"].values
+    identity = np.broadcast_to(np.eye(alg.matrix_dim), trivial.shape)
+    assert trivial.tobytes() == identity.astype(trivial.dtype).tobytes()
+    assert phi["trivial"].range_certificate == 0.0
+    assert verify_core_morphism(phi["coboundary"], core, alg, full=True) \
+        <= 1e-13
+    assert phi["homomorphism"].values.tobytes() \
+        == phi["auto"].values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +606,6 @@ def test_perturb_left_variant_differs(algebras):
     l = perturb_morphism(phi, alg, PerturbationSpec(epsilon=0.05, seed=7,
                                                     side="left"), g=g)
     assert not np.array_equal(r.values, l.values)
-
-
-def test_perturb_range_escape(algebras):
-    spec = GroupoidSpec(constructor="pair", size=3)
-    g = build_groupoid(spec)
-    alg = algebras["SO3"]
-    phi, _ = generate_exact_morphism(g, spec, alg,
-                                     MorphismSpec(seed=8, scale=0.7))
-    tight = 0.9 * phi.range_certificate
-    with pytest.raises(RangeEscape):
-        perturb_morphism(phi, alg, PerturbationSpec(epsilon=0.01, seed=9),
-                         g=g, W_radius=tight)
 
 
 def test_unperturbed_units_flag(algebras):
@@ -736,10 +769,28 @@ def test_range_escape_names_the_radius_and_its_limit(tmp_path):
     assert main(["run", "--config", path, "--out", str(tmp_path)]) \
         == EXIT_PRECONDITION
     report = json.loads((tmp_path / "so3_pair5_report.json").read_text())
-    head = "RangeEscape: perturbed map does not take values in W: range radius "
+    head = "RangeEscape: initial map does not take values in W: range radius "
     assert report["error"].startswith(head)
     radius, limit = report["error"][len(head):].split(" exceeds ")
     assert float(radius) > float(limit) == 1.5
+    # the W check runs in iterate, after the initial defect is measured
+    assert isinstance(report["initial_defect"], float)
+    assert np.isfinite(report["initial_defect"])
+
+
+def test_range_escape_comes_before_defect_too_large(tmp_path):
+    # the perturbed map leaves W and its defect is above the admissible
+    # radius: the run reports the range escape, with the measured defect
+    cfg = ExperimentConfig.from_dict({
+        "group": {"tag": "SO3"},
+        "groupoid": {"constructor": "pair", "size": 3},
+        "morphism": {"seed": 5, "scale": 1.0},
+        "perturbation": {"epsilon": 0.3, "seed": 9},
+    })
+    report, code = run_experiment(cfg, out_dir=tmp_path)
+    assert code == EXIT_PRECONDITION
+    assert report.error.startswith("RangeEscape: initial map ")
+    assert report.initial_defect > report.admissible_radius
 
 
 def test_cli_validate(capsys):

@@ -11,7 +11,7 @@ import haarrect.holo as holo
 from conftest import assert_same_groupoid, tabulated_action, with_products
 from haarrect.errors import GridError
 from haarrect.groupoids import FiniteGroup, build_action_groupoid
-from haarrect.groups import QuadratureRule, haar_integrate
+from haarrect.groups import haar_integrate
 from haarrect.holo import (
     SampledFunction,
     average_callable,
@@ -217,7 +217,6 @@ def test_real_restriction_check_matches_pointwise_loop():
         wp, wm = z1 + 1j * z2, z1 - 1j * z2
         return co[0] + co[1] * wp ** 5 + co[2] * wp * wm ** 2
 
-    rule = QuadratureRule(n_theta=5)
     averaged = average_callable(f, model)
     worst = 0.0
     for x, y in model.lattice_points.reshape(-1, 2):
@@ -225,7 +224,7 @@ def test_real_restriction_check_matches_pointwise_loop():
         via_real = haar_integrate(
             lambda mat: f(complex(mat[0, 0].real * x + mat[0, 1].real * y),
                           complex(mat[1, 0].real * x + mat[1, 1].real * y)),
-            "SO2", rule)
+            "SO2", n_theta=5)
         worst = max(worst, abs(complex(via_complex) - complex(via_real)))
     assert worst > 0.1
     assert abs(real_restriction_check(f, model) - worst) <= 1e-15 * worst
@@ -289,7 +288,7 @@ def slab_model(request):
 
 def test_sampling_does_not_depend_on_worker_count(slab_model, monkeypatch):
     f = lambda z1, z2: np.exp(z1) * np.cos(z2) + (z1 + 1j * z2) ** 3
-    Z1, Z2 = holo.grid_points(slab_model)
+    Z1, Z2 = holo.grid_points(*slab_model.grid_axes)
     whole = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex).tobytes()
     averaged = core_average_function(f, slab_model).values.tobytes()
     for workers in (1, 2, 3):
@@ -301,7 +300,7 @@ def test_sampling_does_not_depend_on_worker_count(slab_model, monkeypatch):
 def test_uneven_slabs_give_the_same_values(slab_model):
     f = average_callable(lambda z1, z2: np.sin(z1 * z2) + z1 ** 2 * z2,
                          slab_model)
-    Z1, Z2 = holo.grid_points(slab_model)
+    Z1, Z2 = holo.grid_points(*slab_model.grid_axes)
     whole = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex).tobytes()
     for rows in (2, 5):     # 9 and 17 rows both leave a short last slab
         for workers in (1, 2, 3):
@@ -317,7 +316,7 @@ class SlabFailure(Exception):
 def test_worker_exception_reaches_the_caller(small_model, failing_slab):
     # with 3 workers and 1-row slabs, slab j runs in thread j: the calling
     # thread for j = 0, a worker thread otherwise
-    Z1, Z2 = holo.grid_points(small_model)
+    Z1, Z2 = holo.grid_points(*small_model.grid_axes)
     bad_row = Z1[failing_slab, 0, 0, 0]
 
     def f(z1, z2):
@@ -339,7 +338,7 @@ def test_worker_exception_reaches_the_caller(small_model, failing_slab):
 
 def test_sampling_inside_a_worker_runs_there(small_model):
     # a worker that handed slabs to the workers would wait on itself
-    Z1, Z2 = holo.grid_points(small_model)
+    Z1, Z2 = holo.grid_points(*small_model.grid_axes)
     product = lambda z1, z2: z1 * z2
 
     def f(z1, z2):
@@ -352,7 +351,7 @@ def test_sampling_inside_a_worker_runs_there(small_model):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_workers(small_model):
-    Z1, Z2 = holo.grid_points(small_model)
+    Z1, Z2 = holo.grid_points(*small_model.grid_axes)
     product = lambda z1, z2: z1 * z2
     expected = holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes()
     pid = os.fork()

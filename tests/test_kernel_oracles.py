@@ -14,7 +14,6 @@ import pytest
 from conftest import coords_to_matrix
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
-    GROUP_OF,
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
@@ -225,5 +224,5 @@ def test_psi_stack_is_the_gathered_product(algs, aid):
     values = ref_exp(alg, ref_sample_ball(alg, np.random.default_rng(9), 3.0,
                                           g.n_arrows))
     values[::5] = np.eye(alg.matrix_dim)
-    phi = almost_morphism(values, GROUP_OF[aid], alg)
+    phi = almost_morphism(values, alg)
     assert_same_bits(ref_psi(phi, g.products), _psi_stack(phi, g.products))

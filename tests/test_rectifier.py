@@ -56,7 +56,7 @@ def coboundary(g, alg, seed=0, scale=0.2):
     h = _exp_matrices(alg, alg.sample_ball(rng, scale, g.n_objects))
     values = np.array([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
                        for a in range(g.n_arrows)])
-    return almost_morphism(values, alg.group_id, alg)
+    return almost_morphism(values, alg)
 
 
 def unit_constants():
@@ -82,7 +82,7 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), "SU2", alg)
+    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), alg)
     psi = _psi_stack(phi, core.pairs[:5])
     assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
                                                psi.shape))
@@ -99,7 +99,7 @@ def test_psi_single_perturbation_brute_force(algebras):
     star = 5
     values = phi.values.copy()
     values[star] = values[star] @ _exp_matrices(alg, w[None])[0]
-    phi_p = almost_morphism(values, "SO3", alg)
+    phi_p = almost_morphism(values, alg)
 
     rows, expected = [], []
     for k in range(9):
@@ -128,7 +128,7 @@ def test_central_right_translation_law(algebras):
     core = full_core(g)
     phi = coboundary(g, alg, seed=3)
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
-    phi_z = almost_morphism(phi.values @ z, "SU2", alg)
+    phi_z = almost_morphism(phi.values @ z, alg)
     psi = _psi_stack(phi, core.pairs[:6])
     psi_z = _psi_stack(phi_z, core.pairs[:6])
     assert group_membership_residual(psi, "SU2") <= TAU_GROUP
@@ -144,9 +144,9 @@ def test_defect_invariant_under_conjugation(algebras):
     phi = coboundary(g, alg, seed=4)
     values = phi.values.copy()
     values[2] = values[2] @ _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1))[0]
-    phi_p = almost_morphism(values, "SO3", alg)
+    phi_p = almost_morphism(values, alg)
     z = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))[0]
-    phi_c = almost_morphism(z @ phi_p.values @ z.conj().T, "SO3", alg)
+    phi_c = almost_morphism(z @ phi_p.values @ z.conj().T, alg)
     assert abs(defect(phi_p, core, alg) - defect(phi_c, core, alg)) < 1e-12
 
 
@@ -156,7 +156,7 @@ def test_defect_overflow(algebras):
     core = full_core(g)
     values = np.array([[[np.exp(0j)]]] * 9)
     values[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
-    phi = almost_morphism(values, "U1", alg)
+    phi = almost_morphism(values, alg)
     with pytest.raises(DefectOverflow):
         defect(phi, core, alg)
 
@@ -181,7 +181,7 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     g = build_action_groupoid(FiniteGroup.cyclic(2), translations(2, 1))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
-    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 2), "SU2", alg)
+    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 2), alg)
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert np.array_equal(out.values, phi.values)
@@ -194,7 +194,7 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     values = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
-    phi = almost_morphism(values, "U1", alg)
+    phi = almost_morphism(values, alg)
     assert phi.range_certificate == pytest.approx(alg.scale * np.pi)
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     out = _apply_correction(phi, corrections, alg, None, "corrected map")
@@ -209,7 +209,7 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     rng = np.random.default_rng(12)
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.05 * (2 * rng.random(9) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], "U1", alg)
+    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
     assert defect(phi, core, alg) > 1e-4
 
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
@@ -241,7 +241,7 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     rng = np.random.default_rng(13)
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], "U1", alg)
+    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     out = _apply_correction(phi, corrections, alg, None, "corrected map")
     assert defect(out, core, alg) <= 1e-14
@@ -256,8 +256,7 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     rng = np.random.default_rng(21)
     phi = coboundary(g, alg, seed=6)
     noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
-    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise),
-                          "SO3", alg)
+    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise), alg)
     delta = defect(phi, core, alg)
     corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
@@ -284,7 +283,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     mu = attach_haar_density(core, weights)
     rng = np.random.default_rng(41)
     phi = almost_morphism(
-        _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows)), "SO3", alg)
+        _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows)), alg)
 
     # reference: the per-arrow compensated sum over the fiber, in fiber
     # order, of the same batched logs
@@ -400,8 +399,7 @@ def make_perturbed(algebras, tag, seed, eps, n_points=4):
     rng = np.random.default_rng(seed)
     phi = coboundary(g, alg, seed=seed)
     noise = _exp_matrices(alg, alg.sample_ball(rng, eps, g.n_arrows))
-    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise),
-                          alg.group_id, alg)
+    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise), alg)
     return g, core, mu, phi
 
 
@@ -461,7 +459,7 @@ def test_iterate_equivariance_under_conjugation(algebras, constants):
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=16, eps=0.008)
     rng = np.random.default_rng(99)
     z = _exp_matrices(alg, alg.sample_ball(rng, 1.2, 1))[0]
-    phi_c = almost_morphism(z @ phi.values @ z.conj().T, "SO3", alg)
+    phi_c = almost_morphism(z @ phi.values @ z.conj().T, alg)
     lim_a, _ = iterate(phi, core, mu, alg, k)
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
     conj = z @ lim_a.values @ z.conj().T
@@ -556,8 +554,8 @@ def harness_cases(algebras):
             g = build_groupoid(spec)
             core = build_core(g, arrows or tuple(range(g.n_arrows)))
             phi, _ = generate_exact_morphism(g, spec, alg, MorphismSpec(seed=i))
-            phi = perturb_morphism(phi, alg,
-                                   PerturbationSpec(epsilon=0.05, seed=i + 7))
+            phi = perturb_morphism(
+                phi, alg, PerturbationSpec(epsilon=0.05, seed=i + 7), g)
             yield alg, g, core, phi
 
 
@@ -572,8 +570,7 @@ def test_real_psi_stack_matches_complex_product(algebras):
 def test_almost_morphism_stores_real_groups_in_float64(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         assert phi.values.dtype == np.float64
-        from_complex = almost_morphism(phi.values.astype(complex),
-                                       phi.target_group, alg)
+        from_complex = almost_morphism(phi.values.astype(complex), alg)
         assert from_complex.values.dtype == np.float64
         assert from_complex.values.tobytes() == phi.values.tobytes()
         assert from_complex.range_certificate == phi.range_certificate
@@ -582,7 +579,7 @@ def test_almost_morphism_stores_real_groups_in_float64(algebras):
     for tag in ("U1", "SU2"):
         alg = algebras[tag]
         values = np.eye(alg.matrix_dim)[None].repeat(3, axis=0)
-        assert almost_morphism(values, tag, alg).values.dtype == complex
+        assert almost_morphism(values, alg).values.dtype == complex
 
 
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
@@ -631,7 +628,7 @@ def test_partial_core_residual_reported_separately(algebras, constants):
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(25)
     theta = 0.04 * (2 * rng.random(8) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], "U1", alg)
+    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
     limit, trace = iterate(phi, core, mu, alg, k)
     core_res = verify_core_morphism(limit, core, alg)
     full_res = verify_core_morphism(limit, core, alg, full=True)
