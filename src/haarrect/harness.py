@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, morphism generation, runs, reports.
 
-Configs are JSON; identical configs (seeds included) produce byte-identical
+Configs are JSON, checked against SCHEMA.  On one machine, numpy build and
+OpenBLAS build, identical configs (seeds included) produce byte-identical
 trace and report files.  Floats are serialized with shortest round-trip
 repr, file writes are atomic (write-temp-then-rename), and reports carry a
 digest of the canonical config.
@@ -12,7 +13,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,20 +97,27 @@ def _is_file_name(value):
             and "\0" not in value and os.path.basename(value) == value)
 
 
-def _require(ok, path, what, value):
-    """ConfigError naming the key path unless ``ok``."""
-    if not ok:
-        raise ConfigError(f"{path} must be {what}, not {value!r}")
+def _must(test, what):
+    """A check with the error line '<key path> must be <what>, not <value>'."""
+    return test, f"{{path}} must be {what}, not {{value!r}}"
 
 
-def _require_seed(path, value):
-    _require(_is_int(value) and value >= 0, path, "a non-negative integer",
-             value)
+def _int_at_least(least):
+    return _must(lambda v: _is_int(v) and v >= least, f"an integer >= {least}")
 
 
-def _require_choice(path, value, choices):
-    _require(value in choices, path, f"one of {', '.join(choices)}", value)
+def _one_of(*choices):
+    return _must(lambda v: v in choices, f"one of {', '.join(choices)}")
 
+
+_NUMBER = _must(_is_number, "a finite number")
+_NON_NEGATIVE = _must(lambda v: _is_number(v) and v >= 0,
+                      "a finite non-negative number")
+_POSITIVE = _must(lambda v: _is_number(v) and v > 0,
+                  "a finite positive number")
+_COUNT = _must(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_SIZE = _must(lambda v: _is_int(v) and v >= 1, "a positive integer")
+_FILE_NAME = _must(_is_file_name, "a file name")
 
 # Largest product table (and full core), bench-holo grid or eta node count
 # a config may ask for: pair(215) at most; pair(200) has 8 * 10^6 entries.
@@ -125,33 +133,116 @@ def _require_table_size(keys, entries, what="product-table entries"):
                           f"{MAX_TABLE_ENTRIES}")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    tag: str = "SO3"
-    raw_norm: str = "euclid"
+MORPHISM_KINDS = ("auto", "coboundary", "homomorphism", "trivial")
 
-    def __post_init__(self):
-        if not (isinstance(self.tag, str) and self.tag in ALGEBRA_OF):
-            raise ConfigError(f"group.tag: unknown group {self.tag!r} "
-                              f"(one of {', '.join(ALGEBRA_OF)})")
-        if self.raw_norm not in ("euclid", "frobenius"):
-            raise ConfigError(f"group.raw_norm: unknown norm {self.raw_norm!r}")
+# Every config key, once: section -> key -> (default, check, ...), where a
+# check is (test, error line).  Section "" is a bench-holo config, the others
+# are the sections of a run config.  "core" and "density" are (word, key):
+# the word, or an object of that one key, checked once the groupoid is built.
+SCHEMA = {
+    "group": {
+        "tag": ("SO3", (lambda v: isinstance(v, str) and v in ALGEBRA_OF,
+                        "{path}: unknown group {value!r} (one of "
+                        + ", ".join(ALGEBRA_OF) + ")")),
+        "raw_norm": ("euclid", (lambda v: v in ("euclid", "frobenius"),
+                                "{path}: unknown norm {value!r}")),
+    },
+    "groupoid": {
+        "constructor": ("pair", (lambda v: v in ("pair", "action"),
+                                 "unknown groupoid constructor {value!r}")),
+        "size": (3, _SIZE),             # pair groupoid point count
+        "group_order": (2, _SIZE),      # action groupoid: cyclic group order
+        "space_size": (1, _SIZE),       # action groupoid: cyclic space size
+    },
+    "core": ("full", "arrows"),
+    "density": ("uniform", "weights"),
+    "morphism": {
+        "kind": ("auto", _one_of(*MORPHISM_KINDS)),
+        "seed": (0, _COUNT),
+        "scale": (0.25, _NUMBER),       # coboundary generator radius
+    },
+    "perturbation": {
+        "epsilon": (0.0, _NON_NEGATIVE),
+        "seed": (0, _COUNT),
+        "side": ("right", _one_of("right", "left")),
+        "perturb_units": (True, _must(lambda v: isinstance(v, bool),
+                                      "true or false")),
+    },
+    "constants": {
+        "sample_count": (2000, _int_at_least(1000),
+                         _must(lambda v: v <= MAX_SAMPLE_COUNT,
+                               f"at most {MAX_SAMPLE_COUNT}")),
+        "safety_factor": (1.25, _must(lambda v: _is_number(v) and v >= 1,
+                                      "a finite number >= 1")),
+        "W_radius": (1.5, _NUMBER),
+        "K_radius": (2.5, _NUMBER),
+        "seed": (0, _COUNT),
+    },
+    "iteration": {"tol": (1e-12, _NON_NEGATIVE), "max_iter": (50, _COUNT)},
+    "output": {"trace": ("trace.csv", _FILE_NAME),
+               "report": ("report.json", _FILE_NAME)},
+    "": {
+        "space_radius": (1.0, _POSITIVE),
+        "eta_max": (0.2, _POSITIVE),
+        "n_theta": (32, _int_at_least(1)),
+        "n_space": (9, _int_at_least(3)),   # the centered differences
+        "n_eta": (5, _int_at_least(1)),
+        "n_shells": (3, _int_at_least(1)),
+        "probe_center": ((0.3, 0.05, 0.2, -0.05), _must(
+            lambda v: isinstance(v, (list, tuple)) and len(v) == 4
+            and all(map(_is_number, v)), "four finite numbers")),
+        "slope_hs": ((1e-2, 5e-3, 2.5e-3), _must(
+            lambda v: isinstance(v, (list, tuple))
+            and all(_is_number(h) and h > 0 for h in v) and len(set(v)) >= 2,
+            "at least two distinct positive numbers")),
+        "seed": (0, _COUNT),
+        "report": ("holo_report.json", _FILE_NAME),
+    },
+}
 
 
-@dataclass(frozen=True)
-class GroupoidSpec:
-    constructor: str = "pair"       # "pair" | "action"
-    size: int = 3                   # pair groupoid point count
-    group_order: int = 2            # action groupoid: cyclic group order
-    space_size: int = 1             # action groupoid: cyclic space size
+class _Spec:
+    """One SCHEMA section as a read-only value: keyword construction fills
+    the defaults and runs each key's checks in key order, then ``_check``."""
 
-    def __post_init__(self):
-        if self.constructor not in ("pair", "action"):
-            raise ConfigError(f"unknown groupoid constructor {self.constructor!r}")
-        for name in ("size", "group_order", "space_size"):
-            value = getattr(self, name)
-            _require(_is_int(value) and value >= 1, f"groupoid.{name}",
-                     "a positive integer", value)
+    def __init_subclass__(cls, section):
+        cls.section = section
+        for key, (default, *_) in SCHEMA[section].items():
+            setattr(cls, key, default)
+
+    def __init__(self, /, **values):
+        _check_keys(values, SCHEMA[self.section], self.section)
+        for key, (default, *checks) in SCHEMA[self.section].items():
+            value = values.get(key, default)
+            for test, line in checks:
+                if not test(value):
+                    path = f"{self.section}.{key}".lstrip(".")
+                    raise ConfigError(line.format(path=path, value=value))
+            object.__setattr__(self, key, value)
+        self._check()
+
+    def _check(self):
+        """The section's cross-key check."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+
+GroupSpec = type("GroupSpec", (_Spec,), {}, section="group")
+MorphismSpec = type("MorphismSpec", (_Spec,), {}, section="morphism")
+PerturbationSpec = type("PerturbationSpec", (_Spec,), {},
+                        section="perturbation")
+IterationSpec = type("IterationSpec", (_Spec,), {}, section="iteration")
+
+
+class GroupoidSpec(_Spec, section="groupoid"):
+    def _check(self):
         if self.constructor == "action" and self.group_order % self.space_size:
             raise ConfigError(f"cyclic({self.group_order}) does not act on "
                               f"{self.space_size} points by translation")
@@ -164,63 +255,8 @@ class GroupoidSpec:
                                 self.group_order ** 2 * self.space_size)
 
 
-MORPHISM_KINDS = ("auto", "coboundary", "homomorphism", "trivial")
-
-
-@dataclass(frozen=True)
-class MorphismSpec:
-    kind: str = "auto"              # one of MORPHISM_KINDS
-    seed: int = 0
-    scale: float = 0.25             # coboundary generator radius
-
-    def __post_init__(self):
-        _require_choice("morphism.kind", self.kind, MORPHISM_KINDS)
-        _require_seed("morphism.seed", self.seed)
-        _require(_is_number(self.scale), "morphism.scale", "a finite number",
-                 self.scale)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    epsilon: float = 0.0
-    seed: int = 0
-    side: str = "right"             # "right" | "left"
-    perturb_units: bool = True
-
-    def __post_init__(self):
-        _require(_is_number(self.epsilon) and self.epsilon >= 0,
-                 "perturbation.epsilon", "a finite non-negative number",
-                 self.epsilon)
-        _require_seed("perturbation.seed", self.seed)
-        _require_choice("perturbation.side", self.side, ("right", "left"))
-        _require(isinstance(self.perturb_units, bool),
-                 "perturbation.perturb_units", "true or false",
-                 self.perturb_units)
-
-
-@dataclass(frozen=True)
-class ConstantsSpec:
-    sample_count: int = 2000
-    safety_factor: float = 1.25
-    W_radius: float = 1.5
-    K_radius: float = 2.5
-    seed: int = 0
-
-    def __post_init__(self):
-        _require(_is_int(self.sample_count) and self.sample_count >= 1000,
-                 "constants.sample_count", "an integer >= 1000",
-                 self.sample_count)
-        _require(self.sample_count <= MAX_SAMPLE_COUNT,
-                 "constants.sample_count", f"at most {MAX_SAMPLE_COUNT}",
-                 self.sample_count)
-        _require(_is_number(self.safety_factor) and self.safety_factor >= 1,
-                 "constants.safety_factor", "a finite number >= 1",
-                 self.safety_factor)
-        for name in ("W_radius", "K_radius"):
-            value = getattr(self, name)
-            _require(_is_number(value), f"constants.{name}", "a finite number",
-                     value)
-        _require_seed("constants.seed", self.seed)
+class ConstantsSpec(_Spec, section="constants"):
+    def _check(self):
         # ambient-ball invariants are re-validated by AmbientSets
         try:
             AmbientSets(self.W_radius, self.K_radius)
@@ -228,67 +264,17 @@ class ConstantsSpec:
             raise ConfigError(f"constants: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class IterationSpec:
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        _require(_is_number(self.tol) and self.tol >= 0, "iteration.tol",
-                 "a finite non-negative number", self.tol)
-        _require(_is_int(self.max_iter) and self.max_iter >= 0,
-                 "iteration.max_iter", "a non-negative integer", self.max_iter)
+class OutputSpec(_Spec, section="output"):
+    def _check(self):
+        # one file would hold the report, written last, and no trace
+        if self.trace == self.report:
+            raise ConfigError(f"output.report is output.trace: {self.trace!r}")
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    trace: str = "trace.csv"
-    report: str = "report.json"
-
-    def __post_init__(self):
-        for name in ("trace", "report"):
-            value = getattr(self, name)
-            _require(_is_file_name(value), f"output.{name}", "a file name",
-                     value)
-
-
-@dataclass(frozen=True)
-class HoloSpec:
+class HoloSpec(_Spec, section=""):
     """A bench-holo config; every key is optional."""
 
-    space_radius: float = 1.0
-    eta_max: float = 0.2
-    n_theta: int = 32
-    n_space: int = 9                # 3 at least: the centered differences
-    n_eta: int = 5
-    n_shells: int = 3
-    probe_center: tuple = (0.3, 0.05, 0.2, -0.05)
-    slope_hs: tuple = (1e-2, 5e-3, 2.5e-3)
-    seed: int = 0
-    report: str = "holo_report.json"
-
-    def __post_init__(self):
-        for name in ("space_radius", "eta_max"):
-            value = getattr(self, name)
-            _require(_is_number(value) and value > 0, name,
-                     "a finite positive number", value)
-        for name, least in (("n_theta", 1), ("n_space", 3), ("n_eta", 1),
-                            ("n_shells", 1)):
-            value = getattr(self, name)
-            _require(_is_int(value) and value >= least, name,
-                     f"an integer >= {least}", value)
-        center = self.probe_center
-        _require(isinstance(center, (list, tuple)) and len(center) == 4
-                 and all(map(_is_number, center)), "probe_center",
-                 "four finite numbers", center)
-        hs = self.slope_hs
-        _require(isinstance(hs, (list, tuple))
-                 and all(_is_number(h) and h > 0 for h in hs)
-                 and len(set(hs)) >= 2, "slope_hs",
-                 "at least two distinct positive numbers", hs)
-        _require_seed("seed", self.seed)
-        _require(_is_file_name(self.report), "report", "a file name",
-                 self.report)
+    def _check(self):
         # the real slice: n_theta rotations of n_shells * n_theta lattice
         # points, each with a row of n_theta entries
         _require_table_size("n_theta, n_shells",
@@ -299,53 +285,37 @@ class HoloSpec:
 
     @staticmethod
     def from_json(path):
-        return HoloSpec(**_check_keys(read_json_config(path), HoloSpec, ""))
+        return HoloSpec(**_check_keys(read_json_config(path), SCHEMA[""], ""))
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    group: GroupSpec = field(default_factory=GroupSpec)
-    groupoid: GroupoidSpec = field(default_factory=GroupoidSpec)
-    core: object = "full"           # "full" | {"arrows": [...]}
-    density: object = "uniform"     # "uniform" | {"weights": {...}}
-    morphism: MorphismSpec = field(default_factory=MorphismSpec)
-    perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
-    constants: ConstantsSpec = field(default_factory=ConstantsSpec)
-    iteration: IterationSpec = field(default_factory=IterationSpec)
-    output: OutputSpec = field(default_factory=OutputSpec)
+    """A run config from ``from_dict``: an attribute per SCHEMA section."""
 
     @staticmethod
     def from_dict(data):
         """Config from parsed JSON; an unknown key at any level is an error."""
-        _check_keys(data, ExperimentConfig, "")
-
-        def sub(cls, key):
-            return cls(**_check_keys(data.get(key, {}), cls, key))
-
-        def choice(key, default, inner):
-            value = data.get(key, default)
-            if value != default and inner not in _check_keys(value, (inner,), key):
-                raise ConfigError(f"{key}: missing key {key}.{inner}")
-            return value
-
-        return ExperimentConfig(
-            group=sub(GroupSpec, "group"),
-            groupoid=sub(GroupoidSpec, "groupoid"),
-            core=choice("core", "full", "arrows"),
-            density=choice("density", "uniform", "weights"),
-            morphism=sub(MorphismSpec, "morphism"),
-            perturbation=sub(PerturbationSpec, "perturbation"),
-            constants=sub(ConstantsSpec, "constants"),
-            iteration=sub(IterationSpec, "iteration"),
-            output=sub(OutputSpec, "output"),
-        )
+        _check_keys(data, [name for name in SCHEMA if name], "")
+        spec_of = {cls.section: cls for cls in _Spec.__subclasses__()}
+        config = ExperimentConfig()
+        for name, keys in SCHEMA.items():
+            if isinstance(keys, tuple):
+                word, inner = keys
+                value = data.get(name, word)
+                if value != word and not _check_keys(value, keys[1:], name):
+                    raise ConfigError(f"{name}: missing key {name}.{inner}")
+                setattr(config, name, value)
+            elif name:
+                setattr(config, name, spec_of[name](
+                    **_check_keys(data.get(name, {}), keys, name)))
+        return config
 
     @staticmethod
     def from_json(path):
         return ExperimentConfig.from_dict(read_json_config(path))
 
     def canonical_json(self):
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), default=vars, sort_keys=True,
+                          separators=(",", ":"))
 
     def digest(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -383,11 +353,10 @@ def _unless_repeated(pairs):
     return out
 
 
-def _check_keys(section, allowed, path):
-    """``section`` if its keys are all ``allowed`` (names or dataclass fields)."""
+def _check_keys(section, names, path):
+    """``section`` if it is an object whose keys are all in ``names``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path or 'config'}: expected a JSON object")
-    names = [f.name for f in fields(allowed)] if is_dataclass(allowed) else allowed
     for key in section:
         if key not in names:
             name = f"{path}.{key}" if path else key
@@ -467,9 +436,12 @@ def build_density_from_config(core, density_spec):
     if bad is not None:
         raise ConfigError(f"density.weights: key {bad!r} is not the index "
                           f"of a core arrow")
+    for k, v in table.items():      # float() would take "1" and true too
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"density.weights.{k} must be a number, not {v!r}")
     try:
         weights = {arrow_of[k]: float(v) for k, v in table.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:    # an int beyond the float range
         raise ConfigError(f"density.weights: {exc}") from exc
     try:
         return attach_haar_density(core, weights)

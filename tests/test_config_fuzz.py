@@ -20,30 +20,29 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from haarrect.cli import main
+from haarrect.harness import SCHEMA
 
-RUN = {
-    "group": {"tag": "U1", "raw_norm": "euclid"},
-    "groupoid": {"constructor": "pair", "size": 2, "group_order": 2,
-                 "space_size": 1},
-    "core": "full",
-    "density": "uniform",
-    "morphism": {"kind": "auto", "seed": 0, "scale": 0.25},
-    "perturbation": {"epsilon": 0.01, "seed": 0, "side": "right",
-                     "perturb_units": True},
-    "constants": {"sample_count": 1000, "safety_factor": 1.25,
-                  "W_radius": 1.5, "K_radius": 2.5, "seed": 0},
-    "iteration": {"tol": 1e-12, "max_iter": 50},
-    "output": {"trace": "trace.csv", "report": "report.json"},
-}
+
+def defaults(section):
+    """The SCHEMA defaults of a section as JSON values (lists for tuples)."""
+    return {key: list(v) if isinstance(v, tuple) else v
+            for key, (v, *_) in SCHEMA[section].items()}
+
+
+# the SCHEMA defaults at small sizes, so every key is fuzzed
+RUN = {name: keys[0] if isinstance(keys, tuple) else defaults(name)
+       for name, keys in SCHEMA.items() if name}
+RUN["group"]["tag"] = "U1"
+RUN["groupoid"]["size"] = 2
+RUN["perturbation"]["epsilon"] = 0.01
+RUN["constants"]["sample_count"] = 1000
 # explicit core and weights, so their entries are mutated too
-RUN_WEIGHTED = {**RUN, "group": {"tag": "SO3", "raw_norm": "frobenius"},
+RUN_WEIGHTED = {**RUN, "group": {**RUN["group"], "tag": "SO3",
+                                 "raw_norm": "frobenius"},
                 "core": {"arrows": [0, 1, 2, 3]},
                 "density": {"weights": {"0": 1, "1": 2.0, "2": 2.0, "3": 1}}}
-HOLO = {
-    "space_radius": 1.0, "eta_max": 0.2, "n_theta": 8, "n_space": 5,
-    "n_eta": 3, "n_shells": 2, "probe_center": [0.3, 0.05, 0.2, -0.05],
-    "slope_hs": [0.01, 0.005, 0.0025], "seed": 0, "report": "holo.json",
-}
+HOLO = {**defaults(""), "n_theta": 8, "n_space": 5, "n_eta": 3,
+        "n_shells": 2, "report": "holo.json"}
 CONSTANTS = {"--group": "SO3", "--samples": "1000", "--seed": "0",
              "--safety": "1.25", "--raw-norm": "euclid", "--w-radius": "1.5",
              "--k-radius": "2.5"}

@@ -1,9 +1,9 @@
-import dataclasses
 import hashlib
 import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -80,6 +80,52 @@ def test_config_round_trip_and_digest():
         })
     ))
     assert again.digest() == cfg.digest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("so3_pair5.json",
+     "22a17ae2ed0553b38d993a64d4e875135c5087ab8be5f628c41f5336a5a2e785"),
+    ("su2_z3z3.json",
+     "9db862938eef94ecfa7edf7f0580b615464d0bb7e05f9897bb3089868f8b5b66"),
+    ("u1_onestep.json",
+     "e12527de1826e3ed6d38c14e08115f6ef613cf8e59d59decb88bcfbefc58448a"),
+    ("defect_too_large.json",
+     "85f306f7572cc4b2c37d8035f8bc72b049f0198809a1294e7fa62746a656cc34"),
+    (None, "46a40ec7fdc129ef7e55b6b026ce55c32f65f4738cedcb270abaf1821d5e84db"),
+])
+def test_config_digest_is_pinned(name, digest):
+    # a moved default or a renamed key changes every report's config_digest
+    cfg = bundled(name) if name else ExperimentConfig.from_dict({})
+    assert cfg.digest() == digest
+
+
+def test_readme_schema_block_has_the_schema_keys():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("### Config schema\n\n```json\n", 1)[1]
+    block = block.split("```", 1)[0]
+    shown = json.loads(re.sub(r"//.*", "", block))
+    run = {name: keys for name, keys in harness.SCHEMA.items() if name}
+    assert list(shown) == list(run)
+    for name, keys in run.items():
+        if isinstance(keys, tuple):     # the word, or an object of one key
+            assert shown[name] == keys[0]
+        else:
+            assert list(shown[name]) == list(keys), name
+
+
+def test_specs_are_read_only_values():
+    spec = MorphismSpec(seed=3)
+    assert (spec.kind, spec.seed, spec.scale) == ("auto", 3, 0.25)
+    assert MorphismSpec.scale == 0.25
+    assert spec == MorphismSpec(kind="auto", seed=3)
+    assert hash(spec) == hash(MorphismSpec(seed=3))
+    assert spec != MorphismSpec(seed=4)
+    assert spec != GroupoidSpec()
+    with pytest.raises(AttributeError):
+        spec.seed = 4
+    with pytest.raises(ConfigError, match="unknown config key 'morphism.sed'"):
+        MorphismSpec(sed=3)
 
 
 def test_config_rejects_bad_radii():
@@ -175,6 +221,18 @@ def test_config_rejects_bad_radii():
       "core": {"arrows": [0, 1, 4, 5]},
       "density": {"weights": {"0": 1, "1": 1, "2": 1, "4": 1, "5": 1}}},
      "density.weights: key '2' is not the index of a core arrow"),
+    # float() took these as weights
+    ({"density": {"weights": {"0": "1"}}},
+     "density.weights.0 must be a number, not '1'"),
+    ({"density": {"weights": {"0": 1, "1": True}}},
+     "density.weights.1 must be a number, not True"),
+    ({"density": {"weights": {"0": " 1e0 "}}},
+     "density.weights.0 must be a number, not ' 1e0 '"),
+    # the report was written over the trace
+    ({"output": {"trace": "a.txt", "report": "a.txt"}},
+     "output.report is output.trace: 'a.txt'"),
+    ({"output": {"report": "trace.csv"}},
+     "output.report is output.trace: 'trace.csv'"),
 ])
 def test_cli_rejects_bad_config_with_one_line_error(tmp_path, capsys, config,
                                                     message):
@@ -284,7 +342,7 @@ def test_sample_and_grid_caps_allow_their_boundary():
 def test_holo_spec_defaults_are_the_bundled_config():
     with open(os.path.join(CONFIG_DIR, "holo_bench.json")) as fh:
         config = json.load(fh)
-    keys = tuple(f.name for f in dataclasses.fields(HoloSpec))
+    keys = tuple(harness.SCHEMA[""])
     assert tuple(config) == keys
     defaults = HoloSpec()
     assert {key: getattr(defaults, key) for key in keys} == {
