@@ -28,7 +28,6 @@ from .groups import (
     estimate_bch_constants,
     haar_integrate,
     normalize_algebra_norm,
-    revalidate_bch_constants,
 )
 from .groupoids import (
     Core,

@@ -171,12 +171,13 @@ class HaarDensity:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
-    violations: tuple = field(default_factory=tuple)
+    """Axiom violations of a groupoid as (axiom, witness) pairs."""
 
-    def __post_init__(self):
-        if self.passed != (len(self.violations) == 0):
-            raise ValueError("passed flag must mirror the violation list")
+    violations: tuple
+
+    @property
+    def passed(self):
+        return not self.violations
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ def validate_groupoid(g):
         r, p = order[start[t[q]] + i], g.partner(q, j)
         violations.append(("associativity", (int(r), q, int(p))))
 
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def build_core(g, arrow_subset):

@@ -8,8 +8,8 @@ quadratic contraction certificate of the averaging iteration: sampled,
 except the closed-form c_l and c_d.
 
 Conventions fixed here and relied on everywhere else:
-  * algebra coordinates are real vectors in the bases listed in
-    ``algebra_basis``; exp and log are batched closed forms.  exp is
+  * algebra coordinates are real vectors in the bases of the README's
+    numerical conventions; exp and log are batched closed forms.  exp is
     exp(i theta) (u1), the rotation by theta (so2), Rodrigues on the unit
     axis (so3) and the unit quaternion (su2), valid at any angle; log is
     the atan2 rotation angle on the principal branch (-pi, pi] times the
@@ -53,25 +53,6 @@ _RAW_FACTOR = {
     ("su2", "frobenius"): 1.0 / np.sqrt(2.0),
 }
 _INJ_SAFETY = 0.99
-
-
-def algebra_basis(algebra_id):
-    """Ordered basis matrices of the algebra, shape (dim, n, n)."""
-    if algebra_id == "u1":
-        return np.array([[[1j]]])
-    if algebra_id == "so2":
-        return np.array([[[0.0, -1.0], [1.0, 0.0]]])
-    if algebra_id == "so3":
-        lx = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
-        ly = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-        lz = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-        return np.array([lx, ly, lz], dtype=float)
-    if algebra_id == "su2":
-        s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-        s2 = np.array([[0, -1j], [1j, 0]])
-        s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-        return 0.5j * np.array([s1, s2, s3])
-    raise ValueError(f"unknown algebra_id {algebra_id!r}")
 
 
 def bracket_coords(algebra_id, u, v):
@@ -438,24 +419,6 @@ def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
         safety_factor=safety_factor,
         excluded_fraction=float(excluded),
     )
-
-
-def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
-    """Check the three BCH inequalities on a fresh sample.
-
-    Returns the worst signed violation per inequality (negative means the
-    inequality holds with room to spare).
-    """
-    n = sample_count or constants.sample_count
-    u, v, _, log_uv, conj = _bch_sample(alg, np.random.default_rng(seed), n)
-    nu, nv = alg.norm(u), alg.norm(v)
-
-    viol1 = np.max(alg.norm(log_uv - (u + v)) - constants.c * nu * nv)
-    viol2 = np.max(alg.norm(log_uv) - constants.c_prime * alg.norm(u + v))
-    viol3 = np.max(
-        _distances_to_identity(alg, conj) - constants.c_dprime * (nv + nv * nu)
-    )
-    return float(viol1), float(viol2), float(viol3)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ output stays holomorphic, which is verified numerically through centered
 finite-difference Cauchy-Riemann residuals on a rectangular grid.
 
 Two discretizations coexist on purpose: a rotation-closed polar lattice
-carries the finite-groupoid structure (real-slice consistency, no-escape
-checks, all index-exact), while the rectangular grid in the four real
-coordinates carries the sampled functions for the difference stencils.
+carries the finite-groupoid structure (real-slice consistency, index-exact),
+while the rectangular grid in the four real coordinates carries the sampled
+functions for the difference stencils.
 Input functions are callables evaluated on demand; grid-bound inputs would
 force interpolation and destroy the spectral exactness contracts.
 
@@ -50,7 +50,7 @@ BOX_FRAC = 0.45         # grid box half-width over space_radius
 
 @dataclass(frozen=True)
 class ComplexModel:
-    """Grids and masks of the complexified rotation-action groupoid."""
+    """Grids and nodes of the complexified rotation-action groupoid."""
 
     space_radius: float
     eta_max: float
@@ -166,40 +166,6 @@ def real_slice_consistency(model):
                               ((h + k) % n) * n_x + source_k):
             return False
     return True
-
-
-def multipliable(model, zeta_q, zeta_p, z_p):
-    """Domain mask: may arrow (zeta_q, .) multiply arrow (zeta_p, z_p)?
-
-    The product is (zeta_q + zeta_p, z_p); it is excluded when the combined
-    imaginary angle leaves the tube or when source or target of the product
-    leaves the ball.  Arguments broadcast; the result is a boolean array.
-    """
-    zeta = np.add(zeta_q, zeta_p)
-    z1, z2 = z_p
-    w1, w2 = rotate(zeta, z1, z2)
-    return ((np.abs(np.imag(zeta)) < model.eta_max)
-            & (_norm(z1, z2) < model.space_radius)
-            & (_norm(w1, w2) < model.space_radius))
-
-
-def _norm(z1, z2):
-    return np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
-
-
-def core_pairs_never_excluded(model):
-    """No-escape, exhaustively: core arrows never fall out of the mask.
-
-    Core arrows are (real angle node, target of the partner); partners run
-    over all angle x eta nodes based at every lattice point that stays in
-    the ball.  Axes: (shell, angle, partner angle, partner eta, core angle).
-    """
-    points = model.lattice_points.astype(complex)
-    z1, z2 = (points[:, :, i, None, None, None] for i in (0, 1))
-    theta = model.theta_nodes
-    zeta_p = (theta[:, None] + 1j * model.eta_nodes)[..., None]
-    partner = _norm(*rotate(zeta_p, z1, z2)) < model.space_radius
-    return bool(np.all(~partner | multipliable(model, theta, zeta_p, (z1, z2))))
 
 
 def grid_points(x1, y1, x2, y2):

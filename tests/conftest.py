@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import schur
 
 from haarrect.groupoids import FiniteGroupoid
-from haarrect.groups import AmbientSets, algebra_basis, normalize_algebra_norm
+from haarrect.groups import (
+    AmbientSets,
+    _bch_sample,
+    _distances_to_identity,
+    normalize_algebra_norm,
+)
 from haarrect.harness import ConstantsSpec, constants_for
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,6 +69,24 @@ def constants(algebras):
     }
 
 
+def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
+    """Check the three BCH inequalities on a fresh sample.
+
+    Returns the worst signed violation per inequality (negative means the
+    inequality holds with room to spare).
+    """
+    n = sample_count or constants.sample_count
+    u, v, _, log_uv, conj = _bch_sample(alg, np.random.default_rng(seed), n)
+    nu, nv = alg.norm(u), alg.norm(v)
+
+    viol1 = np.max(alg.norm(log_uv - (u + v)) - constants.c * nu * nv)
+    viol2 = np.max(alg.norm(log_uv) - constants.c_prime * alg.norm(u + v))
+    viol3 = np.max(
+        _distances_to_identity(alg, conj) - constants.c_dprime * (nv + nv * nu)
+    )
+    return float(viol1), float(viol2), float(viol3)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately not using package code paths)
 # ---------------------------------------------------------------------------
@@ -74,7 +97,7 @@ TAU_GROUP = 1e-10   # group membership tolerance
 def coords_to_matrix(algebra_id, coords):
     """Algebra matrices X(c) = sum_k c_k basis_k over the last axis."""
     coords = np.asarray(coords, dtype=float)
-    return np.tensordot(coords, algebra_basis(algebra_id), axes=(-1, 0))
+    return np.tensordot(coords, _BASES[algebra_id], axes=(-1, 0))
 
 
 def group_membership_residual(matrix, group_id):
@@ -149,13 +172,14 @@ def rodrigues(w):
     return np.eye(3) + np.sin(th) / th * K + (1 - np.cos(th)) / th ** 2 * (K @ K)
 
 
-# algebra bases, as documented in the README, for the eigh oracle
+# algebra bases, as documented in the README, for the eigh oracle and
+# coords_to_matrix
 _BASES = {
     "u1": np.array([[[1j]]]),
-    "so2": np.array([[[0.0, -1.0], [1.0, 0.0]]], dtype=complex),
+    "so2": np.array([[[0.0, -1.0], [1.0, 0.0]]]),
     "so3": np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
                      [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
-                     [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=complex),
+                     [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=float),
     "su2": 0.5j * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                             [[1, 0], [0, -1]]]),
 }

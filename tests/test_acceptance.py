@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     TAU_GROUP,
     group_membership_residual,
+    revalidate_bch_constants,
     translations,
     with_products,
 )
@@ -29,7 +30,6 @@ from haarrect.groups import (
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
-    revalidate_bch_constants,
 )
 from haarrect.harness import (
     ConstantsSpec,

@@ -10,7 +10,6 @@ from haarrect.errors import ActionError, CoreAxiomError, InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
     FiniteGroupoid,
-    ValidationReport,
     attach_haar_density,
     build_action_groupoid,
     build_core,
@@ -152,12 +151,6 @@ def test_corrupted_entry_same_fiber_found_by_associativity():
     bad = with_products(g, bad_products)
     report = validate_groupoid(bad)
     assert not report.passed
-
-
-def test_report_invariant():
-    assert ValidationReport(passed=True, violations=()).passed
-    with pytest.raises(ValueError):
-        ValidationReport(passed=True, violations=(("unit", 0),))
 
 
 def test_mask_monotonicity():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TAU_GROUP, coords_to_matrix, group_membership_residual
+from conftest import (
+    _BASES,
+    TAU_GROUP,
+    coords_to_matrix,
+    group_membership_residual,
+    revalidate_bch_constants,
+)
 from haarrect.errors import InvalidAlgebraVector, LogDomainError
 from haarrect.groupoids import attach_haar_density, build_core
 from haarrect.groupoids import build_pair_groupoid
@@ -12,19 +18,17 @@ from haarrect.groups import (
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
-    algebra_basis,
     bracket_coords,
     estimate_bch_constants,
     haar_integrate,
     normalize_algebra_norm,
-    revalidate_bch_constants,
 )
 from haarrect.rectifier import _correction
 
 
 def matrix_to_coords(algebra_id, X):
     """Exact linear extraction of coordinates from algebra matrices, the
-    inverse of the basis in ``algebra_basis``."""
+    inverse of the basis in ``_BASES``."""
     X = np.asarray(X)
     if algebra_id == "u1":
         return X[..., 0, 0].imag[..., None]
@@ -430,7 +434,7 @@ def test_adjoint_norm_is_one_and_c_l_is_the_safety_factor(default_sets, tag,
     w = np.concatenate([alg.sample_ball(rng, radius, 256),
                         rng.uniform(-4 * np.pi, 4 * np.pi, (256, alg.dim))])
     hs = _exp_matrices(alg, w)
-    conj = np.einsum("nik,jkl,nml->njim", hs, algebra_basis(alg.algebra_id),
+    conj = np.einsum("nik,jkl,nml->njim", hs, _BASES[alg.algebra_id],
                      hs.conj())
     ad = matrix_to_coords(alg.algebra_id, conj).swapaxes(-1, -2)
     # every supported norm is a multiple of the Euclidean coordinate norm,

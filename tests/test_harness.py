@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -509,7 +510,7 @@ PUBLIC_NAMES = (
     "build_pair_groupoid", "core_average_function", "cr_residual", "defect",
     "estimate_bch_constants", "generate_exact_morphism", "haar_integrate",
     "iterate", "normalize_algebra_norm", "perturb_morphism", "q_bound",
-    "real_restriction_check", "revalidate_bch_constants", "run_experiment",
+    "real_restriction_check", "run_experiment",
     "validate_groupoid", "verify_core_morphism",
 )
 
@@ -904,6 +905,35 @@ def test_run_holo_bench_returns_the_report_it_writes(tmp_path, n_theta,
     assert report == json.loads((tmp_path / spec.report).read_text())
     assert report["pass"] is passed
     assert code == (EXIT_PASS if passed else EXIT_NUMERIC_DOMAIN)
+
+
+WIDE_HOLO = {"n_theta": 8, "n_space": 5, "n_eta": 3, "n_shells": 2}
+
+
+@pytest.mark.parametrize("space_radius", [30, 999])
+def test_bench_holo_thresholds_grow_with_the_values(tmp_path, capsys,
+                                                    space_radius):
+    # an absolute 1e-13 failed these on rounding alone: a restriction
+    # difference of 2.4e-12 at radius 30 and 1.05e-7 at radius 999
+    path = tmp_path / "holo.json"
+    path.write_text(json.dumps(dict(WIDE_HOLO, space_radius=space_radius)))
+    assert main(["bench-holo", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_bench_holo_fails_a_relative_error_in_the_average(tmp_path,
+                                                          monkeypatch):
+    average = harness.core_average_function
+
+    def off_by_1e_10(f, model):
+        F = average(f, model)
+        return dataclasses.replace(F, values=F.values * (1 + 1e-10))
+
+    monkeypatch.setattr(harness, "core_average_function", off_by_1e_10)
+    report, code = run_holo_bench(HoloSpec(space_radius=999, **WIDE_HOLO),
+                                  out_dir=str(tmp_path))
+    assert report["pass"] is False and code == EXIT_NUMERIC_DOMAIN
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,0 +1,71 @@
+"""Every top-level function and class of the package, and every method, is
+named somewhere in the code that runs it (src/, scripts/ and perfbench/,
+its tests left out), or is allowed here with a reason.  Code that only the
+tests call belongs in the tests."""
+
+import ast
+import glob
+import os
+
+from conftest import REPO_ROOT
+
+RUN_CODE = ("src", "scripts", "perfbench")
+
+UNREFERENCED_ALLOWED = {
+    "groupoids.FiniteGroupoid.from_products": "row input for local groupoids",
+    "harness.GroupoidSpec": "found through _Spec.__subclasses__()",
+    "harness.OutputSpec": "found through _Spec.__subclasses__()",
+    "harness.recompute_pass_from_trace":
+        "the README promises that a trace alone gives the pass flag",
+}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _definitions(tree):
+    """(qualified name, name) of the top-level functions and classes and of
+    the methods; dunder methods are called by Python, not by name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(tree):
+    """Names read as a variable, an attribute or an import (docstrings and
+    comments do not count)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def _run_code_files():
+    for top in RUN_CODE:
+        for path in glob.glob(os.path.join(REPO_ROOT, top, "**", "*.py"),
+                              recursive=True):
+            if "tests" not in os.path.relpath(path, REPO_ROOT).split(os.sep):
+                yield path
+
+
+def test_every_package_name_is_referenced_by_the_code_that_runs():
+    referenced = set()
+    for path in _run_code_files():
+        referenced.update(_references(_parse(path)))
+    unreferenced = []
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "haarrect", "*.py")):
+        module = os.path.splitext(os.path.basename(path))[0]
+        unreferenced += [f"{module}.{qualified}"
+                         for qualified, name in _definitions(_parse(path))
+                         if name not in referenced]
+    assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED)
