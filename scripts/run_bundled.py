@@ -56,9 +56,9 @@ def main():
         artifacts = [os.path.join(args.out, f)
                      for f in (config.output.trace, config.output.report)]
         report, code = run_experiment(config, out_dir=args.out)
-        rows.append((name, code, report.iterations, report.initial_defect,
-                     report.final_defect, report.error or "-",
-                     *map(sha256_of, artifacts)))
+        rows.append((name, code, report["iterations"],
+                     report["initial_defect"], report["final_defect"],
+                     report["error"] or "-", *map(sha256_of, artifacts)))
 
     print(f"{'config':<26}{'exit':<6}{'iters':<7}{'initial':<12}{'final':<12}"
           f"{'trace_sha256':<66}{'report_sha256':<66}error")

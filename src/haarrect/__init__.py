@@ -33,8 +33,6 @@ from .groupoids import (
     Core,
     FiniteGroup,
     FiniteGroupoid,
-    HaarDensity,
-    ValidationReport,
     attach_haar_density,
     build_action_groupoid,
     build_core,
@@ -61,7 +59,6 @@ from .holo import (
 )
 from .harness import (
     ExperimentConfig,
-    RunReport,
     generate_exact_morphism,
     perturb_morphism,
     run_experiment,

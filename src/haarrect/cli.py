@@ -7,12 +7,12 @@ Subcommands:
   rectify validate --config <path>               dry-run axiom validation
 
 The default output directory is $RECTIFY_OUT, falling back to the current
-directory.  Exit codes: 0 pass, 2 precondition rejection, 3 non-contraction,
-4 numeric domain error.
+directory.  Each command prints one JSON document (``harness.dumps``); run
+and bench-holo print the report file they wrote.  Exit codes: 0 pass,
+2 precondition rejection, 3 non-contraction, 4 numeric domain error.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -27,6 +27,7 @@ from .harness import (
     HoloSpec,
     algebra_for,
     constants_for,
+    dumps,
     exit_code_for,
     run_experiment,
     run_holo_bench,
@@ -35,10 +36,8 @@ from .harness import (
 
 
 def _cmd_run(args):
-    config = ExperimentConfig.from_json(args.config)
-    report, code = run_experiment(config, out_dir=args.out)
-    print(report.to_json())
-    return code
+    return run_experiment(ExperimentConfig.from_json(args.config),
+                          out_dir=args.out)
 
 
 def _cmd_constants(args):
@@ -47,23 +46,17 @@ def _cmd_constants(args):
                          W_radius=args.w_radius, K_radius=args.k_radius,
                          seed=args.seed)
     alg = algebra_for(GroupSpec(tag=args.group, raw_norm=args.raw_norm))
-    print(json.dumps(asdict(constants_for(alg, spec)), sort_keys=True,
-                     indent=2))
-    return EXIT_PASS
+    return asdict(constants_for(alg, spec)), EXIT_PASS
 
 
 def _cmd_bench_holo(args):
-    spec = HoloSpec.from_json(args.config)
-    report, code = run_holo_bench(spec, out_dir=args.out)
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return code
+    return run_holo_bench(HoloSpec.from_json(args.config), out_dir=args.out)
 
 
 def _cmd_validate(args):
-    config = ExperimentConfig.from_json(args.config)
-    issues = validate_config(config)
-    print(json.dumps({"passed": not issues, "issues": issues}, indent=2))
-    return EXIT_PASS if not issues else EXIT_PRECONDITION
+    issues = validate_config(ExperimentConfig.from_json(args.config))
+    return ({"passed": not issues, "issues": issues},
+            EXIT_PASS if not issues else EXIT_PRECONDITION)
 
 
 def build_parser():
@@ -115,10 +108,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result, code = args.func(args)
     except HaarrectError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    print(dumps(result))
+    return code
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ s(q) = t(p).  ``products`` is a derived, read-only ``(n_pairs, 3)`` array
 of the declared ``(q, p, qp)`` rows in ``(q, p)`` order, and
 ``FiniteGroupoid.from_products`` builds a groupoid from such rows.  A core
 keeps its arrows by source and its ``(k, p, kp)`` pairs in one fiber order:
-arrow p, then the core fiber at t(p).  Weights are one array over the
-arrows, 0 off the core.  The constructors, cores and densities validate
-their axioms exhaustively, as array code, and name concrete witnesses on
-failure.
+arrow p, then the core fiber at t(p).  A density is one weight array over
+the arrows, 0 off the core.  The constructors, cores and densities check
+their axioms exhaustively, as array code, and raise naming a concrete
+witness; ``validate_groupoid`` returns its witnesses instead.
 """
 
 from dataclasses import dataclass, field
@@ -161,25 +161,6 @@ class Core:
         return tuple(order[start[obj]:start[obj] + width[obj]].tolist())
 
 
-@dataclass(frozen=True)
-class HaarDensity:
-    """Per-fiber normalized right-invariant weights on a core."""
-
-    core: Core
-    weights: np.ndarray          # (n_arrows,) weights, 0 off the core
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Axiom violations of a groupoid as (axiom, witness) pairs."""
-
-    violations: tuple
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
 # ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------
@@ -299,7 +280,8 @@ def build_pair_groupoid(n):
 # ---------------------------------------------------------------------------
 
 def validate_groupoid(g):
-    """Exhaustive structural check; violations are data, never exceptions.
+    """Exhaustive structural check: a tuple of (axiom, witness) violations,
+    empty for a valid groupoid; violations are data, never exceptions.
 
     All checks are gated on definedness (pair in the product table),
     matching the conditional form of the local-groupoid axioms, so dropping
@@ -377,7 +359,7 @@ def validate_groupoid(g):
         r, p = order[start[t[q]] + i], g.partner(q, j)
         violations.append(("associativity", (int(r), q, int(p))))
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def build_core(g, arrow_subset):
@@ -443,6 +425,8 @@ def attach_haar_density(core, weights="uniform"):
     """Normalize weights per fiber and verify right invariance entrywise.
 
     ``weights`` is "uniform" or a mapping core-arrow -> nonnegative weight.
+    Returns the density: an ``(n_arrows,)`` weight array, 0 off the core,
+    summing to 1 over each core source fiber.
     Right invariance: for every core arrow k and every k' in the fiber at
     t(k), the weight of k'.k equals the weight of k' to 1e-14.
     """
@@ -482,4 +466,4 @@ def attach_haar_density(core, weights="uniform"):
             witness=(b, int(k[row])),
         )
 
-    return HaarDensity(core=core, weights=w)
+    return w

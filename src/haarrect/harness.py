@@ -4,7 +4,8 @@ Configs are JSON, checked against SCHEMA.  On one machine, numpy build and
 OpenBLAS build, identical configs (seeds included) produce byte-identical
 trace and report files.  Floats are serialized with shortest round-trip
 repr, file writes are atomic (write-temp-then-rename), and reports carry a
-digest of the canonical config.
+digest of the canonical config.  ``dumps`` is the one JSON form of every
+command's result (a plain dict), printed or written.
 """
 
 import functools
@@ -13,7 +14,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -364,40 +365,6 @@ def _check_keys(section, names, path):
     return section
 
 
-@dataclass(frozen=True)
-class RunReport:
-    config_digest: str
-    constants: dict
-    admissible_radius: float
-    initial_defect: float
-    final_defect: float
-    iterations: int
-    all_q_certified: bool
-    all_correction_bounds_ok: bool
-    all_step_bounds_ok: bool
-    residual_core: float
-    residual_full: float
-    total_displacement: float
-    terminated: str
-    passed: bool
-    warnings: tuple = ()
-    error: object = None
-
-    def to_json(self):
-        def clean(x):
-            if isinstance(x, float) and not np.isfinite(x):
-                return None
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            return x
-
-        data = clean(asdict(self))
-        data["warnings"] = list(self.warnings)
-        return json.dumps(data, sort_keys=True, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # construction from configs
 # ---------------------------------------------------------------------------
@@ -571,6 +538,21 @@ def write_trace_csv(path, trace):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def dumps(data):
+    """The JSON text of a command's result: sorted keys, a 2-space indent,
+    and null for each non-finite float, at any depth."""
+    def finite(x):
+        if isinstance(x, float):        # np.float64 included
+            return x if np.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+
+    return json.dumps(finite(data), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _atomic_write(path, text):
     """Write a unique temp file in the target directory, then rename it."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
@@ -600,7 +582,9 @@ def recompute_pass_from_trace(path, tol):
 
 
 def run_experiment(config, out_dir=None):
-    """End-to-end run; returns (report, exit_code) and persists artifacts."""
+    """End-to-end run; returns (report, exit_code) and persists artifacts.
+    The report is a dict of the report file's keys, with failure values
+    (NaN, False, 0, "error") where the run got no result."""
     out_dir = output_dir(out_dir)
     trace_path = os.path.join(out_dir, config.output.trace)
     report_path = os.path.join(out_dir, config.output.report)
@@ -608,46 +592,48 @@ def run_experiment(config, out_dir=None):
     alg = algebra_for(config.group)
     sets = AmbientSets(config.constants.W_radius, config.constants.K_radius)
     constants = constants_for(alg, config.constants)
-    admissible = admissible_defect_radius(constants)
+    report = {
+        "config_digest": config.digest(),
+        "constants": asdict(constants),
+        "admissible_radius": admissible_defect_radius(constants),
+        "initial_defect": np.nan, "final_defect": np.nan,
+        "residual_core": np.nan, "residual_full": np.nan,
+        "total_displacement": np.nan, "iterations": 0, "terminated": "error",
+        "all_q_certified": False, "all_correction_bounds_ok": False,
+        "all_step_bounds_ok": False, "warnings": [], "error": None,
+    }
 
     g = build_groupoid(config.groupoid)
     core = build_core_from_config(g, config.core)
-    density = build_density_from_config(core, config.density)
+    weights = build_density_from_config(core, config.density)
 
-    error = None
     exit_code = EXIT_PASS
-    warns = []
-    initial = final = float("nan")
-    residual_core = residual_full = float("nan")
-    iterations = 0
-    terminated = "error"
-    all_q = all_corr = all_step = False
-    total_disp = float("nan")
-
     try:
-        phi_exact, warns = generate_exact_morphism(
+        phi_exact, report["warnings"] = generate_exact_morphism(
             g, config.groupoid, alg, config.morphism
         )
         phi0 = perturb_morphism(phi_exact, alg, config.perturbation, g)
         limit, trace = iterate(
-            phi0, core, density, alg, constants, sets=sets,
+            phi0, core, weights, alg, constants, sets=sets,
             tol=config.iteration.tol, max_iter=config.iteration.max_iter,
         )
-        initial, final = trace.deltas[0], trace.deltas[-1]
-        residual_core = final       # the limit's core residual, measured once
-        iterations = trace.iterations
-        terminated = trace.terminated
-        all_q = all(trace.q_certified)
-        all_corr = all(trace.correction_bound_ok)
-        all_step = all(trace.step_bound_ok)
-        total_disp = trace.total_displacement
-        residual_full = verify_core_morphism(limit, core, alg, full=True)
+        # the final defect is the limit's core residual, measured once
+        report.update(
+            initial_defect=trace.deltas[0], final_defect=trace.deltas[-1],
+            residual_core=trace.deltas[-1], iterations=trace.iterations,
+            terminated=trace.terminated,
+            all_q_certified=all(trace.q_certified),
+            all_correction_bounds_ok=all(trace.correction_bound_ok),
+            all_step_bounds_ok=all(trace.step_bound_ok),
+            total_displacement=trace.total_displacement)
+        report["residual_full"] = verify_core_morphism(limit, core, alg,
+                                                       full=True)
         write_trace_csv(trace_path, trace)
     except HaarrectError as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = exit_code_for(exc)
         if exc.initial_defect is not None:
-            initial = exc.initial_defect
+            report["initial_defect"] = exc.initial_defect
         if isinstance(exc, NonContraction) and exc.trace is not None:
             write_trace_csv(trace_path, exc.trace)
         elif os.path.lexists(trace_path):
@@ -655,34 +641,13 @@ def run_experiment(config, out_dir=None):
 
     tol = config.iteration.tol
     residual_contract = (constants.d_prime / constants.d) * tol + 1e-15
-    passed = (
-        error is None
-        and final <= tol
-        and all_q
-        and residual_core <= residual_contract
-    )
-    if error is None and not passed:
+    report["passed"] = bool(
+        report["error"] is None and report["final_defect"] <= tol
+        and report["all_q_certified"]
+        and report["residual_core"] <= residual_contract)
+    if report["error"] is None and not report["passed"]:
         exit_code = EXIT_NON_CONTRACTION
-
-    report = RunReport(
-        config_digest=config.digest(),
-        constants=asdict(constants),
-        admissible_radius=admissible,
-        initial_defect=initial,
-        final_defect=final,
-        iterations=iterations,
-        all_q_certified=all_q,
-        all_correction_bounds_ok=all_corr,
-        all_step_bounds_ok=all_step,
-        residual_core=residual_core,
-        residual_full=residual_full,
-        total_displacement=total_disp,
-        terminated=terminated,
-        passed=bool(passed),
-        warnings=tuple(warns),
-        error=error,
-    )
-    _atomic_write(report_path, report.to_json() + "\n")
+    _atomic_write(report_path, dumps(report) + "\n")
     return report, exit_code
 
 
@@ -757,17 +722,15 @@ def run_holo_bench(spec, out_dir=None):
         "pass": bool(slope >= 1.9 and all(
             err <= 1e-13 * max(1.0, m) for err, m in errors_and_magnitudes)),
     }
-    _atomic_write(os.path.join(out_dir, spec.report),
-                  json.dumps(results, sort_keys=True, indent=2) + "\n")
+    _atomic_write(os.path.join(out_dir, spec.report), dumps(results) + "\n")
     return results, EXIT_PASS if results["pass"] else EXIT_NUMERIC_DOMAIN
 
 
 def validate_config(config):
     """Dry-run validation of the groupoid, core and density axioms."""
     g = build_groupoid(config.groupoid)
-    report = validate_groupoid(g)
     issues = [f"groupoid: {axiom} at {witness}"
-              for axiom, witness in report.violations]
+              for axiom, witness in validate_groupoid(g)]
     try:
         core = build_core_from_config(g, config.core)
         try:

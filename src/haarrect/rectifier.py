@@ -119,7 +119,7 @@ def defect(phi, core, alg):
     return _max_distance(alg, _psi_stack(phi, core.pairs))
 
 
-def _correction(psi, core, density, alg):
+def _correction(psi, core, weights, alg):
     """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)) from
     the psi stack over the core pairs.
 
@@ -141,7 +141,7 @@ def _correction(psi, core, density, alg):
     width = core.by_source[2][core.parent.target]
     terms = np.zeros((len(width), width.max(), alg.dim))
     terms[np.arange(width.max()) < width[:, None]] = \
-        density.weights[pairs[:, 0], None] * logs
+        weights[pairs[:, 0], None] * logs
     acc = NeumaierSum(shape=(len(width), alg.dim))
     for j in range(terms.shape[1]):
         acc.add(terms[:, j])
@@ -192,16 +192,18 @@ def admissible_defect_radius(k):
     return float(min(guards))
 
 
-def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
+def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
             max_iter=50):
     """Run the correction iteration until the defect drops below tol.
 
-    Certifies every step against q and the two in-proof bounds
-    (|A| <= (d/d') * defect and step <= 1/c_d), and raises NonContraction
-    only if the defect grows past the averaging precondition 1/c_l.  With
-    ``sets``, the initial map must take values in W and every step must stay
-    in K (RangeEscape).  A package error raised after the initial defect is
-    measured carries that defect as ``initial_defect``.
+    ``weights`` is the density from ``attach_haar_density``: one weight per
+    arrow of the parent groupoid, 0 off the core.  Certifies every step
+    against q and the two in-proof bounds (|A| <= (d/d') * defect and
+    step <= 1/c_d), and raises NonContraction only if the defect grows past
+    the averaging precondition 1/c_l.  With ``sets``, the initial map must
+    take values in W and every step must stay in K (RangeEscape).  A package
+    error raised after the initial defect is measured carries that defect
+    as ``initial_defect``.
     """
     # one psi stack per map: its defect and, next step, its correction
     psi = _psi_stack(phi0, core.pairs)
@@ -235,7 +237,7 @@ def iterate(phi0, core, density, alg, constants, sets=None, tol=1e-12,
         phi = phi0
         n = 0
         while delta > tol and n < max_iter:
-            corrections, a_norms = _correction(psi, core, density, alg)
+            corrections, a_norms = _correction(psi, core, weights, alg)
             corr_norm = float(np.max(a_norms))
             phi_next = _apply_correction(phi, corrections, alg, sets,
                                          f"iterate {n + 1}")

@@ -501,10 +501,10 @@ PUBLIC_NAMES = (
     "ActionError", "AlmostMorphism", "AmbientSets", "BchConstants",
     "ComplexModel", "ConfigError", "Core", "CoreAxiomError", "DefectOverflow",
     "DefectTooLarge", "ExperimentConfig", "FiniteGroup", "FiniteGroupoid",
-    "GridError", "HaarDensity", "HaarrectError", "InvalidAlgebraVector",
+    "GridError", "HaarrectError", "InvalidAlgebraVector",
     "InvarianceError", "IterationTrace", "LogDomainError", "NonContraction",
     "NormalizationFailure", "NormedAlgebra", "RangeEscape",
-    "RunReport", "SampledFunction", "ValidationReport",
+    "SampledFunction",
     "admissible_defect_radius", "almost_morphism", "attach_haar_density",
     "build_action_groupoid", "build_complexified_model", "build_core",
     "build_pair_groupoid", "core_average_function", "cr_residual", "defect",
@@ -686,41 +686,42 @@ def test_unperturbed_units_flag(algebras):
 def test_run_so3_pair5_passes(tmp_path):
     report, code = run_experiment(bundled("so3_pair5.json"), out_dir=tmp_path)
     assert code == EXIT_PASS
-    assert report.passed
-    assert report.iterations <= 8
-    assert report.final_defect <= 1e-12
-    assert report.all_q_certified
+    assert report["passed"]
+    assert report["iterations"] <= 8
+    assert report["final_defect"] <= 1e-12
+    assert report["all_q_certified"]
     assert os.path.exists(tmp_path / "so3_pair5_trace.csv")
     # golden values from the first brute-force-verified execution
-    assert report.iterations == 3
-    assert report.initial_defect == pytest.approx(0.022980686045534875, rel=1e-9)
+    assert report["iterations"] == 3
+    assert report["initial_defect"] == pytest.approx(0.022980686045534875,
+                                                     rel=1e-9)
 
 
 def test_run_u1_onestep_passes_at_iteration_one(tmp_path):
     report, code = run_experiment(bundled("u1_onestep.json"), out_dir=tmp_path)
-    assert code == EXIT_PASS and report.passed
-    assert report.iterations == 1
+    assert code == EXIT_PASS and report["passed"]
+    assert report["iterations"] == 1
 
 
 def test_run_su2_action_passes(tmp_path):
     report, code = run_experiment(bundled("su2_z3z3.json"), out_dir=tmp_path)
-    assert code == EXIT_PASS and report.passed
+    assert code == EXIT_PASS and report["passed"]
 
 
 def test_run_defect_too_large_rejected(tmp_path):
     report, code = run_experiment(bundled("defect_too_large.json"),
                                   out_dir=tmp_path)
     assert code == EXIT_PRECONDITION
-    assert not report.passed
-    assert "DefectTooLarge" in report.error
+    assert not report["passed"]
+    assert "DefectTooLarge" in report["error"]
 
 
 def test_run_defect_too_large_reports_the_initial_defect(tmp_path):
     report, code = run_experiment(bundled("defect_too_large.json"),
                                   out_dir=tmp_path)
     assert code == EXIT_PRECONDITION
-    assert report.initial_defect > report.admissible_radius
-    assert f"defect {report.initial_defect:.6g} exceeds" in report.error
+    assert report["initial_defect"] > report["admissible_radius"]
+    assert f"defect {report['initial_defect']:.6g} exceeds" in report["error"]
 
 
 def test_run_numeric_domain_error(tmp_path):
@@ -734,7 +735,7 @@ def test_run_numeric_domain_error(tmp_path):
     })
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_NUMERIC_DOMAIN
-    assert "DefectOverflow" in report.error
+    assert "DefectOverflow" in report["error"]
 
 
 def test_byte_reproducibility(tmp_path):
@@ -753,14 +754,15 @@ def test_pass_flag_recomputable_from_trace(tmp_path):
     report, _ = run_experiment(cfg, out_dir=tmp_path)
     path = os.path.join(tmp_path, "so3_pair5_trace.csv")
     assert recompute_pass_from_trace(path, cfg.iteration.tol) == (
-        report.final_defect <= cfg.iteration.tol and report.all_q_certified
+        report["final_defect"] <= cfg.iteration.tol
+        and report["all_q_certified"]
     )
 
 
 def test_trace_rows_satisfy_q_arithmetic(tmp_path):
     cfg = bundled("so3_pair5.json")
     report, _ = run_experiment(cfg, out_dir=tmp_path)
-    k = BchConstants(**report.constants)
+    k = BchConstants(**report["constants"])
     with open(os.path.join(tmp_path, "so3_pair5_trace.csv")) as fh:
         rows = [r.split(",") for r in fh.read().strip().splitlines()[1:]]
     deltas = [float(r[1]) for r in rows]
@@ -848,8 +850,52 @@ def test_range_escape_comes_before_defect_too_large(tmp_path):
     })
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_PRECONDITION
-    assert report.error.startswith("RangeEscape: initial map ")
-    assert report.initial_defect > report.admissible_radius
+    assert report["error"].startswith("RangeEscape: initial map ")
+    assert report["initial_defect"] > report["admissible_radius"]
+
+
+def strict_json(text):
+    """``text`` as one JSON document whose objects have sorted keys, with no
+    NaN or Infinity in it; an error otherwise."""
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    def sorted_object(pairs):
+        keys = [key for key, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    return json.loads(text, parse_constant=no_constant,
+                      object_pairs_hook=sorted_object)
+
+
+def _failure_values_are_null(out):
+    return all(out[key] is None
+               for key in ("final_defect", "residual_core", "residual_full"))
+
+
+@pytest.mark.parametrize("argv, code, report, check", [
+    (["run", "--config", os.path.join(CONFIG_DIR, "so3_pair5.json")],
+     EXIT_PASS, "so3_pair5_report.json", lambda out: out["passed"] is True),
+    (["run", "--config", os.path.join(CONFIG_DIR, "defect_too_large.json")],
+     EXIT_PRECONDITION, "defect_too_large_report.json",
+     _failure_values_are_null),
+    (["validate", "--config", os.path.join(CONFIG_DIR, "so3_pair5.json")],
+     EXIT_PASS, None, lambda out: out == {"issues": [], "passed": True}),
+    (["constants", "--group", "SU2"], EXIT_PASS, None,
+     lambda out: out["sample_count"] == 2000),
+    (["bench-holo", "--config", os.path.join(CONFIG_DIR, "holo_bench.json")],
+     EXIT_PASS, "holo_report.json", lambda out: out["pass"] is True),
+], ids=["run", "run-rejected", "validate", "constants", "bench-holo"])
+def test_cli_prints_one_strict_json_document(tmp_path, capsys, argv, code,
+                                             report, check):
+    if report:
+        argv = [*argv, "--out", str(tmp_path)]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert check(strict_json(out))
+    if report:      # the printed result is the report file
+        assert out == (tmp_path / report).read_text()
 
 
 def test_cli_validate(capsys):
@@ -920,6 +966,26 @@ def test_bench_holo_thresholds_grow_with_the_values(tmp_path, capsys,
     assert main(["bench-holo", "--config", str(path),
                  "--out", str(tmp_path)]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("config, key", [
+    (dict(WIDE_HOLO, space_radius=1e105), "real_restriction_difference"),
+    ({"slope_hs": [1e-300, 2e-300]}, "cr_slope"),
+])
+def test_bench_holo_writes_null_for_a_non_finite_value(tmp_path, capsys,
+                                                       config, key):
+    # the restriction polynomial overflows at radius 1e105, and residuals at
+    # steps near 1e-300 give no slope: both were written as NaN, not JSON
+    path = tmp_path / "holo.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench-holo", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC_DOMAIN
+    out = capsys.readouterr().out
+    text = (tmp_path / "holo_report.json").read_text()
+    assert out == text
+    for document in (out, text):
+        report = strict_json(document)
+        assert report[key] is None and report["pass"] is False
 
 
 def test_bench_holo_fails_a_relative_error_in_the_average(tmp_path,

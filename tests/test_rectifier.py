@@ -10,7 +10,6 @@ from haarrect.errors import (
 )
 from haarrect.groupoids import (
     FiniteGroup,
-    HaarDensity,
     attach_haar_density,
     build_action_groupoid,
     build_core,
@@ -291,7 +290,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     logs = _log_coords(alg, _psi_stack(phi, pairs))
     log_of = {(int(k), int(p)): v for (k, p, _), v in zip(pairs, logs)}
     ref = np.array([
-        weighted_sum(mu.weights[list(fiber)],
+        weighted_sum(mu[list(fiber)],
                      np.array([log_of[(k, p)] for k in fiber]))
         for p in range(g.n_arrows)
         for fiber in [core.fiber_at(int(g.target[p]))]
@@ -327,11 +326,11 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     psi[narrow, 1, 0] = complex(0.0, -0.0)
     logs = _log_coords(alg, psi)
     assert np.all(np.signbit(logs[narrow, :2]))
-    terms = mu.weights[pairs[:, 0], None] * logs
+    terms = mu[pairs[:, 0], None] * logs
     first, second = terms[pairs[:, 1] == 4]     # arrow 4's fiber of two
     assert np.all(np.signbit((first + second)[:2]))
 
-    ref = np.array([weighted_sum(mu.weights[pairs[rows, 0]], logs[rows])
+    ref = np.array([weighted_sum(mu[pairs[rows, 0]], logs[rows])
                     for p in range(g.n_arrows)
                     for rows in [pairs[:, 1] == p]])
     assert not np.any(np.signbit(ref[g.target == 4, :2]))
@@ -519,7 +518,7 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
     # partial trace attached
     alg, k = algebras["SO3"], constants["SO3"]
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=20, eps=0.012)
-    bad = HaarDensity(core=core, weights=np.full(g.n_arrows, 60.0))
+    bad = np.full(g.n_arrows, 60.0)
     with pytest.raises(NonContraction) as err:
         iterate(phi, core, bad, alg, k, sets=None)
     assert err.value.trace is not None

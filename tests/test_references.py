@@ -1,7 +1,8 @@
 """Every top-level function and class of the package, and every method, is
 named somewhere in the code that runs it (src/, scripts/ and perfbench/,
-its tests left out), or is allowed here with a reason.  Code that only the
-tests call belongs in the tests."""
+its tests left out), or is allowed here with a reason.  A method or property
+counts only as an attribute (``x.name``): a variable of the same name does
+not call it.  Code that only the tests call belongs in the tests."""
 
 import ast
 import glob
@@ -26,28 +27,30 @@ def _parse(path):
 
 
 def _definitions(tree):
-    """(qualified name, name) of the top-level functions and classes and of
-    the methods; dunder methods are called by Python, not by name."""
+    """(qualified name, name, is a method) of the top-level functions and
+    classes and of the methods; dunder methods are called by Python, not by
+    name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
 
 
 def _references(tree):
-    """Names read as a variable, an attribute or an import (docstrings and
-    comments do not count)."""
+    """(name, is an attribute) of each name read as a variable, an attribute
+    or an import (docstrings and comments do not count)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+            for name in node.name.split("."):
+                yield name, False
 
 
 def _run_code_files():
@@ -62,10 +65,13 @@ def test_every_package_name_is_referenced_by_the_code_that_runs():
     referenced = set()
     for path in _run_code_files():
         referenced.update(_references(_parse(path)))
+    names = {name for name, _ in referenced}
+    attributes = {name for name, is_attribute in referenced if is_attribute}
     unreferenced = []
     for path in glob.glob(os.path.join(REPO_ROOT, "src", "haarrect", "*.py")):
         module = os.path.splitext(os.path.basename(path))[0]
-        unreferenced += [f"{module}.{qualified}"
-                         for qualified, name in _definitions(_parse(path))
-                         if name not in referenced]
+        unreferenced += [
+            f"{module}.{qualified}"
+            for qualified, name, method in _definitions(_parse(path))
+            if name not in (attributes if method else names)]
     assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED)
