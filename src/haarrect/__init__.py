@@ -40,18 +40,14 @@ from .groupoids import (
     validate_groupoid,
 )
 from .rectifier import (
-    AlmostMorphism,
     IterationTrace,
     admissible_defect_radius,
-    almost_morphism,
-    defect,
     iterate,
     q_bound,
     verify_core_morphism,
 )
 from .holo import (
     ComplexModel,
-    SampledFunction,
     build_complexified_model,
     core_average_function,
     cr_residual,

@@ -34,12 +34,7 @@ from .groups import AmbientSets, estimate_bch_constants, normalize_algebra_norm
 from .groups import ALGEBRA_OF, _exp_matrices
 from .holo import build_complexified_model, core_average_function
 from .holo import cr_convergence_order, real_restriction_check, sample_function
-from .rectifier import (
-    admissible_defect_radius,
-    almost_morphism,
-    iterate,
-    verify_core_morphism,
-)
+from .rectifier import admissible_defect_radius, iterate, verify_core_morphism
 
 EXIT_PASS = 0
 EXIT_PRECONDITION = 2
@@ -439,24 +434,23 @@ def _cyclic_homomorphism_values(alg, order):
 def generate_exact_morphism(g, spec, alg, morphism_spec):
     """Seeded exact morphism into the target group, and its warnings.
 
-    Kind "trivial" maps every arrow to the identity.  Kind "coboundary", and
-    every other kind on a pair groupoid, gives phi(a) = h_t(a) h_s(a)^-1
-    from seeded per-object elements.  On an action groupoid, "auto" and
-    "homomorphism" give a homomorphism of the acting cyclic group composed
-    with the arrow's group part, conjugated by a seeded element for variety;
-    when no usable homomorphism exists the trivial one is substituted with
-    a warning.
+    The morphism is the (n_arrows, m, m) stack of its values, float64 for
+    SO2/SO3 and complex otherwise.  Kind "trivial" maps every arrow to the
+    identity.  Kind "coboundary", and every other kind on a pair groupoid,
+    gives phi(a) = h_t(a) h_s(a)^-1 from seeded per-object elements.  On an
+    action groupoid, "auto" and "homomorphism" give a homomorphism of the
+    acting cyclic group composed with the arrow's group part, conjugated by
+    a seeded element for variety; when no usable homomorphism exists the
+    trivial one is substituted with a warning.
     """
-    m = alg.matrix_dim
-    identity = np.broadcast_to(np.eye(m), (g.n_arrows, m, m))
+    zero = np.zeros((g.n_arrows, alg.dim))     # exp(0) is the identity
     if morphism_spec.kind == "trivial":
-        return almost_morphism(identity, alg), []
+        return _exp_matrices(alg, zero), []
     rng = np.random.default_rng(morphism_spec.seed)
     if spec.constructor == "pair" or morphism_spec.kind == "coboundary":
         h = _exp_matrices(alg, alg.sample_ball(rng, morphism_spec.scale,
                                                g.n_objects))
-        values = h[g.target] @ h[g.source].conj().swapaxes(-1, -2)
-        return almost_morphism(values, alg), []
+        return h[g.target] @ h[g.source].conj().swapaxes(-1, -2), []
 
     order = spec.group_order
     gen_values = _cyclic_homomorphism_values(alg, order)
@@ -464,33 +458,32 @@ def generate_exact_morphism(g, spec, alg, morphism_spec):
         msg = (f"no usable homomorphism cyclic({order}) -> {alg.group_id}; "
                f"substituting the trivial one")
         warnings.warn(msg)
-        return almost_morphism(identity, alg), [msg]
+        return _exp_matrices(alg, zero), [msg]
     # conjugate by a seeded element: still a homomorphism, same range
     z = _exp_matrices(alg, alg.sample_ball(rng, 0.5, 1))[0]
     gen_values = np.array([z @ v @ z.conj().T for v in gen_values])
     # arrow a is (group element a // space_size, point a % space_size)
-    return almost_morphism(gen_values[np.arange(g.n_arrows) // spec.space_size],
-                           alg), []
+    return gen_values[np.arange(g.n_arrows) // spec.space_size], []
 
 
 def perturb_morphism(phi, alg, pert, g):
     """phi0(p) = phi(p) . exp(w_p) with w_p uniform in the epsilon ball.
 
-    The left-multiplication variant is available through ``side``; the unit
-    arrows of the groupoid ``g`` are optionally left unperturbed.  Identical
-    seeds give identical outputs byte-for-byte.  Whether phi0 takes values
-    in W is checked by ``iterate``.
+    ``phi`` is a value stack as ``generate_exact_morphism`` returns it, and
+    phi0 is one of the same shape and dtype.  The left-multiplication
+    variant is available through ``side``; the unit arrows of the groupoid
+    ``g`` are optionally left unperturbed.  Identical seeds give identical
+    outputs byte-for-byte.  Whether phi0 takes values in W is checked by
+    ``iterate``.
     """
     rng = np.random.default_rng(pert.seed)
-    w = alg.sample_ball(rng, pert.epsilon, phi.n_arrows)
+    w = alg.sample_ball(rng, pert.epsilon, len(phi))
     if not pert.perturb_units:
         w[np.asarray(g.unit_arrows)] = 0.0
     noise = _exp_matrices(alg, w)
     if pert.side == "right":
-        values = np.einsum("nij,njk->nik", phi.values, noise)
-    else:
-        values = np.einsum("nij,njk->nik", noise, phi.values)
-    return almost_morphism(values, alg)
+        return np.einsum("nij,njk->nik", phi, noise)
+    return np.einsum("nij,njk->nik", noise, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +665,9 @@ def run_holo_bench(spec, out_dir=None):
 
     f_inv = sample_function(invariant, model)
     avg_inv = core_average_function(invariant, model)
-    invariant_err = float(np.abs(avg_inv.values - f_inv.values).max())
+    invariant_err = float(np.abs(avg_inv - f_inv).max())
     mode_residual = float(
-        np.abs(core_average_function(weight_one, model).values).max()
+        np.abs(core_average_function(weight_one, model)).max()
     )
     slope, residuals = cr_convergence_order(
         lambda z1, z2: quartic(z1, z2),
@@ -698,7 +691,7 @@ def run_holo_bench(spec, out_dir=None):
     # error is held to 1e-13 times their largest magnitude, if that is > 1
     x1, y1, x2, y2 = model.grid_axes
     errors_and_magnitudes = (
-        (invariant_err, np.abs(f_inv.values).max()),
+        (invariant_err, np.abs(f_inv).max()),
         # |z1 + i z2| = |(x1 - y2) + i (y1 + x2)| at its largest on the grid
         (mode_residual, np.hypot(np.abs(np.subtract.outer(x1, y2)).max(),
                                  np.abs(np.add.outer(y1, x2)).max())),

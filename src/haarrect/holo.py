@@ -70,21 +70,6 @@ class ComplexModel:
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Complex values on the rectangular (x1, y1, x2, y2) grid."""
-
-    values: np.ndarray
-    grid_axes: tuple
-    grid_spacing: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise GridError("sampled values must be finite")
-        if self.grid_spacing <= 0:
-            raise GridError("grid spacing must be positive")
-
-
 def rotate(zeta, z1, z2):
     """Action of the complexified rotation with complex angle zeta."""
     c, s = np.cos(zeta), np.sin(zeta)
@@ -190,18 +175,27 @@ def average_callable(f, model):
     return averaged
 
 
+def _checked_samples(values, spacing):
+    """Grid samples, once they are finite and their spacing is positive."""
+    if not np.all(np.isfinite(values)):
+        raise GridError("sampled values must be finite")
+    if spacing <= 0:
+        raise GridError("grid spacing must be positive")
+    return values
+
+
 def sample_function(f, model):
     """Sample a callable on the model's rectangular grid.
 
+    Returns the complex array of its values, indexed (x1, y1, x2, y2).
     ``f`` runs on slabs of whole rows along the first grid axis, spread over
     the available CPUs, so it must be pointwise and thread-safe; each grid
     point is evaluated alone, so the values do not depend on the CPU count.
     """
     Z1, Z2 = grid_points(*model.grid_axes)
     rows = max(1, SLAB_POINTS // (Z1.shape[1] * Z2.size))
-    values = _sample_slabs(f, Z1, Z2, rows, _available_cpus())
-    return SampledFunction(values=values, grid_axes=model.grid_axes,
-                           grid_spacing=model.grid_spacing)
+    return _checked_samples(_sample_slabs(f, Z1, Z2, rows, _available_cpus()),
+                            model.grid_spacing)
 
 
 def _available_cpus():
@@ -282,7 +276,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def core_average_function(f, model):
-    """Average a callable over the core and sample it on the grid.
+    """Average a callable over the core and sample it on the grid, as
+    ``sample_function`` does.
 
     Exact (to rounding) for angular Fourier modes of degree below n_theta:
     invariant inputs are reproduced and pure non-zero modes vanish.
@@ -290,25 +285,24 @@ def core_average_function(f, model):
     return sample_function(average_callable(f, model), model)
 
 
-def cr_residual(F, h=None):
+def cr_residual(values, h):
     """Max Cauchy-Riemann residual over interior grid nodes.
 
-    Estimates d/d(conj z) in each complex coordinate by centered differences
-    of step h: 0.5 * (d/dx + i d/dy).  Exactly zero (to rounding over
-    truncation) for holomorphic samples; order h^2 truncation otherwise.
+    ``values`` are samples on a rectangular (x1, y1, x2, y2) grid of
+    spacing h.  Estimates d/d(conj z) in each complex coordinate by
+    centered differences of step h: 0.5 * (d/dx + i d/dy).  Exactly zero
+    (to rounding over truncation) for holomorphic samples; order h^2
+    truncation otherwise.
     """
-    h = h if h is not None else F.grid_spacing
-    v = F.values
-    if any(s < 3 for s in v.shape):
+    if any(s < 3 for s in values.shape):
         raise GridError("need at least 3 nodes per axis for centered differences")
-    inner = (slice(1, -1),) * 4
 
     def diff(axis):
         up = [slice(1, -1)] * 4
         dn = [slice(1, -1)] * 4
         up[axis] = slice(2, None)
         dn[axis] = slice(None, -2)
-        return (v[tuple(up)] - v[tuple(dn)]) / (2.0 * h)
+        return (values[tuple(up)] - values[tuple(dn)]) / (2.0 * h)
 
     res1 = 0.5 * (diff(0) + 1j * diff(1))
     res2 = 0.5 * (diff(2) + 1j * diff(3))
@@ -316,12 +310,13 @@ def cr_residual(F, h=None):
 
 
 def sample_on_box(f, center, h):
-    """Sample a callable on a 5-node rectangular probe box (for slope fits)."""
+    """Sample a callable on a 5-node rectangular probe box of spacing h, as
+    ``sample_function`` does (for slope fits)."""
     c = np.asarray(center, dtype=float)
     axes = tuple(c[i] + h * (np.arange(5) - 2.0) for i in range(4))
     Z1, Z2 = grid_points(*axes)
-    values = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex)
-    return SampledFunction(values=values, grid_axes=axes, grid_spacing=float(h))
+    return _checked_samples(
+        np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex), h)
 
 
 def cr_convergence_order(f, center, hs=(1e-2, 5e-3, 2.5e-3)):

@@ -1,9 +1,10 @@
 """Defect measurement and Haar-averaged correction of almost-morphisms.
 
-An almost-morphism assigns a group element to every arrow of a groupoid.
-Its defect against a core K is the worst left-invariant distance of
-psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) from the identity over the pairs
-(k, p) with k in K.  One correction step multiplies each value phi(p) by
+An almost-morphism assigns a group element to every arrow of a groupoid;
+it is held as the (n_arrows, m, m) stack of its values, float64 for SO2/SO3
+and complex otherwise.  Its defect against a core K is the worst
+left-invariant distance of psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) from
+the identity over the pairs (k, p) with k in K.  One correction step multiplies each value phi(p) by
 the exponential of the fiber-weighted average of log psi(., p); iterating
 contracts the defect quadratically, which is certified step by step against
 the polynomial bound q and the two in-proof bounds.
@@ -27,30 +28,6 @@ from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
 CORRECTION_BOUND_SLACK = 1e-9   # slack on |A| <= (d/d') * defect
-
-
-@dataclass(frozen=True)
-class AlmostMorphism:
-    """Arrow-indexed group values with a recomputed range certificate."""
-
-    values: np.ndarray          # (n_arrows, n, n): float64 for SO2/SO3
-    range_certificate: float
-
-    @property
-    def n_arrows(self):
-        return self.values.shape[0]
-
-
-def almost_morphism(values, alg):
-    """Build an AlmostMorphism into the group of ``alg``, recomputing the
-    range certificate; the one coercion of caller values: float64 for
-    SO2/SO3, complex otherwise."""
-    values = np.asarray(values)
-    values = (np.ascontiguousarray(values.real, dtype=float)
-              if alg.group_id in REAL_GROUPS
-              else np.asarray(values, dtype=complex))
-    cert = float(np.max(_distances_to_identity(alg, values)))
-    return AlmostMorphism(values=values, range_certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -91,32 +68,29 @@ class IterationTrace:
 def _psi_stack(phi, pairs):
     """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
     one psi path of the defect, correction and verification.  The stack has
-    the dtype of phi's values: float64 for SO2/SO3, complex otherwise.
-    The inverses are made contiguous once, so that the gathers and the two
-    products run on C-ordered stacks."""
+    the dtype of phi: float64 for SO2/SO3, complex otherwise.  The inverses
+    are made contiguous once, so that the gathers and the two products run
+    on C-ordered stacks."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    inv = np.ascontiguousarray(phi.values.conj().swapaxes(-1, -2))
-    return inv[p] @ inv[k] @ phi.values[kp]
+    inv = np.ascontiguousarray(phi.conj().swapaxes(-1, -2))
+    return inv[p] @ inv[k] @ phi[kp]
+
+
+def _radius(alg, mats):
+    """Largest distance of a matrix stack from the identity (0 if empty)."""
+    return float(np.max(_distances_to_identity(alg, mats), initial=0.0))
 
 
 def _max_distance(alg, psi):
     """Defect of a psi stack: its worst distance from the identity, which
     is measurable up to the injectivity margin; beyond it, an overflow."""
-    dists = _distances_to_identity(alg, psi)
-    if not np.all(np.isfinite(dists)):
+    worst = _radius(alg, psi)
+    if not np.isfinite(worst):
         raise DefectOverflow("non-finite defect distances")
-    worst = float(np.max(dists))
     if worst > alg.injectivity_margin:
-        raise DefectOverflow(
-            f"defect {worst:.6g} beyond measurable range "
-            f"(margin {alg.injectivity_margin:.6g})"
-        )
+        raise DefectOverflow(f"defect {worst:.6g} beyond measurable range "
+                             f"(margin {alg.injectivity_margin:.6g})")
     return worst
-
-
-def defect(phi, core, alg):
-    """Max distance of psi from the identity over the core pairs."""
-    return _max_distance(alg, _psi_stack(phi, core.pairs))
 
 
 def _correction(psi, core, weights, alg):
@@ -147,16 +121,6 @@ def _correction(psi, core, weights, alg):
         acc.add(terms[:, j])
     avg_coords = acc.value
     return _exp_matrices(alg, avg_coords), alg.norm(avg_coords)
-
-
-def _apply_correction(phi, corrections, alg, sets, what):
-    """phi . A; RangeEscape if ``sets`` is given and it leaves the compact."""
-    new_values = np.einsum("nij,njk->nik", phi.values, corrections)
-    out = almost_morphism(new_values, alg)
-    if sets is not None and out.range_certificate > sets.K_radius + 1e-9:
-        raise RangeEscape(f"{what} left the ambient compact",
-                          radius=out.range_certificate, limit=sets.K_radius)
-    return out
 
 
 def q_bound(C, k):
@@ -196,6 +160,8 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
             max_iter=50):
     """Run the correction iteration until the defect drops below tol.
 
+    ``phi0``, the initial map's value stack, is coerced once: to float64 for
+    SO2/SO3 (its real part), to complex otherwise; the limit has that dtype.
     ``weights`` is the density from ``attach_haar_density``: one weight per
     arrow of the parent groupoid, 0 off the core.  Certifies every step
     against q and the two in-proof bounds (|A| <= (d/d') * defect and
@@ -205,15 +171,17 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
     error raised after the initial defect is measured carries that defect
     as ``initial_defect``.
     """
+    phi = (np.ascontiguousarray(np.real(phi0), dtype=float)
+           if alg.group_id in REAL_GROUPS else np.asarray(phi0, dtype=complex))
     # one psi stack per map: its defect and, next step, its correction
-    psi = _psi_stack(phi0, core.pairs)
+    psi = _psi_stack(phi, core.pairs)
     delta = initial = _max_distance(alg, psi)
     try:
-        if sets is not None and phi0.range_certificate > sets.W_radius + 1e-9:
-            raise RangeEscape(
-                "initial map does not take values in W",
-                radius=phi0.range_certificate, limit=sets.W_radius,
-            )
+        if sets is not None:
+            radius = _radius(alg, phi)
+            if radius > sets.W_radius + 1e-9:
+                raise RangeEscape("initial map does not take values in W",
+                                  radius=radius, limit=sets.W_radius)
         admissible = admissible_defect_radius(constants)
         if delta > admissible:
             raise DefectTooLarge(delta, admissible)
@@ -234,20 +202,22 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
                 terminated=terminated,
             )
 
-        phi = phi0
         n = 0
         while delta > tol and n < max_iter:
             corrections, a_norms = _correction(psi, core, weights, alg)
             corr_norm = float(np.max(a_norms))
-            phi_next = _apply_correction(phi, corrections, alg, sets,
-                                         f"iterate {n + 1}")
+            phi_next = np.einsum("nij,njk->nik", phi, corrections)
+            if sets is not None:
+                radius = _radius(alg, phi_next)
+                if radius > sets.K_radius + 1e-9:
+                    raise RangeEscape(
+                        f"iterate {n + 1} left the ambient compact",
+                        radius=radius, limit=sets.K_radius)
             # independent step measurement (must agree with corr_norm by left
             # invariance; both are recorded)
-            step = float(np.max(_distances_to_identity(
-                alg, np.einsum("nij,njk->nik",
-                               phi.values.conj().swapaxes(-1, -2),
-                               phi_next.values)
-            )))
+            step = _radius(alg, np.einsum("nij,njk->nik",
+                                          phi.conj().swapaxes(-1, -2),
+                                          phi_next))
             psi = _psi_stack(phi_next, core.pairs)
             delta_next = _max_distance(alg, psi)
             qb = q_bound(delta, constants)
@@ -286,5 +256,4 @@ def verify_core_morphism(phi, core, alg, full=False):
     """
     pairs = core.parent.products if full else core.pairs
     # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity
-    return float(np.max(_distances_to_identity(alg, _psi_stack(phi, pairs)),
-                        initial=0.0))
+    return _radius(alg, _psi_stack(phi, pairs))

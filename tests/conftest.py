@@ -12,6 +12,7 @@ from haarrect.groups import (
     normalize_algebra_norm,
 )
 from haarrect.harness import ConstantsSpec, constants_for
+from haarrect.rectifier import _max_distance, _psi_stack
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -35,6 +36,11 @@ def assert_same_groupoid(a, b):
     for name in ("source", "target", "unit_arrows", "table", "inverse"):
         x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
         assert x.shape == y.shape and np.array_equal(x, y), name
+
+
+def defect(phi, core, alg):
+    """Max distance of psi from the identity over the core pairs."""
+    return _max_distance(alg, _psi_stack(phi, core.pairs))
 
 
 def with_products(g, products, inverse=None):

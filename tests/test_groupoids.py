@@ -269,8 +269,14 @@ def test_dense_weights_match_the_mapping_and_vanish_off_the_core():
         dense = attach_haar_density(core, weights)
         assert dense.shape == (g.n_arrows,)
         for a in range(g.n_arrows):
-            expected = dense[a] if a in core.arrow_subset else 0.0
-            assert dense[a] == expected
+            if a not in core.arrow_subset:
+                assert dense[a] == 0.0
+                continue
+            # each weight over the total of the core fiber at its source
+            fiber = core.fiber_at(int(g.source[a]))
+            expected = (1.0 / len(fiber) if weights == "uniform" else
+                        shifted[a] / sum(shifted[b] for b in fiber))
+            assert abs(dense[a] - expected) <= 1e-15
 
 
 def test_negative_weights_rejected():

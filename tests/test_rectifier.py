@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import TAU_GROUP, group_membership_residual, translations
+from conftest import (
+    TAU_GROUP,
+    defect,
+    group_membership_residual,
+    translations,
+)
 from haarrect.errors import (
     DefectOverflow,
     DefectTooLarge,
+    HaarrectError,
     NonContraction,
     RangeEscape,
 )
@@ -23,23 +29,24 @@ from haarrect.groups import (
     _log_coords,
 )
 from haarrect.harness import (
+    ConstantsSpec,
     GroupoidSpec,
     MorphismSpec,
     PerturbationSpec,
     build_groupoid,
+    constants_for,
     generate_exact_morphism,
     perturb_morphism,
 )
 from haarrect import rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
-    _apply_correction,
+    IterationTrace,
     _correction,
     _max_distance,
     _psi_stack,
+    _radius,
     admissible_defect_radius,
-    almost_morphism,
-    defect,
     iterate,
     q_bound,
     verify_core_morphism,
@@ -53,9 +60,8 @@ def full_core(g):
 def coboundary(g, alg, seed=0, scale=0.2):
     rng = np.random.default_rng(seed)
     h = _exp_matrices(alg, alg.sample_ball(rng, scale, g.n_objects))
-    values = np.array([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
-                       for a in range(g.n_arrows)])
-    return almost_morphism(values, alg)
+    return np.array([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
+                     for a in range(g.n_arrows)])
 
 
 def unit_constants():
@@ -81,7 +87,7 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 9), alg)
+    phi = np.array([np.eye(2, dtype=complex)] * 9)
     psi = _psi_stack(phi, core.pairs[:5])
     assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
                                                psi.shape))
@@ -96,9 +102,8 @@ def test_psi_single_perturbation_brute_force(algebras):
     phi = coboundary(g, alg, seed=2)
     w = np.array([0.01, 0.0, 0.0])
     star = 5
-    values = phi.values.copy()
-    values[star] = values[star] @ _exp_matrices(alg, w[None])[0]
-    phi_p = almost_morphism(values, alg)
+    phi_p = phi.copy()
+    phi_p[star] = phi_p[star] @ _exp_matrices(alg, w[None])[0]
 
     rows, expected = [], []
     for k in range(9):
@@ -107,8 +112,8 @@ def test_psi_single_perturbation_brute_force(algebras):
                 continue
             kp = int(g.multiply(k, p))
             rows.append((k, p, kp))
-            expected.append(np.linalg.inv(values[p]) @ np.linalg.inv(values[k])
-                            @ values[kp])
+            expected.append(np.linalg.inv(phi_p[p]) @ np.linalg.inv(phi_p[k])
+                            @ phi_p[kp])
     assert len(rows) == 27
     got = _psi_stack(phi_p, rows)
     assert group_membership_residual(got, "SO3") <= TAU_GROUP
@@ -127,7 +132,7 @@ def test_central_right_translation_law(algebras):
     core = full_core(g)
     phi = coboundary(g, alg, seed=3)
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
-    phi_z = almost_morphism(phi.values @ z, alg)
+    phi_z = phi @ z
     psi = _psi_stack(phi, core.pairs[:6])
     psi_z = _psi_stack(phi_z, core.pairs[:6])
     assert group_membership_residual(psi, "SU2") <= TAU_GROUP
@@ -141,11 +146,10 @@ def test_defect_invariant_under_conjugation(algebras):
     core = full_core(g)
     rng = np.random.default_rng(8)
     phi = coboundary(g, alg, seed=4)
-    values = phi.values.copy()
-    values[2] = values[2] @ _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1))[0]
-    phi_p = almost_morphism(values, alg)
+    phi_p = phi.copy()
+    phi_p[2] = phi_p[2] @ _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1))[0]
     z = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))[0]
-    phi_c = almost_morphism(z @ phi_p.values @ z.conj().T, alg)
+    phi_c = z @ phi_p @ z.conj().T
     assert abs(defect(phi_p, core, alg) - defect(phi_c, core, alg)) < 1e-12
 
 
@@ -153,9 +157,8 @@ def test_defect_overflow(algebras):
     alg = algebras["U1"]   # margin 2.0, group diameter ~2.02
     g = build_pair_groupoid(3)
     core = full_core(g)
-    values = np.array([[[np.exp(0j)]]] * 9)
-    values[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
-    phi = almost_morphism(values, alg)
+    phi = np.array([[[np.exp(0j)]]] * 9)
+    phi[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
     with pytest.raises(DefectOverflow):
         defect(phi, core, alg)
 
@@ -180,10 +183,10 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     g = build_action_groupoid(FiniteGroup.cyclic(2), translations(2, 1))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
-    phi = almost_morphism(np.array([np.eye(2, dtype=complex)] * 2), alg)
+    phi = np.array([np.eye(2, dtype=complex)] * 2)
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = _apply_correction(phi, corrections, alg, None, "corrected map")
-    assert np.array_equal(out.values, phi.values)
+    out = np.einsum("nij,njk->nik", phi, corrections)
+    assert np.array_equal(out, phi)
 
 
 def test_plus_minus_one_character_fixed_point_bitwise(algebras):
@@ -192,12 +195,11 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     g = build_action_groupoid(FiniteGroup.cyclic(2), translations(2, 1))
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
-    values = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
-    phi = almost_morphism(values, alg)
-    assert phi.range_certificate == pytest.approx(alg.scale * np.pi)
+    phi = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
+    assert _radius(alg, phi) == pytest.approx(alg.scale * np.pi)
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = _apply_correction(phi, corrections, alg, None, "corrected map")
-    assert np.array_equal(out.values, values)
+    out = np.einsum("nij,njk->nik", phi, corrections)
+    assert np.array_equal(out, phi)
 
 
 def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
@@ -208,11 +210,11 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     rng = np.random.default_rng(12)
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.05 * (2 * rng.random(9) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
+    phi = np.exp(1j * theta)[:, None, None]
     assert defect(phi, core, alg) > 1e-4
 
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = _apply_correction(phi, corrections, alg, None, "corrected map")
+    out = np.einsum("nij,njk->nik", phi, corrections)
     assert defect(out, core, alg) <= 1e-14
 
     # closed-form abelian cocycle oracle: theta_hat = theta + sum w delta
@@ -226,7 +228,7 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
             kp = int(g.multiply(k, p))
             acc += (1.0 / len(fiber)) * principal(theta[kp] - theta[k] - theta[p])
         theta_hat[p] = theta[p] + acc
-    assert np.abs(out.values[:, 0, 0] - np.exp(1j * theta_hat)).max() < 1e-13
+    assert np.abs(out[:, 0, 0] - np.exp(1j * theta_hat)).max() < 1e-13
 
 
 def test_one_step_exact_for_any_invariant_density(algebras):
@@ -240,9 +242,9 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     rng = np.random.default_rng(13)
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
+    phi = np.exp(1j * theta)[:, None, None]
     corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = _apply_correction(phi, corrections, alg, None, "corrected map")
+    out = np.einsum("nij,njk->nik", phi, corrections)
     assert defect(out, core, alg) <= 1e-14
 
 
@@ -255,14 +257,14 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     rng = np.random.default_rng(21)
     phi = coboundary(g, alg, seed=6)
     noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
-    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise), alg)
+    phi = np.einsum("nij,njk->nik", phi, noise)
     delta = defect(phi, core, alg)
     corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
 
-    out = _apply_correction(phi, corrections, alg, None, "corrected map")
+    out = np.einsum("nij,njk->nik", phi, corrections)
     moves = _distances_to_identity(
-        alg, phi.values.conj().swapaxes(-1, -2) @ out.values)
+        alg, phi.conj().swapaxes(-1, -2) @ out)
     assert abs(max(moves) - norms.max()) < 1e-13
 
 
@@ -281,8 +283,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     weights = {a: 1.0 + int(g.target[a]) for a in core.arrow_subset}
     mu = attach_haar_density(core, weights)
     rng = np.random.default_rng(41)
-    phi = almost_morphism(
-        _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows)), alg)
+    phi = _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows))
 
     # reference: the per-arrow compensated sum over the fiber, in fiber
     # order, of the same batched logs
@@ -398,7 +399,7 @@ def make_perturbed(algebras, tag, seed, eps, n_points=4):
     rng = np.random.default_rng(seed)
     phi = coboundary(g, alg, seed=seed)
     noise = _exp_matrices(alg, alg.sample_ball(rng, eps, g.n_arrows))
-    phi = almost_morphism(np.einsum("nij,njk->nik", phi.values, noise), alg)
+    phi = np.einsum("nij,njk->nik", phi, noise)
     return g, core, mu, phi
 
 
@@ -441,15 +442,14 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
     # replay the iteration step by step against the brute-force defect
     current = phi
     for n in range(trace.iterations):
-        v = current.values
         brute = _distances_to_identity(alg, np.array([
-            np.linalg.inv(v[p]) @ np.linalg.inv(v[kk]) @ v[kp]
+            np.linalg.inv(current[p]) @ np.linalg.inv(current[kk])
+            @ current[kp]
             for kk, p, kp in core.pairs])).max()
         assert abs(brute - trace.deltas[n]) < 1e-13
         corrections, _ = _correction(_psi_stack(current, core.pairs), core,
                                      mu, alg)
-        current = _apply_correction(current, corrections, alg, None,
-                                    "corrected map")
+        current = np.einsum("nij,njk->nik", current, corrections)
     assert abs(defect(current, core, alg) - trace.deltas[-1]) < 1e-13
 
 
@@ -458,11 +458,11 @@ def test_iterate_equivariance_under_conjugation(algebras, constants):
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=16, eps=0.008)
     rng = np.random.default_rng(99)
     z = _exp_matrices(alg, alg.sample_ball(rng, 1.2, 1))[0]
-    phi_c = almost_morphism(z @ phi.values @ z.conj().T, alg)
+    phi_c = z @ phi @ z.conj().T
     lim_a, _ = iterate(phi, core, mu, alg, k)
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
-    conj = z @ lim_a.values @ z.conj().T
-    assert np.abs(conj - lim_b.values).max() < 1e-12
+    conj = z @ lim_a @ z.conj().T
+    assert np.abs(conj - lim_b).max() < 1e-12
 
 
 def test_iterate_cauchy_certificate(algebras, constants):
@@ -487,7 +487,7 @@ def test_iterate_rejects_range_escape(algebras, constants):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=19, scale=1.0)   # range up to ~2
-    if phi.range_certificate <= 1.5:
+    if _radius(alg, phi) <= 1.5:
         pytest.skip("seed produced a small coboundary")
     with pytest.raises(RangeEscape):
         iterate(phi, core, mu, alg, constants["SO3"], sets=AmbientSets(1.5, 2.5))
@@ -506,7 +506,7 @@ def test_iterate_errors_carry_the_initial_defect(algebras, constants):
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=19, scale=1.0)
     sets = AmbientSets(1.5, 2.5)
-    assert phi.range_certificate > sets.W_radius
+    assert _radius(alg, phi) > sets.W_radius
     with pytest.raises(RangeEscape) as err:
         iterate(phi, core, mu, alg, constants["SO3"], sets=sets)
     assert err.value.initial_defect == defect(phi, core, alg)
@@ -532,7 +532,7 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
 def complex_psi(phi, pairs):
     """psi over (k, p, kp) rows as a product of the complex values."""
     k, p, kp = np.asarray(pairs).T
-    values = phi.values.astype(complex)
+    values = phi.astype(complex)
     inv = values.conj().swapaxes(-1, -2)
     return inv[p] @ inv[k] @ values[kp]
 
@@ -566,19 +566,36 @@ def test_real_psi_stack_matches_complex_product(algebras):
         assert np.abs(psi - complex_psi(phi, pairs)).max() <= 1e-15
 
 
-def test_almost_morphism_stores_real_groups_in_float64(algebras):
+def test_iterate_stores_real_groups_in_float64(algebras, constants):
+    # iterate coerces its input once: complex-typed values of a real group
+    # run as their float64 real part, bit for bit
+    outcomes = []
     for alg, g, core, phi in harness_cases(algebras):
-        assert phi.values.dtype == np.float64
-        from_complex = almost_morphism(phi.values.astype(complex), alg)
-        assert from_complex.values.dtype == np.float64
-        assert from_complex.values.tobytes() == phi.values.tobytes()
-        assert from_complex.range_certificate == phi.range_certificate
-        assert _psi_stack(from_complex, core.pairs).tobytes() \
-            == _psi_stack(phi, core.pairs).tobytes()
+        assert phi.dtype == np.float64
+        k = constants_for(alg, ConstantsSpec(seed=101))
+        mu = attach_haar_density(core, "uniform")
+        runs = []
+        for values in (phi, phi.astype(complex)):
+            try:
+                limit, trace = iterate(values, core, mu, alg, k)
+            except HaarrectError as exc:
+                runs.append((type(exc), exc.initial_defect))
+            else:
+                assert limit.dtype == np.float64
+                runs.append((limit.tobytes(), trace))
+        assert runs[0] == runs[1]
+        outcomes.append(isinstance(runs[0][1], IterationTrace))
+    assert any(outcomes)
     for tag in ("U1", "SU2"):
         alg = algebras[tag]
-        values = np.eye(alg.matrix_dim)[None].repeat(3, axis=0)
-        assert almost_morphism(values, alg).values.dtype == complex
+        g = build_pair_groupoid(2)
+        core = full_core(g)
+        identity = np.eye(alg.matrix_dim)[None].repeat(g.n_arrows, axis=0)
+        limit, trace = iterate(identity, core,
+                               attach_haar_density(core, "uniform"), alg,
+                               constants[tag])
+        assert limit.dtype == complex and trace.iterations == 0
+        assert np.array_equal(limit, identity)
 
 
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
@@ -627,7 +644,7 @@ def test_partial_core_residual_reported_separately(algebras, constants):
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(25)
     theta = 0.04 * (2 * rng.random(8) - 1)
-    phi = almost_morphism(np.exp(1j * theta)[:, None, None], alg)
+    phi = np.exp(1j * theta)[:, None, None]
     limit, trace = iterate(phi, core, mu, alg, k)
     core_res = verify_core_morphism(limit, core, alg)
     full_res = verify_core_morphism(limit, core, alg, full=True)
