@@ -80,6 +80,38 @@ def _row_norm(x):
     return np.sqrt(total)
 
 
+def _compose(a, b, adjoint=False):
+    """Stacked products a[n] b[n], or a[n] b[n]^H with ``adjoint``, by real
+    arithmetic on (part, m, m, n) columns: re = ar br - ai bi and
+    im = ar bi + ai br (numpy's complex multiply fuses them), summed over j
+    as (j0 + j1) + j2, or (j0 + j2) + j1 for the adjoint, then added to 0.0.
+    On C-ordered stacks these are the bits of np.einsum("nij,njk->nik") and
+    "nij,nkj->nik" with b.conj(), whose order follows the strides; here any
+    layout gives the bits of its C-ordered copy."""
+    n, m = len(a), a.shape[-1]
+    dtype = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
+    parts = 2 if dtype is complex else 1
+
+    def columns(x, axes):
+        x = np.ascontiguousarray(x, dtype=dtype).view(float)
+        return np.ascontiguousarray(x.reshape(n, m, m, parts).transpose(axes))
+
+    A = columns(a, (3, 1, 2, 0))
+    B = columns(b, (3, 2, 1, 0) if adjoint else (3, 1, 2, 0))
+    q = A[:, None, :, :, None] * B[None, :, None]       # (pa, pb, i, j, k, n)
+    if parts == 2:      # with adjoint, b^H's imaginary part is -bi, exactly
+        re, im = (np.add, np.subtract) if adjoint else (np.subtract, np.add)
+        re(q[0, 0], q[1, 1], out=q[0, 0])
+        im(q[1, 0], q[0, 1], out=q[0, 1])
+    order = (0, 2, 1) if adjoint and m == 3 else range(m)
+    acc = q[0, :, :, order[0]]
+    for j in order[1:]:
+        acc = acc + q[0, :, :, j]
+    out = np.empty((n, m, m, parts))
+    np.add(acc.transpose(3, 1, 2, 0), 0.0, out=out)
+    return out.view(dtype)[..., 0]
+
+
 @dataclass(frozen=True)
 class NormedAlgebra:
     """Algebra with normalized norm |.| = scale * raw_norm.
@@ -248,29 +280,33 @@ def _sine_cosine(alg, mats):
     return np.moveaxis(0.5 * np.stack(skew), 0, -1), cosine
 
 
-def _angles_from_matrices(alg, mats):
-    """Batched |log| in Euclidean coordinates, via stable trace/skew forms.
+def _angle_pass(alg, mats):
+    """Sine vector, cosine, |sine| and |log| in Euclidean coordinates of a
+    stack: the one sine/cosine/atan2 pass that its distances and its log
+    share.
 
     atan2 of the (sine, cosine) parts recovers the rotation angle with full
     absolute accuracy at both ends of [0, pi]; this realizes |log(g)| without
     the branch-sensitive axis extraction.
     """
     sine, cosine = _sine_cosine(alg, mats)
-    angle = np.arctan2(_row_norm(sine), cosine)
-    return 2.0 * angle if alg.algebra_id == "su2" else angle
+    s = _row_norm(sine)
+    angle = np.arctan2(s, cosine)
+    return sine, cosine, s, 2.0 * angle if alg.algebra_id == "su2" else angle
 
 
-def _log_coords(alg, mats):
+def _log_coords(alg, mats, angles=None):
     """Principal log of a stack of group matrices: (n, m, m) -> (n, dim).
 
     The atan2 angle, signed (u1, so2) or times the unit sine vector (so3,
     and su2 as the quaternion log).  Near an SO(3) half turn the axis is the
     dominant column of the symmetric part cos(a) I + (1 - cos a) n n^T.
+    ``angles`` is the stack's `_angle_pass`, where the caller has it.
     """
-    sine, cosine = _sine_cosine(alg, mats)
     if alg.dim == 1:
+        sine, cosine = (angles or _sine_cosine(alg, mats))[:2]
         return np.arctan2(sine, cosine[..., None])
-    s = _row_norm(sine)
+    sine, cosine, s, angle = angles or _angle_pass(alg, mats)
     # zero sine: the identity (any axis) or a half turn (keep its angle)
     axis = np.divide(sine, s[..., None], out=np.zeros_like(sine),
                      where=s[..., None] > 0)
@@ -287,14 +323,13 @@ def _log_coords(alg, mats):
         n = nn[i, :, np.arange(len(i))] / np.sqrt(diag.max(axis=0))[:, None]
         flip = np.einsum("ij,ij->i", n, sine[far]) < 0.0
         axis[far] = np.where(flip[:, None], -n, n)
-    angle = np.arctan2(s, cosine)
-    return (2.0 * angle if alg.algebra_id == "su2" else angle)[..., None] * axis
+    return angle[..., None] * axis
 
 
 def _distances_to_identity(alg, mats):
     """Batched |log g| in the normalized norm; the distance of g from h is
     that of g^-1 h (left invariance)."""
-    return alg.factor * _angles_from_matrices(alg, mats)
+    return alg.factor * _angle_pass(alg, mats)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +399,8 @@ def _bch_sample(alg, rng, count):
     u = alg.sample_ball(rng, 1.0, count)
     v = alg.sample_ball(rng, 1.0, count)
     eu = _exp_matrices(alg, u)
-    euv = np.einsum("nij,njk->nik", eu, _exp_matrices(alg, v))
-    conj = np.einsum("nij,nkj->nik", euv, eu.conj())
+    euv = _compose(eu, _exp_matrices(alg, v))
+    conj = _compose(euv, eu, adjoint=True)
     return u, v, eu, _log_coords(alg, euv), conj
 
 

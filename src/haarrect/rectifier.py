@@ -22,8 +22,8 @@ from .errors import (
     NonContraction,
     RangeEscape,
 )
-from .groups import REAL_GROUPS, _distances_to_identity
-from .groups import _exp_matrices, _log_coords
+from .groups import REAL_GROUPS, _angle_pass, _compose
+from .groups import _distances_to_identity, _exp_matrices, _log_coords
 from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
@@ -82,20 +82,22 @@ def _radius(alg, mats):
 
 
 def _max_distance(alg, psi):
-    """Defect of a psi stack: its worst distance from the identity, which
-    is measurable up to the injectivity margin; beyond it, an overflow."""
-    worst = _radius(alg, psi)
+    """Defect of a psi stack, with the angle pass it read: its worst distance
+    from the identity, measurable up to the injectivity margin; beyond it,
+    an overflow."""
+    angles = _angle_pass(alg, psi)
+    worst = float(np.max(alg.factor * angles[3], initial=0.0))
     if not np.isfinite(worst):
         raise DefectOverflow("non-finite defect distances")
     if worst > alg.injectivity_margin:
         raise DefectOverflow(f"defect {worst:.6g} beyond measurable range "
                              f"(margin {alg.injectivity_margin:.6g})")
-    return worst
+    return worst, angles
 
 
-def _correction(psi, core, weights, alg):
+def _correction(psi, core, weights, alg, angles=None):
     """Fiber-averaged correction A(p) = exp(sum_k w_k log psi(k, p)) from
-    the psi stack over the core pairs.
+    the psi stack over the core pairs and its `_angle_pass`, if read.
 
     The integration fiber for an arrow p is the core source fiber over
     t(p); composability forces that choice.  Returns the stacked correction
@@ -103,7 +105,7 @@ def _correction(psi, core, weights, alg):
     realization: |exp(w)| = |w|).
     """
     pairs = core.pairs
-    logs = _log_coords(alg, psi)
+    logs = _log_coords(alg, psi, angles)
     bad = np.flatnonzero(alg.norm(logs) > alg.injectivity_margin)
     if bad.size:
         k, p, _ = pairs[bad[0]]
@@ -173,9 +175,10 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
     """
     phi = (np.ascontiguousarray(np.real(phi0), dtype=float)
            if alg.group_id in REAL_GROUPS else np.asarray(phi0, dtype=complex))
-    # one psi stack per map: its defect and, next step, its correction
+    # one psi stack and angle pass per map: its defect and next correction
     psi = _psi_stack(phi, core.pairs)
-    delta = initial = _max_distance(alg, psi)
+    delta, angles = _max_distance(alg, psi)
+    initial = delta
     try:
         if sets is not None:
             radius = _radius(alg, phi)
@@ -204,9 +207,10 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
 
         n = 0
         while delta > tol and n < max_iter:
-            corrections, a_norms = _correction(psi, core, weights, alg)
+            corrections, a_norms = _correction(psi, core, weights, alg, angles)
+            psi = angles = None     # freed before the next stack is built
             corr_norm = float(np.max(a_norms))
-            phi_next = np.einsum("nij,njk->nik", phi, corrections)
+            phi_next = _compose(phi, corrections)
             if sets is not None:
                 radius = _radius(alg, phi_next)
                 if radius > sets.K_radius + 1e-9:
@@ -215,11 +219,10 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
                         radius=radius, limit=sets.K_radius)
             # independent step measurement (must agree with corr_norm by left
             # invariance; both are recorded)
-            step = _radius(alg, np.einsum("nij,njk->nik",
-                                          phi.conj().swapaxes(-1, -2),
-                                          phi_next))
+            step = _radius(alg, _compose(phi.conj().swapaxes(-1, -2),
+                                         phi_next))
             psi = _psi_stack(phi_next, core.pairs)
-            delta_next = _max_distance(alg, psi)
+            delta_next, angles = _max_distance(alg, psi)
             qb = q_bound(delta, constants)
 
             correction_norms.append(corr_norm)

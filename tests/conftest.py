@@ -40,7 +40,7 @@ def assert_same_groupoid(a, b):
 
 def defect(phi, core, alg):
     """Max distance of psi from the identity over the core pairs."""
-    return _max_distance(alg, _psi_stack(phi, core.pairs))
+    return _max_distance(alg, _psi_stack(phi, core.pairs))[0]
 
 
 def with_products(g, products, inverse=None):

@@ -30,6 +30,7 @@ from haarrect.errors import (
     RangeEscape,
 )
 from haarrect.groupoids import FiniteGroup, build_action_groupoid, build_core
+from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import BchConstants
 from haarrect.harness import (
     EXIT_NON_CONTRACTION,
@@ -51,7 +52,7 @@ from haarrect.harness import (
     run_holo_bench,
     validate_config,
 )
-from haarrect.rectifier import _radius, q_bound, verify_core_morphism
+from haarrect.rectifier import _radius, iterate, q_bound, verify_core_morphism
 
 
 def bundled(name):
@@ -113,6 +114,16 @@ def test_readme_schema_block_has_the_schema_keys():
             assert shown[name] == keys[0]
         else:
             assert list(shown[name]) == list(keys), name
+
+
+def test_readme_report_fields_are_the_run_report_keys(tmp_path):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Report fields\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    shown = re.findall(r"^\* (`[^:]*):", section, flags=re.M)
+    shown = [key for item in shown for key in re.findall(r"`(\w+)`", item)]
+    report, _ = run_experiment(bundled("u1_onestep.json"), out_dir=tmp_path)
+    assert sorted(shown) == sorted(report) and len(set(shown)) == len(shown)
 
 
 def test_specs_are_read_only_values():
@@ -736,6 +747,78 @@ def test_run_numeric_domain_error(tmp_path):
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_NUMERIC_DOMAIN
     assert "DefectOverflow" in report["error"]
+
+
+def full_residual_groupoids():
+    """pair(1..6) and cyclic actions, among them cyclic(4) turning four
+    points and fixing a fifth (ragged fibers)."""
+    groupoids = [build_pair_groupoid(n) for n in range(1, 7)]
+    for order, n_x in ((2, 1), (3, 3), (4, 2), (6, 3), (4, 5)):
+        act = [[x if x == 4 else (x + a) % min(n_x, 4) for x in range(n_x)]
+               for a in range(order)]
+        groupoids.append(build_action_groupoid(FiniteGroup.cyclic(order), act))
+    return groupoids
+
+
+def run_capturing_the_limit(monkeypatch, tmp_path, g, config):
+    """run_experiment on the groupoid ``g``; returns the report and the
+    limit map that iterate returned."""
+    limits = []
+
+    def capture(*args, **kwargs):
+        limit, trace = iterate(*args, **kwargs)
+        limits.append(limit)
+        return limit, trace
+
+    monkeypatch.setattr(harness, "build_groupoid", lambda spec: g)
+    monkeypatch.setattr(harness, "iterate", capture)
+    report, _ = run_experiment(ExperimentConfig.from_dict(config),
+                               out_dir=tmp_path)
+    assert report["error"] is None and len(limits) == 1
+    return report, limits[0]
+
+
+@pytest.mark.parametrize("case", range(11))
+@pytest.mark.parametrize("tag", ["U1", "SO2", "SO3", "SU2"])
+def test_full_core_residual_is_the_full_pass_bitwise(tmp_path, monkeypatch,
+                                                     tag, case):
+    # on a full core the report takes residual_full from the final defect
+    g = full_residual_groupoids()[case]
+    calls = []
+    monkeypatch.setattr(harness, "verify_core_morphism",
+                        lambda *args, **kwargs: calls.append(args))
+    report, limit = run_capturing_the_limit(monkeypatch, tmp_path, g, {
+        "group": {"tag": tag},
+        "morphism": {"kind": "coboundary", "seed": case},
+        "perturbation": {"epsilon": 0.01, "seed": case + 1}})
+    assert not calls
+    alg = harness.algebra_for(harness.GroupSpec(tag=tag))
+    full = verify_core_morphism(
+        limit, build_core(g, tuple(range(g.n_arrows))), alg, full=True)
+    assert report["residual_full"].hex() == full.hex()
+    assert report["residual_full"] == report["residual_core"]
+
+
+def test_proper_core_still_runs_the_full_residual_pass(tmp_path, monkeypatch):
+    # the kernel-subgroup core of cyclic(4) on two points: fewer core pairs
+    # than products, so the full residual needs its own psi pass
+    full_calls = []
+
+    def counting(*args, **kwargs):
+        full_calls.append(kwargs.get("full"))
+        return verify_core_morphism(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "verify_core_morphism", counting)
+    spec = {"constructor": "action", "group_order": 4, "space_size": 2}
+    report, _ = run_capturing_the_limit(
+        monkeypatch, tmp_path, build_groupoid(GroupoidSpec(**spec)), {
+            "group": {"tag": "U1"}, "groupoid": spec,
+            "core": {"arrows": [0, 1, 4, 5]},
+            "morphism": {"kind": "coboundary", "seed": 2},
+            "perturbation": {"epsilon": 0.01, "seed": 2}})
+    assert full_calls == [True]
+    assert report["residual_core"] <= 1e-13
+    assert report["residual_full"] > 100 * report["residual_core"]
 
 
 def test_byte_reproducibility(tmp_path):

@@ -2,18 +2,23 @@
 
 The kernels compute entry by entry on length-n columns.  The references
 here are the broadcast matrix forms over (n, m, m) and (n, dim) stacks that
-the README states; every kernel must match them in dtype, in value and in
-the sign of every zero.
+the README states, and the einsum forms of the stacked products; every
+kernel must match them in dtype, in value and in the sign of every zero.
 """
 
+import ast
+import glob
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from conftest import coords_to_matrix
+from conftest import REPO_ROOT, coords_to_matrix
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
+    _angle_pass,
+    _compose,
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
@@ -118,6 +123,14 @@ def ref_log(alg, mats):
         axis[far] = np.where(flip[:, None], -n, n)
     angle = np.arctan2(s, cosine[..., None])
     return (2.0 * angle if alg.algebra_id == "su2" else angle) * axis
+
+
+def ref_product(a, b):
+    return np.einsum("nij,njk->nik", a, b)
+
+
+def ref_adjoint_product(a, b):
+    return np.einsum("nij,nkj->nik", a, b.conj())
 
 
 def ref_psi(phi, pairs):
@@ -226,3 +239,122 @@ def test_psi_stack_is_the_gathered_product(algs, aid):
     values[::5] = np.eye(alg.matrix_dim)
     assert_same_bits(ref_psi(values, g.products),
                      _psi_stack(values, g.products))
+
+
+def product_operand(alg, rng, n):
+    """n group elements, about one entry in six replaced by a signed zero or
+    a signed subnormal (in the real and the imaginary part alike)."""
+    x = ref_exp(alg, ref_sample_ball(alg, rng, 3.0, n))
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+    for part in ((x.real, x.imag) if np.iscomplexobj(x) else (x,)):
+        hit = rng.random(x.shape) < 1 / 6
+        part[hit] = rng.choice(specials, size=int(hit.sum()))
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 25, 400, 2000])
+@pytest.mark.parametrize("aid", ALGEBRAS)
+def test_compose_is_the_einsum_product(algs, aid, n):
+    # einsum's order of the j sum follows its operands' strides, so it is
+    # the oracle on C-ordered stacks and on the strided phi^H that iterate's
+    # step passes; _compose gives every layout the bits of its C-ordered copy
+    alg = algs[aid]
+    rng = np.random.default_rng(n)
+    a, b = product_operand(alg, rng, n), product_operand(alg, rng, n)
+    kept = a.copy(), b.copy()
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert_same_bits(ref_product(x, y), _compose(x, y))
+        assert_same_bits(ref_adjoint_product(x, y),
+                         _compose(x, y, adjoint=True))
+    a_h = a.conj().swapaxes(-1, -2)
+    assert_same_bits(ref_product(a_h, b), _compose(a_h, b))
+    for x, y in ((a_h, b), (a[::-1], b), (a, b.conj().swapaxes(-1, -2)[::-1]),
+                 (a.T.T, b[:, ::-1, ::-1])):
+        c_x, c_y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        for adjoint in (False, True):
+            got = _compose(x, y, adjoint=adjoint)
+            assert got.flags.c_contiguous
+            assert_same_bits(_compose(c_x, c_y, adjoint=adjoint), got)
+    assert_same_bits(kept[0], a)
+    assert_same_bits(kept[1], b)
+
+
+@pytest.mark.parametrize("aid", ALGEBRAS)
+def test_shared_angle_pass_gives_the_defect_and_the_log(algs, aid):
+    # iterate measures a psi stack's defect and takes its logs from one
+    # angle pass; both equal the standalone kernels and their references
+    alg = algs[aid]
+    rng = np.random.default_rng(12)
+    eye = np.eye(alg.matrix_dim)
+    mats = np.concatenate([
+        hard_matrices(alg, rng),                       # half turns within 1e-8
+        ref_exp(alg, ref_sample_ball(alg, rng, 3.0, 3000)),
+        np.broadcast_to(eye, (50,) + eye.shape)]).astype(
+            complex if aid in ("u1", "su2") else float)
+    angles = _angle_pass(alg, mats)
+    assert np.any(angles[3] == 0.0) and np.any(angles[1] < 0.0)
+    if aid == "so3":
+        near = np.abs(angles[3] - np.pi)
+        assert np.any((near > 0.0) & (near < 1e-8))
+    assert_same_bits(_distances_to_identity(alg, mats), alg.factor * angles[3])
+    assert_same_bits(ref_distances(alg, mats), alg.factor * angles[3])
+    assert_same_bits(_log_coords(alg, mats), _log_coords(alg, mats, angles))
+    assert_same_bits(ref_log(alg, mats), _log_coords(alg, mats, angles))
+
+
+# ---------------------------------------------------------------------------
+# stacked products in src/ go through _compose
+# ---------------------------------------------------------------------------
+
+# einsum subscripts that src/ may use, each with its reason
+EINSUM_ALLOWED = {
+    "ij,ij->i": "the row dot in _log_coords that picks the sign of an SO(3) "
+                "half-turn axis: one dot per row, whose rounding decides the "
+                "sign next to a half turn, as the log oracle pins it",
+}
+
+
+def is_stacked_product(subscripts):
+    """True for a product of matrix stacks such as "nij,njk->nik": two or
+    more operands, each and the output with three or more indices."""
+    inputs, _, output = subscripts.replace(" ", "").partition("->")
+    operands = inputs.split(",")
+    return len(operands) > 1 and all(len(s) >= 3 for s in operands + [output])
+
+
+def einsum_calls(tree):
+    """(line, subscripts or None if not a literal) of each einsum call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "einsum"):
+            first = node.args[0] if node.args else None
+            literal = (isinstance(first, ast.Constant)
+                       and isinstance(first.value, str))
+            yield node.lineno, first.value if literal else None
+
+
+def test_einsum_check_finds_stacked_products():
+    tree = ast.parse('np.einsum("nij,njk->nik", a, b)\n'
+                     'einsum("nij,nkj->nik", a, b)\n'
+                     'np.einsum("ij,ij->i", n, s)\n'
+                     'np.einsum(spec, a, b)\n')
+    calls = list(einsum_calls(tree))
+    assert [line for line, _ in calls] == [1, 2, 3, 4]
+    assert [s is not None and is_stacked_product(s) for _, s in calls] == [
+        True, True, False, False]
+    assert not any(is_stacked_product(s) for s in EINSUM_ALLOWED)
+
+
+def test_src_has_no_einsum_stacked_product():
+    found = []
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"),
+                          recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [(os.path.relpath(path, REPO_ROOT), line, subscripts)
+                  for line, subscripts in einsum_calls(tree)
+                  if subscripts not in EINSUM_ALLOWED]
+    # a stacked product belongs to groups._compose; any other einsum needs
+    # a literal subscript and a reason in EINSUM_ALLOWED
+    assert not found

@@ -38,7 +38,7 @@ from haarrect.harness import (
     generate_exact_morphism,
     perturb_morphism,
 )
-from haarrect import rectifier
+from haarrect import groups, rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
     IterationTrace,
@@ -512,6 +512,21 @@ def test_iterate_errors_carry_the_initial_defect(algebras, constants):
     assert err.value.initial_defect == defect(phi, core, alg)
 
 
+@pytest.mark.parametrize("tag", ["U1", "SO3", "SU2"])
+def test_iterate_reads_each_psi_stack_in_one_angle_pass(algebras, constants,
+                                                        monkeypatch, tag):
+    # the defect and the next step's logs share one sine/cosine pass
+    alg = algebras[tag]
+    g, core, mu, phi = make_perturbed(algebras, tag, seed=21, eps=0.01)
+    sine_cosine, rows = groups._sine_cosine, []
+    monkeypatch.setattr(groups, "_sine_cosine", lambda alg, m: (
+        rows.append(len(m)) or sine_cosine(alg, m)))
+    _, trace = iterate(phi, core, mu, alg, constants[tag])
+    assert trace.iterations >= 1
+    # U1's log is the signed atan2 of the shared sine and cosine
+    assert rows.count(len(core.pairs)) == trace.iterations + 1
+
+
 def test_iterate_non_contraction_on_broken_density(algebras, constants):
     # a deliberately invalid density (bypassing the validator) blows the
     # correction up; the defect grows past 1/c_l and the run aborts with a
@@ -602,7 +617,8 @@ def test_real_psi_defect_correction_and_verification_match_complex(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
         psi_c = complex_psi(phi, pairs)
-        assert abs(defect(phi, core, alg) - _max_distance(alg, psi_c)) <= 1e-15
+        assert abs(defect(phi, core, alg)
+                   - _max_distance(alg, psi_c)[0]) <= 1e-15
         mu = attach_haar_density(core, "uniform")
         corr, norms = _correction(_psi_stack(phi, pairs), core, mu, alg)
         corr_c, norms_c = _correction(psi_c, core, mu, alg)
