@@ -26,6 +26,8 @@ available CPUs.  Callables given to it or to core_average_function must
 therefore be pointwise and thread-safe; every grid point is still evaluated
 alone, in the same node order, so the values do not depend on the CPU count.
 The worker threads start on first use and serve every later call.
+average_callable hands its callable the same two arrays at every node, so
+a callable may neither keep nor change its arguments.
 """
 
 import os
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import GridError
 from .groupoids import FiniteGroup, build_action_groupoid
 from .groups import haar_integrate
-from .sums import NeumaierSum
+from .sums import NeumaierSum, spread_empty
 
 # Grid points per slab of sample_function: 3 rows of 17^3 at n_space = 17.
 # Slabs this small keep each thread's temporaries in cache and its malloc
@@ -162,14 +164,25 @@ def grid_points(x1, y1, x2, y2):
 
 
 def average_callable(f, model):
-    """Core average as a callable: F(z) = mean over nodes of f(R_theta z)."""
+    """Core average as a callable: F(z) = mean over nodes of f(R_theta z).
+
+    Every node's rotated point goes into the same two arrays, so ``f`` may
+    neither keep nor change its arguments.
+    """
     theta = model.theta_nodes
 
     def averaged(z1, z2):
-        acc = NeumaierSum(shape=np.broadcast(z1, z2).shape, dtype=complex)
+        w1, w2, tmp = spread_empty(3, np.broadcast(z1, z2).shape,
+                                   np.result_type(theta, z1, z2))
+        acc = NeumaierSum(shape=w1.shape, dtype=complex)
         for th in theta:
-            w1, w2 = rotate(th, z1, z2)
-            acc.add(np.asarray(f(w1, w2), dtype=complex))
+            # rotate(th, z1, z2), operation for operation
+            c, s = np.cos(th), np.sin(th)
+            np.multiply(c, z1, out=w1)
+            w1 -= np.multiply(s, z2, out=tmp)
+            np.multiply(s, z1, out=w2)
+            w2 += np.multiply(c, z2, out=tmp)
+            acc.add(f(w1, w2))
         return acc.value / len(theta)
 
     return averaged

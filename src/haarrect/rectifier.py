@@ -113,7 +113,8 @@ def _correction(psi, core, weights, alg, angles=None):
 
     # the pairs fill each arrow's row of an (n_arrows, widest fiber) table
     # from the left; per arrow, the same additions in the same order as
-    # weighted_sum, then +0.0s, which leave a Neumaier sum's bits alone
+    # weighted_sum, then +0.0s, which leave a NeumaierSum's bits alone: its
+    # sum and correction start at +0.0, and x + y is -0.0 only if both are
     width = core.by_source[2][core.parent.target]
     terms = np.zeros((len(width), width.max(), alg.dim))
     terms[np.arange(width.max()) < width[:, None]] = \

@@ -2,39 +2,75 @@
 
 Quadrature and averaging loops must reduce in a fixed enumeration order and
 stay bit-reproducible for a given seed, so all weighted reductions go through
-a Neumaier accumulator instead of bare `+=`.
+a compensated accumulator instead of bare `+=`.
 """
 
 import numpy as np
 
 
 class NeumaierSum:
-    """Kahan-Neumaier running sum for scalars or fixed-shape arrays."""
+    """Compensated running sum for scalars or fixed-shape arrays.
+
+    Each step is Knuth's branch-free TwoSum: t = s + x, z = t - s and the
+    exact rounding error e = (s - (t - z)) + (x - z), added to a running
+    correction.  e is the error Neumaier's |s| >= |x| branch returns, so a
+    real sum keeps Neumaier's bits; complex add and subtract act on each
+    part alone, so a complex sum is compensated per real part.  A shape-()
+    sum takes the shape of its first array addend.
+    """
 
     def __init__(self, shape=(), dtype=float):
-        self._s = np.zeros(shape, dtype=dtype)
-        self._c = np.zeros(shape, dtype=dtype)
+        # s and c, and the t, z and e of every step: fresh arrays per step
+        # would cost as much as the arithmetic
+        self._s, self._c, *self._scratch = spread_empty(5, shape, dtype)
+        self._s[...] = 0
+        self._c[...] = 0
 
     def add(self, x):
-        s = self._s
-        x = np.asarray(x, dtype=s.dtype)
-        t = s + x
-        big = np.abs(s) >= np.abs(x)
-        # lost low-order bits of the smaller addend: (hi - t) + lo, with the
-        # operands picked before the arithmetic so it runs once per element
-        corr = np.where(big, s, x)
-        corr -= t
-        corr += np.where(big, x, s)
-        self._c = self._c + corr
-        self._s = t
+        x = np.asarray(x)
+        if x.dtype.kind == "c" and self._s.dtype.kind != "c":
+            raise TypeError("complex addend to a real compensated sum")
+        shape = self._s.shape
+        if x.shape != shape and np.broadcast_shapes(shape, x.shape) != shape:
+            arrays = spread_empty(5, np.broadcast_shapes(shape, x.shape),
+                                  self._s.dtype)
+            arrays[0][...], arrays[1][...] = self._s, self._c
+            self._s, self._c, *self._scratch = arrays
+        s, c = self._s, self._c
+        t, z, e = self._scratch
+        np.add(s, x, out=t)
+        np.subtract(t, s, out=z)
+        np.subtract(t, z, out=e)
+        np.subtract(s, e, out=e)
+        np.subtract(x, z, out=z)
+        e += z
+        c += e
+        self._s, self._scratch[0] = t, s
 
     @property
     def value(self):
         return self._s + self._c
 
 
+def spread_empty(count, shape, dtype):
+    """``count`` new arrays of one shape whose starts are spread over a
+    4 KiB page.
+
+    On x86 a streaming c[i] = a[i] - b[i] stalls when c starts just past a
+    or b modulo 4096 bytes (4K aliasing); arrays from separate large
+    allocations often start at one offset.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    stride = -(-nbytes // 4096) * 4096 + 4096 // count // 64 * 64
+    block = np.empty(count * stride + 4096, np.uint8)
+    base = -block.ctypes.data % 4096
+    return [block[a:a + nbytes].view(dtype).reshape(shape)
+            for a in range(base, base + count * stride, stride)]
+
+
 def weighted_sum(weights, vectors):
-    """Sum w_i * v_i in the given order with Neumaier compensation.
+    """Sum w_i * v_i in the given order with NeumaierSum compensation.
 
     `vectors` is an (n, ...) array; returns an array of shape `vectors[0]`.
     """
@@ -43,4 +79,3 @@ def weighted_sum(weights, vectors):
     for w, v in zip(weights, vectors):
         acc.add(w * v)
     return acc.value
-

@@ -23,6 +23,7 @@ from haarrect.holo import (
     sample_function,
     sample_on_box,
 )
+from haarrect.sums import NeumaierSum
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,20 @@ def test_average_invariant_at_node_rotations(model):
     base = avg(*z)
     for th in model.theta_nodes[:8]:
         assert abs(avg(*rotate(th, *z)) - base) < 1e-13
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_callable_returning_its_argument_gives_the_rotate_loop(model, part):
+    # the rotated points of every node share two arrays: the average of a
+    # callable that returns one of them still reads each node once
+    Z1, Z2 = holo.grid_points(*model.grid_axes)
+    Z1, Z2 = Z1 + 0 * Z2, Z2 + 0 * Z1
+    acc = NeumaierSum(shape=Z1.shape, dtype=complex)
+    for th in model.theta_nodes:
+        acc.add(rotate(th, Z1, Z2)[part])
+    expected = (acc.value / model.n_theta).tobytes()
+    f = lambda z1, z2: (z1, z2)[part]
+    assert core_average_function(f, model).tobytes() == expected
 
 
 @pytest.fixture(scope="module", params=[9, 17])
