@@ -17,7 +17,8 @@ Conventions fixed here and relied on everywhere else:
   * the norm on the algebra is ``scale * raw_norm`` and the group distance
     is ``|log(g^-1 h)|`` in that norm (left translation of the norm);
   * exp of the exact zero vector returns the exact identity matrix;
-  * SO(2) and SO(3) matrices are float64, U(1) and SU(2) matrices complex.
+  * n group values are (parts, m, m, n) float64 columns, parts 1 for SO(2)
+    and SO(3) and 2 (real, imaginary) for U(1) and SU(2).
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ ALGEBRA_OF = {"U1": "u1", "SO2": "so2", "SO3": "so3", "SU2": "su2"}
 GROUP_OF = {v: k for k, v in ALGEBRA_OF.items()}
 MATRIX_DIM = {"u1": 1, "so2": 2, "so3": 3, "su2": 2}
 ALGEBRA_DIM = {"u1": 1, "so2": 1, "so3": 3, "su2": 3}
-REAL_GROUPS = {"SO2", "SO3"}
 
 # Principal-branch-safe radius of exp in Euclidean coordinates: eigen-angles
 # of exp(X(c)) stay inside (-pi, pi) strictly below these radii.
@@ -81,25 +81,16 @@ def _row_norm(x):
 
 
 def _compose(a, b, adjoint=False):
-    """Stacked products a[n] b[n], or a[n] b[n]^H with ``adjoint``, by real
-    arithmetic on (part, m, m, n) columns: re = ar br - ai bi and
-    im = ar bi + ai br (numpy's complex multiply fuses them), summed over j
-    as (j0 + j1) + j2, or (j0 + j2) + j1 for the adjoint, then added to 0.0.
-    On C-ordered stacks these are the bits of np.einsum("nij,njk->nik") and
-    "nij,nkj->nik" with b.conj(), whose order follows the strides; here any
-    layout gives the bits of its C-ordered copy."""
-    n, m = len(a), a.shape[-1]
-    dtype = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
-    parts = 2 if dtype is complex else 1
-
-    def columns(x, axes):
-        x = np.ascontiguousarray(x, dtype=dtype).view(float)
-        return np.ascontiguousarray(x.reshape(n, m, m, parts).transpose(axes))
-
-    A = columns(a, (3, 1, 2, 0))
-    B = columns(b, (3, 2, 1, 0) if adjoint else (3, 1, 2, 0))
-    q = A[:, None, :, :, None] * B[None, :, None]       # (pa, pb, i, j, k, n)
-    if parts == 2:      # with adjoint, b^H's imaginary part is -bi, exactly
+    """Stacked products a[n] b[n], or a[n] b[n]^H with ``adjoint``, of value
+    columns: re = ar br - ai bi and im = ar bi + ai br (numpy's complex
+    multiply fuses them), summed over j as (j0 + j1) + j2, or (j0 + j2) + j1
+    for the adjoint, then added to 0.0 in C order.  These are the bits of
+    np.einsum("nij,njk->nik") and "nij,nkj->nik" with b.conj() on C-ordered
+    matrix stacks, whose order follows the strides."""
+    m = a.shape[1]
+    B = b.swapaxes(1, 2) if adjoint else b
+    q = a[:, None, :, :, None] * B[None, :, None]       # (pa, pb, i, j, k, n)
+    if len(a) == 2:     # with adjoint, b^H's imaginary part is -bi, exactly
         re, im = (np.add, np.subtract) if adjoint else (np.subtract, np.add)
         re(q[0, 0], q[1, 1], out=q[0, 0])
         im(q[1, 0], q[0, 1], out=q[0, 1])
@@ -107,9 +98,28 @@ def _compose(a, b, adjoint=False):
     acc = q[0, :, :, order[0]]
     for j in order[1:]:
         acc = acc + q[0, :, :, j]
-    out = np.empty((n, m, m, parts))
-    np.add(acc.transpose(3, 1, 2, 0), 0.0, out=out)
-    return out.view(dtype)[..., 0]
+    return np.add(acc, 0.0, order="C")
+
+
+def _inverse(values):
+    """g^-1 = g^H of each value: the transpose, imaginary part negated."""
+    inv = values.swapaxes(1, 2).copy()
+    np.negative(inv[1:], out=inv[1:])
+    return inv
+
+
+def _matrices(values):
+    """The C-ordered (n, m, m) matrices of value columns, for BLAS."""
+    x = np.ascontiguousarray(values.transpose(3, 1, 2, 0))
+    return (x.view(complex) if len(values) == 2 else x)[..., 0]
+
+
+def _columns(mats):
+    """The value columns of (n, m, m) matrices, two parts if complex."""
+    parts = 2 if np.iscomplexobj(mats) else 1
+    x = np.ascontiguousarray(mats, dtype=complex if parts == 2 else float)
+    x = x.view(float).reshape(*x.shape, parts)
+    return np.ascontiguousarray(x.transpose(3, 1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -209,8 +219,7 @@ class AmbientSets:
 # ---------------------------------------------------------------------------
 
 def _exp_matrices(alg, coords):
-    """Batched exp: (n_batch, dim) coords -> (n_batch, n, n) group matrices,
-    float64 for so2/so3 and complex for u1/su2.
+    """Batched exp: (n, dim) coords -> (parts, m, m, n) value columns.
 
     With theta = |coords| and n the unit axis: exp(i theta) (u1), the
     rotation by theta (so2), Rodrigues I + sin(theta) K + 2 sin^2(theta/2) K^2
@@ -222,13 +231,13 @@ def _exp_matrices(alg, coords):
     if not np.all(np.isfinite(coords)):
         raise InvalidAlgebraVector(f"non-finite {alg.algebra_id} coords")
     aid = alg.algebra_id
-    if aid == "u1":
-        return np.exp(1j * coords)[..., None]
     # G's entries in row-major order, each a column over the batch, by the
     # matrix forms' own operations (identical bits); where those add a zero
     # entry of I, 0.0 + x turns -0.0 into +0.0 as that addition does
     c = np.ascontiguousarray(coords.T)
-    if aid == "so2":
+    if aid == "u1":
+        cols = (np.exp(1j * c[0]),)
+    elif aid == "so2":
         # sin(x) is +-0.0 only at x = +-0.0, so zero vectors give exactly I
         cos, sin = np.cos(c[0]), np.sin(c[0])
         cols = (cos, 0.0 - sin, 0.0 + sin, cos)
@@ -253,34 +262,35 @@ def _exp_matrices(alg, coords):
             hx, hy, hz = 0.5 * axis + 0.0
             cols = (cos + s2 * (1j * hz), 0.0 * cos + s2 * (hy + 1j * hx),
                     0.0 * cos + s2 * (-hy + 1j * hx), cos + s2 * (1j * -hz))
-    return np.stack(cols, axis=-1).reshape(-1, alg.matrix_dim, alg.matrix_dim)
+    cols = np.stack(cols)
+    if np.iscomplexobj(cols):
+        cols = np.stack((cols.real, cols.imag))
+    return cols.reshape(-1, alg.matrix_dim, alg.matrix_dim, len(coords))
 
 
-def _sine_cosine(alg, mats):
+def _sine_cosine(alg, values):
     """Batched sine vector sin(a) n and cosine of the rotation angle a.
 
     An element is cos(a) I + sin(a) X(n), n a unit algebra direction; a is
     |log| (u1, so2, so3) or |log| / 2 (su2).  The sine's coordinates are on
     its last axis, each one's column contiguous.
     """
-    m = np.asarray(mats)
+    r = values[0]
     if alg.algebra_id == "u1":
-        return m[..., 0, :1].imag, m[..., 0, 0].real
+        return np.moveaxis(values[1, 0, :1], 0, -1), r[0, 0]
     if alg.algebra_id == "so2":
-        return m[..., 1, :1].real, m[..., 0, 0].real
+        return np.moveaxis(r[1, :1], 0, -1), r[0, 0]
     if alg.algebra_id == "so3":
-        r = m.real
-        skew = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
-                r[..., 1, 0] - r[..., 0, 1])
-        cosine = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
+        skew = (r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
+        cosine = 0.5 * (r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
     else:
-        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-        skew = ((b + c).imag, (b - c).real, (a - d).imag)
-        cosine = 0.5 * (a + d).real
+        im = values[1]
+        skew = (im[0, 1] + im[1, 0], r[0, 1] - r[1, 0], im[0, 0] - im[1, 1])
+        cosine = 0.5 * (r[0, 0] + r[1, 1])
     return np.moveaxis(0.5 * np.stack(skew), 0, -1), cosine
 
 
-def _angle_pass(alg, mats):
+def _angle_pass(alg, values):
     """Sine vector, cosine, |sine| and |log| in Euclidean coordinates of a
     stack: the one sine/cosine/atan2 pass that its distances and its log
     share.
@@ -289,14 +299,14 @@ def _angle_pass(alg, mats):
     absolute accuracy at both ends of [0, pi]; this realizes |log(g)| without
     the branch-sensitive axis extraction.
     """
-    sine, cosine = _sine_cosine(alg, mats)
+    sine, cosine = _sine_cosine(alg, values)
     s = _row_norm(sine)
     angle = np.arctan2(s, cosine)
     return sine, cosine, s, 2.0 * angle if alg.algebra_id == "su2" else angle
 
 
-def _log_coords(alg, mats, angles=None):
-    """Principal log of a stack of group matrices: (n, m, m) -> (n, dim).
+def _log_coords(alg, values, angles=None):
+    """Principal log of a value stack: (parts, m, m, n) -> (n, dim).
 
     The atan2 angle, signed (u1, so2) or times the unit sine vector (so3,
     and su2 as the quaternion log).  Near an SO(3) half turn the axis is the
@@ -304,9 +314,9 @@ def _log_coords(alg, mats, angles=None):
     ``angles`` is the stack's `_angle_pass`, where the caller has it.
     """
     if alg.dim == 1:
-        sine, cosine = (angles or _sine_cosine(alg, mats))[:2]
+        sine, cosine = (angles or _sine_cosine(alg, values))[:2]
         return np.arctan2(sine, cosine[..., None])
-    sine, cosine, s, angle = angles or _angle_pass(alg, mats)
+    sine, cosine, s, angle = angles or _angle_pass(alg, values)
     # zero sine: the identity (any axis) or a half turn (keep its angle)
     axis = np.divide(sine, s[..., None], out=np.zeros_like(sine),
                      where=s[..., None] > 0)
@@ -316,7 +326,7 @@ def _log_coords(alg, mats, angles=None):
         # n n^T on (3, 3, m) columns; the einsum keeps its (m, 3) rows, as
         # its rounding decides the axis sign next to a half turn
         c = cosine[far]
-        r = np.ascontiguousarray(np.moveaxis(np.asarray(mats)[far].real, 0, -1))
+        r = values[0][:, :, far]
         nn = (0.5 * (r + r.swapaxes(0, 1)) - c * np.eye(3)[:, :, None]) / (1.0 - c)
         diag = nn[[0, 1, 2], [0, 1, 2]]
         i = np.argmax(diag, axis=0)
@@ -326,10 +336,10 @@ def _log_coords(alg, mats, angles=None):
     return angle[..., None] * axis
 
 
-def _distances_to_identity(alg, mats):
+def _distances_to_identity(alg, values):
     """Batched |log g| in the normalized norm; the distance of g from h is
     that of g^-1 h (left invariance)."""
-    return alg.factor * _angle_pass(alg, mats)[3]
+    return alg.factor * _angle_pass(alg, values)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +481,8 @@ def haar_integrate(f, group, n_theta=64):
     aid = ALGEBRA_OF[group]
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     # the unit-scale Euclidean algebra: exp reads only its id
-    nodes = _exp_matrices(NormedAlgebra(aid, "euclid", 1.0, np.pi),
-                          theta[:, None])
+    nodes = _matrices(_exp_matrices(NormedAlgebra(aid, "euclid", 1.0, np.pi),
+                                    theta[:, None]))
     weights = np.full(len(nodes), 1.0 / len(nodes))
     values = [np.asarray(f(g), dtype=complex) for g in nodes]
     return weighted_sum(weights, values)

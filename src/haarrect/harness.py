@@ -31,7 +31,7 @@ from .errors import (
 from .groupoids import FiniteGroup, build_action_groupoid, build_pair_groupoid
 from .groupoids import attach_haar_density, build_core, validate_groupoid
 from .groups import AmbientSets, estimate_bch_constants, normalize_algebra_norm
-from .groups import ALGEBRA_OF, _compose, _exp_matrices
+from .groups import ALGEBRA_OF, _columns, _compose, _exp_matrices, _matrices
 from .holo import build_complexified_model, core_average_function
 from .holo import cr_convergence_order, real_restriction_check, sample_function
 from .rectifier import admissible_defect_radius, iterate, verify_core_morphism
@@ -415,69 +415,60 @@ def build_density_from_config(core, density_spec):
 # exact morphisms and perturbations
 # ---------------------------------------------------------------------------
 
-def _cyclic_homomorphism_values(alg, order):
-    """Group values of a generator for cyclic(order) -> target, or None.
-
-    The generator turns by one order-th of a full turn about the last
-    algebra axis.  Values must stay inside the measurable range of the log,
-    which rules out even orders in SU(2): the image of order/2 is -identity,
-    on the branch boundary.
-    """
-    if alg.group_id == "SU2" and order % 2 == 0:
-        return None
-    full_turn = 4 * np.pi if alg.group_id == "SU2" else 2 * np.pi
-    coords = np.zeros((order, alg.dim))
-    coords[:, -1] = full_turn * np.arange(order) / order
-    return list(_exp_matrices(alg, coords))
-
-
 def generate_exact_morphism(g, spec, alg, morphism_spec):
     """Seeded exact morphism into the target group, and its warnings.
 
-    The morphism is the (n_arrows, m, m) stack of its values, float64 for
-    SO2/SO3 and complex otherwise.  Kind "trivial" maps every arrow to the
-    identity.  Kind "coboundary", and every other kind on a pair groupoid,
-    gives phi(a) = h_t(a) h_s(a)^-1 from seeded per-object elements.  On an
-    action groupoid, "auto" and "homomorphism" give a homomorphism of the
-    acting cyclic group composed with the arrow's group part, conjugated by
-    a seeded element for variety; when no usable homomorphism exists the
-    trivial one is substituted with a warning.
+    The morphism is the (parts, m, m, n_arrows) columns of its values (see
+    `groups`), built by BLAS products of matrix stacks.  Kind "trivial" maps
+    every arrow to the identity.  Kind "coboundary", and every other kind on
+    a pair groupoid, gives phi(a) = h_t(a) h_s(a)^-1 from seeded per-object
+    elements.  On an action groupoid, "auto" and "homomorphism" give a
+    homomorphism of the acting cyclic group composed with the arrow's group
+    part, conjugated by a seeded element for variety; when no usable
+    homomorphism exists the trivial one is substituted with a warning.
     """
     zero = np.zeros((g.n_arrows, alg.dim))     # exp(0) is the identity
     if morphism_spec.kind == "trivial":
         return _exp_matrices(alg, zero), []
     rng = np.random.default_rng(morphism_spec.seed)
     if spec.constructor == "pair" or morphism_spec.kind == "coboundary":
-        h = _exp_matrices(alg, alg.sample_ball(rng, morphism_spec.scale,
-                                               g.n_objects))
-        return h[g.target] @ h[g.source].conj().swapaxes(-1, -2), []
+        h = _matrices(_exp_matrices(alg, alg.sample_ball(
+            rng, morphism_spec.scale, g.n_objects)))
+        return _columns(h[g.target] @ h[g.source].conj().swapaxes(-1, -2)), []
 
+    # a generator turns by one order-th of a full turn about the last
+    # algebra axis; values must stay inside the measurable range of the log,
+    # which rules out even orders in SU(2): the image of order/2 is
+    # -identity, on the branch boundary
     order = spec.group_order
-    gen_values = _cyclic_homomorphism_values(alg, order)
-    if gen_values is None:
+    if alg.group_id == "SU2" and order % 2 == 0:
         msg = (f"no usable homomorphism cyclic({order}) -> {alg.group_id}; "
                f"substituting the trivial one")
         warnings.warn(msg)
         return _exp_matrices(alg, zero), [msg]
+    full_turn = 4 * np.pi if alg.group_id == "SU2" else 2 * np.pi
+    coords = np.zeros((order, alg.dim))
+    coords[:, -1] = full_turn * np.arange(order) / order
     # conjugate by a seeded element: still a homomorphism, same range
-    z = _exp_matrices(alg, alg.sample_ball(rng, 0.5, 1))[0]
-    gen_values = np.array([z @ v @ z.conj().T for v in gen_values])
+    z = _matrices(_exp_matrices(alg, alg.sample_ball(rng, 0.5, 1)))[0]
+    gen_values = np.array([z @ v @ z.conj().T
+                           for v in _matrices(_exp_matrices(alg, coords))])
     # arrow a is (group element a // space_size, point a % space_size)
-    return gen_values[np.arange(g.n_arrows) // spec.space_size], []
+    return _columns(gen_values[np.arange(g.n_arrows) // spec.space_size]), []
 
 
 def perturb_morphism(phi, alg, pert, g):
     """phi0(p) = phi(p) . exp(w_p) with w_p uniform in the epsilon ball.
 
-    ``phi`` is a value stack as ``generate_exact_morphism`` returns it, and
-    phi0 is one of the same shape and dtype.  The left-multiplication
+    ``phi`` is the value columns that ``generate_exact_morphism`` returns,
+    and phi0 is columns of the same shape.  The left-multiplication
     variant is available through ``side``; the unit arrows of the groupoid
     ``g`` are optionally left unperturbed.  Identical seeds give identical
     outputs byte-for-byte.  Whether phi0 takes values in W is checked by
     ``iterate``.
     """
     rng = np.random.default_rng(pert.seed)
-    w = alg.sample_ball(rng, pert.epsilon, len(phi))
+    w = alg.sample_ball(rng, pert.epsilon, phi.shape[-1])
     if not pert.perturb_units:
         w[np.asarray(g.unit_arrows)] = 0.0
     noise = _exp_matrices(alg, w)
@@ -620,8 +611,9 @@ def run_experiment(config, out_dir=None):
             all_step_bounds_ok=all(trace.step_bound_ok),
             total_displacement=trace.total_displacement)
         # a full core's pairs are the products, both lists being unique
+        full_core = len(core.pairs) == np.count_nonzero(g.table >= 0)
         report["residual_full"] = (
-            trace.deltas[-1] if len(core.pairs) == len(g.products)
+            trace.deltas[-1] if full_core
             else verify_core_morphism(limit, core, alg, full=True))
         write_trace_csv(trace_path, trace)
     except HaarrectError as exc:

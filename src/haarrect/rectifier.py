@@ -1,13 +1,13 @@
 """Defect measurement and Haar-averaged correction of almost-morphisms.
 
 An almost-morphism assigns a group element to every arrow of a groupoid;
-it is held as the (n_arrows, m, m) stack of its values, float64 for SO2/SO3
-and complex otherwise.  Its defect against a core K is the worst
-left-invariant distance of psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) from
-the identity over the pairs (k, p) with k in K.  One correction step multiplies each value phi(p) by
-the exponential of the fiber-weighted average of log psi(., p); iterating
-contracts the defect quadratically, which is certified step by step against
-the polynomial bound q and the two in-proof bounds.
+it is held as the (parts, m, m, n_arrows) float64 columns of its values
+(see `groups`).  Its defect against a core K is the worst left-invariant
+distance of psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) from the identity over
+the pairs (k, p) with k in K.  One correction step multiplies each value
+phi(p) by the exponential of the fiber-weighted average of log psi(., p);
+iterating contracts the defect quadratically, which is certified step by
+step against the polynomial bound q and the two in-proof bounds.
 """
 
 from dataclasses import dataclass
@@ -22,8 +22,8 @@ from .errors import (
     NonContraction,
     RangeEscape,
 )
-from .groups import REAL_GROUPS, _angle_pass, _compose
-from .groups import _distances_to_identity, _exp_matrices, _log_coords
+from .groups import _angle_pass, _columns, _compose, _distances_to_identity
+from .groups import _exp_matrices, _inverse, _log_coords, _matrices
 from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
@@ -66,19 +66,28 @@ class IterationTrace:
 
 
 def _psi_stack(phi, pairs):
-    """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows; the
-    one psi path of the defect, correction and verification.  The stack has
-    the dtype of phi: float64 for SO2/SO3, complex otherwise.  The inverses
-    are made contiguous once, so that the gathers and the two products run
-    on C-ordered stacks."""
+    """psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) over (k, p, kp) rows, as value
+    columns; the one psi path of the defect, correction and verification.
+    The two products are BLAS's, on gathers of C-ordered matrix stacks."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    inv = np.ascontiguousarray(phi.conj().swapaxes(-1, -2))
-    return inv[p] @ inv[k] @ phi[kp]
+    inv, mats = _matrices(_inverse(phi)), _matrices(phi)
+    return _columns(inv[p] @ inv[k] @ mats[kp])
 
 
-def _radius(alg, mats):
-    """Largest distance of a matrix stack from the identity (0 if empty)."""
-    return float(np.max(_distances_to_identity(alg, mats), initial=0.0))
+def _value_columns(phi, alg, n_arrows):
+    """``phi`` as float64 value columns of n_arrows arrows, or ValueError."""
+    m = alg.matrix_dim
+    shape = (1 + (alg.group_id in ("U1", "SU2")), m, m, n_arrows)
+    if np.shape(phi) != shape or np.iscomplexobj(phi):
+        raise ValueError(f"values must be a real (parts, m, m, n_arrows) = "
+                         f"{shape} stack, not a {np.asarray(phi).dtype} "
+                         f"{np.shape(phi)} one")
+    return np.asarray(phi, dtype=float)
+
+
+def _radius(alg, values):
+    """Largest distance of a value stack from the identity (0 if empty)."""
+    return float(np.max(_distances_to_identity(alg, values), initial=0.0))
 
 
 def _max_distance(alg, psi):
@@ -100,9 +109,9 @@ def _correction(psi, core, weights, alg, angles=None):
     the psi stack over the core pairs and its `_angle_pass`, if read.
 
     The integration fiber for an arrow p is the core source fiber over
-    t(p); composability forces that choice.  Returns the stacked correction
-    matrices and their distances to the identity (exact for the radial
-    realization: |exp(w)| = |w|).
+    t(p); composability forces that choice.  Returns the correction values
+    and their distances to the identity (exact for the radial realization:
+    |exp(w)| = |w|).
     """
     pairs = core.pairs
     logs = _log_coords(alg, psi, angles)
@@ -163,8 +172,8 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
             max_iter=50):
     """Run the correction iteration until the defect drops below tol.
 
-    ``phi0``, the initial map's value stack, is coerced once: to float64 for
-    SO2/SO3 (its real part), to complex otherwise; the limit has that dtype.
+    ``phi0``, the initial map's values, and the returned limit are
+    (parts, m, m, n_arrows) columns; any other stack is a ValueError.
     ``weights`` is the density from ``attach_haar_density``: one weight per
     arrow of the parent groupoid, 0 off the core.  Certifies every step
     against q and the two in-proof bounds (|A| <= (d/d') * defect and
@@ -174,8 +183,7 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
     error raised after the initial defect is measured carries that defect
     as ``initial_defect``.
     """
-    phi = (np.ascontiguousarray(np.real(phi0), dtype=float)
-           if alg.group_id in REAL_GROUPS else np.asarray(phi0, dtype=complex))
+    phi = _value_columns(phi0, alg, core.parent.n_arrows)
     # one psi stack and angle pass per map: its defect and next correction
     psi = _psi_stack(phi, core.pairs)
     delta, angles = _max_distance(alg, psi)
@@ -220,8 +228,7 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
                         radius=radius, limit=sets.K_radius)
             # independent step measurement (must agree with corr_norm by left
             # invariance; both are recorded)
-            step = _radius(alg, _compose(phi.conj().swapaxes(-1, -2),
-                                         phi_next))
+            step = _radius(alg, _compose(_inverse(phi), phi_next))
             psi = _psi_stack(phi_next, core.pairs)
             delta_next, angles = _max_distance(alg, psi)
             qb = q_bound(delta, constants)
@@ -258,6 +265,7 @@ def verify_core_morphism(phi, core, alg, full=False):
     the parent groupoid (full morphism verification); otherwise only over
     the core pairs, which is what the averaging limit guarantees.
     """
+    phi = _value_columns(phi, alg, core.parent.n_arrows)
     pairs = core.parent.products if full else core.pairs
     # d(phi(kp), phi(k) phi(p)) is the distance of psi(k, p) from identity
     return _radius(alg, _psi_stack(phi, pairs))

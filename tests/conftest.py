@@ -39,8 +39,33 @@ def assert_same_groupoid(a, b):
 
 
 def defect(phi, core, alg):
-    """Max distance of psi from the identity over the core pairs."""
+    """Max distance of psi from the identity over the core pairs of the
+    value columns phi."""
     return _max_distance(alg, _psi_stack(phi, core.pairs))[0]
+
+
+# the adapter between the package's layout of a stack of n group values,
+# (parts, m, m, n) float64 columns with parts 2 (real, imaginary) for a
+# complex group, and the (n, m, m) matrix stacks of the tests' references
+
+def columns(mats):
+    """The value columns of an (n, m, m) matrix stack: two parts if it is
+    complex, one if it is real."""
+    x = np.asarray(mats)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.ascontiguousarray(
+        np.moveaxis(np.array(parts, dtype=float), 1, -1))
+
+
+def matrices(values):
+    """The (n, m, m) matrix stack of value columns: complex for two parts,
+    float64 for one.  The parts are copied bit for bit, signed zeros too."""
+    x = np.moveaxis(np.asarray(values), -1, 1)
+    if len(x) == 1:
+        return x[0].copy()
+    out = np.empty(x.shape[1:], dtype=complex)
+    out.real, out.imag = x
+    return out
 
 
 def with_products(g, products, inverse=None):

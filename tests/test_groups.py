@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     _BASES,
     TAU_GROUP,
+    columns,
     coords_to_matrix,
     group_membership_residual,
+    matrices,
     revalidate_bch_constants,
 )
 from haarrect.errors import InvalidAlgebraVector, LogDomainError
@@ -24,6 +26,11 @@ from haarrect.groups import (
     normalize_algebra_norm,
 )
 from haarrect.rectifier import _correction
+
+
+def exp_mats(alg, coords):
+    """exp as the (n, m, m) matrices of the oracles."""
+    return matrices(_exp_matrices(alg, coords))
 
 
 def matrix_to_coords(algebra_id, X):
@@ -47,7 +54,7 @@ def matrix_to_coords(algebra_id, X):
 
 def test_exp_so3_quarter_turn_matches_rodrigues(algebras, oracles):
     alg = algebras["SO3"]
-    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi / 2]]))[0]
+    g = exp_mats(alg, np.array([[0.0, 0.0, np.pi / 2]]))[0]
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.abs(g.real - expected).max() < 1e-14
@@ -56,7 +63,7 @@ def test_exp_so3_quarter_turn_matches_rodrigues(algebras, oracles):
 
 def test_exp_zero_is_exact_identity(algebras):
     for tag, alg in algebras.items():
-        g = _exp_matrices(alg, np.zeros((1, alg.dim)))[0]
+        g = exp_mats(alg, np.zeros((1, alg.dim)))[0]
         assert group_membership_residual(g, tag) <= TAU_GROUP
         assert np.array_equal(g, np.eye(alg.matrix_dim, dtype=complex))
 
@@ -64,7 +71,7 @@ def test_exp_zero_is_exact_identity(algebras):
 def test_exp_su2_half_turn_quaternion_oracle(algebras, oracles):
     # coords (0, 0, pi) are (theta/2) i sigma_z with theta = pi
     alg = algebras["SU2"]
-    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi]]))[0]
+    g = exp_mats(alg, np.array([[0.0, 0.0, np.pi]]))[0]
     assert group_membership_residual(g, "SU2") <= TAU_GROUP
     assert np.abs(g - np.diag([1j, -1j])).max() < 1e-14
     q = oracles["quat_exp"]([0.0, 0.0, np.pi])
@@ -76,8 +83,8 @@ def test_exp_matches_quaternion_oracle_on_random_vectors(algebras, oracles):
     for _ in range(200):
         w = rng.normal(size=3)
         w *= rng.random() * 2.5 / np.linalg.norm(w)
-        g3 = _exp_matrices(algebras["SO3"], w[None])[0]
-        g2 = _exp_matrices(algebras["SU2"], w[None])[0]
+        g3 = exp_mats(algebras["SO3"], w[None])[0]
+        g2 = exp_mats(algebras["SU2"], w[None])[0]
         assert group_membership_residual(g3, "SO3") <= TAU_GROUP
         assert group_membership_residual(g2, "SU2") <= TAU_GROUP
         q = oracles["quat_exp"](w)
@@ -114,7 +121,7 @@ def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
     else:
         u = axes * rng.uniform(0.0, 4 * np.pi, 200)[:, None]
     u[:10] = 0.0
-    mats = _exp_matrices(alg, u)
+    mats = exp_mats(alg, u)
     oracle = oracles["eigh_exp"](alg.algebra_id, u)
     real = tag in ("SO2", "SO3")
     assert mats.dtype == (np.float64 if real else complex)
@@ -142,15 +149,17 @@ def test_exp_matrices_reject_nonfinite_coords(algebras, bad):
 
 def test_log_identity_is_zero(algebras):
     for tag, alg in algebras.items():
-        z = _log_coords(alg, np.eye(alg.matrix_dim, dtype=complex)[None])[0]
+        eye = np.eye(alg.matrix_dim, dtype=float if tag in ("SO2", "SO3")
+                     else complex)
+        z = _log_coords(alg, columns(eye[None]))[0]
         assert np.abs(z).max() == 0.0
 
 
 def test_log_so3_quarter_turn(algebras):
     alg = algebras["SO3"]
-    g = _exp_matrices(alg, np.array([[0.0, 0.0, np.pi / 2]]))
+    g = exp_mats(alg, np.array([[0.0, 0.0, np.pi / 2]]))
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    back = _log_coords(alg, g)[0]
+    back = _log_coords(alg, columns(g))[0]
     assert np.abs(back - [0, 0, np.pi / 2]).max() < 1e-14
 
 
@@ -160,9 +169,9 @@ def test_log_exp_round_trip_bulk(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(7)
         u = alg.sample_ball(rng, 1.0, counts[tag])
-        mats = _exp_matrices(alg, u)
+        mats = exp_mats(alg, u)
         assert group_membership_residual(mats, tag) <= TAU_GROUP
-        back = _log_coords(alg, mats)
+        back = _log_coords(alg, columns(mats))
         worst = np.max(alg.norm(back - u) / np.maximum(1.0, alg.norm(u)))
         assert worst <= 1e-12
 
@@ -172,9 +181,9 @@ def test_log_exp_round_trip_margin_ball(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(8)
         u = alg.sample_ball(rng, alg.injectivity_margin, 500)
-        mats = _exp_matrices(alg, u)
+        mats = exp_mats(alg, u)
         assert group_membership_residual(mats, tag) <= TAU_GROUP
-        back = _log_coords(alg, mats)
+        back = _log_coords(alg, columns(mats))
         assert np.all(alg.norm(back - u) <= 1e-12 * np.maximum(1.0, alg.norm(u)))
 
 
@@ -192,8 +201,8 @@ def test_closed_form_log_matches_schur_oracle(algebras, oracles, seed, tag):
     shell *= (alg.injectivity_margin / alg.norm(shell)
               * rng.uniform(0.9, 1.0, 50))[:, None]
     u = np.vstack([ball, shell])
-    mats = _exp_matrices(alg, u)
-    closed = _log_coords(alg, mats)
+    mats = exp_mats(alg, u)
+    closed = _log_coords(alg, columns(mats))
     oracle = np.array([oracles["schur_log"](alg.algebra_id, m) for m in mats])
     assert np.abs(closed - oracle).max() <= 1e-12
     assert np.abs(closed - u).max() <= 1e-12
@@ -215,7 +224,7 @@ def test_so3_log_near_half_turn(algebras, oracles):
     u = axes * angles[:, None]
     closed = _log_coords(alg, _exp_matrices(alg, u))
     oracle = np.array([oracles["schur_log"]("so3", m)
-                       for m in _exp_matrices(alg, u)])
+                       for m in exp_mats(alg, u)])
     assert np.abs(closed - oracle).max() <= 1e-12
     assert np.abs(closed - u).max() <= 1e-12
 
@@ -227,10 +236,11 @@ def test_log_outside_margin_raises(algebras):
     mu = attach_haar_density(core, "uniform")
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
     with pytest.raises(LogDomainError):
-        _correction(np.array([[[np.exp(1j * np.pi)]]]), core, mu, alg)
+        _correction(columns([[[np.exp(1j * np.pi)]]]), core, mu, alg)
     # -I in SU(2): zero sine vector, yet the full half-turn angle
     with pytest.raises(LogDomainError):
-        _correction(-np.eye(2, dtype=complex)[None], core, mu, algebras["SU2"])
+        _correction(columns(-np.eye(2, dtype=complex)[None]), core, mu,
+                    algebras["SU2"])
 
 
 def test_group_membership_enforced():
@@ -302,31 +312,33 @@ def test_commutator_inequality_property(seed):
 def test_distance_at_identity(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(1)
-        g = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))
+        g = exp_mats(alg, alg.sample_ball(rng, 1.0, 1))
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        assert _distances_to_identity(alg, g.conj().swapaxes(-1, -2) @ g) < 1e-14
+        assert _distances_to_identity(
+            alg, columns(g.conj().swapaxes(-1, -2) @ g)) < 1e-14
 
 
 def test_distance_to_exp_is_norm(algebras):
     for tag, alg in algebras.items():
         rng = np.random.default_rng(2)
         u = alg.sample_ball(rng, 1.0, 100)
-        g = _exp_matrices(alg, u)
+        g = exp_mats(alg, u)
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        assert np.abs(_distances_to_identity(alg, g) - alg.norm(u)).max() < 1e-12
+        assert np.abs(_distances_to_identity(alg, columns(g))
+                      - alg.norm(u)).max() < 1e-12
 
 
 def test_left_invariance_of_distance(algebras):
     for tag in ("SO3", "SU2", "U1"):
         alg = algebras[tag]
         rng = np.random.default_rng(3)
-        trips = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 3 * 2000)).reshape(
+        trips = exp_mats(alg, alg.sample_ball(rng, 1.0, 3 * 2000)).reshape(
             2000, 3, alg.matrix_dim, alg.matrix_dim
         )
         h, g1, g2 = trips[:500].swapaxes(0, 1)
         inv = lambda g: g.conj().swapaxes(-1, -2)
-        d0 = _distances_to_identity(alg, inv(g1) @ g2)
-        d1 = _distances_to_identity(alg, inv(h @ g1) @ (h @ g2))
+        d0 = _distances_to_identity(alg, columns(inv(g1) @ g2))
+        d1 = _distances_to_identity(alg, columns(inv(h @ g1) @ (h @ g2)))
         assert np.abs(d0 - d1).max() <= 1e-12
 
 
@@ -334,11 +346,12 @@ def test_distance_agrees_with_log_norm(algebras):
     # the stable trace form must match |log| where log is defined
     for tag, alg in algebras.items():
         rng = np.random.default_rng(4)
-        g = _exp_matrices(alg, alg.sample_ball(
+        g = exp_mats(alg, alg.sample_ball(
             rng, 0.9 * alg.injectivity_margin, 50))
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        via_log = alg.norm(_log_coords(alg, g))
-        assert np.abs(_distances_to_identity(alg, g) - via_log).max() < 1e-11
+        via_log = alg.norm(_log_coords(alg, columns(g)))
+        assert np.abs(_distances_to_identity(alg, columns(g))
+                      - via_log).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +361,10 @@ def test_distance_agrees_with_log_norm(algebras):
 def test_commuting_pair_has_zero_gap(algebras):
     alg = algebras["SO3"]
     u, v = np.array([0, 0, 0.4]), np.array([0, 0, 0.7])
-    eu, ev = _exp_matrices(alg, np.array([u, v]))
+    eu, ev = exp_mats(alg, np.array([u, v]))
     g = eu @ ev
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    w = _log_coords(alg, g[None])[0]
+    w = _log_coords(alg, columns(g[None]))[0]
     assert np.abs(w - (u + v)).max() < 1e-13
 
 
@@ -368,10 +381,10 @@ def test_so3_witness_pair_quaternion_oracle(algebras, oracles, constants):
     alg = algebras["SO3"]
     u = np.array([0.2, 0.0, 0.0])
     v = np.array([0.0, 0.2, 0.0])
-    eu, ev = _exp_matrices(alg, np.array([u, v]))
+    eu, ev = exp_mats(alg, np.array([u, v]))
     g = eu @ ev
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    gap_impl = alg.norm(_log_coords(alg, g[None])[0] - (u + v))
+    gap_impl = alg.norm(_log_coords(alg, columns(g[None]))[0] - (u + v))
     w_oracle = oracles["quat_log"](
         oracles["quat_mul"](oracles["quat_exp"](u), oracles["quat_exp"](v))
     )
@@ -409,16 +422,16 @@ def test_containment_checks(algebras, default_sets, constants):
         alg, k = algebras[tag], constants[tag]
         rng = np.random.default_rng(17)
         radius = min(default_sets.K_radius, 0.99 * alg.injectivity_margin)
-        hs = _exp_matrices(alg, alg.sample_ball(rng, radius, 100))
-        gs = _exp_matrices(alg, alg.sample_ball(rng, 1.0 / k.c_l, 100))
+        hs = exp_mats(alg, alg.sample_ball(rng, radius, 100))
+        gs = exp_mats(alg, alg.sample_ball(rng, 1.0 / k.c_l, 100))
         conj = hs @ gs @ hs.conj().swapaxes(-1, -2)
-        assert np.all(_distances_to_identity(alg, conj) <= 1.0 + 1e-9)
-        ws = _exp_matrices(
+        assert np.all(_distances_to_identity(alg, columns(conj)) <= 1.0 + 1e-9)
+        ws = exp_mats(
             alg, alg.sample_ball(
                 rng, min(default_sets.W_radius, 0.99 * alg.injectivity_margin), 100)
         )
-        bs = _exp_matrices(alg, alg.sample_ball(rng, 1.0 / k.c_d, 100))
-        assert np.all(_distances_to_identity(alg, bs @ ws)
+        bs = exp_mats(alg, alg.sample_ball(rng, 1.0 / k.c_d, 100))
+        assert np.all(_distances_to_identity(alg, columns(bs @ ws))
                       <= default_sets.K_radius + 1e-9)
 
 
@@ -433,7 +446,7 @@ def test_adjoint_norm_is_one_and_c_l_is_the_safety_factor(default_sets, tag,
     radius = min(default_sets.K_radius, 0.995 * alg.injectivity_margin)
     w = np.concatenate([alg.sample_ball(rng, radius, 256),
                         rng.uniform(-4 * np.pi, 4 * np.pi, (256, alg.dim))])
-    hs = _exp_matrices(alg, w)
+    hs = exp_mats(alg, w)
     conj = np.einsum("nik,jkl,nml->njim", hs, _BASES[alg.algebra_id],
                      hs.conj())
     ad = matrix_to_coords(alg.algebra_id, conj).swapaxes(-1, -2)

@@ -15,6 +15,7 @@ from conftest import (
     REPO_ROOT,
     assert_same_groupoid,
     defect,
+    matrices,
     tabulated_action,
 )
 from haarrect import harness
@@ -558,7 +559,7 @@ def test_z2_to_so3_hom_is_half_turn(algebras):
                                          MorphismSpec(seed=0))
     assert not warns
     # conjugate of diag(-1, -1, 1): trace is -1, square is the identity
-    m = phi[1].real
+    m = matrices(phi)[1]
     assert abs(np.trace(m) + 1.0) < 1e-12
     assert np.abs(m @ m - np.eye(3)).max() < 1e-12
 
@@ -569,7 +570,7 @@ def test_z3_to_u1_character(algebras):
     phi, warns = generate_exact_morphism(g, spec, algebras["U1"],
                                          MorphismSpec(seed=1))
     assert not warns
-    vals = {np.round(phi[a, 0, 0], 12) for a in range(g.n_arrows)}
+    vals = {np.round(v, 12) for v in matrices(phi)[:, 0, 0]}
     roots = {np.round(np.exp(2j * np.pi * k / 3), 12) for k in range(3)}
     assert vals == roots
 
@@ -581,7 +582,7 @@ def test_z2_to_su2_substitutes_trivial_with_warning(algebras):
         phi, warns = generate_exact_morphism(g, spec, algebras["SU2"],
                                              MorphismSpec(seed=0))
     assert warns
-    assert np.array_equal(phi[1], np.eye(2, dtype=complex))
+    assert np.array_equal(matrices(phi)[1], np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("tag", ["SO3", "SU2"])
@@ -596,7 +597,7 @@ def test_every_morphism_kind_on_both_constructors(algebras, spec, tag):
     phi = {kind: generate_exact_morphism(g, spec, alg,
                                          MorphismSpec(kind=kind, seed=5))[0]
            for kind in harness.MORPHISM_KINDS}
-    trivial = phi["trivial"]
+    trivial = matrices(phi["trivial"])
     identity = np.broadcast_to(np.eye(alg.matrix_dim), trivial.shape)
     assert trivial.tobytes() == identity.astype(trivial.dtype).tobytes()
     assert _radius(alg, phi["trivial"]) == 0.0
@@ -639,6 +640,7 @@ def test_perturb_defect_bound_and_bruteforce(algebras, constants):
     delta = defect(out, core, alg)
     # three perturbations enter each psi, up to conjugation distortion
     assert delta <= 3 * k.c_prime * k.c_dprime * eps + 1e-12
+    out = matrices(out)
     brute = max(
         float(np.linalg.norm(_log_oracle(alg,
               np.linalg.inv(out[p]) @ np.linalg.inv(out[kk])
@@ -687,7 +689,7 @@ def test_unperturbed_units_flag(algebras):
         phi, alg, PerturbationSpec(epsilon=0.05, seed=10, perturb_units=False),
         g=g)
     for u in g.unit_arrows:
-        assert np.array_equal(out[u], phi[u])
+        assert np.array_equal(out[..., u], phi[..., u])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The kernels compute entry by entry on length-n columns.  The references
 here are the broadcast matrix forms over (n, m, m) and (n, dim) stacks that
 the README states, and the einsum forms of the stacked products; every
-kernel must match them in dtype, in value and in the sign of every zero.
+kernel must match them, through the conftest adapter between value columns
+and matrices, in dtype, in value and in the sign of every zero.
 """
 
 import ast
@@ -14,14 +15,17 @@ import os
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, coords_to_matrix
+from conftest import REPO_ROOT, columns, coords_to_matrix, matrices
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
     _angle_pass,
+    _columns,
     _compose,
     _distances_to_identity,
     _exp_matrices,
+    _inverse,
     _log_coords,
+    _matrices,
     _row_norm,
     normalize_algebra_norm,
 )
@@ -214,20 +218,23 @@ def test_exp_is_the_broadcast_form(algs, aid):
     coords = hard_coords(alg, np.random.default_rng(7))
     got = _exp_matrices(alg, coords)
     assert got.flags.c_contiguous
-    assert_same_bits(ref_exp(alg, coords), got)
-    assert_same_bits(ref_exp(alg, coords), _exp_matrices(alg, coords.T.T))
+    assert_same_bits(ref_exp(alg, coords), matrices(got))
+    assert_same_bits(ref_exp(alg, coords),
+                     matrices(_exp_matrices(alg, coords.T.T)))
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_log_and_distance_are_the_broadcast_forms(algs, aid):
     alg = algs[aid]
     mats = hard_matrices(alg, np.random.default_rng(8))
-    assert_same_bits(ref_log(alg, mats), _log_coords(alg, mats))
+    values = columns(mats)
+    assert_same_bits(ref_log(alg, mats), _log_coords(alg, values))
     assert_same_bits(ref_distances(alg, mats),
-                     _distances_to_identity(alg, mats))
-    stacked = mats[: len(mats) // 2 * 2].reshape(2, -1, *mats.shape[1:])
-    assert_same_bits(ref_distances(alg, stacked),
-                     _distances_to_identity(alg, stacked))
+                     _distances_to_identity(alg, values))
+    n = len(mats) // 2 * 2
+    stacked = mats[:n].reshape(2, -1, *mats.shape[1:])
+    assert_same_bits(ref_distances(alg, stacked), _distances_to_identity(
+        alg, values[..., :n].reshape(*values.shape[:3], 2, -1)))
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
@@ -238,7 +245,7 @@ def test_psi_stack_is_the_gathered_product(algs, aid):
                                           g.n_arrows))
     values[::5] = np.eye(alg.matrix_dim)
     assert_same_bits(ref_psi(values, g.products),
-                     _psi_stack(values, g.products))
+                     matrices(_psi_stack(columns(values), g.products)))
 
 
 def product_operand(alg, rng, n):
@@ -256,27 +263,62 @@ def product_operand(alg, rng, n):
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_compose_is_the_einsum_product(algs, aid, n):
     # einsum's order of the j sum follows its operands' strides, so it is
-    # the oracle on C-ordered stacks and on the strided phi^H that iterate's
-    # step passes; _compose gives every layout the bits of its C-ordered copy
+    # the oracle on C-ordered stacks and on the strided phi^H; _compose
+    # gives every layout of its columns the bits of their C-ordered copy
     alg = algs[aid]
     rng = np.random.default_rng(n)
     a, b = product_operand(alg, rng, n), product_operand(alg, rng, n)
-    kept = a.copy(), b.copy()
+    A, B = columns(a), columns(b)
+    kept = A.copy(), B.copy()
     for x, y in ((a, b), (b, a), (a, a)):
-        assert_same_bits(ref_product(x, y), _compose(x, y))
-        assert_same_bits(ref_adjoint_product(x, y),
-                         _compose(x, y, adjoint=True))
+        assert_same_bits(ref_product(x, y),
+                         matrices(_compose(columns(x), columns(y))))
+        assert_same_bits(ref_adjoint_product(x, y), matrices(
+            _compose(columns(x), columns(y), adjoint=True)))
     a_h = a.conj().swapaxes(-1, -2)
-    assert_same_bits(ref_product(a_h, b), _compose(a_h, b))
-    for x, y in ((a_h, b), (a[::-1], b), (a, b.conj().swapaxes(-1, -2)[::-1]),
-                 (a.T.T, b[:, ::-1, ::-1])):
+    assert_same_bits(ref_product(a_h, b), matrices(_compose(columns(a_h), B)))
+    for x, y in ((A.swapaxes(1, 2), B), (A[..., ::-1], B[..., ::-1]),
+                 (A, B[:, ::-1, ::-1]), (np.asfortranarray(A), B)):
         c_x, c_y = np.ascontiguousarray(x), np.ascontiguousarray(y)
         for adjoint in (False, True):
             got = _compose(x, y, adjoint=adjoint)
             assert got.flags.c_contiguous
             assert_same_bits(_compose(c_x, c_y, adjoint=adjoint), got)
-    assert_same_bits(kept[0], a)
-    assert_same_bits(kept[1], b)
+    assert_same_bits(kept[0], A)
+    assert_same_bits(kept[1], B)
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("aid", ALGEBRAS)
+def test_columns_and_matrices_round_trip_bitwise(algs, aid, n):
+    # the converters at the BLAS products, signed zeros and subnormals
+    # included, against the adapter and each other
+    alg = algs[aid]
+    mats = product_operand(alg, np.random.default_rng(13), n)
+    parts = 2 if aid in ("u1", "su2") else 1
+    values = _columns(mats)
+    assert values.shape == (parts, alg.matrix_dim, alg.matrix_dim, n)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert_same_bits(columns(mats), values)
+    back = _matrices(values)
+    assert back.flags.c_contiguous
+    assert_same_bits(mats, back)
+    assert_same_bits(values, _columns(back))
+    strided = mats.conj().swapaxes(-1, -2)[::-1]
+    assert_same_bits(columns(strided), _columns(strided))
+    assert_same_bits(mats, _matrices(values[..., ::-1])[::-1])
+
+
+@pytest.mark.parametrize("aid", ALGEBRAS)
+def test_inverse_is_the_conjugate_transpose_bitwise(algs, aid):
+    alg = algs[aid]
+    mats = product_operand(alg, np.random.default_rng(14), 500)
+    values = columns(mats)
+    inv = _inverse(values)
+    assert inv.flags.c_contiguous
+    assert_same_bits(mats.conj().swapaxes(-1, -2), matrices(inv))
+    assert_same_bits(values, _inverse(inv))
+    assert_same_bits(values, columns(mats))     # the input is left alone
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
@@ -291,15 +333,18 @@ def test_shared_angle_pass_gives_the_defect_and_the_log(algs, aid):
         ref_exp(alg, ref_sample_ball(alg, rng, 3.0, 3000)),
         np.broadcast_to(eye, (50,) + eye.shape)]).astype(
             complex if aid in ("u1", "su2") else float)
-    angles = _angle_pass(alg, mats)
+    values = columns(mats)
+    angles = _angle_pass(alg, values)
     assert np.any(angles[3] == 0.0) and np.any(angles[1] < 0.0)
     if aid == "so3":
         near = np.abs(angles[3] - np.pi)
         assert np.any((near > 0.0) & (near < 1e-8))
-    assert_same_bits(_distances_to_identity(alg, mats), alg.factor * angles[3])
+    assert_same_bits(_distances_to_identity(alg, values),
+                     alg.factor * angles[3])
     assert_same_bits(ref_distances(alg, mats), alg.factor * angles[3])
-    assert_same_bits(_log_coords(alg, mats), _log_coords(alg, mats, angles))
-    assert_same_bits(ref_log(alg, mats), _log_coords(alg, mats, angles))
+    assert_same_bits(_log_coords(alg, values),
+                     _log_coords(alg, values, angles))
+    assert_same_bits(ref_log(alg, mats), _log_coords(alg, values, angles))
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +403,51 @@ def test_src_has_no_einsum_stacked_product():
     # a stacked product belongs to groups._compose; any other einsum needs
     # a literal subscript and a reason in EINSUM_ALLOWED
     assert not found
+
+
+# functions of src/ that may multiply matrices by BLAS (`@` or np.matmul),
+# each with its reason: these are the only places where the BLAS kernel
+# decides bits, and each converts between value columns and matrices there
+MATMUL_ALLOWED = {
+    "rectifier._psi_stack": "psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) as two "
+                            "stacked products of gathered matrices",
+    "harness.generate_exact_morphism": "the exact coboundary h_t h_s^-1 and "
+                                       "the conjugated homomorphism z v z^H",
+}
+
+
+def matmul_sites(tree, module):
+    """(line, enclosing function as module.name) of each `@`, `@=` and
+    matmul call."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{module}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+            if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.MatMult)
+                    or isinstance(child, ast.Call) and getattr(
+                        child.func, "attr", getattr(child.func, "id", None))
+                    == "matmul"):
+                yield child.lineno, inner
+            yield from visit(child, inner)
+    yield from visit(tree, module)
+
+
+def test_matmul_check_finds_products():
+    tree = ast.parse("def f(a, b):\n    return a @ b\n"
+                     "def g(a, b):\n    a @= b\n    return np.matmul(a, b)\n"
+                     "c = matmul(a, b)\n"
+                     "def h(a, b):\n    return a * b\n")
+    assert list(matmul_sites(tree, "m")) == [(2, "m.f"), (4, "m.g"),
+                                             (5, "m.g"), (6, "m")]
+
+
+def test_src_multiplies_matrices_by_blas_only_where_allowed():
+    found = set()
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "haarrect", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.splitext(os.path.basename(path))[0]
+        found |= {where for _, where in matmul_sites(tree, module)}
+    # every other product of group values is a _compose of value columns
+    assert found == set(MATMUL_ALLOWED)

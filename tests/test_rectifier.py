@@ -1,16 +1,20 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from conftest import (
     TAU_GROUP,
+    columns,
     defect,
     group_membership_residual,
+    matrices,
     translations,
 )
 from haarrect.errors import (
     DefectOverflow,
     DefectTooLarge,
-    HaarrectError,
     NonContraction,
     RangeEscape,
 )
@@ -24,6 +28,7 @@ from haarrect.groupoids import (
 from haarrect.groups import (
     AmbientSets,
     BchConstants,
+    _compose,
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
@@ -41,7 +46,6 @@ from haarrect.harness import (
 from haarrect import groups, rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
-    IterationTrace,
     _correction,
     _max_distance,
     _psi_stack,
@@ -58,10 +62,11 @@ def full_core(g):
 
 
 def coboundary(g, alg, seed=0, scale=0.2):
+    """Value columns of h_t(a) h_s(a)^-1 by explicit inverses."""
     rng = np.random.default_rng(seed)
-    h = _exp_matrices(alg, alg.sample_ball(rng, scale, g.n_objects))
-    return np.array([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
-                     for a in range(g.n_arrows)])
+    h = matrices(_exp_matrices(alg, alg.sample_ball(rng, scale, g.n_objects)))
+    return columns([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
+                    for a in range(g.n_arrows)])
 
 
 def unit_constants():
@@ -78,7 +83,7 @@ def test_psi_identity_for_exact_morphism(algebras):
     g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
-    psi = _psi_stack(phi, core.pairs)
+    psi = matrices(_psi_stack(phi, core.pairs))
     assert group_membership_residual(psi, "SO3") <= TAU_GROUP
     assert np.abs(psi - np.eye(3)).max() < 1e-14
 
@@ -87,8 +92,8 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = np.array([np.eye(2, dtype=complex)] * 9)
-    psi = _psi_stack(phi, core.pairs[:5])
+    phi = columns([np.eye(2, dtype=complex)] * 9)
+    psi = matrices(_psi_stack(phi, core.pairs[:5]))
     assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
                                                psi.shape))
 
@@ -99,11 +104,11 @@ def test_psi_single_perturbation_brute_force(algebras):
     alg = algebras["SO3"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = coboundary(g, alg, seed=2)
+    phi = matrices(coboundary(g, alg, seed=2))
     w = np.array([0.01, 0.0, 0.0])
     star = 5
     phi_p = phi.copy()
-    phi_p[star] = phi_p[star] @ _exp_matrices(alg, w[None])[0]
+    phi_p[star] = phi_p[star] @ matrices(_exp_matrices(alg, w[None]))[0]
 
     rows, expected = [], []
     for k in range(9):
@@ -115,13 +120,13 @@ def test_psi_single_perturbation_brute_force(algebras):
             expected.append(np.linalg.inv(phi_p[p]) @ np.linalg.inv(phi_p[k])
                             @ phi_p[kp])
     assert len(rows) == 27
-    got = _psi_stack(phi_p, rows)
+    got = matrices(_psi_stack(columns(phi_p), rows))
     assert group_membership_residual(got, "SO3") <= TAU_GROUP
     assert np.abs(got - np.array(expected)).max() < 1e-13
 
-    brute = _distances_to_identity(alg, np.array(expected)).max()
-    assert abs(defect(phi_p, core, alg) - brute) < 1e-14
-    assert 0.0 < defect(phi_p, core, alg) <= 3 * 0.01 * 1.01
+    brute = _distances_to_identity(alg, columns(expected)).max()
+    assert abs(defect(columns(phi_p), core, alg) - brute) < 1e-14
+    assert 0.0 < defect(columns(phi_p), core, alg) <= 3 * 0.01 * 1.01
 
 
 def test_central_right_translation_law(algebras):
@@ -130,11 +135,11 @@ def test_central_right_translation_law(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = coboundary(g, alg, seed=3)
+    phi = matrices(coboundary(g, alg, seed=3))
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
     phi_z = phi @ z
-    psi = _psi_stack(phi, core.pairs[:6])
-    psi_z = _psi_stack(phi_z, core.pairs[:6])
+    psi = matrices(_psi_stack(columns(phi), core.pairs[:6]))
+    psi_z = matrices(_psi_stack(columns(phi_z), core.pairs[:6]))
     assert group_membership_residual(psi, "SU2") <= TAU_GROUP
     assert group_membership_residual(psi_z, "SU2") <= TAU_GROUP
     assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
@@ -145,12 +150,13 @@ def test_defect_invariant_under_conjugation(algebras):
     g = build_pair_groupoid(4)
     core = full_core(g)
     rng = np.random.default_rng(8)
-    phi = coboundary(g, alg, seed=4)
-    phi_p = phi.copy()
-    phi_p[2] = phi_p[2] @ _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1))[0]
-    z = _exp_matrices(alg, alg.sample_ball(rng, 1.0, 1))[0]
+    phi_p = matrices(coboundary(g, alg, seed=4))
+    phi_p[2] = phi_p[2] @ matrices(
+        _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1)))[0]
+    z = matrices(_exp_matrices(alg, alg.sample_ball(rng, 1.0, 1)))[0]
     phi_c = z @ phi_p @ z.conj().T
-    assert abs(defect(phi_p, core, alg) - defect(phi_c, core, alg)) < 1e-12
+    assert abs(defect(columns(phi_p), core, alg)
+               - defect(columns(phi_c), core, alg)) < 1e-12
 
 
 def test_defect_overflow(algebras):
@@ -160,7 +166,7 @@ def test_defect_overflow(algebras):
     phi = np.array([[[np.exp(0j)]]] * 9)
     phi[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
     with pytest.raises(DefectOverflow):
-        defect(phi, core, alg)
+        defect(columns(phi), core, alg)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def test_exact_morphism_average_is_identity(algebras):
     phi = coboundary(g, alg, seed=5)
     corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
     assert norms.max() < 1e-14
-    assert np.abs(corrections - np.eye(3)).max() < 1e-13
+    assert np.abs(matrices(corrections) - np.eye(3)).max() < 1e-13
 
 
 def test_trivial_morphism_fixed_point_bitwise(algebras):
@@ -184,8 +190,9 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = np.array([np.eye(2, dtype=complex)] * 2)
-    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = np.einsum("nij,njk->nik", phi, corrections)
+    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
+                                 mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert np.array_equal(out, phi)
 
 
@@ -196,9 +203,10 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
-    assert _radius(alg, phi) == pytest.approx(alg.scale * np.pi)
-    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = np.einsum("nij,njk->nik", phi, corrections)
+    assert _radius(alg, columns(phi)) == pytest.approx(alg.scale * np.pi)
+    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
+                                 mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert np.array_equal(out, phi)
 
 
@@ -211,11 +219,12 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.05 * (2 * rng.random(9) - 1)
     phi = np.exp(1j * theta)[:, None, None]
-    assert defect(phi, core, alg) > 1e-4
+    assert defect(columns(phi), core, alg) > 1e-4
 
-    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = np.einsum("nij,njk->nik", phi, corrections)
-    assert defect(out, core, alg) <= 1e-14
+    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
+                                 mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+    assert defect(columns(out), core, alg) <= 1e-14
 
     # closed-form abelian cocycle oracle: theta_hat = theta + sum w delta
     def principal(x):
@@ -243,9 +252,10 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
     phi = np.exp(1j * theta)[:, None, None]
-    corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
-    out = np.einsum("nij,njk->nik", phi, corrections)
-    assert defect(out, core, alg) <= 1e-14
+    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
+                                 mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+    assert defect(columns(out), core, alg) <= 1e-14
 
 
 def test_correction_norm_bound_and_step_identity(algebras, constants):
@@ -255,16 +265,17 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(21)
-    phi = coboundary(g, alg, seed=6)
+    phi = matrices(coboundary(g, alg, seed=6))
     noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
-    phi = np.einsum("nij,njk->nik", phi, noise)
-    delta = defect(phi, core, alg)
-    corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    phi = np.einsum("nij,njk->nik", phi, matrices(noise))
+    delta = defect(columns(phi), core, alg)
+    corrections, norms = _correction(_psi_stack(columns(phi), core.pairs),
+                                     core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
 
-    out = np.einsum("nij,njk->nik", phi, corrections)
+    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     moves = _distances_to_identity(
-        alg, phi.conj().swapaxes(-1, -2) @ out)
+        alg, columns(phi.conj().swapaxes(-1, -2) @ out))
     assert abs(max(moves) - norms.max()) < 1e-13
 
 
@@ -317,7 +328,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
         core, {a: 1.0 + int(g.target[a]) for a in core.arrow_subset})
     pairs = core.pairs
     rng = np.random.default_rng(43)
-    psi = _exp_matrices(alg, alg.sample_ball(rng, 0.02, len(pairs)))
+    psi = matrices(_exp_matrices(alg, alg.sample_ball(rng, 0.02, len(pairs))))
     narrow = g.target[pairs[:, 1]] == 4
     half = 0.01 * rng.random(narrow.sum())
     psi[narrow] = 0.0
@@ -325,6 +336,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     psi[narrow, 1, 1] = np.exp(-0.5j * half)
     psi[narrow, 0, 1] = complex(-0.0, -0.0)
     psi[narrow, 1, 0] = complex(0.0, -0.0)
+    psi = columns(psi)
     logs = _log_coords(alg, psi)
     assert np.all(np.signbit(logs[narrow, :2]))
     terms = mu[pairs[:, 0], None] * logs
@@ -399,8 +411,7 @@ def make_perturbed(algebras, tag, seed, eps, n_points=4):
     rng = np.random.default_rng(seed)
     phi = coboundary(g, alg, seed=seed)
     noise = _exp_matrices(alg, alg.sample_ball(rng, eps, g.n_arrows))
-    phi = np.einsum("nij,njk->nik", phi, noise)
-    return g, core, mu, phi
+    return g, core, mu, _compose(phi, noise)
 
 
 def test_iterate_exact_terminates_at_zero(algebras, constants):
@@ -440,29 +451,29 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
         assert trace.deltas[n + 1] <= q_bound(trace.deltas[n], k) + 1e-12
 
     # replay the iteration step by step against the brute-force defect
-    current = phi
+    current = matrices(phi)
     for n in range(trace.iterations):
-        brute = _distances_to_identity(alg, np.array([
+        brute = _distances_to_identity(alg, columns([
             np.linalg.inv(current[p]) @ np.linalg.inv(current[kk])
             @ current[kp]
             for kk, p, kp in core.pairs])).max()
         assert abs(brute - trace.deltas[n]) < 1e-13
-        corrections, _ = _correction(_psi_stack(current, core.pairs), core,
-                                     mu, alg)
-        current = np.einsum("nij,njk->nik", current, corrections)
-    assert abs(defect(current, core, alg) - trace.deltas[-1]) < 1e-13
+        corrections, _ = _correction(_psi_stack(columns(current), core.pairs),
+                                     core, mu, alg)
+        current = np.einsum("nij,njk->nik", current, matrices(corrections))
+    assert abs(defect(columns(current), core, alg) - trace.deltas[-1]) < 1e-13
 
 
 def test_iterate_equivariance_under_conjugation(algebras, constants):
     alg, k = algebras["SO3"], constants["SO3"]
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=16, eps=0.008)
     rng = np.random.default_rng(99)
-    z = _exp_matrices(alg, alg.sample_ball(rng, 1.2, 1))[0]
-    phi_c = z @ phi @ z.conj().T
+    z = matrices(_exp_matrices(alg, alg.sample_ball(rng, 1.2, 1)))[0]
+    phi_c = columns(z @ matrices(phi) @ z.conj().T)
     lim_a, _ = iterate(phi, core, mu, alg, k)
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
-    conj = z @ lim_a @ z.conj().T
-    assert np.abs(conj - lim_b).max() < 1e-12
+    conj = z @ matrices(lim_a) @ z.conj().T
+    assert np.abs(conj - matrices(lim_b)).max() < 1e-12
 
 
 def test_iterate_cauchy_certificate(algebras, constants):
@@ -520,7 +531,7 @@ def test_iterate_reads_each_psi_stack_in_one_angle_pass(algebras, constants,
     g, core, mu, phi = make_perturbed(algebras, tag, seed=21, eps=0.01)
     sine_cosine, rows = groups._sine_cosine, []
     monkeypatch.setattr(groups, "_sine_cosine", lambda alg, m: (
-        rows.append(len(m)) or sine_cosine(alg, m)))
+        rows.append(m.shape[-1]) or sine_cosine(alg, m)))
     _, trace = iterate(phi, core, mu, alg, constants[tag])
     assert trace.iterations >= 1
     # U1's log is the signed atan2 of the shared sine and cosine
@@ -545,9 +556,10 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
 # ---------------------------------------------------------------------------
 
 def complex_psi(phi, pairs):
-    """psi over (k, p, kp) rows as a product of the complex values."""
+    """psi over (k, p, kp) rows as a product of the complex values of the
+    columns phi."""
     k, p, kp = np.asarray(pairs).T
-    values = phi.astype(complex)
+    values = matrices(phi).astype(complex)
     inv = values.conj().swapaxes(-1, -2)
     return inv[p] @ inv[k] @ values[kp]
 
@@ -577,46 +589,42 @@ def test_real_psi_stack_matches_complex_product(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
         psi = _psi_stack(phi, pairs)
-        assert psi.dtype == np.float64
-        assert np.abs(psi - complex_psi(phi, pairs)).max() <= 1e-15
+        assert psi.dtype == np.float64 and len(psi) == 1
+        assert np.abs(matrices(psi) - complex_psi(phi, pairs)).max() <= 1e-15
 
 
-def test_iterate_stores_real_groups_in_float64(algebras, constants):
-    # iterate coerces its input once: complex-typed values of a real group
-    # run as their float64 real part, bit for bit
-    outcomes = []
-    for alg, g, core, phi in harness_cases(algebras):
-        assert phi.dtype == np.float64
-        k = constants_for(alg, ConstantsSpec(seed=101))
-        mu = attach_haar_density(core, "uniform")
-        runs = []
-        for values in (phi, phi.astype(complex)):
-            try:
-                limit, trace = iterate(values, core, mu, alg, k)
-            except HaarrectError as exc:
-                runs.append((type(exc), exc.initial_defect))
-            else:
-                assert limit.dtype == np.float64
-                runs.append((limit.tobytes(), trace))
-        assert runs[0] == runs[1]
-        outcomes.append(isinstance(runs[0][1], IterationTrace))
-    assert any(outcomes)
-    for tag in ("U1", "SU2"):
-        alg = algebras[tag]
-        g = build_pair_groupoid(2)
-        core = full_core(g)
-        identity = np.eye(alg.matrix_dim)[None].repeat(g.n_arrows, axis=0)
-        limit, trace = iterate(identity, core,
-                               attach_haar_density(core, "uniform"), alg,
-                               constants[tag])
-        assert limit.dtype == complex and trace.iterations == 0
-        assert np.array_equal(limit, identity)
+@pytest.mark.parametrize("tag", ["U1", "SO2", "SO3", "SU2"])
+def test_iterate_and_verify_take_only_value_columns(algebras, tag):
+    # values are (parts, m, m, n_arrows) float64 columns, parts 2 for the
+    # complex groups; any other stack, the (n_arrows, m, m) matrices
+    # included, is a ValueError naming the expected shape
+    alg = algebras[tag]
+    g = build_pair_groupoid(2)
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    m, parts = alg.matrix_dim, 2 if tag in ("U1", "SU2") else 1
+    identity = columns(np.eye(m, dtype=complex if parts == 2 else float)[None]
+                       .repeat(g.n_arrows, axis=0))
+    assert identity.shape == (parts, m, m, g.n_arrows)
+    k = constants_for(alg, ConstantsSpec(seed=101))
+    limit, trace = iterate(identity, core, mu, alg, k)
+    assert trace.iterations == 0 and limit.dtype == np.float64
+    assert np.array_equal(limit, identity)
+    assert verify_core_morphism(identity, core, alg, full=True) == 0.0
+    expected = re.escape(f"(parts, m, m, n_arrows) = {identity.shape}")
+    other_parts = identity[:1] if parts == 2 else identity[[0, 0]]
+    for bad in (matrices(identity), identity.astype(complex), other_parts,
+                identity[..., :-1], identity[None]):
+        with pytest.raises(ValueError, match=expected):
+            iterate(bad, core, mu, alg, k)
+        with pytest.raises(ValueError, match=expected):
+            verify_core_morphism(bad, core, alg)
 
 
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
-        psi_c = complex_psi(phi, pairs)
+        psi_c = columns(complex_psi(phi, pairs).real)
         assert abs(defect(phi, core, alg)
                    - _max_distance(alg, psi_c)[0]) <= 1e-15
         mu = attach_haar_density(core, "uniform")
@@ -627,7 +635,8 @@ def test_real_psi_defect_correction_and_verification_match_complex(algebras):
         q, p = g.products[:, 0], g.products[:, 1]
         full = g.products[g.source[q] == g.target[p]]
         for rows, flag in ((pairs, False), (full, True)):
-            expected = np.max(_distances_to_identity(alg, complex_psi(phi, rows)))
+            expected = np.max(_distances_to_identity(
+                alg, columns(complex_psi(phi, rows).real)))
             got = verify_core_morphism(phi, core, alg, full=flag)
             assert abs(got - expected) <= 1e-15
 
@@ -660,10 +669,53 @@ def test_partial_core_residual_reported_separately(algebras, constants):
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(25)
     theta = 0.04 * (2 * rng.random(8) - 1)
-    phi = np.exp(1j * theta)[:, None, None]
+    phi = columns(np.exp(1j * theta)[:, None, None])
     limit, trace = iterate(phi, core, mu, alg, k)
     core_res = verify_core_morphism(limit, core, alg)
     full_res = verify_core_morphism(limit, core, alg, full=True)
     assert core_res <= 1e-13
     # only the core identity is driven to zero; full pairs may stay off
     assert full_res > 100 * core_res
+
+
+def symmetric_group_3():
+    """S3 as a table over the permutations of (0, 1, 2) in lexicographic
+    order, (ab)(x) = a(b(x)), and the indices of the even ones (A3)."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+    even = [n for n, p in enumerate(perms)
+            if sum(p[i] > p[j] for j in range(3) for i in range(j)) % 2 == 0]
+    return FiniteGroup(table=np.array(table), identity=0), np.array(perms), even
+
+
+@pytest.mark.parametrize("core_kind", ["full", "A3"])
+@pytest.mark.parametrize("tag", ["SO3", "SU2"])
+def test_s3_on_three_points_contracts_on_full_and_alternating_cores(
+        algebras, constants, tag, core_kind):
+    # non-abelian isotropy: each point is fixed by a swap, and S3 acts on
+    # the three points; the A3 core is a proper core whose isotropy is
+    # trivial, so only its pairs are driven to a morphism
+    group, perms, even = symmetric_group_3()
+    g = build_action_groupoid(group, perms)
+    arrows = (range(g.n_arrows) if core_kind == "full"
+              else [a for a in range(g.n_arrows) if a // 3 in even])
+    core = build_core(g, tuple(arrows))
+    mu = attach_haar_density(core, "uniform")
+    alg, k = algebras[tag], constants[tag]
+    rng = np.random.default_rng(31)
+    phi = _compose(coboundary(g, alg, seed=31),
+                   _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows)))
+    tol = 1e-12
+    limit, trace = iterate(phi, core, mu, alg, k, sets=AmbientSets(1.5, 2.5),
+                           tol=tol)
+    assert trace.terminated == "converged" and 1 <= trace.iterations <= 4
+    assert all(trace.q_certified)
+    assert all(trace.correction_bound_ok) and all(trace.step_bound_ok)
+    assert verify_core_morphism(limit, core, alg) <= (k.d_prime / k.d) * tol
+    full = verify_core_morphism(limit, core, alg, full=True)
+    if core_kind == "full":
+        assert full == trace.deltas[-1]
+    else:
+        # the pairs off the core keep about the perturbation's size
+        assert full > 1e-3
