@@ -114,12 +114,16 @@ def _matrices(values):
     return (x.view(complex) if len(values) == 2 else x)[..., 0]
 
 
-def _columns(mats):
-    """The value columns of (n, m, m) matrices, two parts if complex."""
+def _columns(mats, out=None):
+    """The value columns of (n, m, m) matrices, two parts if complex, in a
+    new array or copied into ``out``."""
     parts = 2 if np.iscomplexobj(mats) else 1
     x = np.ascontiguousarray(mats, dtype=complex if parts == 2 else float)
-    x = x.view(float).reshape(*x.shape, parts)
-    return np.ascontiguousarray(x.transpose(3, 1, 2, 0))
+    x = x.view(float).reshape(*x.shape, parts).transpose(3, 1, 2, 0)
+    if out is None:
+        out = np.empty(x.shape)
+    np.copyto(out, x)
+    return out
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,8 @@ _SIZE = _must(lambda v: _is_int(v) and v >= 1, "a positive integer")
 _FILE_NAME = _must(_is_file_name, "a file name")
 
 # Largest product table (and full core), bench-holo grid or eta node count
-# a config may ask for: pair(215) at most; pair(200) has 8 * 10^6 entries.
+# a config may ask for: pair(215) at most; pair(200) has 8 * 10^6 entries,
+# and an SO3 `rectify run` over it peaks near 790 MB of resident memory.
 MAX_TABLE_ENTRIES = 10 ** 7
 MAX_SAMPLE_COUNT = 10 ** 6      # constants samples; SO3 peaks near 840 MB
 

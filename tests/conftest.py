@@ -12,7 +12,7 @@ from haarrect.groups import (
     normalize_algebra_norm,
 )
 from haarrect.harness import ConstantsSpec, constants_for
-from haarrect.rectifier import _max_distance, _psi_stack
+from haarrect.rectifier import _PsiPass
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -41,7 +41,30 @@ def assert_same_groupoid(a, b):
 def defect(phi, core, alg):
     """Max distance of psi from the identity over the core pairs of the
     value columns phi."""
-    return _max_distance(alg, _psi_stack(phi, core.pairs))[0]
+    return _PsiPass(alg, core.pairs).run(phi).defect()
+
+
+def psi_stack(alg, phi, pairs):
+    """psi over (k, p, kp) rows as value columns: the slabs of one pass,
+    joined."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 3)
+    return np.concatenate([psi.copy() for _, psi in
+                           _PsiPass(alg, pairs).psi_slabs(phi)], axis=-1)
+
+
+def stack_defect(alg, psi):
+    """The defect of a psi stack, read as one slab."""
+    sweep = _PsiPass(alg, np.empty((0, 3), dtype=np.intp))
+    sweep.read(psi, 0)
+    return sweep.defect()
+
+
+def correction(psi, core, mu, alg):
+    """The averaged correction of a psi stack over the core pairs, read as
+    one slab."""
+    sweep = _PsiPass(alg, core.pairs, core, mu)
+    sweep.read(psi, 0)
+    return sweep.correction()
 
 
 # the adapter between the package's layout of a stack of n group values,

@@ -12,9 +12,11 @@ import pytest
 from conftest import (
     TAU_GROUP,
     columns,
+    correction,
     defect,
     group_membership_residual,
     matrices,
+    psi_stack,
     revalidate_bch_constants,
     translations,
     with_products,
@@ -55,8 +57,6 @@ from haarrect.holo import (
     sample_function,
 )
 from haarrect.rectifier import (
-    _correction,
-    _psi_stack,
     admissible_defect_radius,
     iterate,
     verify_core_morphism,
@@ -144,8 +144,8 @@ def test_criterion_1_fixed_point_exactness(algebras):
         with pytest.warns(UserWarning) if expect_warn else contextlib.nullcontext():
             phi, _ = generate_exact_morphism(g, spec, alg,
                                              MorphismSpec(seed=i))
-        corrections, _ = _correction(_psi_stack(phi, core.pairs), core, mu,
-                                     alg)
+        corrections, _ = correction(psi_stack(alg, phi, core.pairs), core, mu,
+                                    alg)
         phi = matrices(phi)
         out = np.einsum("nij,njk->nik", phi, matrices(corrections))
         move = _distances_to_identity(

@@ -7,6 +7,7 @@ from conftest import (
     TAU_GROUP,
     columns,
     coords_to_matrix,
+    correction,
     group_membership_residual,
     matrices,
     revalidate_bch_constants,
@@ -25,7 +26,6 @@ from haarrect.groups import (
     haar_integrate,
     normalize_algebra_norm,
 )
-from haarrect.rectifier import _correction
 
 
 def exp_mats(alg, coords):
@@ -236,11 +236,11 @@ def test_log_outside_margin_raises(algebras):
     mu = attach_haar_density(core, "uniform")
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
     with pytest.raises(LogDomainError):
-        _correction(columns([[[np.exp(1j * np.pi)]]]), core, mu, alg)
+        correction(columns([[[np.exp(1j * np.pi)]]]), core, mu, alg)
     # -I in SU(2): zero sine vector, yet the full half-turn angle
     with pytest.raises(LogDomainError):
-        _correction(columns(-np.eye(2, dtype=complex)[None]), core, mu,
-                    algebras["SU2"])
+        correction(columns(-np.eye(2, dtype=complex)[None]), core, mu,
+                   algebras["SU2"])
 
 
 def test_group_membership_enforced():

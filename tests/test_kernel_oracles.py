@@ -15,7 +15,13 @@ import os
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, columns, coords_to_matrix, matrices
+from conftest import (
+    REPO_ROOT,
+    columns,
+    coords_to_matrix,
+    matrices,
+    psi_stack,
+)
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
     _angle_pass,
@@ -29,7 +35,6 @@ from haarrect.groups import (
     _row_norm,
     normalize_algebra_norm,
 )
-from haarrect.rectifier import _psi_stack
 
 ALGEBRAS = ("u1", "so2", "so3", "su2")
 
@@ -245,7 +250,7 @@ def test_psi_stack_is_the_gathered_product(algs, aid):
                                           g.n_arrows))
     values[::5] = np.eye(alg.matrix_dim)
     assert_same_bits(ref_psi(values, g.products),
-                     matrices(_psi_stack(columns(values), g.products)))
+                     matrices(psi_stack(alg, columns(values), g.products)))
 
 
 def product_operand(alg, rng, n):
@@ -409,8 +414,8 @@ def test_src_has_no_einsum_stacked_product():
 # each with its reason: these are the only places where the BLAS kernel
 # decides bits, and each converts between value columns and matrices there
 MATMUL_ALLOWED = {
-    "rectifier._psi_stack": "psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) as two "
-                            "stacked products of gathered matrices",
+    "rectifier.psi_slabs": "psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) as two "
+                           "stacked products of gathered matrices, per slab",
     "harness.generate_exact_morphism": "the exact coboundary h_t h_s^-1 and "
                                        "the conjugated homomorphism z v z^H",
 }

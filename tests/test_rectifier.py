@@ -1,5 +1,7 @@
 import itertools
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +9,19 @@ import pytest
 from conftest import (
     TAU_GROUP,
     columns,
+    correction,
     defect,
     group_membership_residual,
     matrices,
+    psi_stack,
+    stack_defect,
     translations,
 )
 from haarrect.errors import (
     DefectOverflow,
     DefectTooLarge,
+    HaarrectError,
+    LogDomainError,
     NonContraction,
     RangeEscape,
 )
@@ -46,9 +53,6 @@ from haarrect.harness import (
 from haarrect import groups, rectifier
 from haarrect.sums import weighted_sum
 from haarrect.rectifier import (
-    _correction,
-    _max_distance,
-    _psi_stack,
     _radius,
     admissible_defect_radius,
     iterate,
@@ -83,7 +87,7 @@ def test_psi_identity_for_exact_morphism(algebras):
     g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
-    psi = matrices(_psi_stack(phi, core.pairs))
+    psi = matrices(psi_stack(alg, phi, core.pairs))
     assert group_membership_residual(psi, "SO3") <= TAU_GROUP
     assert np.abs(psi - np.eye(3)).max() < 1e-14
 
@@ -93,7 +97,7 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     g = build_pair_groupoid(3)
     core = full_core(g)
     phi = columns([np.eye(2, dtype=complex)] * 9)
-    psi = matrices(_psi_stack(phi, core.pairs[:5]))
+    psi = matrices(psi_stack(alg, phi, core.pairs[:5]))
     assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
                                                psi.shape))
 
@@ -120,7 +124,7 @@ def test_psi_single_perturbation_brute_force(algebras):
             expected.append(np.linalg.inv(phi_p[p]) @ np.linalg.inv(phi_p[k])
                             @ phi_p[kp])
     assert len(rows) == 27
-    got = matrices(_psi_stack(columns(phi_p), rows))
+    got = matrices(psi_stack(alg, columns(phi_p), rows))
     assert group_membership_residual(got, "SO3") <= TAU_GROUP
     assert np.abs(got - np.array(expected)).max() < 1e-13
 
@@ -138,8 +142,8 @@ def test_central_right_translation_law(algebras):
     phi = matrices(coboundary(g, alg, seed=3))
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
     phi_z = phi @ z
-    psi = matrices(_psi_stack(columns(phi), core.pairs[:6]))
-    psi_z = matrices(_psi_stack(columns(phi_z), core.pairs[:6]))
+    psi = matrices(psi_stack(alg, columns(phi), core.pairs[:6]))
+    psi_z = matrices(psi_stack(alg, columns(phi_z), core.pairs[:6]))
     assert group_membership_residual(psi, "SU2") <= TAU_GROUP
     assert group_membership_residual(psi_z, "SU2") <= TAU_GROUP
     assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
@@ -179,7 +183,8 @@ def test_exact_morphism_average_is_identity(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = coboundary(g, alg, seed=5)
-    corrections, norms = _correction(_psi_stack(phi, core.pairs), core, mu, alg)
+    corrections, norms = correction(psi_stack(alg, phi, core.pairs), core,
+                                    mu, alg)
     assert norms.max() < 1e-14
     assert np.abs(matrices(corrections) - np.eye(3)).max() < 1e-13
 
@@ -190,8 +195,8 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = np.array([np.eye(2, dtype=complex)] * 2)
-    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
-                                 mu, alg)
+    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
+                                mu, alg)
     out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert np.array_equal(out, phi)
 
@@ -204,8 +209,8 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     mu = attach_haar_density(core, "uniform")
     phi = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
     assert _radius(alg, columns(phi)) == pytest.approx(alg.scale * np.pi)
-    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
-                                 mu, alg)
+    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
+                                mu, alg)
     out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert np.array_equal(out, phi)
 
@@ -221,8 +226,8 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     phi = np.exp(1j * theta)[:, None, None]
     assert defect(columns(phi), core, alg) > 1e-4
 
-    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
-                                 mu, alg)
+    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
+                                mu, alg)
     out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert defect(columns(out), core, alg) <= 1e-14
 
@@ -252,8 +257,8 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
     phi = np.exp(1j * theta)[:, None, None]
-    corrections, _ = _correction(_psi_stack(columns(phi), core.pairs), core,
-                                 mu, alg)
+    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
+                                mu, alg)
     out = np.einsum("nij,njk->nik", phi, matrices(corrections))
     assert defect(columns(out), core, alg) <= 1e-14
 
@@ -269,8 +274,8 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
     phi = np.einsum("nij,njk->nik", phi, matrices(noise))
     delta = defect(columns(phi), core, alg)
-    corrections, norms = _correction(_psi_stack(columns(phi), core.pairs),
-                                     core, mu, alg)
+    corrections, norms = correction(psi_stack(alg, columns(phi), core.pairs),
+                                    core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
 
     out = np.einsum("nij,njk->nik", phi, matrices(corrections))
@@ -279,27 +284,33 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     assert abs(max(moves) - norms.max()) < 1e-13
 
 
-def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
-    # Z4 acting on a 4-cycle plus a fixed point; the core takes the whole
-    # free orbit (fibers of 4) but only the subgroup {0, 2} at the fixed
-    # point (fibers of 2), so fiber widths differ between components
-    alg = algebras["SO3"]
+def ragged_core():
+    """Z4 acting on a 4-cycle plus a fixed point; the core takes the whole
+    free orbit (fibers of 4) but only the subgroup {0, 2} at the fixed
+    point (fibers of 2), so fiber widths differ between components.  The
+    density is a function of the target, right invariant and non-uniform
+    per fiber."""
     g = build_action_groupoid(
         FiniteGroup.cyclic(4),
         [[x if x == 4 else (x + a) % 4 for x in range(5)] for a in range(4)])
     core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
                       + [4, 14])
+    mu = attach_haar_density(
+        core, {a: 1.0 + int(g.target[a]) for a in core.arrow_subset})
+    return g, core, mu
+
+
+def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
+    alg = algebras["SO3"]
+    g, core, mu = ragged_core()
     assert {len(core.fiber_at(z)) for z in range(5)} == {2, 4}
-    # a function of the target is right invariant; non-uniform per fiber
-    weights = {a: 1.0 + int(g.target[a]) for a in core.arrow_subset}
-    mu = attach_haar_density(core, weights)
     rng = np.random.default_rng(41)
     phi = _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows))
 
     # reference: the per-arrow compensated sum over the fiber, in fiber
     # order, of the same batched logs
     pairs = core.pairs
-    logs = _log_coords(alg, _psi_stack(phi, pairs))
+    logs = _log_coords(alg, psi_stack(alg, phi, pairs))
     log_of = {(int(k), int(p)): v for (k, p, _), v in zip(pairs, logs)}
     ref = np.array([
         weighted_sum(mu[list(fiber)],
@@ -307,7 +318,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
         for p in range(g.n_arrows)
         for fiber in [core.fiber_at(int(g.target[p]))]
     ])
-    corrections, norms = _correction(_psi_stack(phi, pairs), core, mu, alg)
+    corrections, norms = correction(psi_stack(alg, phi, pairs), core, mu, alg)
     assert np.array_equal(norms, alg.norm(ref))
     assert np.array_equal(corrections, _exp_matrices(alg, ref))
 
@@ -319,13 +330,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     # log coordinates are -0.0, so their plain fiber sum is -0.0, while the
     # compensated sum is +0.0; the padding after those fibers must keep it
     alg = algebras["SU2"]
-    g = build_action_groupoid(
-        FiniteGroup.cyclic(4),
-        [[x if x == 4 else (x + a) % 4 for x in range(5)] for a in range(4)])
-    core = build_core(g, [a * 5 + x for a in range(4) for x in range(4)]
-                      + [4, 14])
-    mu = attach_haar_density(
-        core, {a: 1.0 + int(g.target[a]) for a in core.arrow_subset})
+    g, core, mu = ragged_core()
     pairs = core.pairs
     rng = np.random.default_rng(43)
     psi = matrices(_exp_matrices(alg, alg.sample_ball(rng, 0.02, len(pairs))))
@@ -356,7 +361,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
         return _exp_matrices(alg, coords)
 
     monkeypatch.setattr(rectifier, "_exp_matrices", exp_spy)
-    corrections, norms = _correction(psi, core, mu, alg)
+    corrections, norms = correction(psi, core, mu, alg)
     assert seen[0].tobytes() == ref.tobytes()
     assert norms.tobytes() == alg.norm(ref).tobytes()
     assert corrections.tobytes() == _exp_matrices(alg, ref).tobytes()
@@ -458,8 +463,8 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
             @ current[kp]
             for kk, p, kp in core.pairs])).max()
         assert abs(brute - trace.deltas[n]) < 1e-13
-        corrections, _ = _correction(_psi_stack(columns(current), core.pairs),
-                                     core, mu, alg)
+        corrections, _ = correction(
+            psi_stack(alg, columns(current), core.pairs), core, mu, alg)
         current = np.einsum("nij,njk->nik", current, matrices(corrections))
     assert abs(defect(columns(current), core, alg) - trace.deltas[-1]) < 1e-13
 
@@ -526,16 +531,165 @@ def test_iterate_errors_carry_the_initial_defect(algebras, constants):
 @pytest.mark.parametrize("tag", ["U1", "SO3", "SU2"])
 def test_iterate_reads_each_psi_stack_in_one_angle_pass(algebras, constants,
                                                         monkeypatch, tag):
-    # the defect and the next step's logs share one sine/cosine pass
+    # the defect and the next step's logs share one sine/cosine pass, run
+    # over slabs of 7 of the 64 core pairs
     alg = algebras[tag]
     g, core, mu, phi = make_perturbed(algebras, tag, seed=21, eps=0.01)
+    monkeypatch.setattr(rectifier, "SLAB_PAIRS", 7)
     sine_cosine, rows = groups._sine_cosine, []
     monkeypatch.setattr(groups, "_sine_cosine", lambda alg, m: (
         rows.append(m.shape[-1]) or sine_cosine(alg, m)))
     _, trace = iterate(phi, core, mu, alg, constants[tag])
-    assert trace.iterations >= 1
-    # U1's log is the signed atan2 of the shared sine and cosine
-    assert rows.count(len(core.pairs)) == trace.iterations + 1
+    steps = trace.iterations
+    assert steps >= 1
+    # each step also measures its move over the 16 arrows once; no slab
+    # has 16 rows.  U1's log is the signed atan2 of the shared sine and
+    # cosine
+    assert rows.count(g.n_arrows) == steps
+    assert sum(rows) - steps * g.n_arrows == (steps + 1) * len(core.pairs)
+
+
+def slab_cases(algebras):
+    """(alg, core, weights, values) of perturbed maps whose iteration
+    converges: SO3 over pair(5), SU2 and U1 over cyclic(3) turning three
+    points, and SO3 on the ragged Z4 core."""
+    alg = algebras["SO3"]
+    g, core, mu, phi = make_perturbed(algebras, "SO3", seed=15, eps=0.01,
+                                      n_points=5)
+    yield alg, core, mu, phi
+    g = build_action_groupoid(FiniteGroup.cyclic(3), translations(3, 3))
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    for i, tag in enumerate(("SU2", "U1")):
+        alg = algebras[tag]
+        rng = np.random.default_rng(50 + i)
+        noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
+        yield alg, core, mu, _compose(coboundary(g, alg, seed=50 + i), noise)
+    alg = algebras["SO3"]
+    g, core, mu = ragged_core()
+    rng = np.random.default_rng(52)
+    noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
+    yield alg, core, mu, _compose(coboundary(g, alg, seed=52), noise)
+
+
+def test_iterate_and_verify_are_slab_invariant(algebras, constants,
+                                               monkeypatch):
+    # slabs of 1, 3 and 7 pairs give the bits of one slab over the core
+    for alg, core, mu, phi in slab_cases(algebras):
+        k = constants[alg.group_id]
+        results = []
+        for slab in (len(core.pairs) + 1, 1, 3, 7):
+            monkeypatch.setattr(rectifier, "SLAB_PAIRS", slab)
+            limit, trace = iterate(phi, core, mu, alg, k,
+                                   sets=AmbientSets(1.5, 2.5))
+            results.append((limit.tobytes(), trace))
+        assert results[0][1].terminated == "converged"
+        assert results[0][1].iterations >= 1
+        assert results[1:] == results[:1] * 3
+
+    # verification over the whole parent, on proper cores
+    alg = algebras["SO3"]
+    g, core, mu = ragged_core()
+    groups_and_cores = [(g, core)]
+    s3, perms, even = symmetric_group_3()
+    g = build_action_groupoid(s3, perms)
+    groups_and_cores.append((g, build_core(g, tuple(
+        a for a in range(g.n_arrows) if a // 3 in even))))
+    for g, core in groups_and_cores:
+        rng = np.random.default_rng(53)
+        phi = _exp_matrices(alg, alg.sample_ball(rng, 0.05, g.n_arrows))
+        residuals = []
+        for slab in (len(g.products) + 1, 1, 3, 7):
+            monkeypatch.setattr(rectifier, "SLAB_PAIRS", slab)
+            residuals.append((verify_core_morphism(phi, core, alg),
+                              verify_core_morphism(phi, core, alg, full=True)))
+        assert residuals[0][1] >= residuals[0][0] > 0.0
+        assert residuals[1:] == residuals[:1] * 3
+
+
+def failing_runs(algebras, constants):
+    """(name, call) of iterations that fail with each of four errors."""
+    so3, k = algebras["SO3"], constants["SO3"]
+    g, core, mu, phi = make_perturbed(algebras, "SO3", seed=18, eps=0.3)
+    yield "DefectTooLarge", lambda: iterate(phi, core, mu, so3, k)
+    g = build_pair_groupoid(3)
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    far = coboundary(g, so3, seed=19, scale=1.0)
+    yield "RangeEscape", lambda: iterate(far, core, mu, so3, k,
+                                         sets=AmbientSets(1.5, 2.5))
+    u1 = algebras["U1"]
+    turned = np.array([[[np.exp(0j)]]] * 9)
+    turned[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
+    yield "DefectOverflow", lambda: iterate(columns(turned), core, mu, u1,
+                                            constants["U1"])
+    g, core, mu, phi = make_perturbed(algebras, "SO3", seed=20, eps=0.012)
+    bad = np.full(g.n_arrows, 60.0)
+    yield "NonContraction", lambda: iterate(phi, core, bad, so3, k)
+
+
+def test_iterate_errors_are_slab_invariant(algebras, constants, monkeypatch,
+                                           capfd):
+    # each error keeps its type, message, initial defect (and partial
+    # trace) over slabs of 1, 3 and 7 pairs; the pass writes nothing and
+    # warns of nothing
+    for name, run in failing_runs(algebras, constants):
+        seen = []
+        for slab in (10 ** 6, 1, 3, 7):
+            monkeypatch.setattr(rectifier, "SLAB_PAIRS", slab)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(HaarrectError) as err:
+                    run()
+            assert not caught
+            seen.append((type(err.value).__name__, str(err.value),
+                         err.value.initial_defect,
+                         getattr(err.value, "trace", None)))
+        assert seen[0][0] == name
+        assert seen[1:] == seen[:1] * 3
+    assert capfd.readouterr() == ("", "")
+
+
+def test_log_domain_error_names_the_first_bad_pair_over_slabs(algebras):
+    # the pass reads on past a log outside the margin, the first of which
+    # the correction names, whatever slab it came in
+    alg = algebras["U1"]    # margin 2.0, a half turn reaches ~2.02
+    core = full_core(build_pair_groupoid(3))
+    mu = attach_haar_density(core, "uniform")
+    psi = np.ones((len(core.pairs), 1, 1), dtype=complex)
+    psi[[20, 25]] = np.exp(1j * np.pi)
+    psi = columns(psi)
+    k, p, _ = core.pairs[20]
+    for slab in (1, 3, 7, len(core.pairs)):
+        sweep = rectifier._PsiPass(alg, core.pairs, core, mu)
+        for lo in range(0, len(core.pairs), slab):
+            sweep.read(psi[..., lo:lo + slab], lo)
+        with pytest.raises(LogDomainError,
+                           match=re.escape(f"log psi({k}, {p}) outside")):
+            sweep.correction()
+
+
+def test_iterate_memory_is_bounded_by_the_slabs(algebras):
+    # SO3 over pair(40): 64 000 core pairs, 3 steps; the pass holds its slab
+    # buffers and one (n_arrows, widest fiber, dim) table, never a psi stack
+    # of the whole core (4.6 MB of values alone)
+    alg = algebras["SO3"]
+    spec = GroupoidSpec(constructor="pair", size=40)
+    g = build_groupoid(spec)
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    k = constants_for(alg, ConstantsSpec(seed=101))
+    phi, _ = generate_exact_morphism(g, spec, alg,
+                                     MorphismSpec(kind="auto", scale=0.25))
+    phi = perturb_morphism(phi, alg, PerturbationSpec(epsilon=0.01), g)
+    tracemalloc.start()
+    try:
+        _, trace = iterate(phi, core, mu, alg, k, sets=AmbientSets(1.5, 2.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.terminated == "converged" and trace.iterations == 3
+    assert peak <= 8 * 2 ** 20
 
 
 def test_iterate_non_contraction_on_broken_density(algebras, constants):
@@ -588,7 +742,7 @@ def harness_cases(algebras):
 def test_real_psi_stack_matches_complex_product(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
-        psi = _psi_stack(phi, pairs)
+        psi = psi_stack(alg, phi, pairs)
         assert psi.dtype == np.float64 and len(psi) == 1
         assert np.abs(matrices(psi) - complex_psi(phi, pairs)).max() <= 1e-15
 
@@ -626,10 +780,10 @@ def test_real_psi_defect_correction_and_verification_match_complex(algebras):
         pairs = core.pairs
         psi_c = columns(complex_psi(phi, pairs).real)
         assert abs(defect(phi, core, alg)
-                   - _max_distance(alg, psi_c)[0]) <= 1e-15
+                   - stack_defect(alg, psi_c)) <= 1e-15
         mu = attach_haar_density(core, "uniform")
-        corr, norms = _correction(_psi_stack(phi, pairs), core, mu, alg)
-        corr_c, norms_c = _correction(psi_c, core, mu, alg)
+        corr, norms = correction(psi_stack(alg, phi, pairs), core, mu, alg)
+        corr_c, norms_c = correction(psi_c, core, mu, alg)
         assert np.abs(corr - corr_c).max() <= 1e-15
         assert np.abs(norms - norms_c).max() <= 1e-15
         q, p = g.products[:, 0], g.products[:, 1]
