@@ -26,8 +26,11 @@ available CPUs.  Callables given to it or to core_average_function must
 therefore be pointwise and thread-safe; every grid point is still evaluated
 alone, in the same node order, so the values do not depend on the CPU count.
 The worker threads start on first use and serve every later call.
-average_callable hands its callable the same two arrays at every node, so
-a callable may neither keep nor change its arguments.
+Averaging hands its callable the same two arrays at every node, so a
+callable may neither keep nor change its arguments.  core_average_function
+makes one pass over the grid: each slab rotates once per node from the
+unbroadcast grid axes, and a callable may return a tuple of values, each
+averaged alone, with the bits of its own call.
 """
 
 import os
@@ -58,7 +61,7 @@ class ComplexModel:
     eta_max: float
     n_theta: int
     theta_nodes: np.ndarray     # real angles, quadrature and lattice order
-    eta_nodes: np.ndarray       # imaginary-part samples, 0 included
+    eta_nodes: np.ndarray       # imaginary parts, with 0 only for odd n_eta
     grid_axes: tuple            # (x1, y1, x2, y2) axes of the rectangular grid
     grid_spacing: float
     lattice_radii: np.ndarray   # polar lattice shells (strictly < space_radius)
@@ -169,29 +172,50 @@ def average_callable(f, model):
     Every node's rotated point goes into the same two arrays, so ``f`` may
     neither keep nor change its arguments.
     """
-    theta = model.theta_nodes
+    return lambda z1, z2: _node_mean(f, model.theta_nodes, z1, z2)
 
-    def averaged(z1, z2):
-        w1, w2, tmp = spread_empty(3, np.broadcast(z1, z2).shape,
-                                   np.result_type(theta, z1, z2))
-        acc = NeumaierSum(shape=w1.shape, dtype=complex)
-        for th in theta:
-            # rotate(th, z1, z2), operation for operation
-            c, s = np.cos(th), np.sin(th)
-            np.multiply(c, z1, out=w1)
-            w1 -= np.multiply(s, z2, out=tmp)
-            np.multiply(s, z1, out=w2)
-            w2 += np.multiply(c, z2, out=tmp)
-            acc.add(f(w1, w2))
-        return acc.value / len(theta)
 
-    return averaged
+def _node_mean(f, theta, z1, z2, out=None, space=None):
+    """Mean of f(R_theta z) over the nodes ``theta``; a tuple of values of
+    f gives a tuple of means, each value reduced alone in node order.
+
+    z1 and z2 may be unbroadcast axes: each coordinate of a node's rotation
+    is one broadcasting ufunc into an array reused at every node, and its
+    scalar products run on the axes as given.  The means go into the
+    arrays of ``out``, one per value, if it is given; ``space`` then holds
+    the 2 * len(out) + 5 arrays the pass works in, w1, w2 and those of
+    NeumaierSum.several, each with at least the broadcast shape's rows.
+    """
+    shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
+    if space is None:
+        w1, w2 = spread_empty(2, shape, np.result_type(theta, z1, z2))
+        sums = None
+    else:
+        w1, w2, *arrays = (a[:shape[0]] for a in space)
+        sums = NeumaierSum.several(len(out), arrays=arrays)
+    for th in theta:
+        # rotate(th, z1, z2), operation for operation
+        c, s = np.cos(th), np.sin(th)
+        np.subtract(c * z1, s * z2, out=w1)
+        np.add(s * z1, c * z2, out=w2)
+        values = f(w1, w2)
+        single = not isinstance(values, tuple)
+        parts = (values,) if single else values
+        if sums is None:
+            sums = NeumaierSum.several(len(parts), w1.shape, complex)
+        for acc, x in zip(sums, parts):
+            acc.add(x)
+        values = parts = x = None   # freed before f makes the next node's
+    means = tuple(acc.mean(len(theta), dst)
+                  for acc, dst in zip(sums, out or [None] * len(sums)))
+    return means[0] if single else means
 
 
 def _checked_samples(values, spacing):
     """Grid samples, once they are finite and their spacing is positive."""
-    if not np.all(np.isfinite(values)):
-        raise GridError("sampled values must be finite")
+    for part in values if isinstance(values, tuple) else (values,):
+        if not np.all(np.isfinite(part)):
+            raise GridError("sampled values must be finite")
     if spacing <= 0:
         raise GridError("grid spacing must be positive")
     return values
@@ -205,10 +229,15 @@ def sample_function(f, model):
     the available CPUs, so it must be pointwise and thread-safe; each grid
     point is evaluated alone, so the values do not depend on the CPU count.
     """
+    return _sample_grid(f, model)
+
+
+def _sample_grid(f, model, theta=None):
     Z1, Z2 = grid_points(*model.grid_axes)
     rows = max(1, SLAB_POINTS // (Z1.shape[1] * Z2.size))
-    return _checked_samples(_sample_slabs(f, Z1, Z2, rows, _available_cpus()),
-                            model.grid_spacing)
+    return _checked_samples(
+        _sample_slabs(f, Z1, Z2, rows, _available_cpus(), theta),
+        model.grid_spacing)
 
 
 def _available_cpus():
@@ -218,20 +247,46 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-def _sample_slabs(f, Z1, Z2, rows, n_workers):
-    """f on the grid of Z1 (first two axes) and Z2 (last two), ``rows``
-    first-axis rows per slab, slabs dealt round-robin to ``n_workers``
-    threads of which the calling thread is the first."""
+def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
+    """f on the grid of Z1 (first two axes) and Z2 (last two), or with
+    ``theta`` the mean of f over those rotation nodes; ``rows`` first-axis
+    rows per slab, slabs dealt round-robin to ``n_workers`` threads of
+    which the calling thread is the first.
+
+    f gets each slab's points as full arrays; a mean rotates them from the
+    slab's rows of Z1 and from Z2 as they are, and a tuple of values of f
+    gives a tuple of grids.
+    """
     n = Z1.shape[0]
     slabs = [slice(a, a + rows) for a in range(0, n, rows)]
-    values = np.empty((n,) + Z1.shape[1:2] + Z2.shape[2:], dtype=complex)
+    count = None
+    if theta is not None:
+        # f at one point gives the number of grids, so that this thread
+        # makes them: from a worker's malloc arena they would add their
+        # size to peak RSS in some runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe = f(Z1[:1, :1] + 0 * Z2[..., :1, :1],
+                      Z2[..., :1, :1] + 0 * Z1[:1, :1])
+        count = len(probe) if isinstance(probe, tuple) else None
+    shape = (n,) + Z1.shape[1:2] + Z2.shape[2:]
+    grids = [np.empty(shape, dtype=complex)
+             for _ in range(1 if count is None else count)]
 
     def work(share):
+        if theta is not None:
+            # the arrays of the pass, made once per thread and call and
+            # cut to each slab: made per slab, they fragmented the malloc
+            # arenas, and peak RSS grew over repeated calls
+            space = spread_empty(2 * len(grids) + 5,
+                                 (min(rows, n),) + shape[1:], complex)
         # an overflow is reported once, as the GridError it leads to
         with np.errstate(over="ignore", invalid="ignore"):
             for slab in share:
-                z1 = Z1[slab]
-                values[slab] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+                z1, out = Z1[slab], [grid[slab] for grid in grids]
+                if theta is None:
+                    out[0][...] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+                else:
+                    _node_mean(f, theta, z1, Z2, out, space)
 
     n_workers = max(1, min(n_workers, len(slabs)))
     if threading.current_thread() in _WORKERS:
@@ -260,7 +315,7 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers):
     for exc in errors:
         if exc is not None:
             raise exc
-    return values
+    return grids[0] if count is None else tuple(grids)
 
 
 # The worker threads of _sample_slabs and their jobs, kept for the life of
@@ -293,9 +348,12 @@ def core_average_function(f, model):
     ``sample_function`` does.
 
     Exact (to rounding) for angular Fourier modes of degree below n_theta:
-    invariant inputs are reproduced and pure non-zero modes vanish.
+    invariant inputs are reproduced and pure non-zero modes vanish.  ``f``
+    may return a tuple of values: one pass then averages each of them
+    alone, to the bits of its own call, and returns the tuple of grids.
+    ``f`` also runs once at one grid point, to count its values.
     """
-    return sample_function(average_callable(f, model), model)
+    return _sample_grid(f, model, model.theta_nodes)
 
 
 def cr_residual(values, h):

@@ -26,6 +26,21 @@ class NeumaierSum:
         self._s[...] = 0
         self._c[...] = 0
 
+    @classmethod
+    def several(cls, count, shape=(), dtype=float, arrays=None):
+        """``count`` sums of one shape whose steps share one t, z and e:
+        2 * count + 3 arrays where separate sums hold 5 each.  The arrays
+        are new, or ``arrays``, which the sums then own."""
+        *pairs, t, z, e = (spread_empty(2 * count + 3, shape, dtype)
+                           if arrays is None else arrays)
+        scratch = [t, z, e]     # one list: a step swaps its s into it
+        sums = [cls.__new__(cls) for _ in range(count)]
+        for acc, s, c in zip(sums, pairs[0::2], pairs[1::2]):
+            acc._s, acc._c, acc._scratch = s, c, scratch
+            s[...] = 0
+            c[...] = 0
+        return sums
+
     def add(self, x):
         x = np.asarray(x)
         if x.dtype.kind == "c" and self._s.dtype.kind != "c":
@@ -50,6 +65,10 @@ class NeumaierSum:
     @property
     def value(self):
         return self._s + self._c
+
+    def mean(self, count, out=None):
+        """value / count, made in ``out`` if one is given."""
+        return np.divide(np.add(self._s, self._c, out=out), count, out=out)
 
 
 def spread_empty(count, shape, dtype):

@@ -1078,7 +1078,7 @@ def test_bench_holo_fails_a_relative_error_in_the_average(tmp_path,
     average = harness.core_average_function
 
     def off_by_1e_10(f, model):
-        return average(f, model) * (1 + 1e-10)
+        return tuple(v * (1 + 1e-10) for v in average(f, model))
 
     monkeypatch.setattr(harness, "core_average_function", off_by_1e_10)
     report, code = run_holo_bench(HoloSpec(space_radius=999, **WIDE_HOLO),

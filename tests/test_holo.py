@@ -258,18 +258,32 @@ def test_average_invariant_at_node_rotations(model):
         assert abs(avg(*rotate(th, *z)) - base) < 1e-13
 
 
+def rotate_loop_means(model):
+    """The bytes of both rotated coordinates averaged on the grid, from one
+    rotate call per node and one sum per coordinate."""
+    Z1, Z2 = holo.grid_points(*model.grid_axes)
+    Z1, Z2 = Z1 + 0 * Z2, Z2 + 0 * Z1
+    sums = [NeumaierSum(shape=Z1.shape, dtype=complex) for _ in range(2)]
+    for th in model.theta_nodes:
+        for acc, w in zip(sums, rotate(th, Z1, Z2)):
+            acc.add(w)
+    return [(acc.value / model.n_theta).tobytes() for acc in sums]
+
+
 @pytest.mark.parametrize("part", [0, 1])
 def test_callable_returning_its_argument_gives_the_rotate_loop(model, part):
     # the rotated points of every node share two arrays: the average of a
     # callable that returns one of them still reads each node once
-    Z1, Z2 = holo.grid_points(*model.grid_axes)
-    Z1, Z2 = Z1 + 0 * Z2, Z2 + 0 * Z1
-    acc = NeumaierSum(shape=Z1.shape, dtype=complex)
-    for th in model.theta_nodes:
-        acc.add(rotate(th, Z1, Z2)[part])
-    expected = (acc.value / model.n_theta).tobytes()
     f = lambda z1, z2: (z1, z2)[part]
-    assert core_average_function(f, model).tobytes() == expected
+    assert (core_average_function(f, model).tobytes()
+            == rotate_loop_means(model)[part])
+
+
+def test_callable_returning_both_arguments_gives_the_rotate_loop(model):
+    # both values are the shared arrays themselves, each added to its sum
+    # before the next node overwrites it
+    both = core_average_function(lambda z1, z2: (z1, z2), model)
+    assert [v.tobytes() for v in both] == rotate_loop_means(model)
 
 
 @pytest.fixture(scope="module", params=[9, 17])
@@ -289,15 +303,60 @@ def test_sampling_does_not_depend_on_worker_count(slab_model, monkeypatch):
         assert core_average_function(f, slab_model).tobytes() == averaged
 
 
+INPUTS = (
+    lambda z1, z2: np.sin(z1 * z2) + z1 ** 2 * z2,
+    lambda z1, z2: (z1 + 1j * z2) ** 3,
+)
+
+
+def all_inputs(z1, z2):
+    return tuple(g(z1, z2) for g in INPUTS)
+
+
 def test_uneven_slabs_give_the_same_values(slab_model):
-    f = average_callable(lambda z1, z2: np.sin(z1 * z2) + z1 ** 2 * z2,
-                         slab_model)
+    # the averaged callable on the whole grid at once, against slabs of it
+    # and against one mean pass on slabs, which rotates each node once
+    # from the axes and averages all inputs, each to its own bytes
     Z1, Z2 = holo.grid_points(*slab_model.grid_axes)
-    whole = np.asarray(f(Z1 + 0 * Z2, Z2 + 0 * Z1), dtype=complex).tobytes()
+    whole = [np.asarray(average_callable(g, slab_model)(Z1 + 0 * Z2,
+                                                        Z2 + 0 * Z1),
+                        dtype=complex).tobytes() for g in INPUTS]
+    f = average_callable(INPUTS[0], slab_model)
     for rows in (2, 5):     # 9 and 17 rows both leave a short last slab
         for workers in (1, 2, 3):
             values = holo._sample_slabs(f, Z1, Z2, rows, workers)
-            assert values.tobytes() == whole
+            assert values.tobytes() == whole[0]
+            means = holo._sample_slabs(all_inputs, Z1, Z2, rows, workers,
+                                       slab_model.theta_nodes)
+            assert [v.tobytes() for v in means] == whole
+
+
+def test_means_of_a_tuple_are_the_means_of_each_value(slab_model,
+                                                     monkeypatch):
+    alone = [core_average_function(g, slab_model).tobytes() for g in INPUTS]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(holo, "_available_cpus", lambda: workers)
+        means = core_average_function(all_inputs, slab_model)
+        assert isinstance(means, tuple)
+        assert [v.tobytes() for v in means] == alone
+
+
+def test_two_valued_mean_memory_stays_below_5_3_mib(monkeypatch):
+    # bench-holo's pass on perfbench's grid, one worker: the two value
+    # grids; w1 and w2, an (s, c) pair per value and one shared t, z and
+    # e, all slab-sized; and f's temporaries.  5.29 MiB here, as for two
+    # single-valued calls; separate sums per value, or f's values kept
+    # while it makes the next node's, peak near 6 MiB
+    model = build_complexified_model(n_theta=64, n_space=17)
+    monkeypatch.setattr(holo, "_available_cpus", lambda: 1)
+    f = lambda z1, z2: (z1 * z1 + z2 * z2, z1 + 1j * z2)
+    tracemalloc.start()
+    try:
+        core_average_function(f, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.3 * 2 ** 20
 
 
 class SlabFailure(Exception):
@@ -306,25 +365,44 @@ class SlabFailure(Exception):
 
 @pytest.mark.parametrize("failing_slab", [0, 1, 2])
 def test_worker_exception_reaches_the_caller(small_model, failing_slab):
+    check_worker_exception(small_model, failing_slab, mean=False)
+
+
+@pytest.mark.parametrize("failing_slab", [0, 1, 2])
+def test_worker_exception_in_a_mean_reaches_the_caller(small_model,
+                                                       failing_slab):
+    check_worker_exception(small_model, failing_slab, mean=True)
+
+
+def check_worker_exception(model, failing_slab, mean):
     # with 3 workers and 1-row slabs, slab j runs in thread j: the calling
-    # thread for j = 0, a worker thread otherwise
-    Z1, Z2 = holo.grid_points(*small_model.grid_axes)
+    # thread for j = 0, a worker thread otherwise.  A mean of two values
+    # meets the slab's own rows at its first node, theta = 0; for j = 0
+    # its one-point probe, in the calling thread, meets them first
+    Z1, Z2 = holo.grid_points(*model.grid_axes)
     bad_row = Z1[failing_slab, 0, 0, 0]
+    theta = model.theta_nodes if mean else None
+
+    def product(z1, z2):
+        return (z1 * z2, z1) if mean else z1 * z2
 
     def f(z1, z2):
         if np.any(z1[:, :1, :1, :1] == bad_row):
             raise SlabFailure(failing_slab)
-        return z1 * z2
+        return product(z1, z2)
 
-    product = lambda z1, z2: z1 * z2
-    expected = holo._sample_slabs(product, Z1, Z2, 1, 1).tobytes()
-    holo._sample_slabs(product, Z1, Z2, 1, 3)       # starts the workers
+    def sample(g, workers):
+        values = holo._sample_slabs(g, Z1, Z2, 1, workers, theta)
+        return np.stack(values).tobytes()
+
+    expected = sample(product, 1)
+    sample(product, 3)      # starts the workers
     before = threading.active_count()
     with pytest.raises(SlabFailure):
-        holo._sample_slabs(f, Z1, Z2, 1, 3)
+        sample(f, 3)
     assert threading.active_count() == before
     # the workers are free for the next call
-    assert holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes() == expected
+    assert sample(product, 3) == expected
     assert threading.active_count() == before
 
 

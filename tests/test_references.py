@@ -21,8 +21,8 @@ UNREFERENCED_ALLOWED = {
     "harness.OutputSpec": "found through _Spec.__subclasses__()",
     "harness.recompute_pass_from_trace":
         "the README promises that a trace alone gives the pass flag",
-    "holo.rotate": "the public action map; average_callable repeats its "
-                   "operations into arrays it reuses across nodes",
+    "holo.rotate": "the public action map; _node_mean repeats its "
+                   "expression into arrays it reuses across nodes",
 }
 
 

@@ -129,6 +129,29 @@ def test_complex_addend_to_a_real_sum_is_refused():
     assert acc.value.tobytes() == np.array([1.0, 2.0]).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sums_sharing_scratch_match_separate_sums(dtype):
+    # the sums of one several() call take turns with one t, z and e; each
+    # keeps the bits of a sum of its own, and its mean into an array is
+    # its value over the count
+    rng = np.random.default_rng(5)
+    addends = rng.normal(size=(3, 6, 4)) * 10.0 ** rng.integers(-8, 8, (3, 6, 4))
+    if dtype is complex:
+        addends = addends + 1j * addends[::-1]
+    shared = NeumaierSum.several(3, shape=(4,), dtype=dtype)
+    separate = [NeumaierSum(shape=(4,), dtype=dtype) for _ in range(3)]
+    for step in range(6):
+        for sums in (shared, separate):
+            for acc, x in zip(sums, addends[:, step]):
+                acc.add(x)
+    for a, b in zip(shared, separate):
+        assert a._s.tobytes() == b._s.tobytes()
+        assert a._c.tobytes() == b._c.tobytes()
+        out = np.empty(4, dtype)
+        assert a.mean(7, out) is out
+        assert out.tobytes() == (b.value / 7).tobytes() == b.mean(7).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (7,), (14739,), (3, 4, 5)])
 def test_spread_arrays_are_disjoint_with_spread_starts(shape):
     arrays = spread_empty(5, shape, complex)
