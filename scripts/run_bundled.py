@@ -7,7 +7,8 @@ Experiment configs go through ``run_experiment``; ``holo_bench.json`` goes
 through ``run_holo_bench`` and has only an exit code and a report.  The
 table ends with the sha256 of each config's trace and report ("-" for one
 the run did not write), so two checkouts' artifacts compare with one diff
-of their tables.
+of their tables.  The script exits 1 if a config's exit code is not its
+own expected one (``EXPECTED_EXIT``, 0 for a config not named there).
 """
 
 import argparse
@@ -27,6 +28,9 @@ from haarrect.harness import (  # noqa: E402
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
+# Bundled configs that should not exit 0: rejected before the first step.
+EXPECTED_EXIT = {"defect_too_large.json": 2}
+
 
 def sha256_of(path):
     """Hex sha256 of a file, or "-" if there is none."""
@@ -37,10 +41,10 @@ def sha256_of(path):
         return "-"
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
@@ -67,7 +71,12 @@ def main():
         dns = f"{dn:.3e}" if dn == dn else "-"
         print(f"{name:<26}{code:<6}{iters:<7}{d0s:<12}{dns:<12}"
               f"{trace_sha:<66}{report_sha:<66}{err}")
-    return 0 if all(code in (0, 2) for _, code, *_ in rows) else 1
+    wrong = [(name, code) for name, code, *_ in rows
+             if code != EXPECTED_EXIT.get(name, 0)]
+    for name, code in wrong:
+        print(f"{name}: exit {code}, expected {EXPECTED_EXIT.get(name, 0)}",
+              file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

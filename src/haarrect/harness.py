@@ -272,10 +272,12 @@ class HoloSpec(_Spec, section=""):
     """A bench-holo config; every key is optional."""
 
     def _check(self):
-        # the real slice: n_theta rotations of n_shells * n_theta lattice
-        # points, each with a row of n_theta entries
+        # n_theta^2 rotation pairs on n_shells * n_theta lattice points:
+        # nothing of that size is built, but the cap keeps every config's
+        # verdict
         _require_table_size("n_theta, n_shells",
-                            self.n_theta ** 3 * self.n_shells)
+                            self.n_theta ** 3 * self.n_shells,
+                            "lattice-point rotation pairs")
         # the rectangular grid has n_space^4 points, n_space made odd
         _require_table_size("n_space", (self.n_space | 1) ** 4, "grid points")
         _require_table_size("n_eta", self.n_eta, "eta nodes")

@@ -15,9 +15,9 @@ output stays holomorphic, which is verified numerically through centered
 finite-difference Cauchy-Riemann residuals on a rectangular grid.
 
 Two discretizations coexist on purpose: a rotation-closed polar lattice
-carries the finite-groupoid structure (real-slice consistency, index-exact),
-while the rectangular grid in the four real coordinates carries the sampled
-functions for the difference stencils.
+of real points is where real_restriction_check compares complex and real
+averaging, while the rectangular grid in the four real coordinates carries
+the sampled functions for the difference stencils.
 Input functions are callables evaluated on demand; grid-bound inputs would
 force interpolation and destroy the spectral exactness contracts.
 
@@ -41,7 +41,6 @@ from queue import SimpleQueue
 import numpy as np
 
 from .errors import GridError
-from .groupoids import FiniteGroup, build_action_groupoid
 from .groups import haar_integrate
 from .sums import NeumaierSum, spread_empty
 
@@ -83,16 +82,24 @@ def rotate(zeta, z1, z2):
 
 def build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
                              n_space=9, n_eta=5, n_shells=3):
-    """Construct grids and verify the real slice against the action groupoid.
+    """Construct the model's nodes, its rectangular grid and its polar lattice.
 
     The rectangular grid spans [-a, a] in each of the four real coordinates
     with a = BOX_FRAC * space_radius (BOX_FRAC <= 0.5 keeps the grid inside
     the ball); n_space is made odd so 0 is a node and the real slice
-    (y1 = y2 = 0) lies on the grid.
+    (y1 = y2 = 0) lies on the grid.  The polar lattice is n_shells circles
+    of n_theta points each.  A ValueError names a parameter out of range.
     """
     if space_radius <= 0 or eta_max <= 0:
         raise ValueError("space_radius and eta_max must be positive")
+    for name, count in (("n_theta", n_theta), ("n_eta", n_eta),
+                        ("n_shells", n_shells)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, not {count}")
     n_space = n_space if n_space % 2 == 1 else n_space + 1
+    if n_space < 3:
+        raise ValueError(f"n_space must give at least 3 nodes per axis, "
+                         f"not {n_space}")
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     eta = np.linspace(-0.8 * eta_max, 0.8 * eta_max, n_eta)
     a = BOX_FRAC * space_radius
@@ -100,7 +107,7 @@ def build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
     spacing = float(axis[1] - axis[0])
     radii = space_radius * (0.25 + 0.6 * np.arange(n_shells) / max(1, n_shells - 1))
 
-    model = ComplexModel(
+    return ComplexModel(
         space_radius=space_radius,
         eta_max=eta_max,
         n_theta=n_theta,
@@ -110,52 +117,6 @@ def build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
         grid_spacing=spacing,
         lattice_radii=radii,
     )
-    report = real_slice_consistency(model)
-    if not report:
-        raise ValueError("real slice does not match the action groupoid")
-    return model
-
-
-def real_slice_groupoid(model):
-    """Finite groupoid of the real slice: rotation nodes acting on the lattice.
-
-    Points are indexed m * n_theta + j for shell m and angle j, and node g
-    rotates j to (j + g) mod n_theta, so the construction is exact integer
-    arithmetic.
-    """
-    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
-    x = np.arange(n_x)
-    act = x - x % n + (x % n + np.arange(n)[:, None]) % n
-    return build_action_groupoid(FiniteGroup.cyclic(n), act)
-
-
-def real_slice_consistency(model):
-    """Check the model's real slice matches build_action_groupoid arrow-for-arrow.
-
-    The model parametrizes real-slice arrows as (angle node, lattice point)
-    with source the point and target its rotation; the groupoid constructor
-    must produce exactly the same sources, targets and composition.
-    """
-    g = real_slice_groupoid(model)
-    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
-    if g.n_arrows != n * n_x or g.table.shape != (n * n_x, n):
-        return False
-    gi, x = np.divmod(np.arange(g.n_arrows), n_x)
-    m, j = np.divmod(x, n)
-    if not (np.array_equal(g.source, x)
-            and np.array_equal(g.target, m * n + (j + gi) % n)):
-        return False
-    # the composition law on the full table: the k-th arrow into the point
-    # y = (m, j) is (k, (m, j - k)), and (h, y) . (k, (m, j - k)) =
-    # (h + k, (m, j - k)); one block of rows (one h) at a time keeps the
-    # temporaries small
-    y, k = np.arange(n_x)[:, None], np.arange(n)
-    source_k = (y // n) * n + (y - k) % n
-    for h in range(n):
-        if not np.array_equal(g.table[h * n_x:(h + 1) * n_x],
-                              ((h + k) % n) * n_x + source_k):
-            return False
-    return True
 
 
 def grid_points(x1, y1, x2, y2):

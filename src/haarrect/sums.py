@@ -15,8 +15,7 @@ class NeumaierSum:
     exact rounding error e = (s - (t - z)) + (x - z), added to a running
     correction.  e is the error Neumaier's |s| >= |x| branch returns, so a
     real sum keeps Neumaier's bits; complex add and subtract act on each
-    part alone, so a complex sum is compensated per real part.  A shape-()
-    sum takes the shape of its first array addend.
+    part alone, so a complex sum is compensated per real part.
     """
 
     def __init__(self, shape=(), dtype=float):
@@ -45,12 +44,6 @@ class NeumaierSum:
         x = np.asarray(x)
         if x.dtype.kind == "c" and self._s.dtype.kind != "c":
             raise TypeError("complex addend to a real compensated sum")
-        shape = self._s.shape
-        if x.shape != shape and np.broadcast_shapes(shape, x.shape) != shape:
-            arrays = spread_empty(5, np.broadcast_shapes(shape, x.shape),
-                                  self._s.dtype)
-            arrays[0][...], arrays[1][...] = self._s, self._c
-            self._s, self._c, *self._scratch = arrays
         s, c = self._s, self._c
         t, z, e = self._scratch
         np.add(s, x, out=t)

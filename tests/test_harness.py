@@ -317,7 +317,8 @@ def test_size_cap_allows_pair_200_and_the_largest_action():
     ({"space_radius": "inf"}, "space_radius must be a finite positive number"),
     ({"seed": -3}, "seed must be a non-negative integer, not -3"),
     ({"report": ""}, "report must be a file name, not ''"),
-    ({"n_theta": 400}, "n_theta, n_shells: 192000000 product-table entries"),
+    ({"n_theta": 400},
+     "n_theta, n_shells: 192000000 lattice-point rotation pairs are above"),
     # these ended in numpy's _ArrayMemoryError under a 3 GB limit
     ({"n_space": 201}, "n_space: 1632240801 grid points are above the cap"),
     ({"n_eta": 2 ** 40}, "n_eta: 1099511627776 eta nodes are above the cap"),
@@ -478,16 +479,53 @@ def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
     assert hashes["holo_bench.json"][1] != "-"
 
 
+def load_script(name):
+    path = os.path.join(REPO_ROOT, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("codes, expected", [
+    ({}, 0),
+    # so3_pair5 hitting DefectTooLarge used to pass as an allowed 2
+    ({"so3_pair5_report.json": 2}, 1),
+    ({"defect_too_large_report.json": 0}, 1),
+    ({"holo_report.json": 4}, 1),
+])
+def test_run_bundled_checks_each_configs_own_exit_code(
+        monkeypatch, capsys, tmp_path, codes, expected):
+    script = load_script("run_bundled")
+    right = {"defect_too_large_report.json": 2}
+
+    def code_of(report):
+        return codes.get(report, right.get(report, 0))
+
+    def run_experiment(config, out_dir):
+        report = {"iterations": 0, "initial_defect": float("nan"),
+                  "final_defect": float("nan"), "error": None}
+        return report, code_of(config.output.report)
+
+    def run_holo_bench(spec, out_dir):
+        return {}, code_of(spec.report)
+
+    monkeypatch.setattr(script, "run_experiment", run_experiment)
+    monkeypatch.setattr(script, "run_holo_bench", run_holo_bench)
+    assert script.main(["--out", str(tmp_path)]) == expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == len(codes)
+    for report, code in codes.items():
+        assert f"exit {code}, expected {right.get(report, 0)}" in err
+
+
 @pytest.mark.parametrize("samples, message", [
     ("10", "constants.sample_count must be an integer >= 1000, not 10"),
     ("1000001", "constants.sample_count must be at most 1000000, not 1000001"),
 ])
 def test_constants_table_rejects_bad_flags_with_one_line_error(
         monkeypatch, capsys, samples, message):
-    path = os.path.join(REPO_ROOT, "scripts", "constants_table.py")
-    spec = importlib.util.spec_from_file_location("constants_table", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("constants_table")
 
     def no_sampling(*args):
         raise AssertionError("sampled before the flags were checked")

@@ -1,3 +1,4 @@
+import ast
 import os
 import signal
 import threading
@@ -18,7 +19,6 @@ from haarrect.holo import (
     cr_convergence_order,
     cr_residual,
     real_restriction_check,
-    real_slice_consistency,
     rotate,
     sample_function,
     sample_on_box,
@@ -42,6 +42,48 @@ def small_model():
 # model construction
 # ---------------------------------------------------------------------------
 
+def real_slice_groupoid(model):
+    """Finite groupoid of the real slice: rotation nodes acting on the lattice.
+
+    Points are indexed m * n_theta + j for shell m and angle j, and node g
+    rotates j to (j + g) mod n_theta, so the construction is exact integer
+    arithmetic.
+    """
+    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
+    x = np.arange(n_x)
+    act = x - x % n + (x % n + np.arange(n)[:, None]) % n
+    return build_action_groupoid(FiniteGroup.cyclic(n), act)
+
+
+def real_slice_consistency(model):
+    """Check the model's real slice matches build_action_groupoid arrow-for-arrow.
+
+    The model parametrizes real-slice arrows as (angle node, lattice point)
+    with source the point and target its rotation; the groupoid constructor
+    must produce exactly the same sources, targets and composition.
+    """
+    g = real_slice_groupoid(model)
+    n, n_x = model.n_theta, len(model.lattice_radii) * model.n_theta
+    if g.n_arrows != n * n_x or g.table.shape != (n * n_x, n):
+        return False
+    gi, x = np.divmod(np.arange(g.n_arrows), n_x)
+    m, j = np.divmod(x, n)
+    if not (np.array_equal(g.source, x)
+            and np.array_equal(g.target, m * n + (j + gi) % n)):
+        return False
+    # the composition law on the full table: the k-th arrow into the point
+    # y = (m, j) is (k, (m, j - k)), and (h, y) . (k, (m, j - k)) =
+    # (h + k, (m, j - k)); one block of rows (one h) at a time keeps the
+    # temporaries small
+    y, k = np.arange(n_x)[:, None], np.arange(n)
+    source_k = (y // n) * n + (y - k) % n
+    for h in range(n):
+        if not np.array_equal(g.table[h * n_x:(h + 1) * n_x],
+                              ((h + k) % n) * n_x + source_k):
+            return False
+    return True
+
+
 def test_real_slice_consistency_64_nodes():
     m = build_complexified_model(space_radius=1.0, eta_max=0.2, n_theta=64,
                                  n_space=5, n_eta=3, n_shells=3)
@@ -50,7 +92,7 @@ def test_real_slice_consistency_64_nodes():
 
 def test_real_slice_consistency_detects_a_wrong_product(small_model,
                                                        monkeypatch):
-    build = holo.real_slice_groupoid
+    build = real_slice_groupoid
 
     def corrupted(model):
         g = build(model)
@@ -59,7 +101,7 @@ def test_real_slice_consistency_detects_a_wrong_product(small_model,
         return with_products(g, products)
 
     assert real_slice_consistency(small_model)
-    monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
+    monkeypatch.setitem(globals(), "real_slice_groupoid", corrupted)
     assert not real_slice_consistency(small_model)
 
 
@@ -82,7 +124,7 @@ def callback_real_slice(model):
 def test_real_slice_table_matches_the_callback_form(n_theta, n_shells):
     model = build_complexified_model(n_theta=n_theta, n_space=3, n_eta=3,
                                      n_shells=n_shells)
-    assert_same_groupoid(holo.real_slice_groupoid(model),
+    assert_same_groupoid(real_slice_groupoid(model),
                          callback_real_slice(model))
 
 
@@ -91,7 +133,7 @@ def test_real_slice_consistency_checks_every_block(small_model, monkeypatch,
                                                    where):
     # the check runs one block of product rows (one rotation h) at a time;
     # a wrong product in the first, a middle or the last block is caught
-    build = holo.real_slice_groupoid
+    build = real_slice_groupoid
     n = small_model.n_theta
     block = len(build(small_model).products) // n
     row = {"first": 0, "middle": (n // 2) * block + 7, "last": n * block - 1}
@@ -102,20 +144,47 @@ def test_real_slice_consistency_checks_every_block(small_model, monkeypatch,
         products[row[where], 2] = (products[row[where], 2] + 1) % g.n_arrows
         return with_products(g, products)
 
-    monkeypatch.setattr(holo, "real_slice_groupoid", corrupted)
+    monkeypatch.setitem(globals(), "real_slice_groupoid", corrupted)
     assert not real_slice_consistency(small_model)
 
 
 def test_real_slice_check_memory_stays_below_12_mb():
     # the fiber-indexed table of the 64-node slice is 12 288 x 64 entries
     # (6.3 MB); a sorted (q, p, qp) row table with its keys peaked at 31 MB
+    model = build_complexified_model(n_theta=64, n_space=17)
+    tracemalloc.start()
+    try:
+        assert real_slice_consistency(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def test_model_build_memory_stays_below_100_kb():
+    # the model is its node and axis vectors, O(n_theta + n_space) floats;
+    # no table over the real slice is built
     tracemalloc.start()
     try:
         build_complexified_model(n_theta=64, n_space=17)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 1e5
+
+
+def test_holo_imports_nothing_from_groupoids():
+    # the bench-holo run path is numerics only
+    with open(holo.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(name.split(".")[-1] == "groupoids"
+                                for name in imported)
 
 
 def test_rotation_action_diagonalizes(model):
@@ -209,8 +278,19 @@ def test_real_restriction_check_matches_pointwise_loop():
 
 
 def test_invalid_model_parameters():
-    with pytest.raises(ValueError):
-        build_complexified_model(space_radius=-1.0)
+    # n_theta 0 and n_space 1 ended in an IndexError, n_shells 0 in a model
+    # whose real_restriction_check failed on an empty max
+    for name, value in [("space_radius", -1.0), ("n_theta", 0),
+                        ("n_shells", 0), ("n_eta", 0), ("n_eta", -2),
+                        ("n_space", 1), ("n_space", 0), ("n_space", -4)]:
+        with pytest.raises(ValueError, match=name):
+            build_complexified_model(**{name: value})
+
+
+def test_two_nodes_per_axis_are_made_three():
+    model = build_complexified_model(n_space=2, n_theta=4, n_eta=1,
+                                     n_shells=1)
+    assert [len(a) for a in model.grid_axes] == [3, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
