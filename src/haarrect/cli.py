@@ -13,8 +13,8 @@ and bench-holo print the report file they wrote.  Exit codes: 0 pass,
 """
 
 import argparse
+import functools
 import sys
-from dataclasses import asdict
 
 from .errors import HaarrectError
 from .harness import (
@@ -46,7 +46,7 @@ def _cmd_constants(args):
                          W_radius=args.w_radius, K_radius=args.k_radius,
                          seed=args.seed)
     alg = algebra_for(GroupSpec(tag=args.group, raw_norm=args.raw_norm))
-    return asdict(constants_for(alg, spec)), EXIT_PASS
+    return constants_for(alg, spec).as_dict(), EXIT_PASS
 
 
 def _cmd_bench_holo(args):
@@ -59,6 +59,7 @@ def _cmd_validate(args):
             EXIT_PASS if not issues else EXIT_PRECONDITION)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rectify",

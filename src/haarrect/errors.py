@@ -1,4 +1,48 @@
-"""Exception types shared across the package."""
+"""Exception types and the read-only value base shared by the package."""
+
+
+class Value:
+    """Read-only value: its fields are the class's annotated names, in order,
+    with class attributes as defaults, taken by position or keyword; then
+    ``_check`` runs, and may set derived attributes by object.__setattr__.
+    Equality, hash, repr and ``as_dict`` read the fields alone."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {k: vars(cls)[k] for k in cls._fields if k in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields) or kwargs.keys() - set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}")
+        kwargs.update(zip(fields, args))
+        for name in fields:
+            value = kwargs.get(name, cls._defaults.get(name, kwargs))
+            if value is kwargs:
+                raise TypeError(f"{cls.__name__}() needs the field {name!r}")
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        """Raise on fields that make no value; the base takes any."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def as_dict(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash((type(self), *self.as_dict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 class HaarrectError(Exception):

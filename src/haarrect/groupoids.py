@@ -22,17 +22,14 @@ their axioms exhaustively, as array code, and raise naming a concrete
 witness; ``validate_groupoid`` returns its witnesses instead.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ActionError, CoreAxiomError, InvarianceError
+from .errors import ActionError, CoreAxiomError, InvarianceError, Value
 
 FIBER_SUM_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """Finite group given by its multiplication table (indices 0..n-1)."""
 
     table: np.ndarray       # table[a, b] = index of a*b
@@ -48,8 +45,7 @@ class FiniteGroup:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Value):
     """Finite local groupoid: arrows, structure maps, product table."""
 
     n_objects: int
@@ -58,11 +54,10 @@ class FiniteGroupoid:
     unit_arrows: np.ndarray       # (n_objects,) unit arrow at each object
     table: np.ndarray             # (n_arrows, width) P[q, j], -1 if undeclared
     inverse: np.ndarray           # (n_arrows,) inverse arrow
-    # arrows by target (order, start, width) and each arrow's fiber position
-    by_target: tuple = field(init=False, repr=False, compare=False)
-    position: np.ndarray = field(init=False, repr=False, compare=False)
+    # derived, not fields: by_target, the arrows by target as (order,
+    # start, width), and position, each arrow's place in its target fiber
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("source", "target", "table", "inverse"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.intp))
@@ -145,8 +140,7 @@ class FiniteGroupoid:
         return zip(q.tolist(), p.tolist())
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(Value):
     """Core of a groupoid: left-multipliable, fiber-transitive arrow subset."""
 
     parent: FiniteGroupoid

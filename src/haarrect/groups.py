@@ -21,11 +21,9 @@ Conventions fixed here and relied on everywhere else:
     and SO(3) and 2 (real, imaginary) for U(1) and SU(2).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidAlgebraVector, NormalizationFailure
+from .errors import InvalidAlgebraVector, NormalizationFailure, Value
 from .sums import weighted_sum
 
 TAU_ALG = 1e-9      # injectivity verification slack
@@ -126,8 +124,7 @@ def _columns(mats, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class NormedAlgebra:
+class NormedAlgebra(Value):
     """Algebra with normalized norm |.| = scale * raw_norm.
 
     ``injectivity_margin`` is the verified radius (in the normalized norm)
@@ -171,8 +168,7 @@ class NormedAlgebra:
         return ((r / self.factor) * x).T
 
 
-@dataclass(frozen=True)
-class BchConstants:
+class BchConstants(Value):
     """Sampled upper bounds for the contraction-certificate constants.
 
     c, c' and c'' are safety_factor times the empirical maximum of their
@@ -194,7 +190,7 @@ class BchConstants:
     safety_factor: float
     excluded_fraction: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.d <= self.d_prime):
             raise ValueError("d must be <= d_prime")
         for name in ("c", "c_prime", "c_dprime", "d", "d_prime", "c_l", "c_d"):
@@ -204,14 +200,13 @@ class BchConstants:
             raise ValueError("safety_factor must be >= 1")
 
 
-@dataclass(frozen=True)
-class AmbientSets:
+class AmbientSets(Value):
     """Metric balls W (range of the maps) and the compact K around it."""
 
     W_radius: float = 1.5
     K_radius: float = 2.5
 
-    def __post_init__(self):
+    def _check(self):
         if self.W_radius < 1.0:
             raise ValueError("W must contain the unit ball: W_radius >= 1")
         if not self.K_radius > self.W_radius:

@@ -9,12 +9,10 @@ command's result (a plain dict), printed or written.
 """
 
 import functools
-import hashlib
 import json
 import os
 import tempfile
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from .errors import (
     InvarianceError,
     NonContraction,
     RangeEscape,
+    Value,
 )
 from .groupoids import FiniteGroup, build_action_groupoid, build_pair_groupoid
 from .groupoids import attach_haar_density, build_core, validate_groupoid
@@ -198,12 +197,12 @@ SCHEMA = {
 }
 
 
-class _Spec:
+class _Spec(Value):
     """One SCHEMA section as a read-only value: keyword construction fills
     the defaults and runs each key's checks in key order, then ``_check``."""
 
     def __init_subclass__(cls, section):
-        cls.section = section
+        cls.section, cls._fields = section, tuple(SCHEMA[section])
         for key, (default, *_) in SCHEMA[section].items():
             setattr(cls, key, default)
 
@@ -217,18 +216,6 @@ class _Spec:
                     raise ConfigError(line.format(path=path, value=value))
             object.__setattr__(self, key, value)
         self._check()
-
-    def _check(self):
-        """The section's cross-key check."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __hash__(self):
-        return hash((type(self), *vars(self).values()))
 
 
 GroupSpec = type("GroupSpec", (_Spec,), {}, section="group")
@@ -317,6 +304,7 @@ class ExperimentConfig:
                           separators=(",", ":"))
 
     def digest(self):
+        import hashlib      # here, so that importing harness skips OpenSSL
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
@@ -508,20 +496,12 @@ def _format_float(x):
 def write_trace_csv(path, trace):
     """Trace table: one row per step plus a final defect-only row."""
     lines = ["n,delta,correction_norm,step_move,q_bound,q_certified"]
-    for n in range(trace.iterations):
-        lines.append(",".join([
-            str(n),
-            _format_float(trace.deltas[n]),
-            _format_float(trace.correction_norms[n]),
-            _format_float(trace.step_moves[n]),
-            _format_float(trace.q_bounds[n]),
-            "1" if trace.q_certified[n] else "0",
-        ]))
-    lines.append(",".join([
-        str(trace.iterations),
-        _format_float(trace.deltas[-1]),
-        "", "", "", "",
-    ]))
+    steps = zip(trace.deltas, trace.correction_norms, trace.step_moves,
+                trace.q_bounds)
+    for n, (floats, certified) in enumerate(zip(steps, trace.q_certified)):
+        lines.append(",".join([str(n), *map(_format_float, floats),
+                               "1" if certified else "0"]))
+    lines.append(f"{trace.iterations},{_format_float(trace.deltas[-1])},,,,")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -581,7 +561,7 @@ def run_experiment(config, out_dir=None):
     constants = constants_for(alg, config.constants)
     report = {
         "config_digest": config.digest(),
-        "constants": asdict(constants),
+        "constants": constants.as_dict(),
         "admissible_radius": admissible_defect_radius(constants),
         "initial_defect": np.nan, "final_defect": np.nan,
         "residual_core": np.nan, "residual_full": np.nan,

@@ -35,12 +35,11 @@ averaged alone, with the bits of its own call.
 
 import os
 import threading
-from dataclasses import dataclass
 from queue import SimpleQueue
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, Value
 from .groups import haar_integrate
 from .sums import NeumaierSum, spread_empty
 
@@ -52,8 +51,7 @@ SLAB_POINTS = 2 ** 14
 BOX_FRAC = 0.45         # grid box half-width over space_radius
 
 
-@dataclass(frozen=True)
-class ComplexModel:
+class ComplexModel(Value):
     """Grids and nodes of the complexified rotation-action groupoid."""
 
     space_radius: float

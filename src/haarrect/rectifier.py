@@ -10,8 +10,6 @@ iterating contracts the defect quadratically, which is certified step by
 step against the polynomial bound q and the two in-proof bounds.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -21,6 +19,7 @@ from .errors import (
     LogDomainError,
     NonContraction,
     RangeEscape,
+    Value,
 )
 from .groups import _angle_pass, _columns, _compose, _distances_to_identity
 from .groups import _exp_matrices, _inverse, _log_coords, _matrices
@@ -34,8 +33,7 @@ CORRECTION_BOUND_SLACK = 1e-9   # slack on |A| <= (d/d') * defect
 SLAB_PAIRS = 4096
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Value):
     """Per-step audit record of one rectification run.
 
     deltas has one more entry than the step lists: deltas[n] is the defect
@@ -51,7 +49,7 @@ class IterationTrace:
     step_bound_ok: tuple
     terminated: str
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.correction_norms)
         if not (len(self.deltas) == n + 1 == len(self.step_moves) + 1
                 == len(self.q_certified) + 1 == len(self.q_bounds) + 1):
@@ -265,21 +263,11 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
         if delta > admissible:
             raise DefectTooLarge(delta, admissible)
 
-        deltas = [delta]
-        correction_norms, step_moves, q_bounds = [], [], []
-        q_flags, corr_ok, step_ok = [], [], []
-
-        def trace(terminated):
-            return IterationTrace(
-                deltas=tuple(deltas),
-                correction_norms=tuple(correction_norms),
-                step_moves=tuple(step_moves),
-                q_bounds=tuple(q_bounds),
-                q_certified=tuple(q_flags),
-                correction_bound_ok=tuple(corr_ok),
-                step_bound_ok=tuple(step_ok),
-                terminated=terminated,
-            )
+        # the columns of the trace, in IterationTrace's field order
+        columns = ([delta], [], [], [], [], [], [])
+        deltas, correction_norms, step_moves, q_bounds = columns[:4]
+        q_flags, corr_ok, step_ok = columns[4:]
+        trace = lambda end: IterationTrace(*map(tuple, columns), end)
 
         n = 0
         while delta > tol and n < max_iter:

@@ -18,7 +18,7 @@ from conftest import (
     matrices,
     tabulated_action,
 )
-from haarrect import harness
+from haarrect import cli, harness
 from haarrect.cli import main
 from haarrect.errors import (
     ActionError,
@@ -30,21 +30,26 @@ from haarrect.errors import (
     NonContraction,
     RangeEscape,
 )
-from haarrect.groupoids import FiniteGroup, build_action_groupoid, build_core
+from haarrect.groupoids import FiniteGroup, FiniteGroupoid
+from haarrect.groupoids import build_action_groupoid, build_core
 from haarrect.groupoids import build_pair_groupoid
-from haarrect.groups import BchConstants
+from haarrect.groups import AmbientSets, BchConstants, NormedAlgebra
 from haarrect.harness import (
     EXIT_NON_CONTRACTION,
     EXIT_NUMERIC_DOMAIN,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    ConstantsSpec,
     ExperimentConfig,
+    GroupSpec,
     GroupoidSpec,
     HoloSpec,
     MorphismSpec,
     PerturbationSpec,
     _atomic_write,
+    algebra_for,
     build_groupoid,
+    constants_for,
     exit_code_for,
     generate_exact_morphism,
     perturb_morphism,
@@ -53,7 +58,9 @@ from haarrect.harness import (
     run_holo_bench,
     validate_config,
 )
-from haarrect.rectifier import _radius, iterate, q_bound, verify_core_morphism
+from haarrect.holo import build_complexified_model
+from haarrect.rectifier import IterationTrace, _radius, iterate, q_bound
+from haarrect.rectifier import verify_core_morphism
 
 
 def bundled(name):
@@ -139,6 +146,128 @@ def test_specs_are_read_only_values():
         spec.seed = 4
     with pytest.raises(ConfigError, match="unknown config key 'morphism.sed'"):
         MorphismSpec(sed=3)
+
+
+# ---------------------------------------------------------------------------
+# read-only values
+# ---------------------------------------------------------------------------
+
+def bch_constants(**changes):
+    """BchConstants of valid values, with ``changes``."""
+    fields = dict(c=0.5, c_prime=0.75, c_dprime=1.0, d=0.9, d_prime=1.1,
+                  c_l=1.25, c_d=1.0, sample_count=2000, safety_factor=1.25)
+    return BchConstants(**{**fields, **changes})
+
+
+def pair2(**changes):
+    """FiniteGroupoid of the pair groupoid on two points, with ``changes``."""
+    return FiniteGroupoid(**{**build_pair_groupoid(2).as_dict(), **changes})
+
+
+VALUES = {
+    "NormedAlgebra": lambda: NormedAlgebra("so3", "euclid", 1.0, np.pi),
+    "BchConstants": bch_constants,
+    "AmbientSets": AmbientSets,
+    "FiniteGroup": lambda: FiniteGroup.cyclic(3),
+    "FiniteGroupoid": pair2,
+    "Core": lambda: build_core(pair2(), tuple(range(4))),
+    "ComplexModel": lambda: build_complexified_model(n_theta=4, n_space=3),
+    "IterationTrace": lambda: IterationTrace((0.0,), (), (), (), (), (), (),
+                                             "converged"),
+    "MorphismSpec": MorphismSpec,
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_refuse_setting_and_deleting(name):
+    value = VALUES[name]()
+    assert type(value).__name__ == name
+    fields = value.as_dict()
+    derived = ("by_target", "position") if name == "FiniteGroupoid" else ()
+    for attr in (*fields, *derived):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    with pytest.raises(AttributeError):
+        value.new_name = 0
+    assert all(getattr(value, k) is v for k, v in fields.items())
+
+
+def test_value_constructors_take_positions_keywords_and_defaults():
+    assert AmbientSets().as_dict() == {"W_radius": 1.5, "K_radius": 2.5}
+    assert AmbientSets(1.5, 2.5) == AmbientSets() == AmbientSets(K_radius=2.5)
+    assert AmbientSets(2.0).as_dict() == {"W_radius": 2.0, "K_radius": 2.5}
+    alg = NormedAlgebra("so3", "euclid", 1.0, np.pi)
+    assert alg == NormedAlgebra(algebra_id="so3", raw_norm="euclid",
+                                scale=1.0, injectivity_margin=np.pi)
+    assert alg == NormedAlgebra("so3", "euclid", injectivity_margin=np.pi,
+                                scale=1.0)
+    assert (alg.dim, alg.matrix_dim, alg.group_id) == (3, 3, "SO3")
+    assert BchConstants(*[1.0] * 7, 1000, 1.25).excluded_fraction == 0.0
+    for args, kwargs in (((1.5, 2.5, 3.5), {}), ((), {"W": 1.5}),
+                         ((1.5,), {"W_radius": 1.5})):
+        with pytest.raises(TypeError, match="takes the fields"):
+            AmbientSets(*args, **kwargs)
+    with pytest.raises(TypeError, match="needs the field 'identity'"):
+        FiniteGroup(np.zeros((1, 1), dtype=int))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AmbientSets(0.5, 2.5),
+     "W must contain the unit ball: W_radius >= 1"),
+    (lambda: AmbientSets(1.5, 1.5), "K must strictly contain the closure of W"),
+    (lambda: bch_constants(d=2.0), "d must be <= d_prime"),
+    (lambda: bch_constants(c_l=-1.0), "constant c_l must be nonnegative"),
+    (lambda: bch_constants(safety_factor=0.5), "safety_factor must be >= 1"),
+    (lambda: IterationTrace((0.0,), (1.0,), (), (), (), (), (), "converged"),
+     "inconsistent trace lengths"),
+    (lambda: IterationTrace((-1.0,), (), (), (), (), (), (), "converged"),
+     "defects must be nonnegative"),
+    (lambda: pair2(table=np.zeros((4, 1), dtype=int)),
+     "table needs one row per arrow and one column per slot of the widest "
+     "target fiber"),
+    (lambda: pair2(table=np.full((4, 2), 4)),
+     "product table names an arrow out of range"),
+    (lambda: pair2(inverse=np.arange(3)),
+     "inverse must have one entry per arrow"),
+], ids=["W", "K", "d", "c_l", "safety", "lengths", "defects", "width",
+        "range", "inverse"])
+def test_value_checks_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_derived_groupoid_arrays_stay_out_of_equality_and_repr():
+    g = build_pair_groupoid(3)
+    twin = FiniteGroupoid(**g.as_dict())
+    assert list(g.as_dict()) == ["n_objects", "source", "target",
+                                 "unit_arrows", "table", "inverse"]
+    # the fields are the same arrays, the derived ones new arrays, whose
+    # == would be ambiguous
+    assert twin.position is not g.position
+    assert twin == g
+    assert repr(g).startswith("FiniteGroupoid(n_objects=3, source=array(")
+    assert "by_target" not in repr(g) and "position" not in repr(g)
+
+
+def test_equal_algebras_hash_equal_and_share_cached_constants():
+    alg = algebra_for(GroupSpec(tag="SO3"))
+    twin = NormedAlgebra(**alg.as_dict())
+    assert twin == alg and hash(twin) == hash(alg) and twin is not alg
+    assert twin != NormedAlgebra(**{**alg.as_dict(), "scale": 2 * alg.scale})
+    spec = ConstantsSpec(sample_count=1000, seed=5)
+    assert constants_for(twin, spec) is constants_for(alg, spec)
+
+
+def test_bch_constants_dict_form_is_the_report_section():
+    k = bch_constants(excluded_fraction=0.01)
+    assert list(k.as_dict().items()) == [
+        ("c", 0.5), ("c_prime", 0.75), ("c_dprime", 1.0), ("d", 0.9),
+        ("d_prime", 1.1), ("c_l", 1.25), ("c_d", 1.0), ("sample_count", 2000),
+        ("safety_factor", 1.25), ("excluded_fraction", 0.01)]
+    assert BchConstants(**k.as_dict()) == k
 
 
 def test_config_rejects_bad_radii():
@@ -449,6 +578,67 @@ def test_cli_import_loads_no_executor_or_process_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# runs a CLI call in a fresh interpreter; the last line of its output is
+# [modules loaded by the import, modules loaded after the call, whether
+# numpy.random is loaded, exit code]
+COLD_START = (
+    "import json, sys, haarrect.cli\n"
+    "loaded = lambda: [m for m in ('dataclasses', 'hashlib') "
+    "if m in sys.modules]\n"
+    "imported = loaded()\n"
+    "code = haarrect.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([imported, loaded(), 'numpy.random' in sys.modules, "
+    "code]))\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", "--config", "so3_pair5.json"], []),
+    (["bench-holo", "--config", "holo_bench.json", "--out"], ["hashlib"]),
+    (["run", "--config", "so3_pair5.json", "--out"], ["hashlib"]),
+], ids=["validate", "bench-holo", "run"])
+def test_cold_start_loads_no_dataclasses_and_hashlib_only_on_use(
+        tmp_path, argv, loaded):
+    # dataclasses' class generation and OpenSSL's start-up would be paid by
+    # every fresh process.  numpy.random imports hashlib (through secrets
+    # and hmac), so a command that seeds a generator loads it; validate
+    # seeds none, and run also digests its config
+    argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a
+            for a in argv] + ([str(tmp_path)] if argv[-1] == "--out" else [])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", COLD_START, *argv], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], loaded,
+                                                       bool(loaded), EXIT_PASS]
+    if argv[0] == "run":
+        report = json.loads((tmp_path / "so3_pair5_report.json").read_text())
+        assert report["config_digest"] == ("22a17ae2ed0553b38d993a64d4e875135c"
+                                           "5087ab8be5f628c41f5336a5a2e785")
+
+
+def test_parser_is_built_once_and_calls_print_as_fresh_processes(capsys):
+    bad = ["constants", "--group", "SO3", "--samples", "many"]
+    good = ["validate", "--config", os.path.join(CONFIG_DIR, "so3_pair5.json")]
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exit_:
+        main(bad)
+    calls = [(exit_.value.code, *capsys.readouterr())]
+    calls.append((main(good), *capsys.readouterr()))
+    assert cli.build_parser.cache_info().misses == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    for argv, call in zip((bad, good), calls):
+        fresh = subprocess.run([sys.executable, "-m", "haarrect.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == call
+    assert [code for code, _, _ in calls] == [EXIT_PRECONDITION, EXIT_PASS]
 
 
 def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):

@@ -39,6 +39,7 @@ from haarrect.groups import (
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
+    normalize_algebra_norm,
 )
 from haarrect.harness import (
     ConstantsSpec,
@@ -479,6 +480,87 @@ def test_iterate_equivariance_under_conjugation(algebras, constants):
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
     conj = z @ matrices(lim_a) @ z.conj().T
     assert np.abs(conj - matrices(lim_b)).max() < 1e-12
+
+
+def gauged(g, phi, h):
+    """phi'(a) = h_t(a) phi(a) h_s(a)^-1 for per-object value columns h."""
+    return _compose(_compose(h[..., g.target], phi), h[..., g.source],
+                    adjoint=True)
+
+
+def gauge_cases():
+    """(name, groupoid, core): pair(5), cyclic(4) turning two points, and
+    S3 on three points with the proper A3 core."""
+    g = build_pair_groupoid(5)
+    yield "pair5", g, full_core(g)
+    g = build_action_groupoid(FiniteGroup.cyclic(4), translations(4, 2))
+    yield "cyclic4", g, full_core(g)
+    group, perms, even = symmetric_group_3()
+    g = build_action_groupoid(group, perms)
+    yield "A3", g, build_core(g, tuple(a for a in range(g.n_arrows)
+                                       if a // 3 in even))
+
+
+@pytest.mark.parametrize("raw_norm", ["euclid", "frobenius"])
+@pytest.mark.parametrize("aid", ["so3", "su2", "u1"])
+@pytest.mark.parametrize("case", ["pair5", "cyclic4", "A3"])
+def test_limit_is_gauge_equivariant(case, aid, raw_norm):
+    # psi of the gauged map is psi conjugated by h_s(p); log is
+    # Ad-equivariant and both norms are Ad-invariant, so every step and
+    # the limit gauge alike
+    _, g, core = next(c for c in gauge_cases() if c[0] == case)
+    mu = attach_haar_density(core, "uniform")
+    alg = normalize_algebra_norm(aid, raw_norm)
+    k = constants_for(alg, ConstantsSpec(seed=101))
+    rng = np.random.default_rng(5)
+    phi = _compose(coboundary(g, alg, seed=5, scale=0.25), _exp_matrices(
+        alg, alg.sample_ball(rng, 0.01, g.n_arrows)))
+    h = _exp_matrices(alg, alg.sample_ball(rng, 0.3, g.n_objects))
+    limit, trace = iterate(phi, core, mu, alg, k, sets=AmbientSets())
+    limit_g, trace_g = iterate(gauged(g, phi, h), core, mu, alg, k,
+                               sets=AmbientSets())
+    assert trace.terminated == trace_g.terminated == "converged"
+    assert trace_g.iterations == trace.iterations >= 1
+    assert np.abs(gauged(g, limit, h) - limit_g).max() <= 1e-15
+
+
+def chebyshev_coefficients(values):
+    """Largest |coefficient| of each degree over the entries of samples at
+    the Chebyshev points cos(pi (j + 1/2) / N), j = 0..N-1."""
+    n = len(values)
+    cos = np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n)
+    coefficients = 2.0 / n * cos @ np.reshape(values, (n, -1))
+    coefficients[0] /= 2.0
+    return np.abs(coefficients).max(axis=1)
+
+
+@pytest.mark.parametrize("tag, eps", [("SO3", 0.03), ("SU2", 0.05),
+                                      ("U1", 0.05)])
+def test_limit_depends_analytically_on_the_input(algebras, constants, tag,
+                                                 eps):
+    # phi exp(t w) is analytic in t, and so is each correction step: the
+    # limit's Chebyshev coefficients fall geometrically to rounding.  The
+    # kinked family phi exp(|t| w) keeps the k^-2 decay of |t|.  tol 0
+    # runs every node for the same four steps: a step count that changed
+    # along t would put a jump into the coefficients
+    alg, k = algebras[tag], constants[tag]
+    g = build_pair_groupoid(3)
+    core = full_core(g)
+    mu = attach_haar_density(core, "uniform")
+    rng = np.random.default_rng(7)
+    phi = coboundary(g, alg, seed=7, scale=0.25)
+    w = alg.sample_ball(rng, eps, g.n_arrows)
+    ts = np.cos(np.pi * (np.arange(40) + 0.5) / 40)
+    for family, degree, check in ((lambda t: t, 12, lambda c: c <= 1e-13),
+                                  (abs, 20, lambda c: c >= 1e-6)):
+        limits, steps = [], set()
+        for t in ts:
+            limit, trace = iterate(_compose(phi, _exp_matrices(
+                alg, family(t) * w)), core, mu, alg, k, tol=0.0, max_iter=4)
+            limits.append(limit)
+            steps.add(trace.iterations)
+        assert steps == {4}
+        assert check(chebyshev_coefficients(limits)[degree])
 
 
 def test_iterate_cauchy_certificate(algebras, constants):
