@@ -21,11 +21,13 @@ the sampled functions for the difference stencils.
 Input functions are callables evaluated on demand; grid-bound inputs would
 force interpolation and destroy the spectral exactness contracts.
 
-sample_function evaluates its callable on slabs of grid rows spread over the
-available CPUs.  Callables given to it or to core_average_function must
-therefore be pointwise and thread-safe; every grid point is still evaluated
-alone, in the same node order, so the values do not depend on the CPU count.
-The worker threads start on first use and serve every later call.
+Callables are evaluated on slabs of grid rows, every grid point alone and
+in the same node order, so the values do not depend on the CPU count.
+core_average_function spreads its slabs over the available CPUs in forked
+child processes that write into one shared map, so its callable must be
+pointwise, and what it does besides returning values, in a child, never
+reaches the caller.  sample_function, a process with one CPU, no os.fork
+or other threads, and a mean inside a child run in the calling process.
 Averaging hands its callable the same two arrays at every node, so a
 callable may neither keep nor change its arguments.  core_average_function
 makes one pass over the grid: each slab rotates once per node from the
@@ -33,9 +35,10 @@ unbroadcast grid axes, and a callable may return a tuple of values, each
 averaged alone, with the bits of its own call.
 """
 
+import mmap
 import os
+import signal
 import threading
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -43,10 +46,10 @@ from .errors import GridError, Value
 from .groups import haar_integrate
 from .sums import NeumaierSum, spread_empty
 
-# Grid points per slab of sample_function: 3 rows of 17^3 at n_space = 17.
-# Slabs this small keep each thread's temporaries in cache and its malloc
-# arena small, so peak memory does not grow with the thread count.
-SLAB_POINTS = 2 ** 14
+# Grid points per slab: one row of 17^3 at n_space = 17, whose temporaries
+# stay in cache.  bench-holo's two-valued mean at n_theta = 64 took 35.7 ms
+# in slabs of one row and 41.6 ms in slabs of three, on two CPUs (x86-64).
+SLAB_POINTS = 2 ** 13
 
 BOX_FRAC = 0.45         # grid box half-width over space_radius
 
@@ -184,9 +187,9 @@ def sample_function(f, model):
     """Sample a callable on the model's rectangular grid.
 
     Returns the complex array of its values, indexed (x1, y1, x2, y2).
-    ``f`` runs on slabs of whole rows along the first grid axis, spread over
-    the available CPUs, so it must be pointwise and thread-safe; each grid
-    point is evaluated alone, so the values do not depend on the CPU count.
+    ``f`` runs on slabs of whole rows along the first grid axis, in the
+    calling process, so it must be pointwise; each grid point is evaluated
+    alone, so the values do not depend on the slab size.
     """
     return _sample_grid(f, model)
 
@@ -209,31 +212,41 @@ def _available_cpus():
 def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
     """f on the grid of Z1 (first two axes) and Z2 (last two), or with
     ``theta`` the mean of f over those rotation nodes; ``rows`` first-axis
-    rows per slab, slabs dealt round-robin to ``n_workers`` threads of
-    which the calling thread is the first.
+    rows per slab, slabs dealt round-robin to ``n_workers`` processes of
+    which the calling process is the first.
 
     f gets each slab's points as full arrays; a mean rotates them from the
     slab's rows of Z1 and from Z2 as they are, and a tuple of values of f
     gives a tuple of grids.
     """
+    global _FORKED
     n = Z1.shape[0]
     slabs = [slice(a, a + rows) for a in range(0, n, rows)]
     count = None
     if theta is not None:
-        # f at one point gives the number of grids, so that this thread
-        # makes them: from a worker's malloc arena they would add their
-        # size to peak RSS in some runs
+        # f at one point gives the number of grids to make before a fork
         with np.errstate(over="ignore", invalid="ignore"):
             probe = f(Z1[:1, :1] + 0 * Z2[..., :1, :1],
                       Z2[..., :1, :1] + 0 * Z1[:1, :1])
         count = len(probe) if isinstance(probe, tuple) else None
+    # A fork and its wait take about 1.7 ms, so only a mean forks.  A
+    # child's own means stay in the child, and a process with other threads
+    # does not fork: the child would get their locks in whatever state.
+    if (theta is None or _FORKED or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        n_workers = 1
+    n_workers = max(1, min(n_workers, len(slabs)))
     shape = (n,) + Z1.shape[1:2] + Z2.shape[2:]
-    grids = [np.empty(shape, dtype=complex)
-             for _ in range(1 if count is None else count)]
+    nbytes = int(np.prod(shape)) * np.dtype(complex).itemsize
+    # for children, one shared anonymous map, where what they write reaches
+    # the caller; alone, heap memory, whose pages need no fresh faults
+    block = mmap.mmap(-1, (count or 1) * nbytes) if n_workers > 1 else None
+    grids = [np.ndarray(shape, complex, block, k * nbytes)
+             for k in range(count or 1)]
 
     def work(share):
         if theta is not None:
-            # the arrays of the pass, made once per thread and call and
+            # the arrays of the pass, made once per process and call and
             # cut to each slab: made per slab, they fragmented the malloc
             # arenas, and peak RSS grew over repeated calls
             space = spread_empty(2 * len(grids) + 5,
@@ -247,64 +260,42 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
                 else:
                     _node_mean(f, theta, z1, Z2, out, space)
 
-    n_workers = max(1, min(n_workers, len(slabs)))
-    if threading.current_thread() in _WORKERS:
-        n_workers = 1       # a worker must not wait on the workers
-    errors = [None] * n_workers
-    done = threading.Semaphore(0)
-
-    def worker(slot):
-        try:
-            work(slabs[slot::n_workers])
-        except BaseException as exc:    # re-raised in the calling thread
-            errors[slot] = exc
-        finally:
-            done.release()
-
-    while len(_WORKERS) < n_workers - 1:
-        _WORKERS.append(threading.Thread(target=_serve, daemon=True))
-        _WORKERS[-1].start()
-    for slot in range(1, n_workers):
-        _JOBS.put(lambda slot=slot: worker(slot))
+    children = {}
     try:
+        for slot in range(1, n_workers):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _FORKED = True
+                    work(slabs[slot::n_workers])
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = slot
         work(slabs[0::n_workers])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for _ in range(1, n_workers):
-            done.acquire()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        failed = [slot for pid, slot in children.items()
+                  if os.waitpid(pid, 0)[1] != 0]
+    for slot in failed:
+        # done again here, so that the child's exception reaches the caller
+        work(slabs[slot::n_workers])
     return grids[0] if count is None else tuple(grids)
 
 
-# The worker threads of _sample_slabs and their jobs, kept for the life of
-# the process so that each worker holds one malloc arena for good.  With a
-# thread started per call, the previous call's thread, still exiting, could
-# hold its arena, and the new thread opened another: peak RSS then rose by
-# an arena (~2.5 MB at n_space = 17) in some runs and not in others.
-_WORKERS = []
-_JOBS = SimpleQueue()
-
-
-def _serve():
-    while True:
-        _JOBS.get()()
-
-
-def _after_fork_in_child():
-    # one thread, and a queue that may have a wake-up in flight: start over
-    global _JOBS
-    _WORKERS.clear()
-    _JOBS = SimpleQueue()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
+# True in a child of _sample_slabs, which averages in its own process
+_FORKED = False
 
 
 def core_average_function(f, model):
-    """Average a callable over the core and sample it on the grid, as
-    ``sample_function`` does.
+    """Average a callable over the core and sample it on the grid, on
+    slabs as ``sample_function`` does, but spread over the available CPUs
+    in forked child processes: side effects of ``f`` there never reach
+    the caller.
 
     Exact (to rounding) for angular Fourier modes of degree below n_theta:
     invariant inputs are reproduced and pure non-zero modes vanish.  ``f``

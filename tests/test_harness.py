@@ -567,8 +567,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_loads_no_executor_or_process_modules():
-    # the holo grid sampler uses bare threads; an executor or process pool
-    # module would add to the start-up of every CLI call
+    # the holo grid mean forks with os.fork into a shared mmap; an executor
+    # or process pool module would add to the start-up of every CLI call
     code = ("import sys, haarrect.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules])")

@@ -1,4 +1,5 @@
 import ast
+import mmap
 import os
 import signal
 import threading
@@ -422,13 +423,14 @@ def test_means_of_a_tuple_are_the_means_of_each_value(slab_model,
 
 
 def test_two_valued_mean_memory_stays_below_5_3_mib(monkeypatch):
-    # bench-holo's pass on perfbench's grid, one worker: the two value
-    # grids; w1 and w2, an (s, c) pair per value and one shared t, z and
-    # e, all slab-sized; and f's temporaries.  5.29 MiB here, as for two
-    # single-valued calls; separate sums per value, or f's values kept
-    # while it makes the next node's, peak near 6 MiB
+    # bench-holo's pass on perfbench's grid, one worker, slabs of three
+    # rows: the two value grids; w1 and w2, an (s, c) pair per value and
+    # one shared t, z and e, all slab-sized; and f's temporaries.  5.29 MiB
+    # here, as for two single-valued calls; separate sums per value, or f's
+    # values kept while it makes the next node's, peak near 6 MiB
     model = build_complexified_model(n_theta=64, n_space=17)
     monkeypatch.setattr(holo, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(holo, "SLAB_POINTS", 2 ** 14)
     f = lambda z1, z2: (z1 * z1 + z2 * z2, z1 + 1j * z2)
     tracemalloc.start()
     try:
@@ -443,22 +445,29 @@ class SlabFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing_slab", [0, 1, 2])
+def assert_no_child_left():
+    # every child of a call is reaped before it returns or raises
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing_slab", [0, 1, 2, 3])
 def test_worker_exception_reaches_the_caller(small_model, failing_slab):
     check_worker_exception(small_model, failing_slab, mean=False)
 
 
-@pytest.mark.parametrize("failing_slab", [0, 1, 2])
+@pytest.mark.parametrize("failing_slab", [0, 1, 2, 3])
 def test_worker_exception_in_a_mean_reaches_the_caller(small_model,
                                                        failing_slab):
     check_worker_exception(small_model, failing_slab, mean=True)
 
 
 def check_worker_exception(model, failing_slab, mean):
-    # with 3 workers and 1-row slabs, slab j runs in thread j: the calling
-    # thread for j = 0, a worker thread otherwise.  A mean of two values
-    # meets the slab's own rows at its first node, theta = 0; for j = 0
-    # its one-point probe, in the calling thread, meets them first
+    # a mean with 3 workers and 1-row slabs runs slab j in process j mod 3:
+    # the caller for j = 0 and 3, a child otherwise, whose share the caller
+    # then does again.  A mean of two values meets the slab's own rows at
+    # its first node, theta = 0; for j = 0 its one-point probe, before any
+    # fork, meets them first.  A plain sample runs in the caller
     Z1, Z2 = holo.grid_points(*model.grid_axes)
     bad_row = Z1[failing_slab, 0, 0, 0]
     theta = model.theta_nodes if mean else None
@@ -476,43 +485,87 @@ def check_worker_exception(model, failing_slab, mean):
         return np.stack(values).tobytes()
 
     expected = sample(product, 1)
-    sample(product, 3)      # starts the workers
-    before = threading.active_count()
-    with pytest.raises(SlabFailure):
-        sample(f, 3)
-    assert threading.active_count() == before
-    # the workers are free for the next call
     assert sample(product, 3) == expected
-    assert threading.active_count() == before
+    assert_no_child_left()
+    with pytest.raises(SlabFailure) as failure:
+        sample(f, 3)
+    assert failure.value.args == (failing_slab,)
+    assert_no_child_left()
 
 
-def test_sampling_inside_a_worker_runs_there(small_model):
-    # a worker that handed slabs to the workers would wait on itself
+def check_mean_in_one_process(model, keep_from_forking):
+    # the mean of two values for 1, 2 and 3 workers, once keep_from_forking
+    # has run, has the bytes of the mean in three processes
+    Z1, Z2 = holo.grid_points(*model.grid_axes)
+    means = lambda workers: np.stack(holo._sample_slabs(
+        all_inputs, Z1, Z2, 1, workers, model.theta_nodes)).tobytes()
+    expected = means(3)
+    keep_from_forking()
+    for workers in (1, 2, 3):
+        assert means(workers) == expected
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+@needs_fork
+def test_mean_without_os_fork_runs_in_process(small_model, monkeypatch):
+    check_mean_in_one_process(small_model,
+                              lambda: monkeypatch.delattr(os, "fork"))
+
+
+@needs_fork
+def test_mean_beside_a_live_thread_runs_in_process(small_model, monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+
+    def start_thread():
+        # a fork would copy the thread's locks in whatever state they are
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        thread.start()
+
+    try:
+        check_mean_in_one_process(small_model, start_thread)
+    finally:
+        release.set()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+@needs_fork
+def test_mean_inside_a_child_runs_there(small_model, monkeypatch):
+    # f runs a mean of its own in the one child of a two-worker mean: that
+    # mean must not fork again, and must give its bytes for 1, 2 and 3
+    # workers.  The child's counts reach the caller through a shared map
     Z1, Z2 = holo.grid_points(*small_model.grid_axes)
+    theta = small_model.theta_nodes
     product = lambda z1, z2: z1 * z2
+    expected = holo._sample_slabs(product, Z1, Z2, 1, 1, theta).tobytes()
+    caller, fork = os.getpid(), os.fork
+    started, same = np.ndarray((2, 1), np.int64, mmap.mmap(-1, 16))
+
+    def fork_in_the_caller():
+        if os.getpid() != caller:
+            raise AssertionError("a child forked")
+        return fork()
 
     def f(z1, z2):
-        holo._sample_slabs(product, Z1, Z2, 1, 3)
+        if os.getpid() != caller:
+            # the alarm ends a child that hangs, whose count stays short
+            signal.alarm(30)
+            for workers in (1, 2, 3):
+                started[...] += 1
+                nested = holo._sample_slabs(product, Z1, Z2, 1, workers,
+                                            theta)
+                same[...] += nested.tobytes() == expected
         return product(z1, z2)
 
-    expected = holo._sample_slabs(product, Z1, Z2, 1, 1).tobytes()
-    assert holo._sample_slabs(f, Z1, Z2, 1, 3).tobytes() == expected
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_workers(small_model):
-    Z1, Z2 = holo.grid_points(*small_model.grid_axes)
-    product = lambda z1, z2: z1 * z2
-    expected = holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes()
-    pid = os.fork()
-    if pid == 0:
-        # the parent's workers do not exist here; waiting on them would
-        # hang, so the alarm ends the child
-        signal.alarm(30)
-        same = holo._sample_slabs(product, Z1, Z2, 1, 3).tobytes() == expected
-        os._exit(0 if same else 1)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    monkeypatch.setattr(os, "fork", fork_in_the_caller)
+    holo._sample_slabs(f, Z1, Z2, 1, 2, theta)
+    assert_no_child_left()
+    assert started[0] > 0
+    assert same[0] == started[0]
 
 
 # ---------------------------------------------------------------------------
