@@ -3,12 +3,13 @@
 
 Usage: python scripts/run_bundled.py [--out DIR]
 
-Experiment configs go through ``run_experiment``; ``holo_bench.json`` goes
-through ``run_holo_bench`` and has only an exit code and a report.  The
-table ends with the sha256 of each config's trace and report ("-" for one
-the run did not write), so two checkouts' artifacts compare with one diff
-of their tables.  The script exits 1 if a config's exit code is not its
-own expected one (``EXPECTED_EXIT``, 0 for a config not named there).
+Experiment configs go through ``validate_config`` and ``run_experiment``;
+``holo_bench.json`` goes through ``run_holo_bench`` and has only an exit
+code and a report.  The table ends with the sha256 of each config's trace
+and report ("-" for one the run did not write), so two checkouts' artifacts
+compare with one diff of their tables.  The script exits 1 if a config's
+exit code is not its own expected one (``EXPECTED_EXIT``, 0 for a config
+not named there), or if ``validate_config`` reports an issue with a config.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from haarrect.harness import (  # noqa: E402
     HoloSpec,
     run_experiment,
     run_holo_bench,
+    validate_config,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -47,7 +49,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
-    rows = []
+    rows, invalid = [], []
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
         name = os.path.basename(path)
         if name == "holo_bench.json":
@@ -57,6 +59,7 @@ def main(argv=None):
                          "-", sha256_of(os.path.join(args.out, spec.report))))
             continue
         config = ExperimentConfig.from_json(path)
+        invalid += [(name, issue) for issue in validate_config(config)]
         artifacts = [os.path.join(args.out, f)
                      for f in (config.output.trace, config.output.report)]
         report, code = run_experiment(config, out_dir=args.out)
@@ -76,7 +79,9 @@ def main(argv=None):
     for name, code in wrong:
         print(f"{name}: exit {code}, expected {EXPECTED_EXIT.get(name, 0)}",
               file=sys.stderr)
-    return 1 if wrong else 0
+    for name, issue in invalid:
+        print(f"{name}: validate reports {issue}", file=sys.stderr)
+    return 1 if wrong or invalid else 0
 
 
 if __name__ == "__main__":

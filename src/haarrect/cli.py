@@ -4,12 +4,13 @@ Subcommands:
   rectify run --config <path> [--out <dir>]      end-to-end rectification run
   rectify constants --group <tag> [--samples N] [--seed S] ...
   rectify bench-holo --config <path> [--out <dir>]
-  rectify validate --config <path>               dry-run axiom validation
+  rectify validate --config <path>               dry-run core and density check
 
 The default output directory is $RECTIFY_OUT, falling back to the current
 directory.  Each command prints one JSON document (``harness.dumps``); run
-and bench-holo print the report file they wrote.  Exit codes: 0 pass,
-2 precondition rejection, 3 non-contraction, 4 numeric domain error.
+and bench-holo print the report file they wrote.  validate checks a config's
+core and density, since its groupoid is valid by construction.  Exit codes:
+0 pass, 2 precondition rejection, 3 non-contraction, 4 numeric domain error.
 """
 
 import argparse
@@ -99,7 +100,7 @@ def build_parser():
                         help=f"output dir (default ${DEFAULT_OUT_ENV} or .)")
     p_holo.set_defaults(func=_cmd_bench_holo)
 
-    p_val = sub.add_parser("validate", help="dry-run axiom validation")
+    p_val = sub.add_parser("validate", help="dry-run core and density check")
     p_val.add_argument("--config", required=True, help="path to config JSON")
     p_val.set_defaults(func=_cmd_validate)
 

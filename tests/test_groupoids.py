@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import translations, with_products
-from haarrect.errors import ActionError, CoreAxiomError, InvarianceError
+from haarrect.errors import ActionError, ConfigError, CoreAxiomError
+from haarrect.errors import InvarianceError
 from haarrect.groupoids import (
     FiniteGroup,
     FiniteGroupoid,
@@ -13,6 +14,7 @@ from haarrect.groupoids import (
     build_pair_groupoid,
     validate_groupoid,
 )
+from haarrect.harness import ExperimentConfig, build_groupoid
 
 
 def product_row(g, q, p):
@@ -303,6 +305,33 @@ def test_action_groupoid_always_validates(n, m):
 def test_pair_groupoid_always_validates(n):
     g = build_pair_groupoid(n)
     assert not validate_groupoid(g)
+
+
+# `rectify validate` does not re-check the groupoid axioms: a config can only
+# name these sections, and each is a groupoid or a ConfigError at load.
+
+def config_groupoid(section):
+    config = ExperimentConfig.from_dict({"groupoid": section})
+    return build_groupoid(config.groupoid)
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_every_config_pair_groupoid_validates(size):
+    g = config_groupoid({"constructor": "pair", "size": size})
+    assert g.n_objects == size and validate_groupoid(g) == ()
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_every_config_action_groupoid_validates_or_is_rejected(order):
+    for m in range(1, 13):
+        section = {"constructor": "action", "group_order": order,
+                   "space_size": m}
+        if order % m:
+            with pytest.raises(ConfigError, match="by translation"):
+                ExperimentConfig.from_dict({"groupoid": section})
+            continue
+        g = config_groupoid(section)
+        assert g.n_arrows == order * m and validate_groupoid(g) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from conftest import (
     matrices,
     tabulated_action,
 )
-from haarrect import cli, harness
+from haarrect import cli, groupoids, harness
 from haarrect.cli import main
 from haarrect.errors import (
     ActionError,
@@ -709,6 +709,30 @@ def test_run_bundled_checks_each_configs_own_exit_code(
         assert f"exit {code}, expected {right.get(report, 0)}" in err
 
 
+def test_run_bundled_fails_on_a_config_that_validate_rejects(
+        monkeypatch, capsys, tmp_path):
+    script = load_script("run_bundled")
+    validated = []
+
+    def validate_config(config):
+        validated.append(config.output.report)
+        return (["density: fiber sum at object 0 is 2.0"]
+                if config.output.report == "su2_z3z3_report.json" else [])
+
+    monkeypatch.setattr(script, "validate_config", validate_config)
+    monkeypatch.setattr(script, "run_experiment", lambda config, out_dir: (
+        {"iterations": 0, "initial_defect": float("nan"),
+         "final_defect": float("nan"), "error": None},
+        2 if config.output.report == "defect_too_large_report.json" else 0))
+    monkeypatch.setattr(script, "run_holo_bench",
+                        lambda spec, out_dir: ({}, 0))
+    assert script.main(["--out", str(tmp_path)]) == 1
+    assert len(validated) == 4
+    assert capsys.readouterr().err == (
+        "su2_z3z3.json: validate reports density: fiber sum at object 0 is "
+        "2.0\n")
+
+
 @pytest.mark.parametrize("samples, message", [
     ("10", "constants.sample_count must be an integer >= 1000, not 10"),
     ("1000001", "constants.sample_count must be at most 1000000, not 1000001"),
@@ -1093,6 +1117,27 @@ def test_validate_config_clean_and_broken():
     })
     issues = validate_config(broken)
     assert issues and "Lie type" in issues[0]
+
+
+EXPERIMENT_CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR)
+                            if name.endswith(".json")
+                            and name != "holo_bench.json")
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CONFIGS)
+def test_validate_passes_bundled_configs_without_the_groupoid_axioms(
+        monkeypatch, capsys, name):
+    # a config's groupoid is valid by construction: validate never re-proves it
+    def no_groupoid_check(g):
+        raise AssertionError("validate re-checked the groupoid axioms")
+
+    monkeypatch.setattr(groupoids, "validate_groupoid", no_groupoid_check)
+    monkeypatch.setattr(harness, "validate_groupoid", no_groupoid_check,
+                        raising=False)
+    code = main(["validate", "--config", os.path.join(CONFIG_DIR, name)])
+    out = capsys.readouterr().out
+    assert (code, out) == (EXIT_PASS,
+                           harness.dumps({"issues": [], "passed": True}) + "\n")
 
 
 # ---------------------------------------------------------------------------
