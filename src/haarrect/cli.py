@@ -60,55 +60,72 @@ def _cmd_validate(args):
             EXIT_PASS if not issues else EXIT_PRECONDITION)
 
 
+def _add_config(parser, out=True):
+    parser.add_argument("--config", required=True, help="path to config JSON")
+    if out:
+        parser.add_argument("--out", default=None, help=f"output dir "
+                            f"(default ${DEFAULT_OUT_ENV} or .)")
+
+
+def _add_constants(parser):
+    parser.add_argument("--group", required=True, help="group tag")
+    parser.add_argument("--samples", type=int,
+                        default=ConstantsSpec.sample_count,
+                        help="sample count (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=ConstantsSpec.seed,
+                        help="seed (default %(default)s)")
+    parser.add_argument("--safety", type=float,
+                        default=ConstantsSpec.safety_factor,
+                        help="safety factor (default %(default)s)")
+    parser.add_argument("--raw-norm", default=GroupSpec.raw_norm,
+                        help="raw norm on the algebra (default %(default)s)")
+    parser.add_argument("--w-radius", type=float,
+                        default=ConstantsSpec.W_radius,
+                        help="radius of W (default %(default)s)")
+    parser.add_argument("--k-radius", type=float,
+                        default=ConstantsSpec.K_radius,
+                        help="radius of the ambient compact (default "
+                        "%(default)s)")
+
+
+# name: (help, function, adds its arguments), in the order help lists them
+COMMANDS = {
+    "run": ("run an experiment config", _cmd_run, _add_config),
+    "constants": ("estimate contraction constants", _cmd_constants,
+                  _add_constants),
+    "bench-holo": ("run the holomorphic benchmark", _cmd_bench_holo,
+                   _add_config),
+    "validate": ("dry-run core and density check", _cmd_validate,
+                 functools.partial(_add_config, out=False)),
+}
+
+
 @functools.cache
-def build_parser():
+def build_parser(command=None):
+    """The rectify parser with only ``command``'s subparser, or with every
+    command's for None: a call parses one command, and each subparser is a
+    parser of its own to build."""
     parser = argparse.ArgumentParser(
         prog="rectify",
         description="Haar-averaging rectification of almost-morphisms",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("--config", required=True, help="path to config JSON")
-    p_run.add_argument("--out", default=None,
-                       help=f"output dir (default ${DEFAULT_OUT_ENV} or .)")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_const = sub.add_parser("constants", help="estimate contraction constants")
-    p_const.add_argument("--group", required=True, help="group tag")
-    p_const.add_argument("--samples", type=int,
-                         default=ConstantsSpec.sample_count,
-                         help="sample count (default %(default)s)")
-    p_const.add_argument("--seed", type=int, default=ConstantsSpec.seed,
-                         help="seed (default %(default)s)")
-    p_const.add_argument("--safety", type=float,
-                         default=ConstantsSpec.safety_factor,
-                         help="safety factor (default %(default)s)")
-    p_const.add_argument("--raw-norm", default=GroupSpec.raw_norm,
-                         help="raw norm on the algebra (default %(default)s)")
-    p_const.add_argument("--w-radius", type=float,
-                         default=ConstantsSpec.W_radius,
-                         help="radius of W (default %(default)s)")
-    p_const.add_argument("--k-radius", type=float,
-                         default=ConstantsSpec.K_radius,
-                         help="radius of the ambient compact (default %(default)s)")
-    p_const.set_defaults(func=_cmd_constants)
-
-    p_holo = sub.add_parser("bench-holo", help="run the holomorphic benchmark")
-    p_holo.add_argument("--config", required=True, help="path to config JSON")
-    p_holo.add_argument("--out", default=None,
-                        help=f"output dir (default ${DEFAULT_OUT_ENV} or .)")
-    p_holo.set_defaults(func=_cmd_bench_holo)
-
-    p_val = sub.add_parser("validate", help="dry-run core and density check")
-    p_val.add_argument("--config", required=True, help="path to config JSON")
-    p_val.set_defaults(func=_cmd_validate)
-
+    # a pruned parser's usage line still lists every command; the full one
+    # names the argument "command" in its errors
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (help_, func, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         result, code = args.func(args)
     except HaarrectError as exc:

@@ -521,17 +521,23 @@ def dumps(data):
 
 
 def _atomic_write(path, text):
-    """Write a unique temp file in the target directory, then rename it."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    """Write a unique temp file in the target directory, then rename it;
+    ConfigError naming ``path`` if it cannot be written."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=".tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         umask = os.umask(0)     # mkstemp's file is owner-only: give it the
         os.umask(umask)         # mode a plain open would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
         raise
 
 
@@ -574,7 +580,7 @@ def run_experiment(config, out_dir=None):
     core = build_core_from_config(g, config.core)
     weights = build_density_from_config(core, config.density)
 
-    exit_code = EXIT_PASS
+    exit_code, kept_trace = EXIT_PASS, None
     try:
         phi_exact, report["warnings"] = generate_exact_morphism(
             g, config.groupoid, alg, config.morphism
@@ -598,16 +604,23 @@ def run_experiment(config, out_dir=None):
         report["residual_full"] = (
             trace.deltas[-1] if full_core
             else verify_core_morphism(limit, core, alg, full=True))
-        write_trace_csv(trace_path, trace)
+        kept_trace = trace
     except HaarrectError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = exit_code_for(exc)
         if exc.initial_defect is not None:
             report["initial_defect"] = exc.initial_defect
-        if isinstance(exc, NonContraction) and exc.trace is not None:
-            write_trace_csv(trace_path, exc.trace)
-        elif os.path.lexists(trace_path):
-            os.remove(trace_path)   # an older trace must not pass for this run's
+        if isinstance(exc, NonContraction):
+            kept_trace = exc.trace
+    # a file that cannot be written is the caller's error, not the run's
+    if kept_trace is not None:
+        write_trace_csv(trace_path, kept_trace)
+    elif os.path.lexists(trace_path):
+        try:    # an older trace must not pass for this run's
+            os.remove(trace_path)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot remove {trace_path!r}: {exc.strerror}") from exc
 
     tol = config.iteration.tol
     residual_contract = (constants.d_prime / constants.d) * tol + 1e-15

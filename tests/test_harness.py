@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import inspect
@@ -629,7 +630,10 @@ def test_parser_is_built_once_and_calls_print_as_fresh_processes(capsys):
         main(bad)
     calls = [(exit_.value.code, *capsys.readouterr())]
     calls.append((main(good), *capsys.readouterr()))
-    assert cli.build_parser.cache_info().misses == 1
+    # one parser per command: a repeated command builds none
+    assert cli.build_parser.cache_info().misses == 2
+    assert (main(good), *capsys.readouterr()) == calls[1]
+    assert cli.build_parser.cache_info().misses == 2
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
@@ -639,6 +643,83 @@ def test_parser_is_built_once_and_calls_print_as_fresh_processes(capsys):
                                timeout=120)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == call
     assert [code for code, _, _ in calls] == [EXIT_PRECONDITION, EXIT_PASS]
+
+
+# argvs of every kind the parser answers: a Namespace, help, or an error
+# from a subparser or from the top parser after a subcommand
+PARSER_CORPUS = [
+    ["run", "--config", "a.json"], ["run", "--config", "a.json", "--out", "o"],
+    ["constants", "--group", "SO3"], ["bench-holo", "--config", "h.json"],
+    ["validate", "--config", "a.json"],
+    ["run", "-h"], ["constants", "-h"], ["bench-holo", "-h"], ["validate", "-h"],
+    ["-h"], ["--help"], [], ["bogus"], ["ru"],
+    ["run"], ["validate"], ["bench-holo", "--out", "o"],
+    ["constants", "--group", "SO3", "--samples", "many"],
+    ["constants", "--group", "SO3", "--safety", "x"],
+    ["validate", "--config", "a.json", "--bogus"], ["run", "--conf", "a.json"],
+    ["constants", "--group=SO3"],
+    ["run", "--config", "a.json", "extra"],
+    ["run", "--config", "a.json", "validate"],
+]
+
+
+def parse(parser, argv, capsys):
+    """A parse's Namespace, or its exit code, stdout and stderr."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exit_:
+        return (exit_.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "empty")
+def test_command_parser_answers_as_the_full_parser(capsys, argv):
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert parse(cli.build_parser(command), argv, capsys) \
+        == parse(cli.build_parser(None), argv, capsys)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    # a count where a timing would be noise: argparse builds one parser for
+    # the top level and one per subcommand added to it
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["validate", "--config",
+                     os.path.join(CONFIG_DIR, "so3_pair5.json")]) == EXIT_PASS
+        assert built == ["rectify", "rectify validate"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0 and len(built) == 2 + 5
+    finally:
+        cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("command, config, taken", [
+    ("run", "u1_onestep.json", "u1_onestep_report.json"),
+    ("run", "u1_onestep.json", "u1_onestep_trace.csv"),
+    # a rejected run removes an older trace
+    ("run", "defect_too_large.json", "defect_too_large_trace.csv"),
+    ("bench-holo", "holo_bench.json", "holo_report.json"),
+], ids=["run-report", "run-trace", "rejected-run-trace", "bench-holo-report"])
+def test_cli_artifact_path_that_is_a_directory_is_one_line_error(
+        tmp_path, capsys, command, config, taken):
+    # these ended in an OSError traceback with exit 1
+    (tmp_path / taken).mkdir()
+    assert main([command, "--config", os.path.join(CONFIG_DIR, config),
+                 "--out", str(tmp_path)]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ConfigError: cannot ")
+    assert repr(str(tmp_path / taken)) in err
+    assert (tmp_path / taken).is_dir()
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 
 
 def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
