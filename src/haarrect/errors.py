@@ -62,11 +62,12 @@ class InvalidAlgebraVector(HaarrectError):
 
 
 class LogDomainError(HaarrectError):
-    """Group element lies outside the verified injectivity region of exp."""
+    """Group element lies outside the injectivity region of exp."""
 
 
 class NormalizationFailure(HaarrectError):
-    """Norm scale search exhausted its cap without verifying both conditions."""
+    """Raised nowhere: the norm scale is a closed form.  It stays exported
+    for callers that catch it."""
 
 
 class ActionError(HaarrectError):

@@ -23,10 +23,8 @@ Conventions fixed here and relied on everywhere else:
 
 import numpy as np
 
-from .errors import InvalidAlgebraVector, NormalizationFailure, Value
+from .errors import InvalidAlgebraVector, Value
 from .sums import weighted_sum
-
-TAU_ALG = 1e-9      # injectivity verification slack
 
 ALGEBRA_OF = {"U1": "u1", "SO2": "so2", "SO3": "so3", "SU2": "su2"}
 GROUP_OF = {v: k for k, v in ALGEBRA_OF.items()}
@@ -51,20 +49,6 @@ _RAW_FACTOR = {
     ("su2", "frobenius"): 1.0 / np.sqrt(2.0),
 }
 _INJ_SAFETY = 0.99
-
-
-def bracket_coords(algebra_id, u, v):
-    """Lie bracket in coordinates."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if algebra_id in ("u1", "so2"):
-        return np.zeros_like(u)
-    if algebra_id == "so3":
-        return np.cross(u, v)
-    if algebra_id == "su2":
-        # [i sigma_j / 2, i sigma_k / 2] = -eps_jkl i sigma_l / 2
-        return -np.cross(u, v)
-    raise ValueError(f"unknown algebra_id {algebra_id!r}")
 
 
 def _row_norm(x):
@@ -127,8 +111,8 @@ def _columns(mats, out=None):
 class NormedAlgebra(Value):
     """Algebra with normalized norm |.| = scale * raw_norm.
 
-    ``injectivity_margin`` is the verified radius (in the normalized norm)
-    within which log is trusted: exp is injective there and log returns the
+    ``injectivity_margin`` is the radius (in the normalized norm) within
+    which log is trusted: exp is injective there and log returns the
     principal preimage.
     """
 
@@ -345,19 +329,17 @@ def _distances_to_identity(alg, values):
 # norm normalization
 # ---------------------------------------------------------------------------
 
-def normalize_algebra_norm(algebra_id, raw_norm="euclid", verify_samples=4000,
-                           seed=20260401):
-    """Pick the scale making the unit ball BCH-ready, then verify by sampling.
+def normalize_algebra_norm(algebra_id, raw_norm="euclid"):
+    """The normed algebra whose unit ball is BCH-ready, in closed form.
 
     The scale is the max of the exact commutator-ratio supremum for the
     algebra (the four supported algebras have closed-form structure
-    constants) and the injectivity floor that places the *doubled* unit ball
-    strictly inside the principal branch of exp: products of two unit-ball
-    exponentials must stay wrap-free, otherwise the BCH gap ratios pick up
-    spurious branch jumps (the abelian gap must vanish identically).
-    Verification draws sample pairs and checks |[u,v]| <= |u||v| plus the
-    log(exp(u)) = u round trip on the margin ball; on failure the scale is
-    bumped and re-verified, up to a cap.
+    constants), so that |[u,v]| <= |u||v|, and the injectivity floor that
+    places the *doubled* unit ball strictly inside the principal branch of
+    exp: products of two unit-ball exponentials must stay wrap-free,
+    otherwise the BCH gap ratios pick up spurious branch jumps (the abelian
+    gap must vanish identically).  Both properties hold by these closed
+    forms; the tests check them by sampling for every algebra and raw norm.
     """
     if (algebra_id, raw_norm) not in _RAW_FACTOR:
         raise ValueError(f"unsupported (algebra, raw_norm): {algebra_id}, {raw_norm}")
@@ -365,33 +347,8 @@ def normalize_algebra_norm(algebra_id, raw_norm="euclid", verify_samples=4000,
     branch_raw = factor * _BRANCH_RADIUS_EUCLID[algebra_id]
     comm_sup_raw = _COMMUTATOR_SUP_EUCLID[algebra_id] / factor
     scale = max(comm_sup_raw, 2.0 / (_INJ_SAFETY * branch_raw))
-
-    rng = np.random.default_rng(seed)
-    cap = scale * 16.0
-    while True:
-        margin = _INJ_SAFETY * scale * branch_raw
-        alg = NormedAlgebra(algebra_id=algebra_id, raw_norm=raw_norm,
-                            scale=scale, injectivity_margin=margin)
-        if _verify_normalization(alg, rng, verify_samples):
-            return alg
-        scale *= 1.1
-        if scale > cap:
-            raise NormalizationFailure(
-                f"could not verify normalization for {algebra_id}/{raw_norm} "
-                f"below scale cap {cap:.3g}"
-            )
-
-
-def _verify_normalization(alg, rng, count):
-    u = alg.sample_ball(rng, 1.0, count)
-    v = alg.sample_ball(rng, 1.0, count)
-    br = bracket_coords(alg.algebra_id, u, v)
-    if np.any(alg.norm(br) > alg.norm(u) * alg.norm(v) + 1e-12):
-        return False
-    # round-trip injectivity witness over the margin ball
-    w = alg.sample_ball(rng, alg.injectivity_margin, count)
-    err = alg.norm(_log_coords(alg, _exp_matrices(alg, w)) - w)
-    return bool(np.all(err <= TAU_ALG * np.maximum(1.0, alg.norm(w))))
+    return NormedAlgebra(algebra_id=algebra_id, raw_norm=raw_norm, scale=scale,
+                         injectivity_margin=_INJ_SAFETY * scale * branch_raw)
 
 
 # ---------------------------------------------------------------------------

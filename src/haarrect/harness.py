@@ -630,7 +630,15 @@ def run_experiment(config, out_dir=None):
         and report["residual_core"] <= residual_contract)
     if report["error"] is None and not report["passed"]:
         exit_code = EXIT_NON_CONTRACTION
-    _atomic_write(report_path, dumps(report) + "\n")
+    try:
+        _atomic_write(report_path, dumps(report) + "\n")
+    except ConfigError:
+        if kept_trace is not None:  # no fresh trace without its report
+            try:
+                os.remove(trace_path)
+            except OSError:     # the report's error is the one to show
+                pass
+        raise
     return report, exit_code
 
 

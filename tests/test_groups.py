@@ -21,11 +21,27 @@ from haarrect.groups import (
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
-    bracket_coords,
     estimate_bch_constants,
     haar_integrate,
     normalize_algebra_norm,
 )
+
+
+TAU_ALG = 1e-9      # exp/log round-trip slack, times max(1, |w|)
+NORMED = [(aid, raw) for aid in ("u1", "so2", "so3", "su2")
+          for raw in ("euclid", "frobenius")]
+
+
+def bracket_coords(algebra_id, u, v):
+    """Lie bracket in coordinates."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if algebra_id in ("u1", "so2"):
+        return np.zeros_like(u)
+    if algebra_id == "so3":
+        return np.cross(u, v)
+    # [i sigma_j / 2, i sigma_k / 2] = -eps_jkl i sigma_l / 2
+    return -np.cross(u, v)
 
 
 def exp_mats(alg, coords):
@@ -293,11 +309,54 @@ def test_bracket_matches_matrix_commutator(algebras):
             assert np.abs(comm - bracket_coords(alg_id, u, v)).max() < 1e-13
 
 
+@pytest.mark.parametrize("seed", [20260401, 0, 1, 2])
+@pytest.mark.parametrize("algebra_id, raw_norm", NORMED)
+def test_normalized_norm_is_bch_ready(algebra_id, raw_norm, seed):
+    # what the averaging certificate needs of the closed-form scale: the
+    # bracket bound on the unit ball and exp/log injective on the margin ball
+    alg = normalize_algebra_norm(algebra_id, raw_norm)
+    rng = np.random.default_rng(seed)
+    u = alg.sample_ball(rng, 1.0, 4000)
+    v = alg.sample_ball(rng, 1.0, 4000)
+    br = bracket_coords(algebra_id, u, v)
+    assert np.all(alg.norm(br) <= alg.norm(u) * alg.norm(v) + 1e-12)
+    # round-trip injectivity witness over the margin ball
+    w = alg.sample_ball(rng, alg.injectivity_margin, 4000)
+    err = alg.norm(_log_coords(alg, _exp_matrices(alg, w)) - w)
+    assert np.all(err <= TAU_ALG * np.maximum(1.0, alg.norm(w)))
+
+
+@pytest.mark.parametrize("algebra_id, raw_norm, scale, margin", [
+    ("u1", "euclid", 0.643050275118769, 1.9999999999999998),
+    ("u1", "frobenius", 0.643050275118769, 1.9999999999999998),
+    ("so2", "euclid", 0.643050275118769, 1.9999999999999998),
+    ("so2", "frobenius", 0.45470521018035664, 2.0),
+    ("so3", "euclid", 1.0, 3.1101767270538954),
+    ("so3", "frobenius", 0.7071067811865475, 3.110176727053895),
+    ("su2", "euclid", 1.0, 6.220353454107791),
+    ("su2", "frobenius", 1.4142135623730951, 6.220353454107791),
+])
+def test_normalization_is_the_closed_form_to_the_bit(algebra_id, raw_norm,
+                                                     scale, margin):
+    # arithmetic on constants, so the same bits on any CPU
+    alg = normalize_algebra_norm(algebra_id, raw_norm)
+    assert alg.scale == scale and alg.injectivity_margin == margin
+
+
+def test_normalization_draws_no_sample(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("normalization drew a random sample")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for algebra_id, raw_norm in NORMED:
+        normalize_algebra_norm(algebra_id, raw_norm)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_commutator_inequality_property(seed):
     for alg_id in ("so3", "su2", "u1"):
-        alg = normalize_algebra_norm(alg_id, verify_samples=100, seed=seed)
+        alg = normalize_algebra_norm(alg_id)
         rng = np.random.default_rng(seed)
         u = alg.sample_ball(rng, 1.0, 200)
         v = alg.sample_ball(rng, 1.0, 200)

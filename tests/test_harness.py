@@ -719,7 +719,8 @@ def test_cli_artifact_path_that_is_a_directory_is_one_line_error(
     assert err.startswith("error: ConfigError: cannot ")
     assert repr(str(tmp_path / taken)) in err
     assert (tmp_path / taken).is_dir()
-    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+    # no temp file, and no fresh trace beside no report
+    assert os.listdir(tmp_path) == [taken]
 
 
 def test_run_bundled_table_hashes_this_runs_artifacts(tmp_path):
