@@ -2,7 +2,7 @@
 
 Subcommands:
   rectify run --config <path> [--out <dir>]      end-to-end rectification run
-  rectify constants --group <tag> [--samples N] [--seed S] ...
+  rectify constants --group <tag> [--safety F] ...    closed-form constants
   rectify bench-holo --config <path> [--out <dir>]
   rectify validate --config <path>               dry-run core and density check
 
@@ -43,9 +43,8 @@ def _cmd_run(args):
 
 def _cmd_constants(args):
     # the flags obey the checks of a config's constants and group sections
-    spec = ConstantsSpec(sample_count=args.samples, safety_factor=args.safety,
-                         W_radius=args.w_radius, K_radius=args.k_radius,
-                         seed=args.seed)
+    spec = ConstantsSpec(safety_factor=args.safety, W_radius=args.w_radius,
+                         K_radius=args.k_radius)
     alg = algebra_for(GroupSpec(tag=args.group, raw_norm=args.raw_norm))
     return constants_for(alg, spec).as_dict(), EXIT_PASS
 
@@ -69,11 +68,6 @@ def _add_config(parser, out=True):
 
 def _add_constants(parser):
     parser.add_argument("--group", required=True, help="group tag")
-    parser.add_argument("--samples", type=int,
-                        default=ConstantsSpec.sample_count,
-                        help="sample count (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=ConstantsSpec.seed,
-                        help="seed (default %(default)s)")
     parser.add_argument("--safety", type=float,
                         default=ConstantsSpec.safety_factor,
                         help="safety factor (default %(default)s)")
@@ -91,7 +85,7 @@ def _add_constants(parser):
 # name: (help, function, adds its arguments), in the order help lists them
 COMMANDS = {
     "run": ("run an experiment config", _cmd_run, _add_config),
-    "constants": ("estimate contraction constants", _cmd_constants,
+    "constants": ("print the contraction constants", _cmd_constants,
                   _add_constants),
     "bench-holo": ("run the holomorphic benchmark", _cmd_bench_holo,
                    _add_config),

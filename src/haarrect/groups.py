@@ -4,8 +4,8 @@ Supported groups are U(1), SO(2), SO(3) and SU(2) in their defining
 representations.  The module provides batched exp/log between a normed Lie
 algebra and the group, the distance to the identity, the U(1)/SO(2)
 trapezoid Haar rule, and the constants (c, c', c'', d, d', c_l, c_d) of the
-quadratic contraction certificate of the averaging iteration: sampled,
-except the closed-form c_l and c_d.
+quadratic contraction certificate of the averaging iteration, in closed
+form.
 
 Conventions fixed here and relied on everywhere else:
   * algebra coordinates are real vectors in the bases of the README's
@@ -37,6 +37,14 @@ _BRANCH_RADIUS_EUCLID = {"u1": np.pi, "so2": np.pi, "so3": np.pi, "su2": 2 * np.
 # sup |[u,v]| / (|u| |v|) in the Euclidean coordinate norm (structure
 # constants of the four supported algebras; abelian ones commute).
 _COMMUTATOR_SUP_EUCLID = {"u1": 0.0, "so2": 0.0, "so3": 1.0, "su2": 1.0}
+# sup |log(e^u e^v) - u - v| / (|u| |v|) over the normalized unit ball, the
+# BCH gap ratio, rounded up.  It is 0 where the algebra commutes, since the
+# doubled unit ball stays inside the principal branch.  For so3 and su2 the
+# normalized norm is the Euclidean one on rotation vectors under both raw
+# norms, and Ad-invariance leaves |u|, |v| and their angle: the maximum,
+# 0.51450064367, is at |u| = |v| = 1 and an angle of 1.5126 rad (the tests
+# search for it).
+_BCH_GAP_SUP = {"u1": 0.0, "so2": 0.0, "so3": 0.5145007, "su2": 0.5145007}
 # raw_norm = factor * euclidean coordinate norm
 _RAW_FACTOR = {
     ("u1", "euclid"): 1.0,
@@ -153,12 +161,13 @@ class NormedAlgebra(Value):
 
 
 class BchConstants(Value):
-    """Sampled upper bounds for the contraction-certificate constants.
+    """Upper bounds for the contraction-certificate constants.
 
-    c, c' and c'' are safety_factor times the empirical maximum of their
-    ratio over the sample, and c_l is safety_factor times sup |Ad_h| = 1.
-    d and d' are the empirical extremes of the radial expansion ratio of exp
-    and are deliberately not inflated: d is a lower bound, and inflating the
+    c is safety_factor times the BCH gap ratio's supremum; c', c'' and c_l
+    are safety_factor times the suprema of |log(e^u e^v)| / |u + v|,
+    |e^u e^v e^-u| / (|v| (1 + |u|)) and |Ad_h|, each exactly 1.  d and d'
+    bound the radial expansion |exp u| / |u|, which is exactly 1 on the
+    margin ball, and are not inflated: d is a lower bound, and inflating the
     pair would invalidate the d/d' check.  c_d is K_radius - W_radius
     exactly (both sets are metric balls).
     """
@@ -170,9 +179,7 @@ class BchConstants(Value):
     d_prime: float
     c_l: float
     c_d: float
-    sample_count: int
     safety_factor: float
-    excluded_fraction: float = 0.0
 
     def _check(self):
         if not (self.d <= self.d_prime):
@@ -352,73 +359,29 @@ def normalize_algebra_norm(algebra_id, raw_norm="euclid"):
 
 
 # ---------------------------------------------------------------------------
-# constants estimation
+# contraction constants
 # ---------------------------------------------------------------------------
 
-_EPS_FLOOR_CPRIME = 1e-6   # |u+v| floor for the 0/0 c' ratio
-_EPS_FLOOR_PROD = 1e-8     # |u||v| and |v| floors for the c and c'' ratios
+def estimate_bch_constants(alg, sets, safety_factor=1.25):
+    """The seven contraction constants of a normed algebra, in closed form.
 
-
-def _bch_sample(alg, rng, count):
-    """u and v drawn in the unit ball, exp(u), log(exp(u) exp(v)) and
-    exp(u) exp(v) exp(-u): the sample both BCH routines measure."""
-    u = alg.sample_ball(rng, 1.0, count)
-    v = alg.sample_ball(rng, 1.0, count)
-    eu = _exp_matrices(alg, u)
-    euv = _compose(eu, _exp_matrices(alg, v))
-    conj = _compose(euv, eu, adjoint=True)
-    return u, v, eu, _log_coords(alg, euv), conj
-
-
-def estimate_bch_constants(alg, sets, sample_count=2000, safety_factor=1.25,
-                           seed=0):
-    """Estimate the seven contraction constants from seeded samples.
-
-    The three BCH ratios are reported as safety_factor times their
-    empirical maximum over the sample; d and d' are the raw empirical
-    extremes of |exp(u)| / |u|; c_l is safety_factor and c_d the closed-form
-    gap between the two ambient balls.  Deterministic for a given seed.
+    c is safety_factor times the algebra's BCH gap supremum; c', c'' and c_l
+    are safety_factor, their ratios' suprema being 1: c' is reached on
+    commuting pairs, c'' is 1 / (1 + |u|) since Ad is an isometry, and
+    Ad_h is a rotation (so3, su2) or the identity (u1, so2) in Euclidean
+    coordinates, every supported norm a multiple of those.  d = d' = 1, as
+    log(exp u) = u on the margin ball, and c_d is the gap between the two
+    ambient balls.  Nothing is sampled.
     """
-    if sample_count < 1000:
-        raise ValueError("sample_count must be >= 1000")
-    rng = np.random.default_rng(seed)
-    u, v, eu, log_uv, conj = _bch_sample(alg, rng, sample_count)
-    nu, nv = alg.norm(u), alg.norm(v)
-
-    gap = alg.norm(log_uv - (u + v))
-    nsum = alg.norm(u + v)
-    nlog = alg.norm(log_uv)
-    nconj = _distances_to_identity(alg, conj)
-    nexp = _distances_to_identity(alg, eu)
-
-    keep_c = nu * nv >= _EPS_FLOOR_PROD
-    c_emp = float(np.max(gap[keep_c] / (nu * nv)[keep_c], initial=0.0))
-
-    keep_cp = nsum >= _EPS_FLOOR_CPRIME
-    cp_emp = float(np.max(nlog[keep_cp] / nsum[keep_cp], initial=0.0))
-    excluded = 1.0 - keep_cp.sum() / sample_count
-
-    keep_cd = nv >= _EPS_FLOOR_PROD
-    cdd_emp = float(np.max(nconj[keep_cd] / (nv * (1.0 + nu))[keep_cd], initial=0.0))
-
-    keep_r = nu >= _EPS_FLOOR_PROD
-    ratios = nexp[keep_r] / nu[keep_r]
-    d_emp, dp_emp = float(ratios.min()), float(ratios.max())
-
     return BchConstants(
-        c=safety_factor * c_emp,
-        c_prime=safety_factor * cp_emp,
-        c_dprime=safety_factor * cdd_emp,
-        d=d_emp,
-        d_prime=dp_emp,
-        # Ad_h is a rotation (so3, su2) or the identity (u1, so2) in
-        # Euclidean coordinates, and every supported norm is a multiple of
-        # those, so sup |Ad_h| is exactly 1
+        c=safety_factor * _BCH_GAP_SUP[alg.algebra_id],
+        c_prime=safety_factor,
+        c_dprime=safety_factor,
+        d=1.0,
+        d_prime=1.0,
         c_l=safety_factor,
         c_d=sets.K_radius - sets.W_radius,
-        sample_count=sample_count,
         safety_factor=safety_factor,
-        excluded_fraction=float(excluded),
     )
 
 

@@ -118,7 +118,7 @@ _FILE_NAME = _must(_is_file_name, "a file name")
 # a config may ask for: pair(215) at most; pair(200) has 8 * 10^6 entries,
 # and an SO3 `rectify run` over it peaks near 790 MB of resident memory.
 MAX_TABLE_ENTRIES = 10 ** 7
-MAX_SAMPLE_COUNT = 10 ** 6      # constants samples; SO3 peaks near 840 MB
+MAX_SAMPLE_COUNT = 10 ** 6      # nothing is sampled; it keeps verdicts
 
 
 def _require_table_size(keys, entries, what="product-table entries"):
@@ -239,7 +239,18 @@ class GroupoidSpec(_Spec, section="groupoid"):
                                 self.group_order ** 2 * self.space_size)
 
 
+# constants keys that a config may name and nothing reads, since the
+# constants are closed forms; a run whose config names one warns
+UNUSED_CONSTANTS_KEYS = ("sample_count", "seed")
+
+
 class ConstantsSpec(_Spec, section="constants"):
+    def __init__(self, /, **values):
+        super().__init__(**values)
+        # derived, so out of equality, the memo key and the digest
+        object.__setattr__(self, "unused_keys", tuple(
+            k for k in UNUSED_CONSTANTS_KEYS if k in values))
+
     def _check(self):
         # ambient-ball invariants are re-validated by AmbientSets
         try:
@@ -300,12 +311,17 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(read_json_config(path))
 
     def canonical_json(self):
-        return json.dumps(vars(self), default=vars, sort_keys=True,
+        return json.dumps(vars(self), default=_Spec.as_dict, sort_keys=True,
                           separators=(",", ":"))
 
     def digest(self):
-        import hashlib      # here, so that importing harness skips OpenSSL
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return _sha256(self.canonical_json())
+
+
+def _sha256(text):
+    """Hex sha256 of a text's UTF-8 bytes."""
+    import hashlib      # here, so that importing harness skips OpenSSL
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def read_json_config(path):
@@ -481,12 +497,10 @@ def algebra_for(group_spec):
 
 @functools.cache
 def constants_for(alg, cspec):
-    """Estimate (and memoize) the constants for a constants spec."""
+    """The (memoized) constants for a constants spec."""
     return estimate_bch_constants(
         alg, AmbientSets(cspec.W_radius, cspec.K_radius),
-        sample_count=cspec.sample_count, safety_factor=cspec.safety_factor,
-        seed=cspec.seed,
-    )
+        safety_factor=cspec.safety_factor)
 
 
 def _format_float(x):
@@ -494,7 +508,8 @@ def _format_float(x):
 
 
 def write_trace_csv(path, trace):
-    """Trace table: one row per step plus a final defect-only row."""
+    """Write the trace table, one row per step plus a final defect-only
+    row; return the sha256 of the bytes written."""
     lines = ["n,delta,correction_norm,step_move,q_bound,q_certified"]
     steps = zip(trace.deltas, trace.correction_norms, trace.step_moves,
                 trace.q_bounds)
@@ -502,7 +517,9 @@ def write_trace_csv(path, trace):
         lines.append(",".join([str(n), *map(_format_float, floats),
                                "1" if certified else "0"]))
     lines.append(f"{trace.iterations},{_format_float(trace.deltas[-1])},,,,")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(path, text)
+    return _sha256(text)
 
 
 def dumps(data):
@@ -574,7 +591,13 @@ def run_experiment(config, out_dir=None):
         "total_displacement": np.nan, "iterations": 0, "terminated": "error",
         "all_q_certified": False, "all_correction_bounds_ok": False,
         "all_step_bounds_ok": False, "warnings": [], "error": None,
+        "trace_sha256": None,
     }
+    unused = config.constants.unused_keys
+    if unused:
+        report["warnings"].append(
+            ", ".join(f"constants.{k}" for k in unused) + ": ignored; the "
+            "contraction constants are closed forms and draw no sample")
 
     g = build_groupoid(config.groupoid)
     core = build_core_from_config(g, config.core)
@@ -582,9 +605,10 @@ def run_experiment(config, out_dir=None):
 
     exit_code, kept_trace = EXIT_PASS, None
     try:
-        phi_exact, report["warnings"] = generate_exact_morphism(
+        phi_exact, morphism_warnings = generate_exact_morphism(
             g, config.groupoid, alg, config.morphism
         )
+        report["warnings"] += morphism_warnings
         phi0 = perturb_morphism(phi_exact, alg, config.perturbation, g)
         limit, trace = iterate(
             phi0, core, weights, alg, constants, sets=sets,
@@ -614,7 +638,7 @@ def run_experiment(config, out_dir=None):
             kept_trace = exc.trace
     # a file that cannot be written is the caller's error, not the run's
     if kept_trace is not None:
-        write_trace_csv(trace_path, kept_trace)
+        report["trace_sha256"] = write_trace_csv(trace_path, kept_trace)
     elif os.path.lexists(trace_path):
         try:    # an older trace must not pass for this run's
             os.remove(trace_path)

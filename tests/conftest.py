@@ -7,8 +7,10 @@ from scipy.linalg import schur
 from haarrect.groupoids import FiniteGroupoid
 from haarrect.groups import (
     AmbientSets,
-    _bch_sample,
+    _compose,
     _distances_to_identity,
+    _exp_matrices,
+    _log_coords,
     normalize_algebra_norm,
 )
 from haarrect.harness import ConstantsSpec, constants_for
@@ -117,20 +119,30 @@ def default_sets():
 @pytest.fixture(scope="session")
 def constants(algebras):
     """Constants per group at the default ambient radii (memoized)."""
-    return {
-        tag: constants_for(algebras[tag], ConstantsSpec(seed=101))
-        for tag in ("U1", "SO3", "SU2")
-    }
+    return {tag: constants_for(algebras[tag], ConstantsSpec())
+            for tag in ("U1", "SO3", "SU2")}
 
 
-def revalidate_bch_constants(alg, constants, sample_count=None, seed=1):
-    """Check the three BCH inequalities on a fresh sample.
+def bch_sample(alg, rng, count):
+    """u and v drawn in the unit ball, exp(u), log(exp(u) exp(v)) and
+    exp(u) exp(v) exp(-u): the pairs the three BCH ratios are measured on."""
+    u = alg.sample_ball(rng, 1.0, count)
+    v = alg.sample_ball(rng, 1.0, count)
+    eu = _exp_matrices(alg, u)
+    euv = _compose(eu, _exp_matrices(alg, v))
+    conj = _compose(euv, eu, adjoint=True)
+    return u, v, eu, _log_coords(alg, euv), conj
+
+
+def revalidate_bch_constants(alg, constants, sample_count, seed=1):
+    """Check the three BCH inequalities on a fresh sample of
+    ``sample_count`` pairs.
 
     Returns the worst signed violation per inequality (negative means the
     inequality holds with room to spare).
     """
-    n = sample_count or constants.sample_count
-    u, v, _, log_uv, conj = _bch_sample(alg, np.random.default_rng(seed), n)
+    u, v, _, log_uv, conj = bch_sample(alg, np.random.default_rng(seed),
+                                       sample_count)
     nu, nv = alg.norm(u), alg.norm(v)
 
     viol1 = np.max(alg.norm(log_uv - (u + v)) - constants.c * nu * nv)

@@ -43,9 +43,8 @@ RUN_WEIGHTED = {**RUN, "group": {**RUN["group"], "tag": "SO3",
                 "density": {"weights": {"0": 1, "1": 2.0, "2": 2.0, "3": 1}}}
 HOLO = {**defaults(""), "n_theta": 8, "n_space": 5, "n_eta": 3,
         "n_shells": 2, "report": "holo.json"}
-CONSTANTS = {"--group": "SO3", "--samples": "1000", "--seed": "0",
-             "--safety": "1.25", "--raw-norm": "euclid", "--w-radius": "1.5",
-             "--k-radius": "2.5"}
+CONSTANTS = {"--group": "SO3", "--safety": "1.25", "--raw-norm": "euclid",
+             "--w-radius": "1.5", "--k-radius": "2.5"}
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     _BASES,
     TAU_GROUP,
+    bch_sample,
     columns,
     coords_to_matrix,
     correction,
@@ -16,8 +17,10 @@ from haarrect.errors import InvalidAlgebraVector, LogDomainError
 from haarrect.groupoids import attach_haar_density, build_core
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
+    _BCH_GAP_SUP,
     AmbientSets,
     BchConstants,
+    _compose,
     _distances_to_identity,
     _exp_matrices,
     _log_coords,
@@ -428,12 +431,88 @@ def test_commuting_pair_has_zero_gap(algebras):
 
 
 def test_abelian_bch_estimates(algebras, default_sets):
-    k = estimate_bch_constants(algebras["U1"], default_sets,
-                               sample_count=2000, seed=11)
-    assert k.c / k.safety_factor <= 1e-8          # BCH is exact addition
-    assert abs(k.c_prime / k.safety_factor - 1.0) < 1e-6
-    assert k.c_dprime / k.safety_factor <= 1.0 + 1e-9
-    assert k.excluded_fraction < 0.01
+    for tag in ("U1", "SO2"):
+        k = estimate_bch_constants(algebras[tag], default_sets)
+        assert k.c == 0.0                         # BCH is exact addition
+        assert k.c_prime == k.c_dprime == k.c_l == k.safety_factor
+        assert k.d == k.d_prime == 1.0
+
+
+def bch_gap(alg, u, v):
+    """|log(e^u e^v) - u - v| of (n, dim) coordinate rows, by the package's
+    exp, product and log."""
+    euv = _compose(_exp_matrices(alg, u), _exp_matrices(alg, v))
+    return alg.norm(_log_coords(alg, euv) - (u + v))
+
+
+def polar_pairs(alg, ru, rv, angle):
+    """u = ru e_1 and v = rv (cos(angle) e_1 + sin(angle) e_2) in the
+    normalized norm, broadcast together and flattened: every pair up to
+    Ad-invariance."""
+    ru, rv, angle = (x.ravel() for x in np.broadcast_arrays(ru, rv, angle))
+    u = np.zeros((len(ru), alg.dim))
+    v = np.zeros_like(u)
+    u[:, 0] = ru / alg.factor
+    v[:, 0] = rv * np.cos(angle) / alg.factor
+    v[:, 1] = rv * np.sin(angle) / alg.factor
+    return u, v
+
+
+NONABELIAN = [(aid, raw) for aid, raw in NORMED if aid in ("so3", "su2")]
+
+
+@pytest.mark.parametrize("algebra_id, raw_norm", NONABELIAN)
+def test_bch_gap_sup_is_the_maximum_over_angles_on_the_unit_sphere(
+        algebra_id, raw_norm):
+    alg = normalize_algebra_norm(algebra_id, raw_norm)
+    angle = np.linspace(0.0, np.pi, 100_001)
+    ratio = bch_gap(alg, *polar_pairs(alg, 1.0, 1.0, angle))
+    sup = _BCH_GAP_SUP[algebra_id]
+    assert sup - 1e-6 <= ratio.max() <= sup
+    assert abs(angle[ratio.argmax()] - 1.5126) < 1e-3
+
+
+@pytest.mark.parametrize("algebra_id", ["so3", "su2"])
+def test_bch_gap_ratio_peaks_on_the_unit_spheres(algebra_id):
+    # a coarse grid over (|u|, |v|, angle): the ratio grows with both radii
+    alg = normalize_algebra_norm(algebra_id)
+    radii = np.linspace(0.05, 1.0, 20)
+    angle = np.linspace(0.0, np.pi, 65)
+    ru, rv, a = np.meshgrid(radii, radii, angle, indexing="ij")
+    ratio = bch_gap(alg, *polar_pairs(alg, ru, rv, a)) / (ru * rv).ravel()
+    i, j, _ = np.unravel_index(ratio.argmax(), ru.shape)
+    assert i == j == len(radii) - 1
+    assert ratio.max() <= _BCH_GAP_SUP[algebra_id]
+
+
+@pytest.mark.parametrize("algebra_id, raw_norm", NORMED)
+def test_closed_form_constants_bound_a_large_sample(default_sets, algebra_id,
+                                                    raw_norm):
+    alg = normalize_algebra_norm(algebra_id, raw_norm)
+    # safety factor 1: c is the gap supremum, c' and c'' are 1
+    k = estimate_bch_constants(alg, default_sets, safety_factor=1.0)
+    u, v, _, log_uv, conj = bch_sample(alg, np.random.default_rng(2024),
+                                       10 ** 5)
+    nu, nv = alg.norm(u), alg.norm(v)
+    gap = alg.norm(log_uv - (u + v))
+    if k.c > 0:
+        assert (gap / (nu * nv)).max() <= k.c
+    # the ratios as inequalities, since where |u + v| or |u| |v| is tiny
+    # a ratio is the rounding of log over it
+    assert np.all(gap <= k.c * nu * nv + 1e-12)
+    assert np.all(alg.norm(log_uv) <= k.c_prime * alg.norm(u + v) + 1e-12)
+    assert np.all(_distances_to_identity(alg, conj)
+                  <= k.c_dprime * nv * (1.0 + nu) + 1e-12)
+
+
+def test_constants_draw_no_sample(monkeypatch, default_sets):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the constants drew a random sample")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for algebra_id, raw_norm in NORMED:
+        estimate_bch_constants(normalize_algebra_norm(algebra_id, raw_norm),
+                               default_sets)
 
 
 def test_so3_witness_pair_quaternion_oracle(algebras, oracles, constants):
@@ -466,14 +545,20 @@ def test_revalidation_on_disjoint_seed(algebras, default_sets, constants):
     for tag in ("U1", "SO3", "SU2"):
         sets = default_sets
         v1, v2, v3 = revalidate_bch_constants(algebras[tag], constants[tag],
-                                              seed=999)
+                                              2000, seed=999)
         assert v1 <= 1e-12 and v2 <= 1e-12 and v3 <= 1e-12
 
 
-def test_constants_deterministic(algebras, default_sets):
-    a = estimate_bch_constants(algebras["SO3"], default_sets, seed=5)
-    b = estimate_bch_constants(algebras["SO3"], default_sets, seed=5)
-    assert a == b
+def test_constants_deterministic():
+    # closed forms: arithmetic on constants, so the same bits on any CPU
+    for algebra_id, raw_norm in NORMED:
+        k = estimate_bch_constants(
+            normalize_algebra_norm(algebra_id, raw_norm),
+            AmbientSets(1.5, 3.0), safety_factor=2.0)
+        assert k.as_dict() == {
+            "c": 0.0 if algebra_id in ("u1", "so2") else 1.0290014,
+            "c_prime": 2.0, "c_dprime": 2.0, "d": 1.0, "d_prime": 1.0,
+            "c_l": 2.0, "c_d": 1.5, "safety_factor": 2.0}
 
 
 def test_containment_checks(algebras, default_sets, constants):
@@ -514,8 +599,7 @@ def test_adjoint_norm_is_one_and_c_l_is_the_safety_factor(default_sets, tag,
     spectral = np.linalg.norm(ad, 2, axis=(-2, -1))
     assert np.abs(spectral - 1.0).max() <= 1e-14
     for safety in (1.0, 1.25, 3.5):
-        k = estimate_bch_constants(alg, default_sets, sample_count=1000,
-                                   safety_factor=safety)
+        k = estimate_bch_constants(alg, default_sets, safety_factor=safety)
         assert k.c_l == safety
 
 
@@ -568,7 +652,7 @@ def test_ambient_sets_invariants():
 def test_bch_constants_invariants():
     with pytest.raises(ValueError):
         BchConstants(c=1, c_prime=1, c_dprime=1, d=2.0, d_prime=1.0,
-                     c_l=1, c_d=1, sample_count=1000, safety_factor=1.25)
+                     c_l=1, c_d=1, safety_factor=1.25)
     with pytest.raises(ValueError):
         BchConstants(c=1, c_prime=1, c_dprime=1, d=1, d_prime=1,
-                     c_l=1, c_d=1, sample_count=1000, safety_factor=0.5)
+                     c_l=1, c_d=1, safety_factor=0.5)

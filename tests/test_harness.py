@@ -83,8 +83,8 @@ def test_config_round_trip_and_digest():
             "morphism": {"kind": "auto", "seed": 11, "scale": 0.25},
             "perturbation": {"epsilon": 0.01, "seed": 7, "side": "right",
                              "perturb_units": True},
-            "constants": {"sample_count": 2000, "safety_factor": 1.25,
-                          "W_radius": 1.5, "K_radius": 2.5, "seed": 101},
+            "constants": {"safety_factor": 1.25, "W_radius": 1.5,
+                          "K_radius": 2.5},
             "iteration": {"tol": 1e-12, "max_iter": 50},
             "output": {"trace": "so3_pair5_trace.csv",
                        "report": "so3_pair5_report.json"},
@@ -95,13 +95,13 @@ def test_config_round_trip_and_digest():
 
 @pytest.mark.parametrize("name, digest", [
     ("so3_pair5.json",
-     "22a17ae2ed0553b38d993a64d4e875135c5087ab8be5f628c41f5336a5a2e785"),
+     "16008accb584c0913e1db7f3b7274a047ec48801143a5386db9c4b94b07573bc"),
     ("su2_z3z3.json",
-     "9db862938eef94ecfa7edf7f0580b615464d0bb7e05f9897bb3089868f8b5b66"),
+     "9abcb6903bcb734c8aaca65a1bbecb44d863db66684f903fa4015bd12a6f7562"),
     ("u1_onestep.json",
-     "e12527de1826e3ed6d38c14e08115f6ef613cf8e59d59decb88bcfbefc58448a"),
+     "71712166ded14fd76d6d0d30b5b480b5c112b1e1baec597c4f161311d197c8cc"),
     ("defect_too_large.json",
-     "85f306f7572cc4b2c37d8035f8bc72b049f0198809a1294e7fa62746a656cc34"),
+     "6f1ee185c2d92b316d48dd0f87a574ad22f6296682cc43d4d0d394562d5ff46c"),
     (None, "46a40ec7fdc129ef7e55b6b026ce55c32f65f4738cedcb270abaf1821d5e84db"),
 ])
 def test_config_digest_is_pinned(name, digest):
@@ -156,7 +156,7 @@ def test_specs_are_read_only_values():
 def bch_constants(**changes):
     """BchConstants of valid values, with ``changes``."""
     fields = dict(c=0.5, c_prime=0.75, c_dprime=1.0, d=0.9, d_prime=1.1,
-                  c_l=1.25, c_d=1.0, sample_count=2000, safety_factor=1.25)
+                  c_l=1.25, c_d=1.0, safety_factor=1.25)
     return BchConstants(**{**fields, **changes})
 
 
@@ -205,7 +205,8 @@ def test_value_constructors_take_positions_keywords_and_defaults():
     assert alg == NormedAlgebra("so3", "euclid", injectivity_margin=np.pi,
                                 scale=1.0)
     assert (alg.dim, alg.matrix_dim, alg.group_id) == (3, 3, "SO3")
-    assert BchConstants(*[1.0] * 7, 1000, 1.25).excluded_fraction == 0.0
+    assert BchConstants(*[1.0] * 7, 1.25) == bch_constants(
+        **dict.fromkeys(BchConstants._fields[:7], 1.0))
     for args, kwargs in (((1.5, 2.5, 3.5), {}), ((), {"W": 1.5}),
                          ((1.5,), {"W_radius": 1.5})):
         with pytest.raises(TypeError, match="takes the fields"):
@@ -258,16 +259,16 @@ def test_equal_algebras_hash_equal_and_share_cached_constants():
     twin = NormedAlgebra(**alg.as_dict())
     assert twin == alg and hash(twin) == hash(alg) and twin is not alg
     assert twin != NormedAlgebra(**{**alg.as_dict(), "scale": 2 * alg.scale})
-    spec = ConstantsSpec(sample_count=1000, seed=5)
+    spec = ConstantsSpec(safety_factor=2.0)
     assert constants_for(twin, spec) is constants_for(alg, spec)
 
 
 def test_bch_constants_dict_form_is_the_report_section():
-    k = bch_constants(excluded_fraction=0.01)
+    k = bch_constants(c_d=0.5)
     assert list(k.as_dict().items()) == [
         ("c", 0.5), ("c_prime", 0.75), ("c_dprime", 1.0), ("d", 0.9),
-        ("d_prime", 1.1), ("c_l", 1.25), ("c_d", 1.0), ("sample_count", 2000),
-        ("safety_factor", 1.25), ("excluded_fraction", 0.01)]
+        ("d_prime", 1.1), ("c_l", 1.25), ("c_d", 0.5),
+        ("safety_factor", 1.25)]
     assert BchConstants(**k.as_dict()) == k
 
 
@@ -618,12 +619,12 @@ def test_cold_start_loads_no_dataclasses_and_hashlib_only_on_use(
                                                        bool(loaded), EXIT_PASS]
     if argv[0] == "run":
         report = json.loads((tmp_path / "so3_pair5_report.json").read_text())
-        assert report["config_digest"] == ("22a17ae2ed0553b38d993a64d4e875135c"
-                                           "5087ab8be5f628c41f5336a5a2e785")
+        assert report["config_digest"] == ("16008accb584c0913e1db7f3b7274a047e"
+                                           "c48801143a5386db9c4b94b07573bc")
 
 
 def test_parser_is_built_once_and_calls_print_as_fresh_processes(capsys):
-    bad = ["constants", "--group", "SO3", "--samples", "many"]
+    bad = ["constants", "--group", "SO3", "--safety", "many"]
     good = ["validate", "--config", os.path.join(CONFIG_DIR, "so3_pair5.json")]
     cli.build_parser.cache_clear()
     with pytest.raises(SystemExit) as exit_:
@@ -815,20 +816,20 @@ def test_run_bundled_fails_on_a_config_that_validate_rejects(
         "2.0\n")
 
 
-@pytest.mark.parametrize("samples, message", [
-    ("10", "constants.sample_count must be an integer >= 1000, not 10"),
-    ("1000001", "constants.sample_count must be at most 1000000, not 1000001"),
+@pytest.mark.parametrize("safety, message", [
+    ("0.5", "constants.safety_factor must be a finite number >= 1, not 0.5"),
 ])
 def test_constants_table_rejects_bad_flags_with_one_line_error(
-        monkeypatch, capsys, samples, message):
+        monkeypatch, capsys, safety, message):
     script = load_script("constants_table")
 
-    def no_sampling(*args):
-        raise AssertionError("sampled before the flags were checked")
+    def no_constants(*args):
+        raise AssertionError("constants computed before the flags were "
+                             "checked")
 
-    monkeypatch.setattr(script, "algebra_for", no_sampling)
-    monkeypatch.setattr(script, "constants_for", no_sampling)
-    assert script.main(["--samples", samples]) == EXIT_PRECONDITION
+    monkeypatch.setattr(script, "algebra_for", no_constants)
+    monkeypatch.setattr(script, "constants_for", no_constants)
+    assert script.main(["--safety", safety]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: ConfigError: {message}\n"
@@ -1157,6 +1158,42 @@ def test_proper_core_still_runs_the_full_residual_pass(tmp_path, monkeypatch):
     assert report["residual_full"] > 100 * report["residual_core"]
 
 
+@pytest.mark.parametrize("name", ["so3_pair5.json", "su2_z3z3.json",
+                                  "u1_onestep.json", "defect_too_large.json"])
+def test_report_names_the_sha256_of_its_trace(tmp_path, name):
+    cfg = bundled(name)
+    report, _ = run_experiment(cfg, out_dir=tmp_path)
+    on_disk = json.loads((tmp_path / cfg.output.report).read_text())
+    trace = tmp_path / cfg.output.trace
+    if report["error"] and "DefectTooLarge" in report["error"]:
+        assert not trace.exists() and on_disk["trace_sha256"] is None
+    else:
+        assert on_disk["trace_sha256"] == hashlib.sha256(
+            trace.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("constants, warning", [
+    ({}, None),
+    ({"seed": 101}, "constants.seed: ignored"),
+    ({"sample_count": 4000, "seed": 0},
+     "constants.sample_count, constants.seed: ignored"),
+])
+def test_unused_constants_keys_warn_once_and_change_nothing(
+        tmp_path, constants, warning):
+    # the keys keep their checks, so a config keeps its verdict
+    data = json.loads(open(os.path.join(CONFIG_DIR, "so3_pair5.json")).read())
+    data["constants"].update(constants)
+    report, code = run_experiment(ExperimentConfig.from_dict(data),
+                                  out_dir=tmp_path)
+    plain, _ = run_experiment(bundled("so3_pair5.json"), out_dir=tmp_path)
+    assert code == EXIT_PASS and report["constants"] == plain["constants"]
+    if warning is None:
+        assert report["warnings"] == []
+    else:
+        (line,) = report["warnings"]
+        assert line.startswith(warning + "; ")
+
+
 def test_byte_reproducibility(tmp_path):
     cfg = bundled("so3_pair5.json")
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -1323,7 +1360,7 @@ def _failure_values_are_null(out):
     (["validate", "--config", os.path.join(CONFIG_DIR, "so3_pair5.json")],
      EXIT_PASS, None, lambda out: out == {"issues": [], "passed": True}),
     (["constants", "--group", "SU2"], EXIT_PASS, None,
-     lambda out: out["sample_count"] == 2000),
+     lambda out: out["d"] == out["d_prime"] == 1.0),
     (["bench-holo", "--config", os.path.join(CONFIG_DIR, "holo_bench.json")],
      EXIT_PASS, "holo_report.json", lambda out: out["pass"] is True),
 ], ids=["run", "run-rejected", "validate", "constants", "bench-holo"])
@@ -1347,20 +1384,25 @@ def test_cli_validate(capsys):
 
 
 def test_cli_constants(capsys):
-    code = main(["constants", "--group", "U1", "--samples", "1000",
-                 "--seed", "3"])
+    code = main(["constants", "--group", "U1", "--safety", "2"])
     assert code == EXIT_PASS
     out = json.loads(capsys.readouterr().out)
-    assert out["c"] <= 1e-6
-    assert out["sample_count"] == 1000
+    assert out["c"] == 0.0
+    assert out["c_prime"] == out["safety_factor"] == 2.0
+    # the constants draw no sample, so there is nothing to count or seed
+    for flag in ("--samples", "--seed"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["constants", "--group", "U1", flag, "1000"])
+        assert exit_.value.code == EXIT_PRECONDITION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--samples", "999"], "constants.sample_count must be an integer >= 1000"),
+    (["--w-radius", "0.5"], "W must contain the unit ball: W_radius >= 1"),
     (["--safety", "0.5"], "constants.safety_factor must be a finite number >= 1"),
-    (["--seed", "-1"], "constants.seed must be a non-negative integer"),
+    (["--k-radius", "1.5"], "K must strictly contain the closure of W"),
     (["--w-radius", "nan"], "constants.W_radius must be a finite number"),
-    (["--samples", str(10 ** 9)], "constants.sample_count must be at most"),
+    (["--safety", "inf"], "constants.safety_factor must be a finite number"),
     (["--group", "SO4"], "group.tag: unknown group 'SO4'"),
     (["--raw-norm", "l1"], "group.raw_norm: unknown norm 'l1'"),
 ])

@@ -76,7 +76,7 @@ def coboundary(g, alg, seed=0, scale=0.2):
 
 def unit_constants():
     return BchConstants(c=1.0, c_prime=1.0, c_dprime=1.0, d=1.0, d_prime=1.0,
-                        c_l=1.0, c_d=1.0, sample_count=1000, safety_factor=1.0)
+                        c_l=1.0, c_d=1.0, safety_factor=1.0)
 
 
 # ---------------------------------------------------------------------------
