@@ -1,24 +1,27 @@
-"""Compact matrix group numerics.
+"""Compact group numerics on unit complex numbers and unit quaternions.
 
-Supported groups are U(1), SO(2), SO(3) and SU(2) in their defining
-representations.  The module provides batched exp/log between a normed Lie
-algebra and the group, the distance to the identity, the U(1)/SO(2)
-trapezoid Haar rule, and the constants (c, c', c'', d, d', c_l, c_d) of the
-quadratic contraction certificate of the averaging iteration, in closed
-form.
+Supported groups are U(1), SO(2), SO(3) and SU(2).  The module provides
+batched exp/log between a normed Lie algebra and the group, the distance to
+the identity, the U(1)/SO(2) trapezoid Haar rule, and the constants (c, c',
+c'', d, d', c_l, c_d) of the quadratic contraction certificate of the
+averaging iteration, in closed form.
 
 Conventions fixed here and relied on everywhere else:
+  * n group values are (parts, n) float64 columns: (re, im) of a unit
+    complex number for U(1) and SO(2), (w, x, y, z) of a unit quaternion
+    for SU(2) and SO(3), the latter up to sign; parts is dim + 1;
+  * one product per layout, the complex or the Hamilton product, and the
+    inverse is the conjugate.  SO(3) quaternions rotate by q v q^-1; the
+    su(2) basis i sigma_k / 2 brackets as [e1, e2] = -e3, so su(2)'s exp
+    and log negate the vector part and the same Hamilton product serves;
   * algebra coordinates are real vectors in the bases of the README's
-    numerical conventions; exp and log are batched closed forms.  exp is
-    exp(i theta) (u1), the rotation by theta (so2), Rodrigues on the unit
-    axis (so3) and the unit quaternion (su2), valid at any angle; log is
-    the atan2 rotation angle on the principal branch (-pi, pi] times the
-    unit axis of the skew part;
+    numerical conventions; exp is (cos theta, sin theta) (u1, so2) or
+    (cos(theta/2), +-sin(theta/2) n) (so3, su2) with theta = |c| and n the
+    unit axis, valid at any angle; log is the atan2 angle on the principal
+    branch times the unit vector part;
   * the norm on the algebra is ``scale * raw_norm`` and the group distance
     is ``|log(g^-1 h)|`` in that norm (left translation of the norm);
-  * exp of the exact zero vector returns the exact identity matrix;
-  * n group values are (parts, m, m, n) float64 columns, parts 1 for SO(2)
-    and SO(3) and 2 (real, imaginary) for U(1) and SU(2).
+  * exp of the exact zero vector returns the exact identity.
 """
 
 import numpy as np
@@ -28,9 +31,11 @@ from .sums import weighted_sum
 
 ALGEBRA_OF = {"U1": "u1", "SO2": "so2", "SO3": "so3", "SU2": "su2"}
 GROUP_OF = {v: k for k, v in ALGEBRA_OF.items()}
-MATRIX_DIM = {"u1": 1, "so2": 2, "so3": 3, "su2": 2}
 ALGEBRA_DIM = {"u1": 1, "so2": 1, "so3": 3, "su2": 3}
 
+# The sign of the vector part of exp in the Hamilton product's orientation:
+# e_k -> i_k / 2 for so(3) and e_k -> -i_k / 2 for su(2)
+_VECTOR_SIGN = {"so3": 1.0, "su2": -1.0}
 # Principal-branch-safe radius of exp in Euclidean coordinates: eigen-angles
 # of exp(X(c)) stay inside (-pi, pi) strictly below these radii.
 _BRANCH_RADIUS_EUCLID = {"u1": np.pi, "so2": np.pi, "so3": np.pi, "su2": 2 * np.pi}
@@ -70,50 +75,25 @@ def _row_norm(x):
     return np.sqrt(total)
 
 
-def _compose(a, b, adjoint=False):
-    """Stacked products a[n] b[n], or a[n] b[n]^H with ``adjoint``, of value
-    columns: re = ar br - ai bi and im = ar bi + ai br (numpy's complex
-    multiply fuses them), summed over j as (j0 + j1) + j2, or (j0 + j2) + j1
-    for the adjoint, then added to 0.0 in C order.  These are the bits of
-    np.einsum("nij,njk->nik") and "nij,nkj->nik" with b.conj() on C-ordered
-    matrix stacks, whose order follows the strides."""
-    m = a.shape[1]
-    B = b.swapaxes(1, 2) if adjoint else b
-    q = a[:, None, :, :, None] * B[None, :, None]       # (pa, pb, i, j, k, n)
-    if len(a) == 2:     # with adjoint, b^H's imaginary part is -bi, exactly
-        re, im = (np.add, np.subtract) if adjoint else (np.subtract, np.add)
-        re(q[0, 0], q[1, 1], out=q[0, 0])
-        im(q[1, 0], q[0, 1], out=q[0, 1])
-    order = (0, 2, 1) if adjoint and m == 3 else range(m)
-    acc = q[0, :, :, order[0]]
-    for j in order[1:]:
-        acc = acc + q[0, :, :, j]
-    return np.add(acc, 0.0, order="C")
+def _compose(a, b):
+    """Products a[:, i] b[:, i] of value columns: the complex product of
+    (re, im) columns or the Hamilton product of (w, x, y, z) columns,
+    broadcast over the trailing axes."""
+    if len(a) == 2:
+        (ar, ai), (br, bi) = a, b
+        return np.array([ar * br - ai * bi, ar * bi + ai * br])
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = a, b
+    return np.array([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2])
 
 
 def _inverse(values):
-    """g^-1 = g^H of each value: the transpose, imaginary part negated."""
-    inv = values.swapaxes(1, 2).copy()
+    """g^-1 of each value: the conjugate, its vector part negated."""
+    inv = values.copy()
     np.negative(inv[1:], out=inv[1:])
     return inv
-
-
-def _matrices(values):
-    """The C-ordered (n, m, m) matrices of value columns, for BLAS."""
-    x = np.ascontiguousarray(values.transpose(3, 1, 2, 0))
-    return (x.view(complex) if len(values) == 2 else x)[..., 0]
-
-
-def _columns(mats, out=None):
-    """The value columns of (n, m, m) matrices, two parts if complex, in a
-    new array or copied into ``out``."""
-    parts = 2 if np.iscomplexobj(mats) else 1
-    x = np.ascontiguousarray(mats, dtype=complex if parts == 2 else float)
-    x = x.view(float).reshape(*x.shape, parts).transpose(3, 1, 2, 0)
-    if out is None:
-        out = np.empty(x.shape)
-    np.copyto(out, x)
-    return out
 
 
 class NormedAlgebra(Value):
@@ -136,10 +116,6 @@ class NormedAlgebra(Value):
     @property
     def group_id(self):
         return GROUP_OF[self.algebra_id]
-
-    @property
-    def matrix_dim(self):
-        return MATRIX_DIM[self.algebra_id]
 
     @property
     def factor(self):
@@ -208,128 +184,64 @@ class AmbientSets(Value):
 # exp / log / distance
 # ---------------------------------------------------------------------------
 
-def _exp_matrices(alg, coords):
-    """Batched exp: (n, dim) coords -> (parts, m, m, n) value columns.
+def _exp(alg, coords):
+    """Batched exp: (n, dim) coords -> (dim + 1, n) value columns.
 
-    With theta = |coords| and n the unit axis: exp(i theta) (u1), the
-    rotation by theta (so2), Rodrigues I + sin(theta) K + 2 sin^2(theta/2) K^2
-    with K = X(n) (so3; the half-angle form keeps 1 - cos(theta) from
-    cancelling) and cos(theta/2) I + 2 sin(theta/2) X(n) (su2).  Non-finite
+    (cos theta, sin theta) for u1 and so2, and (cos(theta/2), sign
+    sin(theta/2) n) for so3 and su2, with theta = |coords|, n the unit axis
+    (0 at the zero vector) and the sign of `_VECTOR_SIGN`.  Non-finite
     coordinates raise InvalidAlgebraVector.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if not np.all(np.isfinite(coords)):
         raise InvalidAlgebraVector(f"non-finite {alg.algebra_id} coords")
-    aid = alg.algebra_id
-    # G's entries in row-major order, each a column over the batch, by the
-    # matrix forms' own operations (identical bits); where those add a zero
-    # entry of I, 0.0 + x turns -0.0 into +0.0 as that addition does
     c = np.ascontiguousarray(coords.T)
-    if aid == "u1":
-        cols = (np.exp(1j * c[0]),)
-    elif aid == "so2":
-        # sin(x) is +-0.0 only at x = +-0.0, so zero vectors give exactly I
-        cos, sin = np.cos(c[0]), np.sin(c[0])
-        cols = (cos, 0.0 - sin, 0.0 + sin, cos)
-    else:
-        # hypot keeps theta, and so the axis, exact for subnormal coords
-        theta = np.hypot(np.hypot(c[0], c[1]), c[2])
-        axis = np.divide(c, theta, out=np.zeros_like(c), where=theta > 0.0)
-        if aid == "so3":
-            # I + sin(theta) K + v (n n^T - I): K = X(n), K^2 = n n^T - I
-            x, y, z = axis
-            v = 2.0 * np.sin(0.5 * theta) ** 2
-            sx, sy, sz = np.sin(theta) * axis
-            d = 1.0 + v * (axis * axis - 1.0)
-            vxy, vxz, vyz = v * (x * y), v * (x * z), v * (y * z)
-            cols = (d[0], (0.0 - sz) + vxy, (0.0 + sy) + vxz,
-                    (0.0 + sz) + vxy, d[1], (0.0 - sx) + vyz,
-                    (0.0 - sy) + vxz, (0.0 + sx) + vyz, d[2])
-        else:
-            # cos(theta/2) I + 2 sin(theta/2) K as complex products, the
-            # zeros of K = X(n) being +0.0
-            cos, s2 = np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
-            hx, hy, hz = 0.5 * axis + 0.0
-            cols = (cos + s2 * (1j * hz), 0.0 * cos + s2 * (hy + 1j * hx),
-                    0.0 * cos + s2 * (-hy + 1j * hx), cos + s2 * (1j * -hz))
-    cols = np.stack(cols)
-    if np.iscomplexobj(cols):
-        cols = np.stack((cols.real, cols.imag))
-    return cols.reshape(-1, alg.matrix_dim, alg.matrix_dim, len(coords))
-
-
-def _sine_cosine(alg, values):
-    """Batched sine vector sin(a) n and cosine of the rotation angle a.
-
-    An element is cos(a) I + sin(a) X(n), n a unit algebra direction; a is
-    |log| (u1, so2, so3) or |log| / 2 (su2).  The sine's coordinates are on
-    its last axis, each one's column contiguous.
-    """
-    r = values[0]
-    if alg.algebra_id == "u1":
-        return np.moveaxis(values[1, 0, :1], 0, -1), r[0, 0]
-    if alg.algebra_id == "so2":
-        return np.moveaxis(r[1, :1], 0, -1), r[0, 0]
-    if alg.algebra_id == "so3":
-        skew = (r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
-        cosine = 0.5 * (r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
-    else:
-        im = values[1]
-        skew = (im[0, 1] + im[1, 0], r[0, 1] - r[1, 0], im[0, 0] - im[1, 1])
-        cosine = 0.5 * (r[0, 0] + r[1, 1])
-    return np.moveaxis(0.5 * np.stack(skew), 0, -1), cosine
+    if alg.dim == 1:
+        return np.array([np.cos(c[0]), np.sin(c[0])])
+    # hypot keeps theta, and so the axis, exact for subnormal coords
+    theta = np.hypot(np.hypot(c[0], c[1]), c[2])
+    axis = np.divide(c, theta, out=np.zeros_like(c), where=theta > 0.0)
+    sine = _VECTOR_SIGN[alg.algebra_id] * np.sin(0.5 * theta)
+    return np.concatenate([np.cos(0.5 * theta)[None], sine * axis])
 
 
 def _angle_pass(alg, values):
-    """Sine vector, cosine, |sine| and |log| in Euclidean coordinates of a
-    stack: the one sine/cosine/atan2 pass that its distances and its log
-    share.
+    """|vector part| and |log| in Euclidean coordinates of a value stack:
+    the one atan2 pass that its distances and its log share.
 
-    atan2 of the (sine, cosine) parts recovers the rotation angle with full
-    absolute accuracy at both ends of [0, pi]; this realizes |log(g)| without
-    the branch-sensitive axis extraction.
+    The angle is atan2(|v|, w) for u1 and so2, twice that for su2, and
+    2 atan2(|v|, |w|) for so3, whose q and -q are one rotation; atan2 keeps
+    full absolute accuracy at both ends of the angle range.
     """
-    sine, cosine = _sine_cosine(alg, values)
-    s = _row_norm(sine)
-    angle = np.arctan2(s, cosine)
-    return sine, cosine, s, 2.0 * angle if alg.algebra_id == "su2" else angle
+    s = _row_norm(np.moveaxis(values[1:], 0, -1))
+    w = np.abs(values[0]) if alg.algebra_id == "so3" else values[0]
+    angle = np.arctan2(s, w)
+    return s, angle if alg.dim == 1 else 2.0 * angle
 
 
 def _log_coords(alg, values, angles=None):
-    """Principal log of a value stack: (parts, m, m, n) -> (n, dim).
+    """Principal log of a value stack: (dim + 1, n) -> (n, dim).
 
-    The atan2 angle, signed (u1, so2) or times the unit sine vector (so3,
-    and su2 as the quaternion log).  Near an SO(3) half turn the axis is the
-    dominant column of the symmetric part cos(a) I + (1 - cos a) n n^T.
-    ``angles`` is the stack's `_angle_pass`, where the caller has it.
+    The signed atan2 angle (u1, so2), or the angle times the unit vector
+    part, negated for su2 and taking the sign of w for so3.  ``angles`` is
+    the stack's `_angle_pass`, where the caller has it.
     """
     if alg.dim == 1:
-        sine, cosine = (angles or _sine_cosine(alg, values))[:2]
-        return np.arctan2(sine, cosine[..., None])
-    sine, cosine, s, angle = angles or _angle_pass(alg, values)
-    # zero sine: the identity (any axis) or a half turn (keep its angle)
-    axis = np.divide(sine, s[..., None], out=np.zeros_like(sine),
-                     where=s[..., None] > 0)
-    axis[s == 0, -1] = 1.0
-    far = cosine < 0.0
-    if alg.algebra_id == "so3" and np.any(far):
-        # n n^T on (3, 3, m) columns; the einsum keeps its (m, 3) rows, as
-        # its rounding decides the axis sign next to a half turn
-        c = cosine[far]
-        r = values[0][:, :, far]
-        nn = (0.5 * (r + r.swapaxes(0, 1)) - c * np.eye(3)[:, :, None]) / (1.0 - c)
-        diag = nn[[0, 1, 2], [0, 1, 2]]
-        i = np.argmax(diag, axis=0)
-        n = nn[i, :, np.arange(len(i))] / np.sqrt(diag.max(axis=0))[:, None]
-        flip = np.einsum("ij,ij->i", n, sine[far]) < 0.0
-        axis[far] = np.where(flip[:, None], -n, n)
-    return angle[..., None] * axis
+        return np.moveaxis(np.arctan2(values[1:], values[0]), 0, -1)
+    s, angle = angles or _angle_pass(alg, values)
+    v = values[1:]
+    axis = np.divide(v, s, out=np.zeros_like(v), where=s > 0)
+    # a zero vector part: the identity (angle 0) or -1 in SU(2) (keep 2 pi)
+    axis[-1, s == 0] = 1.0
+    if alg.algebra_id == "so3":
+        angle = np.copysign(angle, values[0])
+    return np.moveaxis(_VECTOR_SIGN[alg.algebra_id] * angle * axis, 0, -1)
 
 
 def _distances_to_identity(alg, values):
     """Batched |log g| in the normalized norm; the distance of g from h is
     that of g^-1 h (left invariance)."""
-    return alg.factor * _angle_pass(alg, values)[3]
+    return alg.factor * _angle_pass(alg, values)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +309,13 @@ def haar_integrate(f, group, n_theta=64):
     """
     if group not in ("U1", "SO2"):
         raise ValueError(f"no Haar rule for group {group!r} (U1 or SO2)")
-    aid = ALGEBRA_OF[group]
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    # the unit-scale Euclidean algebra: exp reads only its id
-    nodes = _matrices(_exp_matrices(NormedAlgebra(aid, "euclid", 1.0, np.pi),
-                                    theta[:, None]))
+    cos, sin = np.cos(theta), np.sin(theta)
+    if group == "U1":
+        nodes = np.empty((n_theta, 1, 1), dtype=complex)
+        nodes.real[:, 0, 0], nodes.imag[:, 0, 0] = cos, sin
+    else:   # 0.0 - sin: +0.0 at theta = 0
+        nodes = np.moveaxis(np.array([[cos, 0.0 - sin], [sin, cos]]), -1, 0)
     weights = np.full(len(nodes), 1.0 / len(nodes))
     values = [np.asarray(f(g), dtype=complex) for g in nodes]
     return weighted_sum(weights, values)

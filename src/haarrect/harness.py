@@ -1,11 +1,11 @@
 """Experiment orchestration: configs, morphism generation, runs, reports.
 
-Configs are JSON, checked against SCHEMA.  On one machine, numpy build and
-OpenBLAS build, identical configs (seeds included) produce byte-identical
-trace and report files.  Floats are serialized with shortest round-trip
-repr, file writes are atomic (write-temp-then-rename), and reports carry a
-digest of the canonical config.  ``dumps`` is the one JSON form of every
-command's result (a plain dict), printed or written.
+Configs are JSON, checked against SCHEMA.  On one machine and numpy build,
+identical configs (seeds included) produce byte-identical trace and report
+files; no group value passes through BLAS.  Floats are serialized with
+shortest round-trip repr, file writes are atomic (write-temp-then-rename),
+and reports carry a digest of the canonical config.  ``dumps`` is the one
+JSON form of every command's result (a plain dict), printed or written.
 """
 
 import functools
@@ -30,7 +30,7 @@ from .errors import (
 from .groupoids import FiniteGroup, build_action_groupoid, build_pair_groupoid
 from .groupoids import attach_haar_density, build_core
 from .groups import AmbientSets, estimate_bch_constants, normalize_algebra_norm
-from .groups import ALGEBRA_OF, _columns, _compose, _exp_matrices, _matrices
+from .groups import ALGEBRA_OF, _compose, _exp, _inverse
 from .holo import build_complexified_model, core_average_function
 from .holo import cr_convergence_order, real_restriction_check, sample_function
 from .rectifier import admissible_defect_radius, iterate, verify_core_morphism
@@ -425,23 +425,22 @@ def build_density_from_config(core, density_spec):
 def generate_exact_morphism(g, spec, alg, morphism_spec):
     """Seeded exact morphism into the target group, and its warnings.
 
-    The morphism is the (parts, m, m, n_arrows) columns of its values (see
-    `groups`), built by BLAS products of matrix stacks.  Kind "trivial" maps
-    every arrow to the identity.  Kind "coboundary", and every other kind on
-    a pair groupoid, gives phi(a) = h_t(a) h_s(a)^-1 from seeded per-object
-    elements.  On an action groupoid, "auto" and "homomorphism" give a
-    homomorphism of the acting cyclic group composed with the arrow's group
-    part, conjugated by a seeded element for variety; when no usable
-    homomorphism exists the trivial one is substituted with a warning.
+    The morphism is the (dim + 1, n_arrows) columns of its values (see
+    `groups`).  Kind "trivial" maps every arrow to the identity.  Kind
+    "coboundary", and every other kind on a pair groupoid, gives
+    phi(a) = h_t(a) h_s(a)^-1 from seeded per-object elements.  On an
+    action groupoid, "auto" and "homomorphism" give a homomorphism of the
+    acting cyclic group composed with the arrow's group part, conjugated by
+    a seeded element for variety; when no usable homomorphism exists the
+    trivial one is substituted with a warning.
     """
     zero = np.zeros((g.n_arrows, alg.dim))     # exp(0) is the identity
     if morphism_spec.kind == "trivial":
-        return _exp_matrices(alg, zero), []
+        return _exp(alg, zero), []
     rng = np.random.default_rng(morphism_spec.seed)
     if spec.constructor == "pair" or morphism_spec.kind == "coboundary":
-        h = _matrices(_exp_matrices(alg, alg.sample_ball(
-            rng, morphism_spec.scale, g.n_objects)))
-        return _columns(h[g.target] @ h[g.source].conj().swapaxes(-1, -2)), []
+        h = _exp(alg, alg.sample_ball(rng, morphism_spec.scale, g.n_objects))
+        return _compose(h[:, g.target], _inverse(h)[:, g.source]), []
 
     # a generator turns by one order-th of a full turn about the last
     # algebra axis; values must stay inside the measurable range of the log,
@@ -452,33 +451,32 @@ def generate_exact_morphism(g, spec, alg, morphism_spec):
         msg = (f"no usable homomorphism cyclic({order}) -> {alg.group_id}; "
                f"substituting the trivial one")
         warnings.warn(msg)
-        return _exp_matrices(alg, zero), [msg]
+        return _exp(alg, zero), [msg]
     full_turn = 4 * np.pi if alg.group_id == "SU2" else 2 * np.pi
     coords = np.zeros((order, alg.dim))
     coords[:, -1] = full_turn * np.arange(order) / order
     # conjugate by a seeded element: still a homomorphism, same range
-    z = _matrices(_exp_matrices(alg, alg.sample_ball(rng, 0.5, 1)))[0]
-    gen_values = np.array([z @ v @ z.conj().T
-                           for v in _matrices(_exp_matrices(alg, coords))])
+    z = _exp(alg, alg.sample_ball(rng, 0.5, 1))
+    gen_values = _compose(_compose(z, _exp(alg, coords)), _inverse(z))
     # arrow a is (group element a // space_size, point a % space_size)
-    return _columns(gen_values[np.arange(g.n_arrows) // spec.space_size]), []
+    return gen_values[:, np.arange(g.n_arrows) // spec.space_size], []
 
 
 def perturb_morphism(phi, alg, pert, g):
     """phi0(p) = phi(p) . exp(w_p) with w_p uniform in the epsilon ball.
 
-    ``phi`` is the value columns that ``generate_exact_morphism`` returns,
-    and phi0 is columns of the same shape.  The left-multiplication
-    variant is available through ``side``; the unit arrows of the groupoid
-    ``g`` are optionally left unperturbed.  Identical seeds give identical
-    outputs byte-for-byte.  Whether phi0 takes values in W is checked by
-    ``iterate``.
+    ``phi`` is the (dim + 1, n_arrows) value columns that
+    ``generate_exact_morphism`` returns, and phi0 is columns of the same
+    shape.  The left-multiplication variant is available through ``side``;
+    the unit arrows of the groupoid ``g`` are optionally left unperturbed.
+    Identical seeds give identical outputs byte-for-byte.  Whether phi0
+    takes values in W is checked by ``iterate``.
     """
     rng = np.random.default_rng(pert.seed)
     w = alg.sample_ball(rng, pert.epsilon, phi.shape[-1])
     if not pert.perturb_units:
         w[np.asarray(g.unit_arrows)] = 0.0
-    noise = _exp_matrices(alg, w)
+    noise = _exp(alg, w)
     if pert.side == "right":
         return _compose(phi, noise)
     return _compose(noise, phi)

@@ -1,13 +1,14 @@
 """Defect measurement and Haar-averaged correction of almost-morphisms.
 
 An almost-morphism assigns a group element to every arrow of a groupoid;
-it is held as the (parts, m, m, n_arrows) float64 columns of its values
-(see `groups`).  Its defect against a core K is the worst left-invariant
-distance of psi(k, p) = phi(p)^-1 phi(k)^-1 phi(k p) from the identity over
-the pairs (k, p) with k in K.  One correction step multiplies each value
-phi(p) by the exponential of the fiber-weighted average of log psi(., p);
-iterating contracts the defect quadratically, which is certified step by
-step against the polynomial bound q and the two in-proof bounds.
+it is held as the (dim + 1, n_arrows) float64 columns of its values, unit
+complex numbers or unit quaternions (see `groups`).  Its defect against a
+core K is the worst left-invariant distance of psi(k, p) =
+phi(p)^-1 phi(k)^-1 phi(k p) from the identity over the pairs (k, p) with
+k in K.  One correction step multiplies each value phi(p) by the
+exponential of the fiber-weighted average of log psi(., p); iterating
+contracts the defect quadratically, which is certified step by step
+against the polynomial bound q and the two in-proof bounds.
 """
 
 import numpy as np
@@ -21,15 +22,14 @@ from .errors import (
     RangeEscape,
     Value,
 )
-from .groups import _angle_pass, _columns, _compose, _distances_to_identity
-from .groups import _exp_matrices, _inverse, _log_coords, _matrices
+from .groups import _angle_pass, _compose, _distances_to_identity, _exp
+from .groups import _inverse, _log_coords
 from .sums import NeumaierSum
 
 Q_CERT_SLACK = 1e-12        # slack on the per-step quadratic certificate
 CORRECTION_BOUND_SLACK = 1e-9   # slack on |A| <= (d/d') * defect
-# pairs per psi slab: its four buffers (1.2 MB for SO3) and temporaries fit
-# a 2 MB L2 cache.  On SO3 pair(20) to pair(50), 4096 ran 3-7% faster than
-# 2048, and 8192 no faster than 4096
+# pairs per psi slab: its three gathers (0.4 MB for SO3) and the products'
+# temporaries fit a 2 MB L2 cache
 SLAB_PAIRS = 4096
 
 
@@ -69,10 +69,9 @@ class IterationTrace(Value):
 
 def _value_columns(phi, alg, n_arrows):
     """``phi`` as float64 value columns of n_arrows arrows, or ValueError."""
-    m = alg.matrix_dim
-    shape = (1 + (alg.group_id in ("U1", "SU2")), m, m, n_arrows)
+    shape = (alg.dim + 1, n_arrows)
     if np.shape(phi) != shape or np.iscomplexobj(phi):
-        raise ValueError(f"values must be a real (parts, m, m, n_arrows) = "
+        raise ValueError(f"values must be a real (dim + 1, n_arrows) = "
                          f"{shape} stack, not a {np.asarray(phi).dtype} "
                          f"{np.shape(phi)} one")
     return np.asarray(phi, dtype=float)
@@ -88,19 +87,17 @@ class _PsiPass:
     slabs of SLAB_PAIRS rows: the one psi path of the defect, the correction
     and verification.
 
-    The buffers are allocated once and reused by every slab of every pass.
-    One `_angle_pass` reads each slab's psi: its worst distance from the
-    identity and, given a core's weights, the logs whose weighted values
-    fill the core's fiber table, from which `correction` averages.
+    The gather buffers are allocated once and reused by every slab of
+    every pass.  One `_angle_pass` reads each slab's psi: its worst
+    distance from the identity and, given a core's weights, the logs whose
+    weighted values fill the core's fiber table, from which `correction`
+    averages.
     """
 
     def __init__(self, alg, pairs, core=None, weights=None):
         self.alg, self.pairs, self.weights = alg, pairs, weights
         self.slab = max(1, min(SLAB_PAIRS, len(pairs)))
-        m, self._parts = alg.matrix_dim, 1 + (alg.group_id in ("U1", "SU2"))
-        self._work = np.empty((3, self.slab, m, m),
-                              complex if self._parts == 2 else float)
-        self._psi = np.empty(self._parts * m * m * self.slab)
+        self._work = np.empty((3, (alg.dim + 1) * self.slab))
         self._worst, self._bad = [], None
         if weights is not None:
             # pair i of arrow p fills its row of an (n_arrows, widest fiber)
@@ -114,31 +111,24 @@ class _PsiPass:
 
     def psi_slabs(self, phi):
         """(first row, psi columns) of each slab of rows, for the value
-        columns phi.  The columns are a buffer that the next slab
-        overwrites.  The two products are BLAS's, on gathers of C-ordered
-        matrix stacks."""
-        inv, mats = _matrices(_inverse(phi)), _matrices(phi)
-        m = self.alg.matrix_dim
+        columns phi: two products of gathered columns per slab."""
+        inv, parts = _inverse(phi), self.alg.dim + 1
         for lo in range(0, len(self.pairs), self.slab):
             k, p, kp = self.pairs[lo:lo + self.slab].T
-            a, b, c = self._work[:, :len(k)]
+            a, b, c = self._work[:, :parts * len(k)].reshape(3, parts, len(k))
             # the rows index validated tables, so clipping moves none; the
             # default mode would stage each gather in a temporary
-            np.take(inv, p, axis=0, out=a, mode="clip")
-            np.take(inv, k, axis=0, out=b, mode="clip")
-            np.matmul(a, b, out=c)
-            np.take(mats, kp, axis=0, out=a, mode="clip")
-            np.matmul(c, a, out=b)
-            psi = self._psi[:b.size * self._parts].reshape(
-                self._parts, m, m, len(k))
-            yield lo, _columns(b, out=psi)
+            np.take(inv, p, axis=1, out=a, mode="clip")
+            np.take(inv, k, axis=1, out=b, mode="clip")
+            np.take(phi, kp, axis=1, out=c, mode="clip")
+            yield lo, _compose(_compose(a, b), c)
 
     def read(self, psi, lo):
         """Read the psi columns of rows lo, lo + 1, ... in one angle pass:
         their worst distance and, with weights, their weighted logs."""
         alg = self.alg
         angles = _angle_pass(alg, psi)
-        self._worst.append(np.max(alg.factor * angles[3], initial=0.0))
+        self._worst.append(np.max(alg.factor * angles[1], initial=0.0))
         if self.weights is None:
             return
         logs = _log_coords(alg, psi, angles)
@@ -197,7 +187,7 @@ class _PsiPass:
         for j in range(self._table.shape[1]):
             acc.add(self._table[:, j])
         avg_coords = acc.value
-        return _exp_matrices(self.alg, avg_coords), self.alg.norm(avg_coords)
+        return _exp(self.alg, avg_coords), self.alg.norm(avg_coords)
 
 
 def q_bound(C, k):
@@ -238,7 +228,8 @@ def iterate(phi0, core, weights, alg, constants, sets=None, tol=1e-12,
     """Run the correction iteration until the defect drops below tol.
 
     ``phi0``, the initial map's values, and the returned limit are
-    (parts, m, m, n_arrows) columns; any other stack is a ValueError.
+    (dim + 1, n_arrows) value columns (see `groups`); any other stack is a
+    ValueError.
     ``weights`` is the density from ``attach_haar_density``: one weight per
     arrow of the parent groupoid, 0 off the core.  Certifies every step
     against q and the two in-proof bounds (|A| <= (d/d') * defect and
@@ -316,7 +307,8 @@ def verify_core_morphism(phi, core, alg, full=False):
 
     With ``full`` the residual runs over every declared-multipliable pair of
     the parent groupoid (full morphism verification); otherwise only over
-    the core pairs, which is what the averaging limit guarantees.
+    the core pairs, which is what the averaging limit guarantees.  ``phi``
+    is (dim + 1, n_arrows) value columns, as for `iterate`.
     """
     phi = _value_columns(phi, alg, core.parent.n_arrows)
     pairs = core.parent.products if full else core.pairs

@@ -9,7 +9,8 @@ from haarrect.groups import (
     AmbientSets,
     _compose,
     _distances_to_identity,
-    _exp_matrices,
+    _exp,
+    _inverse,
     _log_coords,
     normalize_algebra_norm,
 )
@@ -70,27 +71,62 @@ def correction(psi, core, mu, alg):
 
 
 # the adapter between the package's layout of a stack of n group values,
-# (parts, m, m, n) float64 columns with parts 2 (real, imaginary) for a
-# complex group, and the (n, m, m) matrix stacks of the tests' references
+# (dim + 1, n) float64 columns of unit complex numbers (u1, so2) or unit
+# quaternions (so3, su2), and the (n, m, m) matrix stacks of the tests'
+# references: exp(i theta), the rotation matrix, quat_to_so3, and
+# quat_to_su2 of the quaternion with its vector part negated (the su(2)
+# basis i sigma_k / 2 maps to -i_k / 2)
 
-def columns(mats):
-    """The value columns of an (n, m, m) matrix stack: two parts if it is
-    complex, one if it is real."""
+def matrices(alg, values):
+    """The (n, m, m) matrix stack of value columns: complex for u1 and su2,
+    float64 for so2 and so3.  Each entry of u1, so2 and su2 is a part, or a
+    negated part, copied bit for bit, signed zeros too."""
+    v = np.asarray(values, dtype=float)
+    aid = alg.algebra_id
+    if aid == "u1":
+        out = np.empty((v.shape[-1], 1, 1), dtype=complex)
+        out.real[:, 0, 0], out.imag[:, 0, 0] = v
+        return out
+    if aid == "so2":
+        c, s = v
+        return np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+    if aid == "so3":
+        return np.moveaxis(quat_to_so3(v), -1, 0)
+    return np.moveaxis(quat_to_su2((v[0], *-v[1:])), -1, 0)
+
+
+def so3_to_quat(r):
+    """Unit quaternions, as (4, n) columns, of an (n, 3, 3) rotation stack
+    by Shepperd's method: the largest of 4w^2, 4x^2, 4y^2 and 4z^2, and its
+    row of the products 4 q_i q_j."""
+    r = np.moveaxis(np.asarray(r, dtype=float), 0, -1)
+    d, t = np.diagonal(r).T, np.trace(r)
+    prod = np.array([
+        [1.0 + t, r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]],
+        [r[2, 1] - r[1, 2], 1.0 + 2 * d[0] - t, r[0, 1] + r[1, 0],
+         r[0, 2] + r[2, 0]],
+        [r[0, 2] - r[2, 0], r[0, 1] + r[1, 0], 1.0 + 2 * d[1] - t,
+         r[1, 2] + r[2, 1]],
+        [r[1, 0] - r[0, 1], r[0, 2] + r[2, 0], r[1, 2] + r[2, 1],
+         1.0 + 2 * d[2] - t]])
+    i = np.argmax(np.diagonal(prod).T, axis=0)
+    n = np.arange(len(i))
+    return prod[i, :, n].T / (2.0 * np.sqrt(prod[i, i, n]))
+
+
+def columns(alg, mats):
+    """The value columns of an (n, m, m) matrix stack, the inverse of
+    ``matrices`` (for so3 up to the quaternion's sign)."""
     x = np.asarray(mats)
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.ascontiguousarray(
-        np.moveaxis(np.array(parts, dtype=float), 1, -1))
-
-
-def matrices(values):
-    """The (n, m, m) matrix stack of value columns: complex for two parts,
-    float64 for one.  The parts are copied bit for bit, signed zeros too."""
-    x = np.moveaxis(np.asarray(values), -1, 1)
-    if len(x) == 1:
-        return x[0].copy()
-    out = np.empty(x.shape[1:], dtype=complex)
-    out.real, out.imag = x
-    return out
+    aid = alg.algebra_id
+    if aid == "u1":
+        return np.array([x[:, 0, 0].real, x[:, 0, 0].imag])
+    if aid == "so2":
+        return np.array([x[:, 0, 0].real, x[:, 1, 0].real])
+    if aid == "so3":
+        return so3_to_quat(x.real)
+    a, b = x[:, 0, 0], x[:, 0, 1]
+    return np.array([a.real, -b.imag, -b.real, -a.imag])
 
 
 def with_products(g, products, inverse=None):
@@ -128,9 +164,9 @@ def bch_sample(alg, rng, count):
     exp(u) exp(v) exp(-u): the pairs the three BCH ratios are measured on."""
     u = alg.sample_ball(rng, 1.0, count)
     v = alg.sample_ball(rng, 1.0, count)
-    eu = _exp_matrices(alg, u)
-    euv = _compose(eu, _exp_matrices(alg, v))
-    conj = _compose(euv, eu, adjoint=True)
+    eu, ev = _exp(alg, u), _exp(alg, v)
+    euv = _compose(eu, ev)
+    conj = _compose(euv, _inverse(eu))
     return u, v, eu, _log_coords(alg, euv), conj
 
 
@@ -158,6 +194,7 @@ def revalidate_bch_constants(alg, constants, sample_count, seed=1):
 # ---------------------------------------------------------------------------
 
 TAU_GROUP = 1e-10   # group membership tolerance
+MATRIX_DIM = {"u1": 1, "so2": 2, "so3": 3, "su2": 2}    # defining reps
 
 
 def coords_to_matrix(algebra_id, coords):
@@ -174,7 +211,7 @@ def group_membership_residual(matrix, group_id):
     |det| = 1 (already implied by unitarity) for U(1).
     """
     m = np.asarray(matrix)
-    n = {"U1": 1, "SO2": 2, "SO3": 3, "SU2": 2}[group_id]
+    n = MATRIX_DIM[group_id.lower()]
     if m.shape[-2:] != (n, n):
         return np.inf
     res = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n)).max()
@@ -215,8 +252,13 @@ def quat_log(q):
 
 
 def quat_to_su2(q):
-    w, x, y, z = q
-    return np.array([[w + 1j * z, y + 1j * x], [-y + 1j * x, w - 1j * z]])
+    """w I + x i sigma_x + y i sigma_y + z i sigma_z, each entry's parts set
+    directly (w + 1j * z would round a signed zero away)."""
+    w, x, y, z = (np.asarray(c, dtype=float) for c in q)
+    out = np.empty((2, 2) + w.shape, dtype=complex)
+    out.real = [[w, y], [-y, w]]
+    out.imag = [[z, x], [x, -z]]
+    return out
 
 
 def quat_to_so3(q):

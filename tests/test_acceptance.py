@@ -33,7 +33,7 @@ from haarrect.groupoids import (
 from haarrect.groups import (
     AmbientSets,
     _distances_to_identity,
-    _exp_matrices,
+    _exp,
     _log_coords,
 )
 from haarrect.harness import (
@@ -146,12 +146,12 @@ def test_criterion_1_fixed_point_exactness(algebras):
                                              MorphismSpec(seed=i))
         corrections, _ = correction(psi_stack(alg, phi, core.pairs), core, mu,
                                     alg)
-        phi = matrices(phi)
-        out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+        phi = matrices(alg, phi)
+        out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
         move = _distances_to_identity(
-            alg, columns(phi.conj().swapaxes(-1, -2) @ out)).max()
+            alg, columns(alg, phi.conj().swapaxes(-1, -2) @ out)).max()
         worst_move = max(worst_move, move)
-        worst_defect = max(worst_defect, defect(columns(out), core, alg))
+        worst_defect = max(worst_defect, defect(columns(alg, out), core, alg))
         count += 1
     elapsed = time.perf_counter() - t0
     ok = (count == 20 and worst_move <= 1e-14 and worst_defect <= 1e-14
@@ -220,7 +220,8 @@ def test_criterion_5_abelian_one_step(contraction_runs):
         ok = ok and tr.iterations == 1 and tr.deltas[1] <= 1e-13
         # closed-form abelian cocycle oracle for the first (only) step
         g, core, mu = inst["g"], inst["core"], inst["mu"]
-        theta = np.angle(matrices(inst["phi0"])[:, 0, 0])
+        u1 = inst["alg"]
+        theta = np.angle(matrices(u1, inst["phi0"])[:, 0, 0])
         theta_hat = theta.copy()
         for p in range(g.n_arrows):
             acc = 0.0
@@ -230,7 +231,7 @@ def test_criterion_5_abelian_one_step(contraction_runs):
                 acc += mu[kk] * delta
             theta_hat[p] = theta[p] + acc
         oracle = np.exp(1j * theta_hat)
-        ok = ok and np.abs(matrices(inst["limit"])[:, 0, 0]
+        ok = ok and np.abs(matrices(u1, inst["limit"])[:, 0, 0]
                            - oracle).max() <= 1e-13
     _report(5, ok, f"{len(u1_runs)} abelian runs exact after one step, "
                    f"matching the cocycle oracle")
@@ -246,10 +247,10 @@ def test_criterion_6_bch_constants_validity(algebras, constants, oracles):
     alg = algebras["SO3"]
     u = np.array([0.2, 0.0, 0.0])
     v = np.array([0.0, 0.2, 0.0])
-    eu, ev = matrices(_exp_matrices(alg, np.array([u, v])))
+    eu, ev = matrices(alg, _exp(alg, np.array([u, v])))
     g = eu @ ev
     ok = ok and group_membership_residual(g, "SO3") <= TAU_GROUP
-    gap = alg.norm(_log_coords(alg, columns(g[None]))[0] - (u + v))
+    gap = alg.norm(_log_coords(alg, columns(alg, g[None]))[0] - (u + v))
     w_oracle = oracles["quat_log"](oracles["quat_mul"](
         oracles["quat_exp"](u), oracles["quat_exp"](v)))
     gap_oracle = np.linalg.norm(w_oracle - (u + v))

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     _BASES,
+    MATRIX_DIM,
     TAU_GROUP,
     bch_sample,
     columns,
@@ -22,7 +23,7 @@ from haarrect.groups import (
     BchConstants,
     _compose,
     _distances_to_identity,
-    _exp_matrices,
+    _exp,
     _log_coords,
     estimate_bch_constants,
     haar_integrate,
@@ -49,7 +50,7 @@ def bracket_coords(algebra_id, u, v):
 
 def exp_mats(alg, coords):
     """exp as the (n, m, m) matrices of the oracles."""
-    return matrices(_exp_matrices(alg, coords))
+    return matrices(alg, _exp(alg, coords))
 
 
 def matrix_to_coords(algebra_id, X):
@@ -84,7 +85,8 @@ def test_exp_zero_is_exact_identity(algebras):
     for tag, alg in algebras.items():
         g = exp_mats(alg, np.zeros((1, alg.dim)))[0]
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        assert np.array_equal(g, np.eye(alg.matrix_dim, dtype=complex))
+        assert np.array_equal(g, np.eye(MATRIX_DIM[alg.algebra_id],
+                                        dtype=complex))
 
 
 def test_exp_su2_half_turn_quaternion_oracle(algebras, oracles):
@@ -113,7 +115,7 @@ def test_exp_matches_quaternion_oracle_on_random_vectors(algebras, oracles):
 
 def test_exp_rejects_nonfinite(algebras):
     with pytest.raises(InvalidAlgebraVector):
-        _exp_matrices(algebras["SO3"], np.array([[np.nan, 0.0, 0.0]]))
+        _exp(algebras["SO3"], np.array([[np.nan, 0.0, 0.0]]))
 
 
 # 1e-300, the smallest normal double and two subnormals
@@ -149,7 +151,7 @@ def test_closed_form_exp_matches_eigh_oracle(algebras, oracles, seed, tag,
     if tag == "U1":
         assert np.array_equal(mats, oracle)
     assert np.array_equal(mats[:10], np.broadcast_to(
-        np.eye(alg.matrix_dim, dtype=complex), mats[:10].shape))
+        np.eye(MATRIX_DIM[alg.algebra_id], dtype=complex), mats[:10].shape))
     assert group_membership_residual(mats, tag) <= 1e-14
 
 
@@ -159,7 +161,7 @@ def test_exp_matrices_reject_nonfinite_coords(algebras, bad):
         u = np.zeros((3, alg.dim))
         u[1, -1] = bad
         with pytest.raises(InvalidAlgebraVector):
-            _exp_matrices(alg, u)
+            _exp(alg, u)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +170,9 @@ def test_exp_matrices_reject_nonfinite_coords(algebras, bad):
 
 def test_log_identity_is_zero(algebras):
     for tag, alg in algebras.items():
-        eye = np.eye(alg.matrix_dim, dtype=float if tag in ("SO2", "SO3")
-                     else complex)
-        z = _log_coords(alg, columns(eye[None]))[0]
+        eye = np.eye(MATRIX_DIM[alg.algebra_id],
+                     dtype=float if tag in ("SO2", "SO3") else complex)
+        z = _log_coords(alg, columns(alg, eye[None]))[0]
         assert np.abs(z).max() == 0.0
 
 
@@ -178,7 +180,7 @@ def test_log_so3_quarter_turn(algebras):
     alg = algebras["SO3"]
     g = exp_mats(alg, np.array([[0.0, 0.0, np.pi / 2]]))
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    back = _log_coords(alg, columns(g))[0]
+    back = _log_coords(alg, columns(alg, g))[0]
     assert np.abs(back - [0, 0, np.pi / 2]).max() < 1e-14
 
 
@@ -190,7 +192,7 @@ def test_log_exp_round_trip_bulk(algebras):
         u = alg.sample_ball(rng, 1.0, counts[tag])
         mats = exp_mats(alg, u)
         assert group_membership_residual(mats, tag) <= TAU_GROUP
-        back = _log_coords(alg, columns(mats))
+        back = _log_coords(alg, columns(alg, mats))
         worst = np.max(alg.norm(back - u) / np.maximum(1.0, alg.norm(u)))
         assert worst <= 1e-12
 
@@ -202,7 +204,7 @@ def test_log_exp_round_trip_margin_ball(algebras):
         u = alg.sample_ball(rng, alg.injectivity_margin, 500)
         mats = exp_mats(alg, u)
         assert group_membership_residual(mats, tag) <= TAU_GROUP
-        back = _log_coords(alg, columns(mats))
+        back = _log_coords(alg, columns(alg, mats))
         assert np.all(alg.norm(back - u) <= 1e-12 * np.maximum(1.0, alg.norm(u)))
 
 
@@ -211,8 +213,8 @@ def test_log_exp_round_trip_margin_ball(algebras):
        tag=st.sampled_from(["U1", "SO2", "SO3", "SU2"]))
 def test_closed_form_log_matches_schur_oracle(algebras, oracles, seed, tag):
     # the whole ball up to the injectivity margin (eigen-angles up to
-    # 0.99 pi), plus a shell just inside it: for SO3 that shell is the
-    # near-half-turn branch whose axis comes from the symmetric part
+    # 0.99 pi), plus a shell just inside it: for SO3 that shell is next to
+    # a half turn, where w is near 0 and the vector part near unit length
     alg = algebras[tag]
     rng = np.random.default_rng(seed)
     ball = alg.sample_ball(rng, alg.injectivity_margin, 150)
@@ -221,17 +223,17 @@ def test_closed_form_log_matches_schur_oracle(algebras, oracles, seed, tag):
               * rng.uniform(0.9, 1.0, 50))[:, None]
     u = np.vstack([ball, shell])
     mats = exp_mats(alg, u)
-    closed = _log_coords(alg, columns(mats))
+    closed = _log_coords(alg, columns(alg, mats))
     oracle = np.array([oracles["schur_log"](alg.algebra_id, m) for m in mats])
     assert np.abs(closed - oracle).max() <= 1e-12
     assert np.abs(closed - u).max() <= 1e-12
 
 
 def test_so3_log_near_half_turn(algebras, oracles):
-    # angles from just past pi/2, where the axis starts to come from the
-    # symmetric part, to within 1e-8 pi of a half turn (past the margin,
-    # where the skew part alone would lose ~7 digits), about random axes
-    # and the coordinate axes
+    # angles from just past pi/2 to within 1e-8 pi of a half turn (past the
+    # margin, where a rotation matrix's skew part alone would lose ~7
+    # digits; the quaternion's vector part is near unit length there),
+    # about random axes and the coordinate axes
     alg = algebras["SO3"]
     rng = np.random.default_rng(5)
     axes = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(194, 3))])
@@ -241,7 +243,7 @@ def test_so3_log_near_half_turn(algebras, oracles):
         np.pi * (1.0 - np.logspace(-2, -8, 100)),
     ])
     u = axes * angles[:, None]
-    closed = _log_coords(alg, _exp_matrices(alg, u))
+    closed = _log_coords(alg, _exp(alg, u))
     oracle = np.array([oracles["schur_log"]("so3", m)
                        for m in exp_mats(alg, u)])
     assert np.abs(closed - oracle).max() <= 1e-12
@@ -255,11 +257,11 @@ def test_log_outside_margin_raises(algebras):
     mu = attach_haar_density(core, "uniform")
     alg = algebras["U1"]  # margin 2.0, full circle reaches ~2.02
     with pytest.raises(LogDomainError):
-        correction(columns([[[np.exp(1j * np.pi)]]]), core, mu, alg)
+        correction(columns(alg, [[[np.exp(1j * np.pi)]]]), core, mu, alg)
     # -I in SU(2): zero sine vector, yet the full half-turn angle
     with pytest.raises(LogDomainError):
-        correction(columns(-np.eye(2, dtype=complex)[None]), core, mu,
-                   algebras["SU2"])
+        correction(columns(algebras["SU2"], -np.eye(2, dtype=complex)[None]),
+                   core, mu, algebras["SU2"])
 
 
 def test_group_membership_enforced():
@@ -325,7 +327,7 @@ def test_normalized_norm_is_bch_ready(algebra_id, raw_norm, seed):
     assert np.all(alg.norm(br) <= alg.norm(u) * alg.norm(v) + 1e-12)
     # round-trip injectivity witness over the margin ball
     w = alg.sample_ball(rng, alg.injectivity_margin, 4000)
-    err = alg.norm(_log_coords(alg, _exp_matrices(alg, w)) - w)
+    err = alg.norm(_log_coords(alg, _exp(alg, w)) - w)
     assert np.all(err <= TAU_ALG * np.maximum(1.0, alg.norm(w)))
 
 
@@ -377,7 +379,7 @@ def test_distance_at_identity(algebras):
         g = exp_mats(alg, alg.sample_ball(rng, 1.0, 1))
         assert group_membership_residual(g, tag) <= TAU_GROUP
         assert _distances_to_identity(
-            alg, columns(g.conj().swapaxes(-1, -2) @ g)) < 1e-14
+            alg, columns(alg, g.conj().swapaxes(-1, -2) @ g)) < 1e-14
 
 
 def test_distance_to_exp_is_norm(algebras):
@@ -386,7 +388,7 @@ def test_distance_to_exp_is_norm(algebras):
         u = alg.sample_ball(rng, 1.0, 100)
         g = exp_mats(alg, u)
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        assert np.abs(_distances_to_identity(alg, columns(g))
+        assert np.abs(_distances_to_identity(alg, columns(alg, g))
                       - alg.norm(u)).max() < 1e-12
 
 
@@ -394,13 +396,13 @@ def test_left_invariance_of_distance(algebras):
     for tag in ("SO3", "SU2", "U1"):
         alg = algebras[tag]
         rng = np.random.default_rng(3)
+        m = MATRIX_DIM[alg.algebra_id]
         trips = exp_mats(alg, alg.sample_ball(rng, 1.0, 3 * 2000)).reshape(
-            2000, 3, alg.matrix_dim, alg.matrix_dim
-        )
+            2000, 3, m, m)
         h, g1, g2 = trips[:500].swapaxes(0, 1)
         inv = lambda g: g.conj().swapaxes(-1, -2)
-        d0 = _distances_to_identity(alg, columns(inv(g1) @ g2))
-        d1 = _distances_to_identity(alg, columns(inv(h @ g1) @ (h @ g2)))
+        d0 = _distances_to_identity(alg, columns(alg, inv(g1) @ g2))
+        d1 = _distances_to_identity(alg, columns(alg, inv(h @ g1) @ (h @ g2)))
         assert np.abs(d0 - d1).max() <= 1e-12
 
 
@@ -411,8 +413,8 @@ def test_distance_agrees_with_log_norm(algebras):
         g = exp_mats(alg, alg.sample_ball(
             rng, 0.9 * alg.injectivity_margin, 50))
         assert group_membership_residual(g, tag) <= TAU_GROUP
-        via_log = alg.norm(_log_coords(alg, columns(g)))
-        assert np.abs(_distances_to_identity(alg, columns(g))
+        via_log = alg.norm(_log_coords(alg, columns(alg, g)))
+        assert np.abs(_distances_to_identity(alg, columns(alg, g))
                       - via_log).max() < 1e-11
 
 
@@ -426,7 +428,7 @@ def test_commuting_pair_has_zero_gap(algebras):
     eu, ev = exp_mats(alg, np.array([u, v]))
     g = eu @ ev
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    w = _log_coords(alg, columns(g[None]))[0]
+    w = _log_coords(alg, columns(alg, g[None]))[0]
     assert np.abs(w - (u + v)).max() < 1e-13
 
 
@@ -441,7 +443,7 @@ def test_abelian_bch_estimates(algebras, default_sets):
 def bch_gap(alg, u, v):
     """|log(e^u e^v) - u - v| of (n, dim) coordinate rows, by the package's
     exp, product and log."""
-    euv = _compose(_exp_matrices(alg, u), _exp_matrices(alg, v))
+    euv = _compose(_exp(alg, u), _exp(alg, v))
     return alg.norm(_log_coords(alg, euv) - (u + v))
 
 
@@ -522,7 +524,7 @@ def test_so3_witness_pair_quaternion_oracle(algebras, oracles, constants):
     eu, ev = exp_mats(alg, np.array([u, v]))
     g = eu @ ev
     assert group_membership_residual(g, "SO3") <= TAU_GROUP
-    gap_impl = alg.norm(_log_coords(alg, columns(g[None]))[0] - (u + v))
+    gap_impl = alg.norm(_log_coords(alg, columns(alg, g[None]))[0] - (u + v))
     w_oracle = oracles["quat_log"](
         oracles["quat_mul"](oracles["quat_exp"](u), oracles["quat_exp"](v))
     )
@@ -569,13 +571,14 @@ def test_containment_checks(algebras, default_sets, constants):
         hs = exp_mats(alg, alg.sample_ball(rng, radius, 100))
         gs = exp_mats(alg, alg.sample_ball(rng, 1.0 / k.c_l, 100))
         conj = hs @ gs @ hs.conj().swapaxes(-1, -2)
-        assert np.all(_distances_to_identity(alg, columns(conj)) <= 1.0 + 1e-9)
+        assert np.all(_distances_to_identity(alg, columns(alg, conj))
+                      <= 1.0 + 1e-9)
         ws = exp_mats(
             alg, alg.sample_ball(
                 rng, min(default_sets.W_radius, 0.99 * alg.injectivity_margin), 100)
         )
         bs = exp_mats(alg, alg.sample_ball(rng, 1.0 / k.c_d, 100))
-        assert np.all(_distances_to_identity(alg, columns(bs @ ws))
+        assert np.all(_distances_to_identity(alg, columns(alg, bs @ ws))
                       <= default_sets.K_radius + 1e-9)
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -204,7 +205,7 @@ def test_value_constructors_take_positions_keywords_and_defaults():
                                 scale=1.0, injectivity_margin=np.pi)
     assert alg == NormedAlgebra("so3", "euclid", injectivity_margin=np.pi,
                                 scale=1.0)
-    assert (alg.dim, alg.matrix_dim, alg.group_id) == (3, 3, "SO3")
+    assert (alg.dim, alg.group_id) == (3, "SO3")
     assert BchConstants(*[1.0] * 7, 1.25) == bch_constants(
         **dict.fromkeys(BchConstants._fields[:7], 1.0))
     for args, kwargs in (((1.5, 2.5, 3.5), {}), ((), {"W": 1.5}),
@@ -894,7 +895,7 @@ def test_z2_to_so3_hom_is_half_turn(algebras):
                                          MorphismSpec(seed=0))
     assert not warns
     # conjugate of diag(-1, -1, 1): trace is -1, square is the identity
-    m = matrices(phi)[1]
+    m = matrices(algebras["SO3"], phi)[1]
     assert abs(np.trace(m) + 1.0) < 1e-12
     assert np.abs(m @ m - np.eye(3)).max() < 1e-12
 
@@ -905,7 +906,7 @@ def test_z3_to_u1_character(algebras):
     phi, warns = generate_exact_morphism(g, spec, algebras["U1"],
                                          MorphismSpec(seed=1))
     assert not warns
-    vals = {np.round(v, 12) for v in matrices(phi)[:, 0, 0]}
+    vals = {np.round(v, 12) for v in matrices(algebras["U1"], phi)[:, 0, 0]}
     roots = {np.round(np.exp(2j * np.pi * k / 3), 12) for k in range(3)}
     assert vals == roots
 
@@ -917,7 +918,8 @@ def test_z2_to_su2_substitutes_trivial_with_warning(algebras):
         phi, warns = generate_exact_morphism(g, spec, algebras["SU2"],
                                              MorphismSpec(seed=0))
     assert warns
-    assert np.array_equal(matrices(phi)[1], np.eye(2, dtype=complex))
+    assert np.array_equal(matrices(algebras["SU2"], phi)[1],
+                          np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("tag", ["SO3", "SU2"])
@@ -932,9 +934,10 @@ def test_every_morphism_kind_on_both_constructors(algebras, spec, tag):
     phi = {kind: generate_exact_morphism(g, spec, alg,
                                          MorphismSpec(kind=kind, seed=5))[0]
            for kind in harness.MORPHISM_KINDS}
-    trivial = matrices(phi["trivial"])
-    identity = np.broadcast_to(np.eye(alg.matrix_dim), trivial.shape)
-    assert trivial.tobytes() == identity.astype(trivial.dtype).tobytes()
+    # (1, 0, 0, 0) in every column; SU(2)'s negated vector part is -0.0
+    identity = np.eye(alg.dim + 1)[:, :1]
+    assert np.array_equal(phi["trivial"], np.broadcast_to(
+        identity, (alg.dim + 1, g.n_arrows)))
     assert _radius(alg, phi["trivial"]) == 0.0
     assert verify_core_morphism(phi["coboundary"], core, alg, full=True) \
         <= 1e-13
@@ -975,7 +978,7 @@ def test_perturb_defect_bound_and_bruteforce(algebras, constants):
     delta = defect(out, core, alg)
     # three perturbations enter each psi, up to conjugation distortion
     assert delta <= 3 * k.c_prime * k.c_dprime * eps + 1e-12
-    out = matrices(out)
+    out = matrices(alg, out)
     brute = max(
         float(np.linalg.norm(_log_oracle(alg,
               np.linalg.inv(out[p]) @ np.linalg.inv(out[kk])
@@ -1203,6 +1206,46 @@ def test_byte_reproducibility(tmp_path):
         b1 = open(d1 / name, "rb").read()
         b2 = open(d2 / name, "rb").read()
         assert b1 == b2
+
+
+# an SO3 run of the benchmark's pair-so3 size: pair(20), 8000 core pairs
+PAIR_SO3 = {
+    "group": {"tag": "SO3"}, "groupoid": {"constructor": "pair", "size": 20},
+    "perturbation": {"epsilon": 0.01, "seed": 3},
+    "output": {"trace": "pair_so3_trace.csv",
+               "report": "pair_so3_report.json"},
+}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86 kernel")
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE=Prescott makes OpenBLAS run its SSE3 kernels instead
+    # of the ones it picks for this CPU; no group value goes through BLAS,
+    # so every bundled artifact and a pair-so3-sized run keep their bytes
+    config = tmp_path / "pair_so3.json"
+    config.write_text(json.dumps(PAIR_SO3))
+    script = os.path.join(REPO_ROOT, "scripts", "run_bundled.py")
+    src = os.path.join(REPO_ROOT, "src")
+    artifacts = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "native")
+        for argv in ([script, "--out", str(out)],
+                     ["-m", "haarrect.cli", "run", "--config", str(config),
+                      "--out", str(out)]):
+            subprocess.run([sys.executable, *argv], env=env, check=True,
+                           capture_output=True, timeout=300)
+        artifacts.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                          for f in out.iterdir()})
+    # the bundled runs' 4 reports and 3 traces, holo's report, and pair-so3's
+    # trace and report
+    assert len(artifacts[0]) == 10
+    assert artifacts[0] == artifacts[1]
 
 
 def test_pass_flag_recomputable_from_trace(tmp_path):

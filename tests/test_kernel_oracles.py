@@ -1,10 +1,11 @@
 """Bitwise oracles for the batched Lie kernels.
 
-The kernels compute entry by entry on length-n columns.  The references
-here are the broadcast matrix forms over (n, m, m) and (n, dim) stacks that
-the README states, and the einsum forms of the stacked products; every
-kernel must match them, through the conftest adapter between value columns
-and matrices, in dtype, in value and in the sign of every zero.
+The kernels compute on (dim + 1, n) value columns, one contiguous row per
+part.  The bitwise references here are the same closed forms broadcast over
+(n, dim) and (n, dim + 1) rows; every kernel must match them in dtype, in
+value and in the sign of every zero.  The matrix references (the einsum
+product, eigh, Rodrigues and Schur) are checked through the conftest
+adapter between value columns and matrices to a few ulp.
 """
 
 import ast
@@ -16,27 +17,29 @@ import numpy as np
 import pytest
 
 from conftest import (
+    MATRIX_DIM,
     REPO_ROOT,
     columns,
-    coords_to_matrix,
+    eigh_exp,
     matrices,
     psi_stack,
+    rodrigues,
+    schur_log,
 )
 from haarrect.groupoids import build_pair_groupoid
 from haarrect.groups import (
     _angle_pass,
-    _columns,
     _compose,
     _distances_to_identity,
-    _exp_matrices,
+    _exp,
     _inverse,
     _log_coords,
-    _matrices,
     _row_norm,
     normalize_algebra_norm,
 )
 
 ALGEBRAS = ("u1", "so2", "so3", "su2")
+ULP = np.finfo(float).eps      # one ulp at 1
 
 
 def assert_same_bits(ref, got):
@@ -48,7 +51,7 @@ def assert_same_bits(ref, got):
 
 
 # ---------------------------------------------------------------------------
-# the broadcast forms
+# the broadcast forms, on rows
 # ---------------------------------------------------------------------------
 
 def ref_norm(alg, coords):
@@ -62,91 +65,77 @@ def ref_sample_ball(alg, rng, radius, count):
     return (r / alg.factor)[:, None] * x
 
 
+def vector_sign(alg):
+    """The sign of exp's vector part: su(2)'s basis maps to -i_k / 2."""
+    return -1.0 if alg.algebra_id == "su2" else 1.0
+
+
 def ref_exp(alg, coords):
-    """Rodrigues and the unit quaternion on (n, m, m) stacks, then the exact
-    identity written over the zero vectors."""
+    """(cos theta, sin theta) and (cos(theta/2), sign sin(theta/2) n) on
+    (n, dim) rows, as (n, dim + 1) rows."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    aid = alg.algebra_id
-    if aid == "u1":
-        G = np.exp(1j * coords)[..., None]
-    elif aid == "so2":
-        c, s = np.cos(coords[:, 0]), np.sin(coords[:, 0])
-        G = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-    else:
-        theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
-        axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
-                         where=theta[:, None] > 0.0)
-        K = coords_to_matrix(aid, axis)
-        if aid == "so3":
-            v = 2.0 * np.sin(0.5 * theta) ** 2
-            G = (np.eye(3) + np.sin(theta)[:, None, None] * K
-                 + v[:, None, None] * (axis[:, :, None] * axis[:, None, :]
-                                       - np.eye(3)))
-        else:
-            G = (np.cos(0.5 * theta)[:, None, None] * np.eye(2)
-                 + (2.0 * np.sin(0.5 * theta))[:, None, None] * K)
-    G[~np.any(coords != 0.0, axis=-1)] = np.eye(alg.matrix_dim)
-    return G
-
-
-def ref_sine_cosine(alg, m):
-    if alg.algebra_id == "u1":
-        return m[..., 0, :1].imag, m[..., 0, 0].real
-    if alg.algebra_id == "so2":
-        return m[..., 1, :1].real, m[..., 0, 0].real
-    if alg.algebra_id == "so3":
-        r = m.real
-        skew = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
-                r[..., 1, 0] - r[..., 0, 1])
-        cosine = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
-        return 0.5 * np.stack(skew, axis=-1), cosine
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    return (0.5 * np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1),
-            0.5 * (a + d).real)
-
-
-def ref_distances(alg, mats):
-    sine, cosine = ref_sine_cosine(alg, mats)
-    angle = np.arctan2(np.linalg.norm(sine, axis=-1), cosine)
-    return alg.factor * (2.0 * angle if alg.algebra_id == "su2" else angle)
-
-
-def ref_log(alg, mats):
-    """The principal log on (n, 3) and (n, 3, 3) stacks, the SO(3) half-turn
-    axis taken from the symmetric part."""
-    sine, cosine = ref_sine_cosine(alg, mats)
     if alg.dim == 1:
-        return np.arctan2(sine, cosine[..., None])
-    s = np.linalg.norm(sine, axis=-1, keepdims=True)
-    axis = np.divide(sine, s, out=np.zeros_like(sine), where=s > 0)
-    axis[s[..., 0] == 0, -1] = 1.0
-    far = cosine < 0.0
-    if alg.algebra_id == "so3" and np.any(far):
-        c = cosine[far, None, None]
-        r = mats[far].real
-        nn = (0.5 * (r + r.swapaxes(-1, -2)) - c * np.eye(3)) / (1.0 - c)
-        diag = np.diagonal(nn, axis1=-2, axis2=-1)
-        i = np.argmax(diag, axis=-1)
-        n = nn[np.arange(len(i)), i] / np.sqrt(diag.max(axis=-1))[:, None]
-        flip = np.einsum("ij,ij->i", n, sine[far]) < 0.0
-        axis[far] = np.where(flip[:, None], -n, n)
-    angle = np.arctan2(s, cosine[..., None])
-    return (2.0 * angle if alg.algebra_id == "su2" else angle) * axis
+        return np.stack([np.cos(coords[:, 0]), np.sin(coords[:, 0])], axis=-1)
+    theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
+    axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
+                     where=theta[:, None] > 0.0)
+    sine = vector_sign(alg) * np.sin(0.5 * theta)
+    return np.concatenate([np.cos(0.5 * theta)[:, None],
+                           sine[:, None] * axis], axis=-1)
+
+
+def ref_distances(alg, rows):
+    s = np.linalg.norm(rows[..., 1:], axis=-1)
+    w = np.abs(rows[..., 0]) if alg.algebra_id == "so3" else rows[..., 0]
+    angle = np.arctan2(s, w)
+    return alg.factor * (angle if alg.dim == 1 else 2.0 * angle)
+
+
+def ref_log(alg, rows):
+    """The principal log on (n, dim + 1) rows: the signed angle, or the
+    angle times the unit vector part (that of SU(2)'s -1 taken as e_3)."""
+    if alg.dim == 1:
+        return np.arctan2(rows[:, 1:], rows[:, :1])
+    s = np.linalg.norm(rows[:, 1:], axis=-1, keepdims=True)
+    axis = np.divide(rows[:, 1:], s, out=np.zeros_like(rows[:, 1:]),
+                     where=s > 0)
+    axis[s[:, 0] == 0, -1] = 1.0
+    w = np.abs(rows[:, :1]) if alg.algebra_id == "so3" else rows[:, :1]
+    angle = 2.0 * np.arctan2(s, w)
+    if alg.algebra_id == "so3":
+        angle = np.copysign(angle, rows[:, :1])
+    return vector_sign(alg) * angle * axis
 
 
 def ref_product(a, b):
-    return np.einsum("nij,njk->nik", a, b)
+    """The complex or Hamilton product of (n, dim + 1) rows."""
+    if a.shape[-1] == 2:
+        return np.stack([a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1],
+                         a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]], axis=-1)
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = a.T, b.T
+    return np.stack([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2], axis=-1)
 
 
-def ref_adjoint_product(a, b):
-    return np.einsum("nij,nkj->nik", a, b.conj())
+def ref_conjugate(rows):
+    return rows * np.r_[1.0, -np.ones(rows.shape[-1] - 1)]
 
 
-def ref_psi(phi, pairs):
-    """The products over the gathered strided inverses."""
+def ref_psi(rows, pairs):
+    """The products over the gathered conjugates."""
     k, p, kp = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
-    inv = phi.conj().swapaxes(-1, -2)
-    return inv[p] @ inv[k] @ phi[kp]
+    inv = ref_conjugate(rows)
+    return ref_product(ref_product(inv[p], inv[k]), rows[kp])
+
+
+def assert_within_ulps(ref, got, ulps):
+    """|got - ref| within ``ulps`` ulp at 1, entry by entry: unit values
+    and log angles are O(1)."""
+    ref, got = np.asarray(ref), np.asarray(got)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= ulps * ULP
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +154,20 @@ def hard_coords(alg, rng):
     return np.concatenate([grid] + [r * unit for r in radii] + [ball])
 
 
-def hard_matrices(alg, rng):
-    """exp of the hard coordinates, their products (rotations through the
-    whole angle range, half turns among them), exact SO(3) half turns, and
-    SO(3) half turns plus a skew part almost orthogonal to their axis, whose
-    axis sign the einsum's own rounding decides."""
+def hard_rows(alg, rng):
+    """exp of the hard coordinates and their products (turns through the
+    whole angle range, half turns among them) as (n, dim + 1) rows; for
+    quaternions also the exact units of both signs and half turns, w = 0,
+    with and without a tiny w of either sign."""
     g = ref_exp(alg, hard_coords(alg, rng))
-    mats = [g, np.einsum("nij,njk->nik", g, g[::-1])]
-    if alg.algebra_id == "so3":
-        mats.append(np.array([np.diag(d) for d in
-                              itertools.product((1.0, -1.0), repeat=3)
-                              if np.prod(d) > 0]))
-        n = rng.normal(size=(20000, 3))
+    rows = [g, ref_product(g, g[::-1])]
+    if alg.dim == 3:
+        rows.append(np.concatenate([np.eye(4), -np.eye(4)]))
+        n = rng.normal(size=(2000, 3))
         n /= np.linalg.norm(n, axis=1, keepdims=True)
-        m = np.cross(n, rng.normal(size=n.shape))
-        m /= np.linalg.norm(m, axis=1, keepdims=True)
-        m += rng.uniform(-1e-15, 1e-15, size=(len(n), 1)) * n
-        mats.append(2.0 * n[:, :, None] * n[:, None, :] - np.eye(3)
-                    + 1e-3 * coords_to_matrix("so3", m))
-    return np.concatenate(mats)
+        w = rng.choice([0.0, -0.0, 1e-9, -1e-9, 1e-300], size=(len(n), 1))
+        rows.append(np.hstack([w, n * np.sqrt(1.0 - w * w)]))
+    return np.concatenate(rows)
 
 
 @pytest.fixture(scope="module")
@@ -221,109 +205,131 @@ def test_norm_and_ball_are_the_broadcast_forms(algs, aid):
 def test_exp_is_the_broadcast_form(algs, aid):
     alg = algs[aid]
     coords = hard_coords(alg, np.random.default_rng(7))
-    got = _exp_matrices(alg, coords)
-    assert got.flags.c_contiguous
-    assert_same_bits(ref_exp(alg, coords), matrices(got))
-    assert_same_bits(ref_exp(alg, coords),
-                     matrices(_exp_matrices(alg, coords.T.T)))
+    got = _exp(alg, coords)
+    assert got.flags.c_contiguous and got.shape == (alg.dim + 1, len(coords))
+    assert_same_bits(ref_exp(alg, coords).T, got)
+    assert_same_bits(got, _exp(alg, np.asfortranarray(coords)))
+    # the zero vectors of both signs give the exact identity
+    zero = ~np.any(coords != 0.0, axis=-1)
+    assert zero.sum() == 2 ** alg.dim
+    assert np.array_equal(got[:, zero].T, np.broadcast_to(
+        np.eye(alg.dim + 1)[0], (zero.sum(), alg.dim + 1)))
+    # the matrix references, through the adapter
+    assert_within_ulps(eigh_exp(aid, coords), matrices(alg, got), 24)
+    if aid == "so3":
+        assert_within_ulps(np.array([rodrigues(c) for c in coords[::7]]),
+                           matrices(alg, got[:, ::7]), 8)
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_log_and_distance_are_the_broadcast_forms(algs, aid):
     alg = algs[aid]
-    mats = hard_matrices(alg, np.random.default_rng(8))
-    values = columns(mats)
-    assert_same_bits(ref_log(alg, mats), _log_coords(alg, values))
-    assert_same_bits(ref_distances(alg, mats),
+    rows = hard_rows(alg, np.random.default_rng(8))
+    values = np.ascontiguousarray(rows.T)
+    assert_same_bits(ref_log(alg, rows), _log_coords(alg, values))
+    assert_same_bits(ref_distances(alg, rows),
                      _distances_to_identity(alg, values))
-    n = len(mats) // 2 * 2
-    stacked = mats[:n].reshape(2, -1, *mats.shape[1:])
+    n = len(rows) // 2 * 2
+    stacked = rows[:n].reshape(2, -1, rows.shape[-1])
     assert_same_bits(ref_distances(alg, stacked), _distances_to_identity(
-        alg, values[..., :n].reshape(*values.shape[:3], 2, -1)))
+        alg, values[:, :n].reshape(-1, 2, n // 2)))
+    # the Schur log of the matrices, inside the injectivity margin
+    inside = alg.norm(ref_log(alg, rows)) < alg.injectivity_margin
+    some = values[:, inside][:, ::5]
+    assert_within_ulps(
+        [schur_log(aid, m) for m in matrices(alg, some)],
+        _log_coords(alg, some), 32)
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_psi_stack_is_the_gathered_product(algs, aid):
     alg = algs[aid]
     g = build_pair_groupoid(6)
-    values = ref_exp(alg, ref_sample_ball(alg, np.random.default_rng(9), 3.0,
-                                          g.n_arrows))
-    values[::5] = np.eye(alg.matrix_dim)
-    assert_same_bits(ref_psi(values, g.products),
-                     matrices(psi_stack(alg, columns(values), g.products)))
+    rows = ref_exp(alg, ref_sample_ball(alg, np.random.default_rng(9), 3.0,
+                                        g.n_arrows))
+    rows[::5] = np.eye(alg.dim + 1)[0]
+    psi = psi_stack(alg, np.ascontiguousarray(rows.T), g.products)
+    assert_same_bits(ref_psi(rows, g.products).T, psi)
+    k, p, kp = g.products.T
+    mats = matrices(alg, rows.T)
+    inv = mats.conj().swapaxes(-1, -2)
+    assert_within_ulps(inv[p] @ inv[k] @ mats[kp], matrices(alg, psi), 16)
 
 
 def product_operand(alg, rng, n):
-    """n group elements, about one entry in six replaced by a signed zero or
-    a signed subnormal (in the real and the imaginary part alike)."""
+    """n group values as (n, dim + 1) rows, about one entry in six replaced
+    by a signed zero or a signed subnormal."""
     x = ref_exp(alg, ref_sample_ball(alg, rng, 3.0, n))
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
-    for part in ((x.real, x.imag) if np.iscomplexobj(x) else (x,)):
-        hit = rng.random(x.shape) < 1 / 6
-        part[hit] = rng.choice(specials, size=int(hit.sum()))
+    hit = rng.random(x.shape) < 1 / 6
+    x[hit] = rng.choice(specials, size=int(hit.sum()))
     return x
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 25, 400, 2000])
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_compose_is_the_einsum_product(algs, aid, n):
-    # einsum's order of the j sum follows its operands' strides, so it is
-    # the oracle on C-ordered stacks and on the strided phi^H; _compose
-    # gives every layout of its columns the bits of their C-ordered copy
+    # bitwise the broadcast product on every operand, special entries
+    # included; to a few ulp the einsum product of the matrices of unit
+    # values; every layout of the columns gives the bits of their
+    # C-ordered copy, and the operands are left alone
     alg = algs[aid]
     rng = np.random.default_rng(n)
     a, b = product_operand(alg, rng, n), product_operand(alg, rng, n)
-    A, B = columns(a), columns(b)
+    A, B = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     kept = A.copy(), B.copy()
     for x, y in ((a, b), (b, a), (a, a)):
-        assert_same_bits(ref_product(x, y),
-                         matrices(_compose(columns(x), columns(y))))
-        assert_same_bits(ref_adjoint_product(x, y), matrices(
-            _compose(columns(x), columns(y), adjoint=True)))
-    a_h = a.conj().swapaxes(-1, -2)
-    assert_same_bits(ref_product(a_h, b), matrices(_compose(columns(a_h), B)))
-    for x, y in ((A.swapaxes(1, 2), B), (A[..., ::-1], B[..., ::-1]),
-                 (A, B[:, ::-1, ::-1]), (np.asfortranarray(A), B)):
-        c_x, c_y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-        for adjoint in (False, True):
-            got = _compose(x, y, adjoint=adjoint)
-            assert got.flags.c_contiguous
-            assert_same_bits(_compose(c_x, c_y, adjoint=adjoint), got)
+        got = _compose(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+        assert got.flags.c_contiguous
+        assert_same_bits(ref_product(x, y).T, got)
+    for x, y in ((a.T, b.T), (A[:, ::-1], B[:, ::-1]), (A, B[::-1, ::-1])):
+        assert_same_bits(_compose(np.ascontiguousarray(x),
+                                  np.ascontiguousarray(y)), _compose(x, y))
     assert_same_bits(kept[0], A)
     assert_same_bits(kept[1], B)
+    u, v = (_exp(alg, ref_sample_ball(alg, rng, 3.0, n)) for _ in "uv")
+    assert_within_ulps(
+        np.einsum("nij,njk->nik", matrices(alg, u), matrices(alg, v)),
+        matrices(alg, _compose(u, v)), 16)
 
 
 @pytest.mark.parametrize("n", [0, 1, 500])
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_columns_and_matrices_round_trip_bitwise(algs, aid, n):
-    # the converters at the BLAS products, signed zeros and subnormals
-    # included, against the adapter and each other
+    # the conftest adapter that the matrix references go through: from
+    # columns to matrices and back it copies or negates parts, signed
+    # zeros and subnormals included, except for SO(3), whose matrix
+    # entries are quadratic in the quaternion: there it returns q or -q to
+    # a few ulp
     alg = algs[aid]
-    mats = product_operand(alg, np.random.default_rng(13), n)
-    parts = 2 if aid in ("u1", "su2") else 1
-    values = _columns(mats)
-    assert values.shape == (parts, alg.matrix_dim, alg.matrix_dim, n)
-    assert values.dtype == np.float64 and values.flags.c_contiguous
-    assert_same_bits(columns(mats), values)
-    back = _matrices(values)
-    assert back.flags.c_contiguous
-    assert_same_bits(mats, back)
-    assert_same_bits(values, _columns(back))
-    strided = mats.conj().swapaxes(-1, -2)[::-1]
-    assert_same_bits(columns(strided), _columns(strided))
-    assert_same_bits(mats, _matrices(values[..., ::-1])[::-1])
+    values = np.ascontiguousarray(
+        product_operand(alg, np.random.default_rng(13), n).T)
+    mats = matrices(alg, values)
+    assert mats.shape == (n,) + (MATRIX_DIM[aid],) * 2
+    assert mats.dtype == (complex if aid in ("u1", "su2") else float)
+    if aid != "so3":
+        assert_same_bits(values, columns(alg, mats))
+        return
+    units = _exp(alg, ref_sample_ball(alg, np.random.default_rng(13), 3.0, n))
+    back = columns(alg, matrices(alg, units))
+    assert_within_ulps(units * np.where(back[0] * units[0] < 0, -1.0, 1.0),
+                       back, 4)
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
 def test_inverse_is_the_conjugate_transpose_bitwise(algs, aid):
+    # the conjugate's matrix is the conjugate transpose, entry for entry,
+    # for SO(3) too: its entries 2 (x y -+ w z) swap exactly
     alg = algs[aid]
-    mats = product_operand(alg, np.random.default_rng(14), 500)
-    values = columns(mats)
+    rows = product_operand(alg, np.random.default_rng(14), 500)
+    values = np.ascontiguousarray(rows.T)
     inv = _inverse(values)
     assert inv.flags.c_contiguous
-    assert_same_bits(mats.conj().swapaxes(-1, -2), matrices(inv))
+    assert_same_bits(ref_conjugate(rows).T, inv)
+    assert_same_bits(matrices(alg, values).conj().swapaxes(-1, -2),
+                     matrices(alg, inv))
     assert_same_bits(values, _inverse(inv))
-    assert_same_bits(values, columns(mats))     # the input is left alone
+    assert_same_bits(rows.T, values)     # the input is left alone
 
 
 @pytest.mark.parametrize("aid", ALGEBRAS)
@@ -332,24 +338,22 @@ def test_shared_angle_pass_gives_the_defect_and_the_log(algs, aid):
     # angle pass; both equal the standalone kernels and their references
     alg = algs[aid]
     rng = np.random.default_rng(12)
-    eye = np.eye(alg.matrix_dim)
-    mats = np.concatenate([
-        hard_matrices(alg, rng),                       # half turns within 1e-8
+    rows = np.concatenate([
+        hard_rows(alg, rng),                            # half turns
         ref_exp(alg, ref_sample_ball(alg, rng, 3.0, 3000)),
-        np.broadcast_to(eye, (50,) + eye.shape)]).astype(
-            complex if aid in ("u1", "su2") else float)
-    values = columns(mats)
+        np.broadcast_to(np.eye(alg.dim + 1)[0], (50, alg.dim + 1))])
+    values = np.ascontiguousarray(rows.T)
     angles = _angle_pass(alg, values)
-    assert np.any(angles[3] == 0.0) and np.any(angles[1] < 0.0)
+    assert np.any(angles[1] == 0.0) and np.any(values[0] < 0.0)
     if aid == "so3":
-        near = np.abs(angles[3] - np.pi)
-        assert np.any((near > 0.0) & (near < 1e-8))
+        near = np.abs(angles[1] - np.pi)
+        assert np.any(near == 0.0) and np.any((near > 0.0) & (near < 1e-8))
     assert_same_bits(_distances_to_identity(alg, values),
-                     alg.factor * angles[3])
-    assert_same_bits(ref_distances(alg, mats), alg.factor * angles[3])
+                     alg.factor * angles[1])
+    assert_same_bits(ref_distances(alg, rows), alg.factor * angles[1])
     assert_same_bits(_log_coords(alg, values),
                      _log_coords(alg, values, angles))
-    assert_same_bits(ref_log(alg, mats), _log_coords(alg, values, angles))
+    assert_same_bits(ref_log(alg, rows), _log_coords(alg, values, angles))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +361,7 @@ def test_shared_angle_pass_gives_the_defect_and_the_log(algs, aid):
 # ---------------------------------------------------------------------------
 
 # einsum subscripts that src/ may use, each with its reason
-EINSUM_ALLOWED = {
-    "ij,ij->i": "the row dot in _log_coords that picks the sign of an SO(3) "
-                "half-turn axis: one dot per row, whose rounding decides the "
-                "sign next to a half turn, as the log oracle pins it",
-}
+EINSUM_ALLOWED = {}
 
 
 def is_stacked_product(subscripts):
@@ -411,14 +411,9 @@ def test_src_has_no_einsum_stacked_product():
 
 
 # functions of src/ that may multiply matrices by BLAS (`@` or np.matmul),
-# each with its reason: these are the only places where the BLAS kernel
-# decides bits, and each converts between value columns and matrices there
-MATMUL_ALLOWED = {
-    "rectifier.psi_slabs": "psi(k, p) = phi(p)^-1 phi(k)^-1 phi(kp) as two "
-                           "stacked products of gathered matrices, per slab",
-    "harness.generate_exact_morphism": "the exact coboundary h_t h_s^-1 and "
-                                       "the conjugated homomorphism z v z^H",
-}
+# each with its reason: there are none, since every product of group values
+# is a `_compose` of value columns, so no BLAS kernel decides an artifact bit
+MATMUL_ALLOWED = {}
 
 
 def matmul_sites(tree, module):
@@ -454,5 +449,4 @@ def test_src_multiplies_matrices_by_blas_only_where_allowed():
             tree = ast.parse(fh.read(), filename=path)
         module = os.path.splitext(os.path.basename(path))[0]
         found |= {where for _, where in matmul_sites(tree, module)}
-    # every other product of group values is a _compose of value columns
     assert found == set(MATMUL_ALLOWED)

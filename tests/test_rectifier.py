@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    MATRIX_DIM,
     TAU_GROUP,
     columns,
     correction,
@@ -37,7 +38,8 @@ from haarrect.groups import (
     BchConstants,
     _compose,
     _distances_to_identity,
-    _exp_matrices,
+    _exp,
+    _inverse,
     _log_coords,
     normalize_algebra_norm,
 )
@@ -69,8 +71,8 @@ def full_core(g):
 def coboundary(g, alg, seed=0, scale=0.2):
     """Value columns of h_t(a) h_s(a)^-1 by explicit inverses."""
     rng = np.random.default_rng(seed)
-    h = matrices(_exp_matrices(alg, alg.sample_ball(rng, scale, g.n_objects)))
-    return columns([h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
+    h = matrices(alg, _exp(alg, alg.sample_ball(rng, scale, g.n_objects)))
+    return columns(alg, [h[g.target[a]] @ np.linalg.inv(h[g.source[a]])
                     for a in range(g.n_arrows)])
 
 
@@ -88,7 +90,7 @@ def test_psi_identity_for_exact_morphism(algebras):
     g = build_pair_groupoid(3)
     core = full_core(g)
     phi = coboundary(g, alg, seed=1)
-    psi = matrices(psi_stack(alg, phi, core.pairs))
+    psi = matrices(alg, psi_stack(alg, phi, core.pairs))
     assert group_membership_residual(psi, "SO3") <= TAU_GROUP
     assert np.abs(psi - np.eye(3)).max() < 1e-14
 
@@ -97,8 +99,8 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = columns([np.eye(2, dtype=complex)] * 9)
-    psi = matrices(psi_stack(alg, phi, core.pairs[:5]))
+    phi = columns(alg, [np.eye(2, dtype=complex)] * 9)
+    psi = matrices(alg, psi_stack(alg, phi, core.pairs[:5]))
     assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
                                                psi.shape))
 
@@ -109,11 +111,11 @@ def test_psi_single_perturbation_brute_force(algebras):
     alg = algebras["SO3"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = matrices(coboundary(g, alg, seed=2))
+    phi = matrices(alg, coboundary(g, alg, seed=2))
     w = np.array([0.01, 0.0, 0.0])
     star = 5
     phi_p = phi.copy()
-    phi_p[star] = phi_p[star] @ matrices(_exp_matrices(alg, w[None]))[0]
+    phi_p[star] = phi_p[star] @ matrices(alg, _exp(alg, w[None]))[0]
 
     rows, expected = [], []
     for k in range(9):
@@ -125,13 +127,13 @@ def test_psi_single_perturbation_brute_force(algebras):
             expected.append(np.linalg.inv(phi_p[p]) @ np.linalg.inv(phi_p[k])
                             @ phi_p[kp])
     assert len(rows) == 27
-    got = matrices(psi_stack(alg, columns(phi_p), rows))
+    got = matrices(alg, psi_stack(alg, columns(alg, phi_p), rows))
     assert group_membership_residual(got, "SO3") <= TAU_GROUP
     assert np.abs(got - np.array(expected)).max() < 1e-13
 
-    brute = _distances_to_identity(alg, columns(expected)).max()
-    assert abs(defect(columns(phi_p), core, alg) - brute) < 1e-14
-    assert 0.0 < defect(columns(phi_p), core, alg) <= 3 * 0.01 * 1.01
+    brute = _distances_to_identity(alg, columns(alg, expected)).max()
+    assert abs(defect(columns(alg, phi_p), core, alg) - brute) < 1e-14
+    assert 0.0 < defect(columns(alg, phi_p), core, alg) <= 3 * 0.01 * 1.01
 
 
 def test_central_right_translation_law(algebras):
@@ -140,11 +142,11 @@ def test_central_right_translation_law(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = matrices(coboundary(g, alg, seed=3))
+    phi = matrices(alg, coboundary(g, alg, seed=3))
     z = -np.eye(2, dtype=complex)            # the nontrivial center of SU(2)
     phi_z = phi @ z
-    psi = matrices(psi_stack(alg, columns(phi), core.pairs[:6]))
-    psi_z = matrices(psi_stack(alg, columns(phi_z), core.pairs[:6]))
+    psi = matrices(alg, psi_stack(alg, columns(alg, phi), core.pairs[:6]))
+    psi_z = matrices(alg, psi_stack(alg, columns(alg, phi_z), core.pairs[:6]))
     assert group_membership_residual(psi, "SU2") <= TAU_GROUP
     assert group_membership_residual(psi_z, "SU2") <= TAU_GROUP
     assert np.abs(psi_z - psi @ np.linalg.inv(z)).max() < 1e-13
@@ -155,13 +157,13 @@ def test_defect_invariant_under_conjugation(algebras):
     g = build_pair_groupoid(4)
     core = full_core(g)
     rng = np.random.default_rng(8)
-    phi_p = matrices(coboundary(g, alg, seed=4))
-    phi_p[2] = phi_p[2] @ matrices(
-        _exp_matrices(alg, alg.sample_ball(rng, 0.02, 1)))[0]
-    z = matrices(_exp_matrices(alg, alg.sample_ball(rng, 1.0, 1)))[0]
+    phi_p = matrices(alg, coboundary(g, alg, seed=4))
+    phi_p[2] = phi_p[2] @ matrices(alg, 
+        _exp(alg, alg.sample_ball(rng, 0.02, 1)))[0]
+    z = matrices(alg, _exp(alg, alg.sample_ball(rng, 1.0, 1)))[0]
     phi_c = z @ phi_p @ z.conj().T
-    assert abs(defect(columns(phi_p), core, alg)
-               - defect(columns(phi_c), core, alg)) < 1e-12
+    assert abs(defect(columns(alg, phi_p), core, alg)
+               - defect(columns(alg, phi_c), core, alg)) < 1e-12
 
 
 def test_defect_overflow(algebras):
@@ -171,7 +173,7 @@ def test_defect_overflow(algebras):
     phi = np.array([[[np.exp(0j)]]] * 9)
     phi[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
     with pytest.raises(DefectOverflow):
-        defect(columns(phi), core, alg)
+        defect(columns(alg, phi), core, alg)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def test_exact_morphism_average_is_identity(algebras):
     corrections, norms = correction(psi_stack(alg, phi, core.pairs), core,
                                     mu, alg)
     assert norms.max() < 1e-14
-    assert np.abs(matrices(corrections) - np.eye(3)).max() < 1e-13
+    assert np.abs(matrices(alg, corrections) - np.eye(3)).max() < 1e-13
 
 
 def test_trivial_morphism_fixed_point_bitwise(algebras):
@@ -196,9 +198,9 @@ def test_trivial_morphism_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = np.array([np.eye(2, dtype=complex)] * 2)
-    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
-                                mu, alg)
-    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+    corrections, _ = correction(
+        psi_stack(alg, columns(alg, phi), core.pairs), core, mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
     assert np.array_equal(out, phi)
 
 
@@ -209,10 +211,10 @@ def test_plus_minus_one_character_fixed_point_bitwise(algebras):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     phi = np.array([[[1.0 + 0j]], [[-1.0 + 0j]]])
-    assert _radius(alg, columns(phi)) == pytest.approx(alg.scale * np.pi)
-    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
-                                mu, alg)
-    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+    assert _radius(alg, columns(alg, phi)) == pytest.approx(alg.scale * np.pi)
+    corrections, _ = correction(
+        psi_stack(alg, columns(alg, phi), core.pairs), core, mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
     assert np.array_equal(out, phi)
 
 
@@ -225,12 +227,12 @@ def test_abelian_one_step_exactness_with_cocycle_oracle(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.05 * (2 * rng.random(9) - 1)
     phi = np.exp(1j * theta)[:, None, None]
-    assert defect(columns(phi), core, alg) > 1e-4
+    assert defect(columns(alg, phi), core, alg) > 1e-4
 
-    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
-                                mu, alg)
-    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
-    assert defect(columns(out), core, alg) <= 1e-14
+    corrections, _ = correction(
+        psi_stack(alg, columns(alg, phi), core.pairs), core, mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
+    assert defect(columns(alg, out), core, alg) <= 1e-14
 
     # closed-form abelian cocycle oracle: theta_hat = theta + sum w delta
     def principal(x):
@@ -258,10 +260,10 @@ def test_one_step_exact_for_any_invariant_density(algebras):
     theta = np.array([2 * np.pi * (a // 3) / 3 for a in range(9)])
     theta += 0.03 * (2 * rng.random(9) - 1)
     phi = np.exp(1j * theta)[:, None, None]
-    corrections, _ = correction(psi_stack(alg, columns(phi), core.pairs), core,
-                                mu, alg)
-    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
-    assert defect(columns(out), core, alg) <= 1e-14
+    corrections, _ = correction(
+        psi_stack(alg, columns(alg, phi), core.pairs), core, mu, alg)
+    out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
+    assert defect(columns(alg, out), core, alg) <= 1e-14
 
 
 def test_correction_norm_bound_and_step_identity(algebras, constants):
@@ -271,17 +273,17 @@ def test_correction_norm_bound_and_step_identity(algebras, constants):
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(21)
-    phi = matrices(coboundary(g, alg, seed=6))
-    noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
-    phi = np.einsum("nij,njk->nik", phi, matrices(noise))
-    delta = defect(columns(phi), core, alg)
-    corrections, norms = correction(psi_stack(alg, columns(phi), core.pairs),
-                                    core, mu, alg)
+    phi = matrices(alg, coboundary(g, alg, seed=6))
+    noise = _exp(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
+    phi = np.einsum("nij,njk->nik", phi, matrices(alg, noise))
+    delta = defect(columns(alg, phi), core, alg)
+    corrections, norms = correction(
+        psi_stack(alg, columns(alg, phi), core.pairs), core, mu, alg)
     assert norms.max() <= (k.d / k.d_prime) * delta + 1e-9
 
-    out = np.einsum("nij,njk->nik", phi, matrices(corrections))
+    out = np.einsum("nij,njk->nik", phi, matrices(alg, corrections))
     moves = _distances_to_identity(
-        alg, columns(phi.conj().swapaxes(-1, -2) @ out))
+        alg, columns(alg, phi.conj().swapaxes(-1, -2) @ out))
     assert abs(max(moves) - norms.max()) < 1e-13
 
 
@@ -306,7 +308,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     g, core, mu = ragged_core()
     assert {len(core.fiber_at(z)) for z in range(5)} == {2, 4}
     rng = np.random.default_rng(41)
-    phi = _exp_matrices(alg, alg.sample_ball(rng, 0.02, g.n_arrows))
+    phi = _exp(alg, alg.sample_ball(rng, 0.02, g.n_arrows))
 
     # reference: the per-arrow compensated sum over the fiber, in fiber
     # order, of the same batched logs
@@ -321,7 +323,7 @@ def test_ragged_fiber_average_matches_per_arrow_sum_bitwise(algebras):
     ])
     corrections, norms = correction(psi_stack(alg, phi, pairs), core, mu, alg)
     assert np.array_equal(norms, alg.norm(ref))
-    assert np.array_equal(corrections, _exp_matrices(alg, ref))
+    assert np.array_equal(corrections, _exp(alg, ref))
 
 
 def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
@@ -334,7 +336,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     g, core, mu = ragged_core()
     pairs = core.pairs
     rng = np.random.default_rng(43)
-    psi = matrices(_exp_matrices(alg, alg.sample_ball(rng, 0.02, len(pairs))))
+    psi = matrices(alg, _exp(alg, alg.sample_ball(rng, 0.02, len(pairs))))
     narrow = g.target[pairs[:, 1]] == 4
     half = 0.01 * rng.random(narrow.sum())
     psi[narrow] = 0.0
@@ -342,7 +344,7 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
     psi[narrow, 1, 1] = np.exp(-0.5j * half)
     psi[narrow, 0, 1] = complex(-0.0, -0.0)
     psi[narrow, 1, 0] = complex(0.0, -0.0)
-    psi = columns(psi)
+    psi = columns(alg, psi)
     logs = _log_coords(alg, psi)
     assert np.all(np.signbit(logs[narrow, :2]))
     terms = mu[pairs[:, 0], None] * logs
@@ -359,13 +361,13 @@ def test_ragged_padding_keeps_the_sign_of_a_zero_fiber_sum(algebras,
 
     def exp_spy(alg, coords):
         seen.append(coords.copy())
-        return _exp_matrices(alg, coords)
+        return _exp(alg, coords)
 
-    monkeypatch.setattr(rectifier, "_exp_matrices", exp_spy)
+    monkeypatch.setattr(rectifier, "_exp", exp_spy)
     corrections, norms = correction(psi, core, mu, alg)
     assert seen[0].tobytes() == ref.tobytes()
     assert norms.tobytes() == alg.norm(ref).tobytes()
-    assert corrections.tobytes() == _exp_matrices(alg, ref).tobytes()
+    assert corrections.tobytes() == _exp(alg, ref).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,7 @@ def make_perturbed(algebras, tag, seed, eps, n_points=4):
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(seed)
     phi = coboundary(g, alg, seed=seed)
-    noise = _exp_matrices(alg, alg.sample_ball(rng, eps, g.n_arrows))
+    noise = _exp(alg, alg.sample_ball(rng, eps, g.n_arrows))
     return g, core, mu, _compose(phi, noise)
 
 
@@ -457,35 +459,36 @@ def test_iterate_so3_quadratic_with_bruteforce_oracle(algebras, constants):
         assert trace.deltas[n + 1] <= q_bound(trace.deltas[n], k) + 1e-12
 
     # replay the iteration step by step against the brute-force defect
-    current = matrices(phi)
+    current = matrices(alg, phi)
     for n in range(trace.iterations):
-        brute = _distances_to_identity(alg, columns([
+        brute = _distances_to_identity(alg, columns(alg, [
             np.linalg.inv(current[p]) @ np.linalg.inv(current[kk])
             @ current[kp]
             for kk, p, kp in core.pairs])).max()
         assert abs(brute - trace.deltas[n]) < 1e-13
         corrections, _ = correction(
-            psi_stack(alg, columns(current), core.pairs), core, mu, alg)
-        current = np.einsum("nij,njk->nik", current, matrices(corrections))
-    assert abs(defect(columns(current), core, alg) - trace.deltas[-1]) < 1e-13
+            psi_stack(alg, columns(alg, current), core.pairs), core, mu, alg)
+        current = np.einsum("nij,njk->nik", current,
+                            matrices(alg, corrections))
+    assert abs(defect(columns(alg, current), core, alg)
+               - trace.deltas[-1]) < 1e-13
 
 
 def test_iterate_equivariance_under_conjugation(algebras, constants):
     alg, k = algebras["SO3"], constants["SO3"]
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=16, eps=0.008)
     rng = np.random.default_rng(99)
-    z = matrices(_exp_matrices(alg, alg.sample_ball(rng, 1.2, 1)))[0]
-    phi_c = columns(z @ matrices(phi) @ z.conj().T)
+    z = matrices(alg, _exp(alg, alg.sample_ball(rng, 1.2, 1)))[0]
+    phi_c = columns(alg, z @ matrices(alg, phi) @ z.conj().T)
     lim_a, _ = iterate(phi, core, mu, alg, k)
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
-    conj = z @ matrices(lim_a) @ z.conj().T
-    assert np.abs(conj - matrices(lim_b)).max() < 1e-12
+    conj = z @ matrices(alg, lim_a) @ z.conj().T
+    assert np.abs(conj - matrices(alg, lim_b)).max() < 1e-12
 
 
 def gauged(g, phi, h):
     """phi'(a) = h_t(a) phi(a) h_s(a)^-1 for per-object value columns h."""
-    return _compose(_compose(h[..., g.target], phi), h[..., g.source],
-                    adjoint=True)
+    return _compose(_compose(h[:, g.target], phi), _inverse(h)[:, g.source])
 
 
 def gauge_cases():
@@ -513,9 +516,9 @@ def test_limit_is_gauge_equivariant(case, aid, raw_norm):
     alg = normalize_algebra_norm(aid, raw_norm)
     k = constants_for(alg, ConstantsSpec(seed=101))
     rng = np.random.default_rng(5)
-    phi = _compose(coboundary(g, alg, seed=5, scale=0.25), _exp_matrices(
+    phi = _compose(coboundary(g, alg, seed=5, scale=0.25), _exp(
         alg, alg.sample_ball(rng, 0.01, g.n_arrows)))
-    h = _exp_matrices(alg, alg.sample_ball(rng, 0.3, g.n_objects))
+    h = _exp(alg, alg.sample_ball(rng, 0.3, g.n_objects))
     limit, trace = iterate(phi, core, mu, alg, k, sets=AmbientSets())
     limit_g, trace_g = iterate(gauged(g, phi, h), core, mu, alg, k,
                                sets=AmbientSets())
@@ -555,7 +558,7 @@ def test_limit_depends_analytically_on_the_input(algebras, constants, tag,
                                   (abs, 20, lambda c: c >= 1e-6)):
         limits, steps = [], set()
         for t in ts:
-            limit, trace = iterate(_compose(phi, _exp_matrices(
+            limit, trace = iterate(_compose(phi, _exp(
                 alg, family(t) * w)), core, mu, alg, k, tol=0.0, max_iter=4)
             limits.append(limit)
             steps.add(trace.iterations)
@@ -613,20 +616,24 @@ def test_iterate_errors_carry_the_initial_defect(algebras, constants):
 @pytest.mark.parametrize("tag", ["U1", "SO3", "SU2"])
 def test_iterate_reads_each_psi_stack_in_one_angle_pass(algebras, constants,
                                                         monkeypatch, tag):
-    # the defect and the next step's logs share one sine/cosine pass, run
-    # over slabs of 7 of the 64 core pairs
+    # the defect and the next step's logs share one atan2 pass, run over
+    # slabs of 7 of the 64 core pairs
     alg = algebras[tag]
     g, core, mu, phi = make_perturbed(algebras, tag, seed=21, eps=0.01)
     monkeypatch.setattr(rectifier, "SLAB_PAIRS", 7)
-    sine_cosine, rows = groups._sine_cosine, []
-    monkeypatch.setattr(groups, "_sine_cosine", lambda alg, m: (
-        rows.append(m.shape[-1]) or sine_cosine(alg, m)))
+    angle_pass, rows = groups._angle_pass, []
+
+    def spy(alg, values):
+        rows.append(values.shape[-1])
+        return angle_pass(alg, values)
+
+    monkeypatch.setattr(groups, "_angle_pass", spy)
+    monkeypatch.setattr(rectifier, "_angle_pass", spy)
     _, trace = iterate(phi, core, mu, alg, constants[tag])
     steps = trace.iterations
     assert steps >= 1
     # each step also measures its move over the 16 arrows once; no slab
-    # has 16 rows.  U1's log is the signed atan2 of the shared sine and
-    # cosine
+    # has 16 rows.  U1's log is the signed atan2 of its two parts
     assert rows.count(g.n_arrows) == steps
     assert sum(rows) - steps * g.n_arrows == (steps + 1) * len(core.pairs)
 
@@ -645,12 +652,12 @@ def slab_cases(algebras):
     for i, tag in enumerate(("SU2", "U1")):
         alg = algebras[tag]
         rng = np.random.default_rng(50 + i)
-        noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
+        noise = _exp(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
         yield alg, core, mu, _compose(coboundary(g, alg, seed=50 + i), noise)
     alg = algebras["SO3"]
     g, core, mu = ragged_core()
     rng = np.random.default_rng(52)
-    noise = _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
+    noise = _exp(alg, alg.sample_ball(rng, 0.01, g.n_arrows))
     yield alg, core, mu, _compose(coboundary(g, alg, seed=52), noise)
 
 
@@ -679,7 +686,7 @@ def test_iterate_and_verify_are_slab_invariant(algebras, constants,
         a for a in range(g.n_arrows) if a // 3 in even))))
     for g, core in groups_and_cores:
         rng = np.random.default_rng(53)
-        phi = _exp_matrices(alg, alg.sample_ball(rng, 0.05, g.n_arrows))
+        phi = _exp(alg, alg.sample_ball(rng, 0.05, g.n_arrows))
         residuals = []
         for slab in (len(g.products) + 1, 1, 3, 7):
             monkeypatch.setattr(rectifier, "SLAB_PAIRS", slab)
@@ -703,7 +710,7 @@ def failing_runs(algebras, constants):
     u1 = algebras["U1"]
     turned = np.array([[[np.exp(0j)]]] * 9)
     turned[5] = [[np.exp(3.13j)]]   # distance ~ 0.643 * 3.13 > margin
-    yield "DefectOverflow", lambda: iterate(columns(turned), core, mu, u1,
+    yield "DefectOverflow", lambda: iterate(columns(u1, turned), core, mu, u1,
                                             constants["U1"])
     g, core, mu, phi = make_perturbed(algebras, "SO3", seed=20, eps=0.012)
     bad = np.full(g.n_arrows, 60.0)
@@ -740,7 +747,7 @@ def test_log_domain_error_names_the_first_bad_pair_over_slabs(algebras):
     mu = attach_haar_density(core, "uniform")
     psi = np.ones((len(core.pairs), 1, 1), dtype=complex)
     psi[[20, 25]] = np.exp(1j * np.pi)
-    psi = columns(psi)
+    psi = columns(alg, psi)
     k, p, _ = core.pairs[20]
     for slab in (1, 3, 7, len(core.pairs)):
         sweep = rectifier._PsiPass(alg, core.pairs, core, mu)
@@ -788,14 +795,14 @@ def test_iterate_non_contraction_on_broken_density(algebras, constants):
 
 
 # ---------------------------------------------------------------------------
-# real psi stacks for SO(2) and SO(3)
+# psi stacks of SO(2) and SO(3) against complex matrix products
 # ---------------------------------------------------------------------------
 
-def complex_psi(phi, pairs):
-    """psi over (k, p, kp) rows as a product of the complex values of the
+def complex_psi(alg, phi, pairs):
+    """psi over (k, p, kp) rows as a product of the complex matrices of the
     columns phi."""
     k, p, kp = np.asarray(pairs).T
-    values = matrices(phi).astype(complex)
+    values = matrices(alg, phi).astype(complex)
     inv = values.conj().swapaxes(-1, -2)
     return inv[p] @ inv[k] @ values[kp]
 
@@ -825,31 +832,35 @@ def test_real_psi_stack_matches_complex_product(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
         psi = psi_stack(alg, phi, pairs)
-        assert psi.dtype == np.float64 and len(psi) == 1
-        assert np.abs(matrices(psi) - complex_psi(phi, pairs)).max() <= 1e-15
+        assert psi.dtype == np.float64 and psi.shape == (alg.dim + 1,
+                                                         len(pairs))
+        # the matrix of a Hamilton product against the product of the
+        # matrices: SO(3)'s entries are quadratic in the quaternion
+        assert np.abs(matrices(alg, psi)
+                      - complex_psi(alg, phi, pairs)).max() <= 4e-15
 
 
 @pytest.mark.parametrize("tag", ["U1", "SO2", "SO3", "SU2"])
 def test_iterate_and_verify_take_only_value_columns(algebras, tag):
-    # values are (parts, m, m, n_arrows) float64 columns, parts 2 for the
-    # complex groups; any other stack, the (n_arrows, m, m) matrices
-    # included, is a ValueError naming the expected shape
+    # values are (dim + 1, n_arrows) float64 columns; any other stack, the
+    # (n_arrows, m, m) matrices and the (parts, m, m, n_arrows) columns of
+    # matrix entries included, is a ValueError naming the expected shape
     alg = algebras[tag]
     g = build_pair_groupoid(2)
     core = full_core(g)
     mu = attach_haar_density(core, "uniform")
-    m, parts = alg.matrix_dim, 2 if tag in ("U1", "SU2") else 1
-    identity = columns(np.eye(m, dtype=complex if parts == 2 else float)[None]
-                       .repeat(g.n_arrows, axis=0))
-    assert identity.shape == (parts, m, m, g.n_arrows)
+    identity = np.eye(alg.dim + 1)[:, [0] * g.n_arrows]
+    assert identity.shape == (alg.dim + 1, g.n_arrows)
     k = constants_for(alg, ConstantsSpec(seed=101))
     limit, trace = iterate(identity, core, mu, alg, k)
     assert trace.iterations == 0 and limit.dtype == np.float64
     assert np.array_equal(limit, identity)
     assert verify_core_morphism(identity, core, alg, full=True) == 0.0
-    expected = re.escape(f"(parts, m, m, n_arrows) = {identity.shape}")
-    other_parts = identity[:1] if parts == 2 else identity[[0, 0]]
-    for bad in (matrices(identity), identity.astype(complex), other_parts,
+    expected = re.escape(f"(dim + 1, n_arrows) = {identity.shape}")
+    m = MATRIX_DIM[alg.algebra_id]
+    entries = np.zeros((1 + (tag in ("U1", "SU2")), m, m, g.n_arrows))
+    for bad in (matrices(alg, identity), entries, identity.astype(complex),
+                identity[:-1], np.vstack([identity, identity]),
                 identity[..., :-1], identity[None]):
         with pytest.raises(ValueError, match=expected):
             iterate(bad, core, mu, alg, k)
@@ -860,7 +871,7 @@ def test_iterate_and_verify_take_only_value_columns(algebras, tag):
 def test_real_psi_defect_correction_and_verification_match_complex(algebras):
     for alg, g, core, phi in harness_cases(algebras):
         pairs = core.pairs
-        psi_c = columns(complex_psi(phi, pairs).real)
+        psi_c = columns(alg, complex_psi(alg, phi, pairs).real)
         assert abs(defect(phi, core, alg)
                    - stack_defect(alg, psi_c)) <= 1e-15
         mu = attach_haar_density(core, "uniform")
@@ -872,7 +883,7 @@ def test_real_psi_defect_correction_and_verification_match_complex(algebras):
         full = g.products[g.source[q] == g.target[p]]
         for rows, flag in ((pairs, False), (full, True)):
             expected = np.max(_distances_to_identity(
-                alg, columns(complex_psi(phi, rows).real)))
+                alg, columns(alg, complex_psi(alg, phi, rows).real)))
             got = verify_core_morphism(phi, core, alg, full=flag)
             assert abs(got - expected) <= 1e-15
 
@@ -905,7 +916,7 @@ def test_partial_core_residual_reported_separately(algebras, constants):
     mu = attach_haar_density(core, "uniform")
     rng = np.random.default_rng(25)
     theta = 0.04 * (2 * rng.random(8) - 1)
-    phi = columns(np.exp(1j * theta)[:, None, None])
+    phi = columns(alg, np.exp(1j * theta)[:, None, None])
     limit, trace = iterate(phi, core, mu, alg, k)
     core_res = verify_core_morphism(limit, core, alg)
     full_res = verify_core_morphism(limit, core, alg, full=True)
@@ -941,7 +952,7 @@ def test_s3_on_three_points_contracts_on_full_and_alternating_cores(
     alg, k = algebras[tag], constants[tag]
     rng = np.random.default_rng(31)
     phi = _compose(coboundary(g, alg, seed=31),
-                   _exp_matrices(alg, alg.sample_ball(rng, 0.01, g.n_arrows)))
+                   _exp(alg, alg.sample_ball(rng, 0.01, g.n_arrows)))
     tol = 1e-12
     limit, trace = iterate(phi, core, mu, alg, k, sets=AmbientSets(1.5, 2.5),
                            tol=tol)
