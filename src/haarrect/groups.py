@@ -189,7 +189,8 @@ def _exp(alg, coords):
 
     (cos theta, sin theta) for u1 and so2, and (cos(theta/2), sign
     sin(theta/2) n) for so3 and su2, with theta = |coords|, n the unit axis
-    (0 at the zero vector) and the sign of `_VECTOR_SIGN`.  Non-finite
+    and the sign of `_VECTOR_SIGN`, taken inside n.  The zero vector, of
+    either sign, gives the exact identity, +0.0 parts included.  Non-finite
     coordinates raise InvalidAlgebraVector.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -197,12 +198,12 @@ def _exp(alg, coords):
         raise InvalidAlgebraVector(f"non-finite {alg.algebra_id} coords")
     c = np.ascontiguousarray(coords.T)
     if alg.dim == 1:
-        return np.array([np.cos(c[0]), np.sin(c[0])])
-    # hypot keeps theta, and so the axis, exact for subnormal coords
-    theta = np.hypot(np.hypot(c[0], c[1]), c[2])
-    axis = np.divide(c, theta, out=np.zeros_like(c), where=theta > 0.0)
-    sine = _VECTOR_SIGN[alg.algebra_id] * np.sin(0.5 * theta)
-    return np.concatenate([np.cos(0.5 * theta)[None], sine * axis])
+        return np.array([np.cos(c[0]), 0.0 + np.sin(c[0])])  # -0.0 -> +0.0
+    theta = np.hypot(np.hypot(c[0], c[1]), c[2])  # exact for subnormals
+    axis = np.divide(_VECTOR_SIGN[alg.algebra_id] * c, theta,
+                     out=np.zeros_like(c), where=theta > 0.0)
+    return np.concatenate([np.cos(0.5 * theta)[None],
+                           np.sin(0.5 * theta) * axis])
 
 
 def _angle_pass(alg, values):

@@ -72,16 +72,20 @@ def vector_sign(alg):
 
 def ref_exp(alg, coords):
     """(cos theta, sin theta) and (cos(theta/2), sign sin(theta/2) n) on
-    (n, dim) rows, as (n, dim + 1) rows."""
+    (n, dim) rows, as (n, dim + 1) rows, then the exact identity written
+    over the zero vectors."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if alg.dim == 1:
-        return np.stack([np.cos(coords[:, 0]), np.sin(coords[:, 0])], axis=-1)
-    theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
-    axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
-                     where=theta[:, None] > 0.0)
-    sine = vector_sign(alg) * np.sin(0.5 * theta)
-    return np.concatenate([np.cos(0.5 * theta)[:, None],
-                           sine[:, None] * axis], axis=-1)
+        rows = np.stack([np.cos(coords[:, 0]), np.sin(coords[:, 0])], axis=-1)
+    else:
+        theta = np.hypot(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
+        axis = np.divide(coords, theta[:, None], out=np.zeros_like(coords),
+                         where=theta[:, None] > 0.0)
+        sine = vector_sign(alg) * np.sin(0.5 * theta)
+        rows = np.concatenate([np.cos(0.5 * theta)[:, None],
+                               sine[:, None] * axis], axis=-1)
+    rows[~np.any(coords != 0.0, axis=-1)] = np.eye(alg.dim + 1)[0]
+    return rows
 
 
 def ref_distances(alg, rows):
@@ -212,8 +216,8 @@ def test_exp_is_the_broadcast_form(algs, aid):
     # the zero vectors of both signs give the exact identity
     zero = ~np.any(coords != 0.0, axis=-1)
     assert zero.sum() == 2 ** alg.dim
-    assert np.array_equal(got[:, zero].T, np.broadcast_to(
-        np.eye(alg.dim + 1)[0], (zero.sum(), alg.dim + 1)))
+    assert_same_bits(np.broadcast_to(np.eye(alg.dim + 1)[0],
+                                     (zero.sum(), alg.dim + 1)), got[:, zero].T)
     # the matrix references, through the adapter
     assert_within_ulps(eigh_exp(aid, coords), matrices(alg, got), 24)
     if aid == "so3":

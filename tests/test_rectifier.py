@@ -99,10 +99,10 @@ def test_psi_trivial_morphism_is_bitwise_identity(algebras):
     alg = algebras["SU2"]
     g = build_pair_groupoid(3)
     core = full_core(g)
-    phi = columns(alg, [np.eye(2, dtype=complex)] * 9)
-    psi = matrices(alg, psi_stack(alg, phi, core.pairs[:5]))
-    assert np.array_equal(psi, np.broadcast_to(np.eye(2, dtype=complex),
-                                               psi.shape))
+    phi = np.repeat(np.eye(4)[:, :1], 9, axis=1)
+    psi = psi_stack(alg, phi, core.pairs[:5])
+    identity = np.broadcast_to(np.eye(4)[:, :1], psi.shape)
+    assert psi.tobytes() == identity.tobytes()
 
 
 def test_psi_single_perturbation_brute_force(algebras):
