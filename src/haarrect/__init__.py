@@ -18,7 +18,6 @@ from .errors import (
     InvarianceError,
     LogDomainError,
     NonContraction,
-    NormalizationFailure,
     RangeEscape,
 )
 from .groups import (

@@ -65,11 +65,6 @@ class LogDomainError(HaarrectError):
     """Group element lies outside the injectivity region of exp."""
 
 
-class NormalizationFailure(HaarrectError):
-    """Raised nowhere: the norm scale is a closed form.  It stays exported
-    for callers that catch it."""
-
-
 class ActionError(HaarrectError):
     """A claimed group action violates the action axioms."""
 

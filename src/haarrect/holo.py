@@ -21,7 +21,7 @@ the sampled functions for the difference stencils.
 Input functions are callables evaluated on demand; grid-bound inputs would
 force interpolation and destroy the spectral exactness contracts.
 
-Callables are evaluated on slabs of grid rows, every grid point alone and
+Callables are evaluated on slabs of the grid, every grid point alone and
 in the same node order, so the values do not depend on the CPU count.
 core_average_function spreads its slabs over the available CPUs in forked
 child processes that write into one shared map, so its callable must be
@@ -32,7 +32,8 @@ Averaging hands its callable the same two arrays at every node, so a
 callable may neither keep nor change its arguments.  core_average_function
 makes one pass over the grid: each slab rotates once per node from the
 unbroadcast grid axes, and a callable may return a tuple of values, each
-averaged alone, with the bits of its own call.
+averaged alone, with the bits of its own call.  With a reducer, each
+slab's means become a few floats, and no grid is made.
 """
 
 import mmap
@@ -49,6 +50,7 @@ from .sums import NeumaierSum, spread_empty
 # Grid points per slab: one row of 17^3 at n_space = 17, whose temporaries
 # stay in cache.  bench-holo's two-valued mean at n_theta = 64 took 35.7 ms
 # in slabs of one row and 41.6 ms in slabs of three, on two CPUs (x86-64).
+# A row of more points is cut into runs of columns along the second axis.
 SLAB_POINTS = 2 ** 13
 
 BOX_FRAC = 0.45         # grid box half-width over space_radius
@@ -145,15 +147,16 @@ def _node_mean(f, theta, z1, z2, out=None, space=None):
     is one broadcasting ufunc into an array reused at every node, and its
     scalar products run on the axes as given.  The means go into the
     arrays of ``out``, one per value, if it is given; ``space`` then holds
-    the 2 * len(out) + 5 arrays the pass works in, w1, w2 and those of
-    NeumaierSum.several, each with at least the broadcast shape's rows.
+    the 2 * len(out) + 5 flat arrays the pass works in, w1, w2 and those of
+    NeumaierSum.several, each with at least the broadcast shape's size.
     """
     shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
     if space is None:
         w1, w2 = spread_empty(2, shape, np.result_type(theta, z1, z2))
         sums = None
     else:
-        w1, w2, *arrays = (a[:shape[0]] for a in space)
+        size = int(np.prod(shape))
+        w1, w2, *arrays = (a[:size].reshape(shape) for a in space)
         sums = NeumaierSum.several(len(out), arrays=arrays)
     for th in theta:
         # rotate(th, z1, z2), operation for operation
@@ -187,18 +190,23 @@ def sample_function(f, model):
     """Sample a callable on the model's rectangular grid.
 
     Returns the complex array of its values, indexed (x1, y1, x2, y2).
-    ``f`` runs on slabs of whole rows along the first grid axis, in the
-    calling process, so it must be pointwise; each grid point is evaluated
+    ``f`` runs on slabs of whole rows along the first grid axis, or of runs
+    of columns of one row, in the calling process, so it must be
+    pointwise; each grid point is evaluated
     alone, so the values do not depend on the slab size.
     """
     return _sample_grid(f, model)
 
 
-def _sample_grid(f, model, theta=None):
+def _sample_grid(f, model, theta=None, reduce=None):
     Z1, Z2 = grid_points(*model.grid_axes)
-    rows = max(1, SLAB_POINTS // (Z1.shape[1] * Z2.size))
+    # whole first-axis rows while one holds at most SLAB_POINTS points;
+    # past that, runs of columns along the second axis
+    cols = min(Z1.shape[1], max(1, SLAB_POINTS // Z2.size))
+    rows = max(1, SLAB_POINTS // (cols * Z2.size))
     return _checked_samples(
-        _sample_slabs(f, Z1, Z2, rows, _available_cpus(), theta),
+        _sample_slabs(f, Z1, Z2, rows, _available_cpus(), theta, cols,
+                      reduce),
         model.grid_spacing)
 
 
@@ -209,26 +217,38 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
+def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None, cols=None,
+                  reduce=None):
     """f on the grid of Z1 (first two axes) and Z2 (last two), or with
-    ``theta`` the mean of f over those rotation nodes; ``rows`` first-axis
-    rows per slab, slabs dealt round-robin to ``n_workers`` processes of
-    which the calling process is the first.
+    ``theta`` the mean of f over those rotation nodes; a slab is ``rows``
+    first-axis rows of ``cols`` second-axis columns (all by default), and
+    slabs are dealt round-robin to ``n_workers`` processes of which the
+    calling process is the first.
 
     f gets each slab's points as full arrays; a mean rotates them from the
-    slab's rows of Z1 and from Z2 as they are, and a tuple of values of f
-    gives a tuple of grids.
+    slab's part of Z1 and from Z2 as they are, and a tuple of values of f
+    gives a tuple of grids.  A mean with ``reduce`` makes no grid: each
+    slab hands its means to ``reduce(z1, Z2, *means)``, z1 its part of Z1,
+    and the floats it returns, as many for every slab, are that slab's row
+    of the returned (slabs, floats) array.
     """
     global _FORKED
-    n = Z1.shape[0]
-    slabs = [slice(a, a + rows) for a in range(0, n, rows)]
-    count = None
+    n, m = Z1.shape[:2]
+    cols = cols or m
+    slabs = [(slice(a, a + rows), slice(b, b + cols))
+             for a in range(0, n, rows) for b in range(0, m, cols)]
+    single, count = True, 1
     if theta is not None:
-        # f at one point gives the number of grids to make before a fork
+        # f at one point gives the number of means to make before a fork,
+        # and reduce of its values the length of a row
+        z1, z2 = Z1[:1, :1], Z2[..., :1, :1]
         with np.errstate(over="ignore", invalid="ignore"):
-            probe = f(Z1[:1, :1] + 0 * Z2[..., :1, :1],
-                      Z2[..., :1, :1] + 0 * Z1[:1, :1])
-        count = len(probe) if isinstance(probe, tuple) else None
+            probe = f(z1 + 0 * z2, z2 + 0 * z1)
+            single = not isinstance(probe, tuple)
+            probe = (probe,) if single else probe
+            count = len(probe)
+            if reduce is not None:
+                width = len(reduce(z1, z2, *probe))
     # A fork and its wait take about 1.7 ms, so only a mean forks.  A
     # child's own means stay in the child, and a process with other threads
     # does not fork: the child would get their locks in whatever state.
@@ -236,29 +256,42 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
             or threading.active_count() > 1):
         n_workers = 1
     n_workers = max(1, min(n_workers, len(slabs)))
-    shape = (n,) + Z1.shape[1:2] + Z2.shape[2:]
-    nbytes = int(np.prod(shape)) * np.dtype(complex).itemsize
+    # the grids of the values, or with reduce one row of floats per slab
+    shapes, dtype = [(n, m) + Z2.shape[2:]] * count, np.dtype(complex)
+    if reduce is not None:
+        shapes, dtype = [(len(slabs), width)], np.dtype(float)
+    nbytes = int(np.prod(shapes[0])) * dtype.itemsize
     # for children, one shared anonymous map, where what they write reaches
     # the caller; alone, heap memory, whose pages need no fresh faults
-    block = mmap.mmap(-1, (count or 1) * nbytes) if n_workers > 1 else None
-    grids = [np.ndarray(shape, complex, block, k * nbytes)
-             for k in range(count or 1)]
+    block = mmap.mmap(-1, len(shapes) * nbytes) if n_workers > 1 else None
+    outputs = [np.ndarray(shape, dtype, block, k * nbytes)
+               for k, shape in enumerate(shapes)]
+    largest = Z1[slabs[0]].size * Z2.size       # points of the first slab
 
     def work(share):
         if theta is not None:
             # the arrays of the pass, made once per process and call and
             # cut to each slab: made per slab, they fragmented the malloc
-            # arenas, and peak RSS grew over repeated calls
-            space = spread_empty(2 * len(grids) + 5,
-                                 (min(rows, n),) + shape[1:], complex)
+            # arenas, and peak RSS grew over repeated calls.  A reduced
+            # mean writes its means into the last ones
+            space = spread_empty(2 * count + 5 + count * (reduce is not None),
+                                 (largest,), complex)
+            space, means = space[:2 * count + 5], space[2 * count + 5:]
         # an overflow is reported once, as the GridError it leads to
         with np.errstate(over="ignore", invalid="ignore"):
-            for slab in share:
-                z1, out = Z1[slab], [grid[slab] for grid in grids]
+            for i in share:
+                slab = slabs[i]
+                z1 = Z1[slab]
                 if theta is None:
-                    out[0][...] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+                    outputs[0][slab] = f(z1 + 0 * Z2, Z2 + 0 * z1)
+                elif reduce is None:
+                    _node_mean(f, theta, z1, Z2,
+                               [grid[slab] for grid in outputs], space)
                 else:
+                    out = [a[:z1.size * Z2.size].reshape(
+                        z1.shape[:2] + Z2.shape[2:]) for a in means]
                     _node_mean(f, theta, z1, Z2, out, space)
+                    outputs[0][i] = reduce(z1, Z2, *out)
 
     children = {}
     try:
@@ -268,12 +301,12 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
                 code = 1
                 try:
                     _FORKED = True
-                    work(slabs[slot::n_workers])
+                    work(range(slot, len(slabs), n_workers))
                     code = 0
                 finally:
                     os._exit(code)
             children[pid] = slot
-        work(slabs[0::n_workers])
+        work(range(0, len(slabs), n_workers))
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -283,15 +316,15 @@ def _sample_slabs(f, Z1, Z2, rows, n_workers, theta=None):
                   if os.waitpid(pid, 0)[1] != 0]
     for slot in failed:
         # done again here, so that the child's exception reaches the caller
-        work(slabs[slot::n_workers])
-    return grids[0] if count is None else tuple(grids)
+        work(range(slot, len(slabs), n_workers))
+    return outputs[0] if single or reduce is not None else tuple(outputs)
 
 
 # True in a child of _sample_slabs, which averages in its own process
 _FORKED = False
 
 
-def core_average_function(f, model):
+def core_average_function(f, model, reduce=None):
     """Average a callable over the core and sample it on the grid, on
     slabs as ``sample_function`` does, but spread over the available CPUs
     in forked child processes: side effects of ``f`` there never reach
@@ -302,8 +335,15 @@ def core_average_function(f, model):
     may return a tuple of values: one pass then averages each of them
     alone, to the bits of its own call, and returns the tuple of grids.
     ``f`` also runs once at one grid point, to count its values.
+
+    With ``reduce`` no grid is made: each slab's means, with the bits of
+    their grids, go to ``reduce(z1, z2, *means)``, where ``z1 + 0 * z2`` and
+    ``z2 + 0 * z1`` are the slab's points as ``sample_function`` makes them.
+    It returns as many floats for every slab, and first for the probe
+    point, and may keep no argument.  The result is the (slabs, floats)
+    array of its rows; a non-finite float in it raises GridError.
     """
-    return _sample_grid(f, model, model.theta_nodes)
+    return _sample_grid(f, model, model.theta_nodes, reduce)
 
 
 def cr_residual(values, h):

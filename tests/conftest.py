@@ -41,6 +41,11 @@ def assert_same_groupoid(a, b):
         assert x.shape == y.shape and np.array_equal(x, y), name
 
 
+def gauged(g, phi, h):
+    """phi'(a) = h_t(a) phi(a) h_s(a)^-1 for per-object value columns h."""
+    return _compose(_compose(h[:, g.target], phi), _inverse(h)[:, g.source])
+
+
 def defect(phi, core, alg):
     """Max distance of psi from the identity over the core pairs of the
     value columns phi."""

@@ -8,12 +8,14 @@ subgroup's action; uniform or random right-invariant densities; and SO3,
 SU2 and U1 targets.  Every map is a seeded coboundary h_t(a) h_s(a)^-1
 with h in a small ball, perturbed on the right: a finite image can hold a
 half turn, which W does not.  The suite uses the package's public layout
-of values only through `perturb_morphism` and the last (arrow) axis.
+of values only through `perturb_morphism`, the last (arrow) axis and the
+per-object gauge of conftest's `gauged`.
 """
 
 import itertools
 
 import numpy as np
+from conftest import gauged
 from hypothesis import given, settings, strategies as st
 
 from haarrect import (
@@ -27,6 +29,7 @@ from haarrect import (
     normalize_algebra_norm,
     verify_core_morphism,
 )
+from haarrect.groups import _exp
 from haarrect.harness import (
     ConstantsSpec,
     GroupoidSpec,
@@ -196,6 +199,17 @@ def test_drawn_runs_are_certified_and_converge_to_core_morphisms(case, eps,
     assert trace_h.iterations == trace.iterations
     assert np.abs(np.subtract(trace_h.deltas, trace.deltas)).max() <= 1e-15
     assert np.abs(limit_h[..., perm] - limit).max() <= 1e-14
+
+    # psi of a map gauged per object, h_t(a) phi(a) h_s(a)^-1, is psi
+    # conjugated by h_s(p); log and the norms are Ad-equivariant, so every
+    # step gauges alike and the limit is the gauged limit
+    rng = np.random.default_rng(seed + 2)
+    h = _exp(alg, alg.sample_ball(rng, 0.2, g.n_objects))
+    limit_g, trace_g = iterate(gauged(g, phi, h), core, mu, alg, k,
+                               sets=AmbientSets(), tol=TOL)
+    assert trace_g.terminated == "converged"
+    assert trace_g.iterations == trace.iterations
+    assert np.abs(gauged(g, limit, h) - limit_g).max() <= 1e-14
 
 
 def test_drawn_groups_are_the_named_groups():

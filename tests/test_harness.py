@@ -20,13 +20,14 @@ from conftest import (
     matrices,
     tabulated_action,
 )
-from haarrect import cli, groupoids, harness
+from haarrect import cli, groupoids, harness, holo
 from haarrect.cli import main
 from haarrect.errors import (
     ActionError,
     ConfigError,
     CoreAxiomError,
     DefectOverflow,
+    GridError,
     InvarianceError,
     LogDomainError,
     NonContraction,
@@ -60,7 +61,9 @@ from haarrect.harness import (
     run_holo_bench,
     validate_config,
 )
-from haarrect.holo import build_complexified_model
+from haarrect.holo import build_complexified_model, core_average_function
+from haarrect.holo import cr_convergence_order, real_restriction_check
+from haarrect.holo import sample_function
 from haarrect.rectifier import IterationTrace, _radius, iterate, q_bound
 from haarrect.rectifier import verify_core_morphism
 
@@ -459,13 +462,16 @@ def test_size_cap_allows_pair_200_and_the_largest_action():
     ({"space_radius": 1e308}, "sampled values must be finite"),
     # a radius whose grid spacing underflows to zero
     ({"space_radius": 5e-324}, "grid spacing must be positive"),
+    # the sampled invariant is finite, its mean is not
+    ({"space_radius": 8e153}, "sampled values must be finite"),
 ])
 def test_cli_bench_holo_rejects_bad_value_with_one_line_error(tmp_path, capsys,
                                                                config, message):
     path = tmp_path / "holo.json"
     path.write_text(json.dumps(config))
     code, kind = EXIT_PRECONDITION, "ConfigError"
-    if config in ({"space_radius": 1e308}, {"space_radius": 5e-324}):
+    if message in ("sampled values must be finite",
+                   "grid spacing must be positive"):
         code, kind = EXIT_NUMERIC_DOMAIN, "GridError"
     assert main(["bench-holo", "--config", str(path),
                  "--out", str(tmp_path)]) == code
@@ -853,7 +859,7 @@ PUBLIC_NAMES = (
     "DefectTooLarge", "ExperimentConfig", "FiniteGroup", "FiniteGroupoid",
     "GridError", "HaarrectError", "InvalidAlgebraVector",
     "InvarianceError", "IterationTrace", "LogDomainError", "NonContraction",
-    "NormalizationFailure", "NormedAlgebra", "RangeEscape",
+    "NormedAlgebra", "RangeEscape",
     "admissible_defect_radius", "attach_haar_density",
     "build_action_groupoid", "build_complexified_model", "build_core",
     "build_pair_groupoid", "core_average_function", "cr_residual",
@@ -1522,12 +1528,105 @@ def test_bench_holo_writes_null_for_a_non_finite_value(tmp_path, capsys,
         assert report[key] is None and report["pass"] is False
 
 
+def grid_path_report(spec):
+    """bench-holo's three errors, by report key, and its pass flag, from
+    whole grids: the sampled invariant and both means are made first and
+    reduced after, as bench-holo did before it reduced slab by slab."""
+    model = build_complexified_model(
+        space_radius=spec.space_radius, eta_max=spec.eta_max,
+        n_theta=spec.n_theta, n_space=spec.n_space, n_eta=spec.n_eta,
+        n_shells=spec.n_shells)
+    invariant = lambda z1, z2: z1 * z1 + z2 * z2
+    rng = np.random.default_rng(spec.seed)
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    trig_max = [0.0]
+
+    def trig_poly(z1, z2):
+        wp, wm = z1 + 1j * z2, z1 - 1j * z2
+        values = (coeffs[0] + coeffs[1] * wp + coeffs[2] * wm
+                  + coeffs[3] * wp * wp * wm)
+        trig_max[0] = max(trig_max[0], float(np.abs(values).max()))
+        return values
+
+    with np.errstate(all="ignore"):
+        f_inv = sample_function(invariant, model)
+        avg_inv, avg_mode = core_average_function(
+            lambda z1, z2: (invariant(z1, z2), z1 + 1j * z2), model)
+        slope, _ = cr_convergence_order(
+            lambda z1, z2: invariant(z1, z2) ** 2, spec.probe_center,
+            tuple(spec.slope_hs))
+        restriction = real_restriction_check(trig_poly, model)
+        x1, y1, x2, y2 = model.grid_axes
+        errors = {
+            "invariant_reproduction_error": (
+                float(np.abs(avg_inv - f_inv).max()), np.abs(f_inv).max()),
+            "weight_one_mode_residual": (
+                float(np.abs(avg_mode).max()),
+                np.hypot(np.abs(np.subtract.outer(x1, y2)).max(),
+                         np.abs(np.add.outer(y1, x2)).max())),
+            "real_restriction_difference": (restriction, trig_max[0]),
+        }
+    passed = bool(slope >= 1.9 and all(
+        err <= 1e-13 * max(1.0, m) for err, m in errors.values()))
+    return {key: err for key, (err, _) in errors.items()}, passed
+
+
+@pytest.mark.parametrize("n_space", [9, 17, 25])
+def test_bench_holo_reduced_slabs_give_the_grid_path_report(tmp_path,
+                                                            monkeypatch,
+                                                            n_space):
+    # n_space 25 cuts its rows into runs of columns
+    spec = HoloSpec(n_theta=8, n_space=n_space)
+    errors, passed = grid_path_report(spec)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(holo, "_available_cpus", lambda: workers)
+        report, code = run_holo_bench(spec, out_dir=str(tmp_path))
+        assert {key: repr(report[key]) for key in errors} == {
+            key: repr(err) for key, err in errors.items()}
+        assert report["pass"] is passed and code == EXIT_PASS
+
+
+@pytest.mark.parametrize("space_radius", [8e153, 1e155, 1e308, 5e-324])
+def test_bench_holo_grid_errors_are_the_grid_paths(tmp_path, space_radius):
+    # at 8e153 the invariant's samples are finite and its mean is not
+    spec = HoloSpec(space_radius=space_radius, **WIDE_HOLO)
+    with pytest.raises(GridError) as grid_path:
+        grid_path_report(spec)
+    with pytest.raises(GridError) as reduced:
+        run_holo_bench(spec, out_dir=str(tmp_path))
+    assert str(reduced.value) == str(grid_path.value)
+
+
+def test_bench_holo_memory_does_not_grow_with_the_grid(tmp_path):
+    # a reduced pass holds slabs: at n_space 33 each grid of the old pass,
+    # the sampled invariant, two means and the abs temporaries, was 19 MB
+    code = (
+        "import resource, sys\n"
+        "from haarrect.harness import HoloSpec, run_holo_bench\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "report, code = run_holo_bench(HoloSpec(n_theta=8, n_space=33), "
+        "sys.argv[1])\n"
+        "print(code, (peak() - before) / 1024)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120)
+    exit_code, growth_mb = out.stdout.split()
+    assert int(exit_code) == EXIT_PASS
+    assert float(growth_mb) <= 16
+
+
 def test_bench_holo_fails_a_relative_error_in_the_average(tmp_path,
                                                           monkeypatch):
+    # each slab's means are off by 1e-10 when the reducer reads them
     average = harness.core_average_function
 
-    def off_by_1e_10(f, model):
-        return tuple(v * (1 + 1e-10) for v in average(f, model))
+    def off_by_1e_10(f, model, reduce):
+        return average(f, model, reduce=lambda z1, z2, *means: reduce(
+            z1, z2, *(v * (1 + 1e-10) for v in means)))
 
     monkeypatch.setattr(harness, "core_average_function", off_by_1e_10)
     report, code = run_holo_bench(HoloSpec(space_radius=999, **WIDE_HOLO),

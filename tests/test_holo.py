@@ -394,7 +394,7 @@ def all_inputs(z1, z2):
     return tuple(g(z1, z2) for g in INPUTS)
 
 
-def test_uneven_slabs_give_the_same_values(slab_model):
+def test_uneven_slabs_give_the_same_values(slab_model, monkeypatch):
     # the averaged callable on the whole grid at once, against slabs of it
     # and against one mean pass on slabs, which rotates each node once
     # from the axes and averages all inputs, each to its own bytes
@@ -410,6 +410,58 @@ def test_uneven_slabs_give_the_same_values(slab_model):
             means = holo._sample_slabs(all_inputs, Z1, Z2, rows, workers,
                                        slab_model.theta_nodes)
             assert [v.tobytes() for v in means] == whole
+    # a row of more than SLAB_POINTS points is cut into runs of columns:
+    # here eight columns of one row, the last run one column long
+    n = Z1.shape[0]
+    monkeypatch.setattr(holo, "SLAB_POINTS", 8 * n * n + n)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(holo, "_available_cpus", lambda: workers)
+        assert sample_function(f, slab_model).tobytes() == whole[0]
+        means = core_average_function(all_inputs, slab_model)
+        assert [v.tobytes() for v in means] == whole
+        rows = core_average_function(all_inputs, slab_model, reduce=extremes)
+        assert rows.tobytes() == slab_extremes(slab_model, 8).tobytes()
+
+
+def extremes(z1, z2, *means):
+    """The slab's largest and smallest real and imaginary parts of its
+    unrotated points and of each mean."""
+    values = (z1 + 0 * z2, z2 + 0 * z1) + means
+    return [op(part(v)) for v in values for part in (np.real, np.imag)
+            for op in (np.max, np.min)]
+
+
+def slab_extremes(model, cols):
+    """extremes of each slab of one row and ``cols`` columns, the last run
+    of a row shorter, read from whole grids."""
+    Z1, Z2 = holo.grid_points(*model.grid_axes)
+    grids = [Z1 + 0 * Z2, Z2 + 0 * Z1] + [
+        np.asarray(average_callable(g, model)(Z1 + 0 * Z2, Z2 + 0 * Z1))
+        for g in INPUTS]
+    n = Z1.shape[0]
+    cut = lambda v, a, b: v[a:a + 1, b:b + cols]
+    return np.array([extremes(*(cut(v, a, b) for v in grids))
+                     for a in range(n) for b in range(0, n, cols)])
+
+
+def test_slabs_stay_near_slab_points_at_any_grid():
+    # whole first-axis rows up to n_space 19; past that, runs of columns of
+    # at most SLAB_POINTS points, as many per row as fit
+    width = lambda model: core_average_function(
+        lambda z1, z2: z1, model,
+        reduce=lambda z1, z2, mean: [z1.shape[0], z1.shape[1]])
+    for n_space, rows, cols in ((13, 3, 13), (17, 1, 17), (19, 1, 19),
+                                (21, 1, 18), (33, 1, 7), (55, 1, 2)):
+        model = build_complexified_model(n_theta=1, n_space=n_space)
+        shapes = width(model)
+        assert shapes.max(axis=0).tolist() == [rows, cols]
+        assert shapes.prod(axis=1).sum() == n_space ** 2
+
+
+def test_a_non_finite_reduced_row_is_a_grid_error(small_model):
+    nan_at = lambda z1, z2, mean: [np.where(z1.real.max() > 0.4, np.nan, 0)]
+    with pytest.raises(GridError, match="sampled values must be finite"):
+        core_average_function(lambda z1, z2: z1, small_model, reduce=nan_at)
 
 
 def test_means_of_a_tuple_are_the_means_of_each_value(slab_model,

@@ -12,6 +12,7 @@ from conftest import (
     columns,
     correction,
     defect,
+    gauged,
     group_membership_residual,
     matrices,
     psi_stack,
@@ -484,11 +485,6 @@ def test_iterate_equivariance_under_conjugation(algebras, constants):
     lim_b, _ = iterate(phi_c, core, mu, alg, k)
     conj = z @ matrices(alg, lim_a) @ z.conj().T
     assert np.abs(conj - matrices(alg, lim_b)).max() < 1e-12
-
-
-def gauged(g, phi, h):
-    """phi'(a) = h_t(a) phi(a) h_s(a)^-1 for per-object value columns h."""
-    return _compose(_compose(h[:, g.target], phi), _inverse(h)[:, g.source])
 
 
 def gauge_cases():
